@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -299,12 +300,15 @@ class MassiveTransientOna(OutOfNormAssertion):
                 lo_hi[0] = min(lo_hi[0], s.lattice_point)
                 lo_hi[1] = max(lo_hi[1], s.lattice_point)
         triggers: list[OnaTrigger] = []
-        points = sorted(by_point)
-        for p in points:
+        delta = self.delta_points
+        for p in sorted(by_point):
+            # Probe only the points within delta of p, so the cost stays
+            # linear in the window (docs/performance.md).
             components: set[str] = set()
-            for q in points:
-                if abs(q - p) <= self.delta_points:
-                    components |= by_point[q]
+            for q in range(p - delta, p + delta + 1):
+                near = by_point.get(q)
+                if near:
+                    components |= near
             if len(components) < self.min_components:
                 continue
             # Burst coherence: a correlated external disturbance hits all
@@ -530,11 +534,16 @@ class CorrelatedJobFailureOna(OutOfNormAssertion):
                 s.subject_job
             )
         triggers: list[OnaTrigger] = []
+        fired = self._fired
+        delta = self.delta_points
         for (component, point), jobs in sorted(by_comp_point.items()):
-            # widen by delta
+            if (component, point) in fired:
+                continue  # fires at most once; ``_once`` would reject it
+            # widen by delta: probe the neighbouring points of this component
             all_jobs = set(jobs)
-            for (c2, p2), jobs2 in by_comp_point.items():
-                if c2 == component and abs(p2 - point) <= self.delta_points:
+            for p2 in range(point - delta, point + delta + 1):
+                jobs2 = by_comp_point.get((component, p2))
+                if jobs2:
                     all_jobs |= jobs2
             dases = {
                 ctx.topology.das_of_job.get(j, "?") for j in all_jobs
@@ -627,15 +636,19 @@ class SingleJobOna(OutOfNormAssertion):
         ):
             if s.subject_job is None:
                 hw_failure_points[s.subject_component].add(s.lattice_point)
+        hw_sorted = {c: sorted(pts) for c, pts in hw_failure_points.items()}
+        prox = self.hw_proximity_points
 
         def hw_explained(symptom: Symptom) -> bool:
-            points = hw_failure_points.get(symptom.subject_component)
+            # Is any failure point of the host within prox of p?  The
+            # nearest point >= p - prox decides.
+            points = hw_sorted.get(symptom.subject_component)
             if not points:
                 return False
             p = symptom.lattice_point
-            return any(
-                abs(p - q) <= self.hw_proximity_points for q in points
-            )
+            i = bisect_left(points, p - prox)
+            return i < len(points) and points[i] <= p + prox
+
         by_job: dict[str, list[Symptom]] = defaultdict(list)
         for s in value_symptoms:
             if hw_explained(s):

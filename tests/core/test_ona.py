@@ -380,6 +380,72 @@ def test_massive_transient_requires_burst_coherence():
     assert ona.evaluate(ctx(dead + victim)) == []
 
 
+# -- neighbourhood boundaries ---------------------------------------------------
+#
+# The proximity queries are range lookups over lattice points; these pin
+# that "within delta" / "within hw_proximity_points" is inclusive on both
+# sides and nothing further.
+
+
+@pytest.mark.parametrize("delta", [0, 1, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("beyond, fires", [(0, True), (1, False)])
+def test_correlated_widening_stops_at_delta(delta, sign, beyond, fires):
+    other = 100 + sign * (delta + beyond)
+    window = [
+        sym(type=SymptomType.OMISSION, subject="comp2", job="A3", point=100),
+        sym(type=SymptomType.VALUE_VIOLATION, subject="comp2", job="C1", point=other),
+    ]
+    triggers = CorrelatedJobFailureOna(delta_points=delta).evaluate(ctx(window))
+    if fires:
+        # Each point widens onto the other, so both fire (one shared point
+        # when delta is 0), with the A and C jobs jointly.
+        assert [t.detail for t in triggers] == [
+            "jobs ['A3', 'C1'] of DASs ['A', 'C'] failed together"
+        ] * (1 if delta == 0 else 2)
+    else:
+        assert triggers == []
+
+
+@pytest.mark.parametrize("delta", [0, 1, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("beyond, fires", [(0, True), (1, False)])
+def test_massive_transient_widening_stops_at_delta(delta, sign, beyond, fires):
+    other = 100 + sign * (delta + beyond)
+    burst = [
+        sym(type=SymptomType.CRC_ERROR, subject="comp1", point=100),
+        sym(type=SymptomType.CRC_ERROR, subject="comp2", point=other),
+    ]
+    triggers = MassiveTransientOna(delta_points=delta).evaluate(ctx(burst))
+    if fires:
+        assert {(t.subject.name, t.evidence) for t in triggers} == {
+            ("comp1", 2),
+            ("comp2", 2),
+        }
+    else:
+        assert triggers == []
+
+
+@pytest.mark.parametrize("prox", [0, 1, 20])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("beyond, suppressed", [(0, True), (1, False)])
+def test_single_job_suppression_reaches_exactly_hw_proximity(
+    prox, sign, beyond, suppressed
+):
+    window = [
+        sym(type=SymptomType.VALUE_VIOLATION, subject="comp2", job="C1", point=100),
+        sym(type=SymptomType.REPLICA_DEVIATION, subject="comp2", job="C1", point=100),
+        sym(type=SymptomType.OMISSION, subject="comp2", point=100 + sign * (prox + beyond)),
+    ]
+    triggers = SingleJobOna(min_events=2, hw_proximity_points=prox).evaluate(
+        ctx(window)
+    )
+    if suppressed:
+        assert triggers == []
+    else:
+        assert [t.subject.name for t in triggers] == ["C1"]
+
+
 def test_massive_transient_coherent_burst_still_fires():
     burst = [
         sym(type=SymptomType.CRC_ERROR, subject=s, point=p)

@@ -9,6 +9,7 @@ application layer's partitions/jobs/ports).
 from __future__ import annotations
 
 from repro.analysis.reports import render_table
+from repro.components.virtual_network import carrier_index
 from repro.presets import figure10_cluster
 
 from benchmarks._util import emit
@@ -49,9 +50,11 @@ def test_fig02_component_structure(benchmark):
     slot = cluster.schedule.slot_at(
         cluster.schedule.slot_start(1, 1)
     )  # comp2's slot
+    # The cluster compiles this table once per route change, not per frame.
+    carriers = carrier_index(cluster.vns)
 
     def build_frame():
-        return comp.build_frame(slot, slot.start_us, cluster.vns)
+        return comp.build_frame(slot, slot.start_us, cluster.vns, carriers)
 
     frame = benchmark(build_frame)
     assert frame is not None and frame.payload

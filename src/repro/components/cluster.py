@@ -20,7 +20,8 @@ three extension hooks used by the diagnostic architecture:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -36,7 +37,10 @@ from repro.tta.tdma import SlotPosition, TdmaSchedule
 from repro.tta.time_base import SparseTimeBase
 from repro.components.component import Component, ComponentSpec
 from repro.components.das import DasSpec
-from repro.components.virtual_network import VirtualNetwork
+from repro.components.ports import Port
+from repro.components.virtual_network import VirtualNetwork, carrier_index
+
+_ROUTES_VERSION = attrgetter("routes_version")
 
 FrameObserver = Callable[[SlotPosition, Frame | None, dict[str, Delivery], int], None]
 PayloadContributor = Callable[[str, SlotPosition, int], dict[str, tuple[Any, ...]]]
@@ -172,11 +176,24 @@ class Cluster:
 
         self._started = False
         self.slots_elapsed = 0
+        self._next_slot: SlotPosition | None = None
         # Per-sender receiver rows (name, component, membership, sync),
         # built lazily: the component set and its services are fixed for
         # the cluster's lifetime, so the per-slot delivery loop walks a
         # precomputed tuple instead of re-filtering the component dict.
         self._peer_rows: dict[str, tuple] = {}
+        # VN routing compiled by _compile_routes whenever a VN's
+        # routes_version moves; routes_generation counts the compilations
+        # so other per-slot caches (the detector's) can key on it.
+        self.routes_generation = 0
+        self._routes_versions: tuple[int, ...] | None = None
+        self._carriers: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._destinations: dict[
+            tuple[str, str, str], tuple[tuple[str, Port, str, str], ...]
+        ] = {}
+        # The payload routing of the current slot's frame (see _route).
+        self._routed_counts: tuple[tuple[VirtualNetwork, int], ...] = ()
+        self._pushes: dict[str, list[tuple[Port, Any, str, str, str]]] = {}
 
     # -- validation ---------------------------------------------------------
 
@@ -254,29 +271,102 @@ class Cluster:
         """Run for an integral number of TDMA rounds."""
         self.run(rounds * self.schedule.round_length_us)
 
+    # -- VN routing -----------------------------------------------------------
+
+    def _compile_routes(self, versions: tuple[int, ...]) -> None:
+        """Rebuild the routing tables after a route change.
+
+        ``_carriers`` maps a ``(job, port)`` source to the VNs carrying it
+        (see :func:`carrier_index`).  ``_destinations`` maps each routed
+        ``(vn, job, port)`` with at least one destination to its
+        ``(receiver, Port, job, port)`` rows, in link order; destinations
+        of unplaced jobs have no row.  Valid while job placement and Port
+        objects stay fixed, which they do for the cluster's lifetime.
+        """
+        destinations = {}
+        for vn_name, vn in self.vns.items():
+            for (job, port), dests in vn.routes().items():
+                if not dests:
+                    continue
+                rows = []
+                for dest in dests:
+                    receiver = self.job_location.get(dest.job)
+                    if receiver is None:
+                        continue
+                    target = self.components[receiver].job(dest.job)
+                    rows.append((receiver, target.port(dest.port), dest.job, dest.port))
+                destinations[(vn_name, job, port)] = tuple(rows)
+        self._carriers = carrier_index(self.vns)
+        self._destinations = destinations
+        self._routes_versions = versions
+        self.routes_generation += 1
+
+    def _route(self, frame: Frame) -> None:
+        """Route the admitted ``frame``'s payload into per-receiver pushes.
+
+        Called once per slot: loopback and every receiver that gets the
+        frame intact get this same frame object.  Per receiver, pushes keep
+        the order of routing at that receiver: VN, then message, then
+        destination.  ``_routed_counts`` holds the per-VN
+        ``messages_routed`` increment of one delivery: one per message
+        whose source has destinations, placed or not.
+        """
+        destinations = self._destinations
+        counts = []
+        pushes: dict[str, list[tuple[Port, Any, str, str, str]]] = {}
+        for vn_name, messages in frame.payload.items():
+            vn = self.vns.get(vn_name)
+            if vn is None:
+                continue
+            routed = 0
+            for message in messages:
+                rows = destinations.get((vn_name, message.source_job, message.port))
+                if rows is None:
+                    continue
+                routed += 1
+                for receiver, port, job_name, port_name in rows:
+                    push = (port, message, job_name, port_name, vn_name)
+                    queued = pushes.get(receiver)
+                    if queued is None:
+                        pushes[receiver] = [push]
+                    else:
+                        queued.append(push)
+            if routed:
+                counts.append((vn, routed))
+        self._routed_counts = tuple(counts)
+        self._pushes = pushes
+
     # -- slot processing ------------------------------------------------------
 
     def _on_slot(self, sim: Simulator) -> None:
         now = sim.now
-        slot = self.schedule.slot_at(now)
+        slot = self._next_slot
+        if slot is None or slot.start_us != now:
+            slot = self.schedule.slot_at(now)
+        self._next_slot = self.schedule.next_slot(slot)
         self.slots_elapsed += 1
-        sender = self.components[slot.sender]
+        sender_name = slot.sender
+        sender = self.components[sender_name]
+        versions = tuple(map(_ROUTES_VERSION, self.vns.values()))
+        if versions != self._routes_versions:
+            self._compile_routes(versions)
 
         frame = sender.build_frame(
             slot,
             now,
             self.vns,
-            membership=self.memberships[slot.sender].view(),
+            self._carriers,
+            membership=self.memberships[sender_name].view(),
         )
 
         # Babbling components attempt transmissions in foreign slots; the
         # guardians cut them off (strong fault isolation, C3).
         for name, component in self.components.items():
-            if name == slot.sender or not component.hardware.babbling:
+            if name == sender_name or not component.hardware.babbling:
                 continue
-            if not component.operational(now):
+            if not component.hardware.operational(now):
                 continue
-            decision = self.guardians[name].check(now + 1)
+            decision = self.guardians[name].check(now + 1, slot)
             if not decision.allowed:
                 self.trace.record(
                     now, "guardian.blocked", name, reason=decision.reason
@@ -287,7 +377,7 @@ class Cluster:
             contributions: dict[str, tuple[Any, ...]] = {}
             for contributor in self.payload_contributors:
                 for vn_name, messages in contributor(
-                    slot.sender, slot, now
+                    sender_name, slot, now
                 ).items():
                     contributions[vn_name] = (
                         contributions.get(vn_name, ()) + tuple(messages)
@@ -296,34 +386,27 @@ class Cluster:
                 payload = dict(frame.payload)
                 for vn_name, messages in contributions.items():
                     payload[vn_name] = payload.get(vn_name, ()) + messages
-                frame = Frame(
-                    sender=frame.sender,
-                    slot=frame.slot,
-                    send_time_us=frame.send_time_us,
-                    payload=payload,
-                    crc_valid=frame.crc_valid,
-                    bit_flips=frame.bit_flips,
-                    membership=frame.membership,
-                )
-            decision = self.guardians[slot.sender].check(frame.send_time_us)
+                frame = frame._replace(payload=payload)
+            decision = self.guardians[sender_name].check(frame.send_time_us, slot)
             if decision.allowed:
+                self._route(frame)
                 deliveries = self.bus.broadcast(frame, now)
             else:
                 self.trace.record(
                     now,
                     "guardian.blocked",
-                    slot.sender,
+                    sender_name,
                     reason=decision.reason,
                     in_slot=True,
                 )
                 frame = None  # never reached the medium
         else:
-            self.trace.record(now, "frame.silent", slot.sender)
+            self.trace.record(now, "frame.silent", sender_name)
 
         # Local loopback: jobs hosted on the sending component receive the
         # VN messages of their co-hosted producers without a bus hop.
-        if frame is not None and sender.operational(now):
-            self._deliver_payload(slot.sender, sender, frame, now)
+        if frame is not None and sender.hardware.operational(now):
+            self._deliver_payload(sender_name, now)
 
         self._process_deliveries(slot, frame, deliveries, now)
 
@@ -343,77 +426,60 @@ class Cluster:
         deliveries: dict[str, Delivery],
         now: int,
     ) -> None:
-        rows = self._peer_rows.get(slot.sender)
+        sender = slot.sender
+        rows = self._peer_rows.get(sender)
         if rows is None:
             rows = tuple(
                 (name, comp, self.memberships[name], self.sync_services[name])
                 for name, comp in self.components.items()
-                if name != slot.sender
+                if name != sender
             )
-            self._peer_rows[slot.sender] = rows
+            self._peer_rows[sender] = rows
         get_delivery = deliveries.get
         for name, component, membership, sync_service in rows:
-            receiving = component.operational(now)
+            if not component.hardware.operational(now):
+                continue
             delivery = get_delivery(name)
-            ok = (
-                receiving
-                and delivery is not None
-                and delivery.status is DeliveryStatus.RECEIVED
-            )
-            if receiving:
-                membership.observe(slot.sender, ok, now)
-            if not receiving:
-                continue
-            if delivery is None or delivery.status is DeliveryStatus.OMITTED:
-                self.trace.record(
-                    now, "delivery.omitted", name, sender=slot.sender
+            status = None if delivery is None else delivery.status
+            membership.observe(sender, status is DeliveryStatus.RECEIVED, now)
+            if status is DeliveryStatus.RECEIVED:
+                # Successful reception: clock sync measurement + port delivery.
+                received = delivery.frame
+                deviation = received.send_time_us - (
+                    slot.start_us + component.clock.error(now)
                 )
-                continue
-            if delivery.status is DeliveryStatus.CORRUPTED:
+                sync_service.observe(deviation)
+                self._deliver_payload(name, now)
+                for consumer in self.payload_consumers:
+                    consumer(name, received, now)
+            elif status is DeliveryStatus.CORRUPTED:
                 self.trace.record(
                     now,
                     "delivery.corrupted",
                     name,
-                    sender=slot.sender,
-                    bit_flips=delivery.frame.bit_flips if delivery.frame else 0,
+                    sender=sender,
+                    bit_flips=delivery.frame.bit_flips,
                 )
-                continue
-            # Successful reception: clock sync measurement + port delivery.
-            received = delivery.frame
-            assert received is not None
-            deviation = received.send_time_us - (
-                slot.start_us + component.clock.error(now)
-            )
-            sync_service.observe(deviation)
-            self._deliver_payload(name, component, received, now)
-            for consumer in self.payload_consumers:
-                consumer(name, received, now)
+            else:
+                self.trace.record(now, "delivery.omitted", name, sender=sender)
 
-    def _deliver_payload(
-        self, receiver: str, component: Component, frame: Frame, now: int
-    ) -> None:
-        for vn_name, messages in frame.payload.items():
-            vn = self.vns.get(vn_name)
-            if vn is None:
-                continue
-            for message in messages:
-                for dest in vn.route(message):
-                    if self.job_location.get(dest.job) != receiver:
-                        continue
-                    job = component.job(dest.job)
-                    accepted = job.port(dest.port).push(message)
-                    if not accepted:
-                        self.trace.record(
-                            now,
-                            "port.overflow",
-                            dest.job,
-                            port=dest.port,
-                            vn=vn_name,
-                        )
+    def _deliver_payload(self, receiver: str, now: int) -> None:
+        """Push the slot frame's VN messages (routed by :meth:`_route`)
+        into the ports ``receiver`` hosts."""
+        for vn, routed in self._routed_counts:
+            vn.messages_routed += routed
+        pushes = self._pushes.get(receiver)
+        if pushes is None:
+            return
+        for port, message, job_name, port_name, vn_name in pushes:
+            if not port.push(message):
+                self.trace.record(
+                    now, "port.overflow", job_name, port=port_name, vn=vn_name
+                )
 
     def _end_of_round(self, now: int) -> None:
         for name, component in self.components.items():
-            if not component.operational(now):
+            if not component.hardware.operational(now):
                 self.sync_services[name].round_correction()  # discard
                 continue
             correction = self.sync_services[name].round_correction()

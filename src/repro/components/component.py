@@ -15,7 +15,7 @@ maintenance-oriented classification leans on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.components.job import Job
@@ -82,6 +82,8 @@ class HardwareState:
     replacements: int = 0
 
     def operational(self, now_us: int) -> bool:
+        """True when the shared hardware currently executes (a component
+        runs exactly when its hardware does)."""
         return not self.permanently_failed and now_us >= self.transient_outage_until_us
 
 
@@ -138,61 +140,53 @@ class Component:
 
     # -- execution ----------------------------------------------------------
 
-    def operational(self, now_us: int) -> bool:
-        """True when the shared hardware currently executes."""
-        return self.hardware.operational(now_us)
-
-    def dispatch_jobs(self, now_us: int) -> dict[str, list[Message]]:
-        """Dispatch every hosted job once; returns messages per job.
-
-        A component in outage dispatches nothing (all jobs fail together:
-        the correlated-failure signature of an internal hardware fault).
-        """
-        if not self.operational(now_us):
-            return {}
-        return {
-            name: job.dispatch(now_us) for name, job in self._job_items
-        }
-
     def build_frame(
         self,
         slot: SlotPosition,
         now_us: int,
         vns: dict[str, VirtualNetwork],
+        carriers: dict[tuple[str, str], tuple[str, ...]],
         membership: frozenset[str] = frozenset(),
     ) -> Frame | None:
         """Assemble the frame for this component's slot occurrence.
 
+        Every hosted job is dispatched once, in partition order, and its
+        messages are sorted into the VNs that carry them.  ``carriers`` is
+        ``carrier_index(vns)``, which the cluster compiles once per route
+        change.
+
         Returns None when the component is silent (outage / permanent
         failure): the fail-silent manifestation every receiver detects as
-        an omission.
+        an omission.  Its jobs are then not dispatched at all (all fail
+        together: the correlated-failure signature of an internal hardware
+        fault).
         """
-        if not self.operational(now_us):
+        hardware = self.hardware
+        if not hardware.operational(now_us):
             self.frames_missed += 1
             return None
-        outputs = self.dispatch_jobs(now_us)
+        by_vn: dict[str, list[Message]] = {}
+        for _name, job in self._job_items:
+            for msg in job.dispatch(now_us):
+                for vn_name in carriers.get((msg.source_job, msg.port), ()):
+                    queued = by_vn.get(vn_name)
+                    if queued is None:
+                        by_vn[vn_name] = [msg]
+                    else:
+                        queued.append(msg)
         payload: dict[str, tuple[Message, ...]] = {}
-        for vn_name, vn in vns.items():
-            vn_messages = [
-                msg
-                for messages in outputs.values()
-                for msg in messages
-                if vn.has_route(msg)
-            ]
-            # admit() applies the per-slot bandwidth budget
-            admitted = vn.admit(vn_messages)
-            if admitted:
-                payload[vn_name] = tuple(admitted)
-        send_time = slot.start_us + self.clock.error(now_us) + self.hardware.timing_offset_us
-        frame = Frame(
-            sender=self.name,
-            slot=slot,
-            send_time_us=send_time,
-            payload=payload,
-            membership=membership,
+        if by_vn:
+            for vn_name, vn in vns.items():
+                queued = by_vn.get(vn_name)
+                if queued:
+                    # admit() applies the per-slot bandwidth budget
+                    payload[vn_name] = tuple(vn.admit(queued))
+        send_time = (
+            slot.start_us + self.clock.error(now_us) + hardware.timing_offset_us
         )
-        if self.hardware.corrupt_tx_bits > 0:
-            frame = frame.corrupted(self.hardware.corrupt_tx_bits)
+        frame = Frame(self.name, slot, send_time, payload, True, 0, membership)
+        if hardware.corrupt_tx_bits > 0:
+            frame = frame.corrupted(hardware.corrupt_tx_bits)
         self.frames_sent += 1
         return frame
 

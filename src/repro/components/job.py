@@ -245,11 +245,11 @@ class Job:
             return []
         self.dispatch_count += 1
         ctx = DispatchContext(
-            now_us=now_us,
-            dispatch_index=self.dispatch_count - 1,
-            inputs=self._inputs,
-            state=self.state,
-            sensors=self.read_sensors(),
+            now_us,
+            self.dispatch_count - 1,
+            self._inputs,
+            self.state,
+            self.read_sensors(),
         )
         behaviour = self.spec.behaviour
         outputs: Mapping[str, Any] = {} if behaviour is None else behaviour(ctx)
@@ -268,15 +268,12 @@ class Job:
                         f"behaviour of {self.name!r} wrote to IN port "
                         f"{port.spec.name!r}"
                     )
-                msg = Message(
-                    source_job=self.name,
-                    port=port.spec.name,
-                    value=value,
-                    seq=self.dispatch_count,
-                    send_time_us=now_us,
-                )
                 port.messages_out += 1
-                messages.append(msg)
+                messages.append(
+                    Message(
+                        self.name, port.spec.name, value, self.dispatch_count, now_us
+                    )
+                )
         return messages
 
     # -- maintenance hooks --------------------------------------------------

@@ -20,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -35,15 +35,18 @@ class PortDirection(Enum):
     OUT = "out"
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One message observable at a port."""
+class Message(NamedTuple):
+    """One message observable at a port (an immutable per-slot value)."""
 
     source_job: str
     port: str
     value: Any
     seq: int
     send_time_us: int
+
+
+#: Outcomes of :meth:`ValueSpec.classify`.
+CONFORMING, MARGINAL, VIOLATING = 0, 1, 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,23 +73,30 @@ class ValueSpec:
                 f"margin must be in [0, 0.5), got {self.margin}"
             )
 
-    def conforms(self, value: Any) -> bool:
-        """True if ``value`` satisfies the specification."""
+    def classify(self, value: Any) -> int:
+        """:data:`CONFORMING`, :data:`MARGINAL` or :data:`VIOLATING`.
+
+        A value conforms when it converts to a finite ``float`` within
+        ``[low, high]``; it is marginal when it also lies within
+        ``margin * (high - low)`` of a finite bound.  One conversion serves
+        both questions.
+        """
         try:
             v = float(value)
         except (TypeError, ValueError):
-            return False
-        return self.low <= v <= self.high and math.isfinite(v)
-
-    def marginal(self, value: Any) -> bool:
-        """True if ``value`` conforms but lies in the verge band."""
-        if not self.conforms(value):
-            return False
+            return VIOLATING
+        if not (self.low <= v <= self.high and math.isfinite(v)):
+            return VIOLATING
         if math.isinf(self.low) or math.isinf(self.high):
-            return False
-        v = float(value)
+            return CONFORMING
         band = self.margin * (self.high - self.low)
-        return v <= self.low + band or v >= self.high - band
+        if v <= self.low + band or v >= self.high - band:
+            return MARGINAL
+        return CONFORMING
+
+    def conforms(self, value: Any) -> bool:
+        """True if ``value`` satisfies the specification."""
+        return self.classify(value) != VIOLATING
 
     def deviation(self, value: Any) -> float:
         """Normalised distance outside the spec (0.0 when conforming)."""

@@ -18,7 +18,8 @@ In the simulation a VN owns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.components.ports import Message
@@ -83,6 +84,9 @@ class VirtualNetwork:
                 )
             self._routes[key] = link.destinations
         self.tx_overflows = 0
+        #: Messages with at least one destination, counted by the cluster
+        #: once per delivery of their frame (every receiving component and
+        #: the sender's own loopback).
         self.messages_routed = 0
         #: Bumped whenever the routing table changes; observers (e.g. the
         #: detector's expected-source tables) key their caches on it.
@@ -100,6 +104,10 @@ class VirtualNetwork:
     def sources(self) -> list[PortAddress]:
         return [PortAddress(j, p) for (j, p) in self._routes]
 
+    def routes(self) -> dict[tuple[str, str], tuple[PortAddress, ...]]:
+        """The routing table: ``(job, port)`` source to its destinations."""
+        return dict(self._routes)
+
     def reconfigure_budget(self, slot_budget: int) -> None:
         """Update the bandwidth configuration (job-borderline repair)."""
         if slot_budget < 1:
@@ -108,19 +116,7 @@ class VirtualNetwork:
             )
         self.slot_budget = slot_budget
 
-    # -- routing ------------------------------------------------------------
-
-    def has_route(self, message: Message) -> bool:
-        """True when this VN carries the message's source port (does not
-        touch the routing counters; used at the sending side)."""
-        return (message.source_job, message.port) in self._routes
-
-    def route(self, message: Message) -> tuple[PortAddress, ...]:
-        """Destinations of ``message``; empty when the port is unrouted."""
-        dests = self._routes.get((message.source_job, message.port), ())
-        if dests:
-            self.messages_routed += 1
-        return dests
+    # -- sending ------------------------------------------------------------
 
     def admit(self, messages: list[Message]) -> list[Message]:
         """Apply the per-slot bandwidth budget at the sending component.
@@ -137,3 +133,18 @@ class VirtualNetwork:
             f"VirtualNetwork({self.name!r}, das={self.das!r}, "
             f"links={len(self._routes)})"
         )
+
+
+def carrier_index(
+    vns: Mapping[str, VirtualNetwork],
+) -> dict[tuple[str, str], tuple[str, ...]]:
+    """``(job, port)`` source to the names of the VNs carrying it.
+
+    Names are in ``vns`` order.  A source no VN lists is not carried at
+    all; a link without destinations is still carried.
+    """
+    index: dict[tuple[str, str], tuple[str, ...]] = {}
+    for name, vn in vns.items():
+        for source in vn.routes():
+            index[source] = index.get(source, ()) + (name,)
+    return index

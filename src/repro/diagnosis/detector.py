@@ -24,7 +24,7 @@ from collections.abc import Callable
 
 from repro.components.cluster import Cluster
 from repro.components.job import Job
-from repro.components.ports import PortDirection, PortKind
+from repro.components.ports import CONFORMING, VIOLATING, PortKind
 from repro.components.redundancy import TmrVoter
 from repro.core.symptoms import Symptom, SymptomType
 from repro.errors import ConfigurationError
@@ -124,7 +124,7 @@ class DetectionService:
         # docs/performance.md for the invalidation contract.
         self._peers: dict[str, tuple[tuple[str, object], ...]] = {}
         self._value_specs: dict[tuple[str, str], object] = {}
-        self._expected_versions: tuple[int, ...] | None = None
+        self._expected_generation: int | None = None
         self._expected_sources: dict[str, tuple[tuple[str, str], ...]] = {}
         self._event_ports: list | None = None
         cluster.frame_observers.append(self._on_slot)
@@ -193,7 +193,9 @@ class DetectionService:
             )
             self._peers[slot.sender] = peers
         receivers = [
-            (name, comp) for name, comp in peers if comp.operational(now_us)
+            (name, comp)
+            for name, comp in peers
+            if comp.hardware.operational(now_us)
         ]
 
         if frame is None:
@@ -227,11 +229,22 @@ class DetectionService:
         now_us: int,
         lattice: int,
     ) -> None:
-        cluster = self.cluster
         timing_error = frame.timing_error_us
+        late = abs(timing_error) > self.timing_threshold_us
         for name, _comp in receivers:
             delivery = deliveries.get(name)
-            if delivery is None or delivery.status is DeliveryStatus.OMITTED:
+            if delivery is None:
+                status = DeliveryStatus.OMITTED
+            else:
+                status = delivery.status
+                # The common case: received on every channel, on time.
+                if (
+                    status is DeliveryStatus.RECEIVED
+                    and not late
+                    and all(delivery.channels_ok)
+                ):
+                    continue
+            if status is DeliveryStatus.OMITTED:
                 self._emit(
                     Symptom(
                         type=SymptomType.OMISSION,
@@ -242,8 +255,8 @@ class DetectionService:
                     )
                 )
                 continue
-            if delivery.status is DeliveryStatus.CORRUPTED:
-                flips = delivery.frame.bit_flips if delivery.frame else 0
+            if status is DeliveryStatus.CORRUPTED:
+                flips = delivery.frame.bit_flips
                 self._emit(
                     Symptom(
                         type=SymptomType.CRC_ERROR,
@@ -255,9 +268,10 @@ class DetectionService:
                     )
                 )
                 continue
-            # RECEIVED: per-channel shadow omissions.
+            # RECEIVED (so on at least one channel): per-channel shadow
+            # omissions.
             channels_ok = delivery.channels_ok
-            if any(channels_ok) and not all(channels_ok):
+            if not all(channels_ok):
                 for ch, ok in enumerate(channels_ok):
                     if not ok:
                         self._emit(
@@ -270,7 +284,7 @@ class DetectionService:
                                 channel=ch,
                             )
                         )
-            if abs(timing_error) > self.timing_threshold_us:
+            if late:
                 self._emit(
                     Symptom(
                         type=SymptomType.TIMING_VIOLATION,
@@ -321,7 +335,10 @@ class DetectionService:
                     value_specs[key] = spec
                 if spec is None:
                     continue
-                if not spec.conforms(message.value):
+                verdict = spec.classify(message.value)
+                if verdict == CONFORMING:
+                    continue
+                if verdict == VIOLATING:
                     self._emit(
                         Symptom(
                             type=SymptomType.VALUE_VIOLATION,
@@ -334,7 +351,7 @@ class DetectionService:
                             detail=f"port {message.port}",
                         )
                     )
-                elif spec.marginal(message.value):
+                else:
                     self._emit(
                         Symptom(
                             type=SymptomType.VALUE_MARGINAL,
@@ -351,8 +368,9 @@ class DetectionService:
                     )
         # Job-level omissions: expected periodic sources hosted on the
         # sender that contributed nothing to this frame.
-        for job_name, port_name in self._expected_for(slot.sender):
-            if (job_name, port_name) not in present:
+        for source in self._expected_for(slot.sender):
+            if source not in present:
+                job_name, port_name = source
                 self._emit(
                     Symptom(
                         type=SymptomType.OMISSION,
@@ -368,15 +386,15 @@ class DetectionService:
     def _expected_for(self, sender: str) -> tuple[tuple[str, str], ...]:
         """Periodic VN sources hosted on ``sender`` (expected every slot).
 
-        Derived from the VN routing tables; rebuilt whenever any VN's
-        ``routes_version`` changes (link added), otherwise served from the
-        per-sender cache.  Placement and port periods are fixed for the
-        cluster's lifetime.
+        Derived from the VN routing tables; rebuilt whenever the cluster
+        recompiles its routing (``routes_generation``: a VN's
+        ``routes_version`` moved), otherwise served from the per-sender
+        cache.  Placement and port periods are fixed for the cluster's
+        lifetime.
         """
         cluster = self.cluster
-        versions = tuple(vn.routes_version for vn in cluster.vns.values())
-        if versions != self._expected_versions:
-            self._expected_versions = versions
+        if cluster.routes_generation != self._expected_generation:
+            self._expected_generation = cluster.routes_generation
             self._expected_sources = {}
         expected = self._expected_sources.get(sender)
         if expected is None:
@@ -413,7 +431,7 @@ class DetectionService:
             self._event_ports = rows
         overflow_seen = self._queue_overflow_seen
         for name, component, job, port in rows:
-            if not component.operational(now_us):
+            if not component.hardware.operational(now_us):
                 continue
             count = port.overflow_count
             key = (job.name, port.spec.name)
@@ -459,7 +477,7 @@ class DetectionService:
     def _poll_membership(self, now_us: int, lattice: int) -> None:
         cluster = self.cluster
         for name, membership in cluster.memberships.items():
-            if not cluster.components[name].operational(now_us):
+            if not cluster.components[name].hardware.operational(now_us):
                 continue
             transitions = membership.transitions
             seen = self._membership_transitions_seen.get(name, 0)
@@ -508,7 +526,7 @@ class DetectionService:
     def _poll_internal_checks(self, now_us: int, lattice: int) -> None:
         cluster = self.cluster
         for name, component in cluster.components.items():
-            if not component.operational(now_us):
+            if not component.hardware.operational(now_us):
                 continue
             for job in component.jobs():
                 if not job.internal_checks or not job.active(now_us):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.components.cluster import Cluster
 from repro.core.symptoms import Symptom
@@ -41,9 +41,8 @@ DIAGNOSTIC_VN = "vn-diagnostic"
 SymptomConsumer = Callable[[str, Symptom], None]
 
 
-@dataclass(frozen=True, slots=True)
-class SymptomMessage:
-    """One symptom in transit on the diagnostic VN."""
+class SymptomMessage(NamedTuple):
+    """One symptom in transit on the diagnostic VN (an immutable value)."""
 
     symptom: Symptom
     reporter: str
@@ -138,9 +137,7 @@ class DiagnosticNetwork:
                     t_sim_us=self.cluster.now,
                     observer=observer,
                 )
-        outbox.append(
-            SymptomMessage(symptom, observer, self.cluster.now)
-        )
+        outbox.append(SymptomMessage(symptom, observer, self.cluster.sim.now))
 
     @staticmethod
     def _deliver_event(obs, prov, symptom: Symptom, now_us: int, slots: int) -> None:

@@ -147,7 +147,9 @@ def attach_recorder(
     )
     for name, component in cluster.components.items():
         recorder.register(
-            name, "operational", (lambda c: (lambda: c.operational(cluster.now)))(component)
+            name,
+            "operational",
+            (lambda c: (lambda: c.hardware.operational(cluster.now)))(component),
         )
         recorder.register(
             name, "frames_sent", (lambda c: (lambda: c.frames_sent))(component)

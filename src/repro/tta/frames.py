@@ -16,15 +16,18 @@ value symptom at every receiver that saw the corruption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Any, NamedTuple
 
 from repro.tta.tdma import SlotPosition
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class Frame(NamedTuple):
     """One frame occupying one TDMA slot occurrence.
+
+    Immutable: a NamedTuple, like the other per-slot values (see
+    docs/performance.md, "Slot pipeline cost").
 
     Attributes
     ----------
@@ -38,7 +41,8 @@ class Frame:
         cluster precision is a timing failure.
     payload:
         Mapping of virtual-network name to the tuple of messages pushed in
-        this slot.  Opaque to the core network.
+        this slot.  Opaque to the core network.  Defaults to an empty
+        read-only mapping.
     crc_valid:
         False if the frame was corrupted in transit or at the sender.
     bit_flips:
@@ -53,7 +57,7 @@ class Frame:
     sender: str
     slot: SlotPosition
     send_time_us: float
-    payload: dict[str, tuple[Any, ...]] = field(default_factory=dict)
+    payload: Mapping[str, tuple[Any, ...]] = MappingProxyType({})
     crc_valid: bool = True
     bit_flips: int = 0
     membership: frozenset[str] = frozenset()
@@ -68,15 +72,13 @@ class Frame:
         """
         if bit_flips <= 0:
             return self
-        return replace(
-            self,
-            crc_valid=False,
-            bit_flips=self.bit_flips + int(bit_flips),
+        return self._replace(
+            crc_valid=False, bit_flips=self.bit_flips + int(bit_flips)
         )
 
     def delayed(self, extra_us: float) -> "Frame":
         """Return a copy sent ``extra_us`` later (timing fault)."""
-        return replace(self, send_time_us=self.send_time_us + float(extra_us))
+        return self._replace(send_time_us=self.send_time_us + float(extra_us))
 
     @property
     def timing_error_us(self) -> float:

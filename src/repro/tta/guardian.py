@@ -13,15 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.tta.tdma import TdmaSchedule
+from repro.tta.tdma import SlotPosition, TdmaSchedule
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class GuardianDecision:
     """Outcome of one transmit-gate check."""
 
     allowed: bool
     reason: str
+
+
+# Passing checks share one decision per reason instead of building one.
+_IN_SLOT = GuardianDecision(True, "in-slot")
+_EARLY = GuardianDecision(True, "early-within-tolerance")
+_LATE = GuardianDecision(True, "late-within-tolerance")
 
 
 @dataclass(slots=True)
@@ -48,14 +54,21 @@ class BusGuardian:
     passed_count: int = 0
     _log: list[tuple[int, str]] = field(default_factory=list)
 
-    def check(self, send_time_us: float) -> GuardianDecision:
+    def check(
+        self, send_time_us: float, slot: SlotPosition | None = None
+    ) -> GuardianDecision:
         """Gate a transmission attempt at ``send_time_us``.
 
         The attempt passes iff it falls within (tolerance of) a slot owned
-        by the guarded component.
+        by the guarded component.  ``slot`` is an optional hint, the slot
+        occurrence the caller is in; it is used only when it contains the
+        truncated send instant, so that it equals what ``slot_at`` would
+        return.  Otherwise (for instance a send just before the slot, when
+        the sender may also own the adjacent slot) the schedule decides.
         """
         t = int(send_time_us)
-        slot = self.schedule.slot_at(max(t, 0))
+        if slot is None or not slot.start_us <= t < slot.end_us:
+            slot = self.schedule.slot_at(max(t, 0))
         in_window = (
             slot.sender == self.component
             and slot.start_us - self.window_tolerance_us
@@ -64,7 +77,7 @@ class BusGuardian:
         )
         if in_window:
             self.passed_count += 1
-            return GuardianDecision(True, "in-slot")
+            return _IN_SLOT
         # Also accept sends in the tolerance bands adjacent to the
         # component's own slot (early/late sends due to clock deviation).
         if slot.sender != self.component and self.window_tolerance_us > 0:
@@ -74,7 +87,7 @@ class BusGuardian:
                 and nxt.start_us - send_time_us <= self.window_tolerance_us
             ):
                 self.passed_count += 1
-                return GuardianDecision(True, "early-within-tolerance")
+                return _EARLY
             if slot.start_us > 0:
                 prev = self.schedule.slot_at(slot.start_us - 1)
                 if (
@@ -82,7 +95,7 @@ class BusGuardian:
                     and send_time_us - prev.end_us <= self.window_tolerance_us
                 ):
                     self.passed_count += 1
-                    return GuardianDecision(True, "late-within-tolerance")
+                    return _LATE
         self.blocked_count += 1
         reason = (
             "foreign-slot" if slot.sender != self.component else "outside-window"

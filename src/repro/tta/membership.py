@@ -50,6 +50,8 @@ class MembershipService:
             s: _SenderTrack() for s in senders if s != observer
         }
         self.transitions: list[tuple[int, str, bool]] = []
+        # view() is asked every slot but changes only on a transition.
+        self._view: frozenset[str] | None = None
 
     def observe(self, sender: str, ok: bool, now_us: int) -> None:
         """Record the outcome of one slot occurrence of ``sender``."""
@@ -61,6 +63,7 @@ class MembershipService:
             track.consecutive_successes += 1
             if not track.member and track.consecutive_successes >= self.rejoin_limit:
                 track.member = True
+                self._view = None
                 self.transitions.append((now_us, sender, True))
         else:
             track.consecutive_successes = 0
@@ -68,13 +71,17 @@ class MembershipService:
             if track.member and track.consecutive_failures >= self.fail_limit:
                 track.member = False
                 track.removals += 1
+                self._view = None
                 self.transitions.append((now_us, sender, False))
 
     def view(self) -> frozenset[str]:
         """Current membership view (the observer itself is always included)."""
-        members = {s for s, t in self._tracks.items() if t.member}
-        members.add(self.observer)
-        return frozenset(members)
+        view = self._view
+        if view is None:
+            members = {s for s, t in self._tracks.items() if t.member}
+            members.add(self.observer)
+            view = self._view = frozenset(members)
+        return view
 
     def is_member(self, sender: str) -> bool:
         if sender == self.observer:

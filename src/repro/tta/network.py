@@ -23,8 +23,9 @@ Fault hooks
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +41,8 @@ class DeliveryStatus(Enum):
     CORRUPTED = "corrupted"
 
 
-@dataclass(frozen=True, slots=True)
-class Delivery:
-    """Per-receiver result of a broadcast."""
+class Delivery(NamedTuple):
+    """Per-receiver result of a broadcast (an immutable per-slot value)."""
 
     receiver: str
     status: DeliveryStatus
@@ -60,9 +60,6 @@ class ChannelFaultState:
 
     omission_prob: float = 0.0
     blocked_until_us: int = -1
-
-    def active_block(self, now_us: int) -> bool:
-        return now_us < self.blocked_until_us
 
 
 @dataclass(slots=True)
@@ -98,11 +95,6 @@ class AttachmentFaultState:
 
     omission_prob: float = 0.0
     blocked_until_us: int = -1
-
-    def drops(self, now_us: int, rng: np.random.Generator) -> bool:
-        if now_us < self.blocked_until_us:
-            return True
-        return self.omission_prob > 0.0 and rng.random() < self.omission_prob
 
 
 class NetworkAttachment:
@@ -170,6 +162,10 @@ class Bus:
         self.attachments: dict[str, NetworkAttachment] = {}
         self.zones: list[DisturbanceZone] = []
         self.frames_broadcast = 0
+        # Per-sender receiver rows (name, rx fault states, position), built
+        # lazily and dropped by attach(): the per-slot broadcast walks a
+        # precomputed tuple instead of filtering the attachment dict.
+        self._receiver_rows: dict[str, tuple] = {}
 
     # -- topology -----------------------------------------------------------
 
@@ -181,6 +177,7 @@ class Bus:
             raise ConfigurationError(f"component {component!r} already attached")
         att = NetworkAttachment(component, position, self.channels)
         self.attachments[component] = att
+        self._receiver_rows.clear()
         return att
 
     def attachment(self, component: str) -> NetworkAttachment:
@@ -216,69 +213,90 @@ class Bus:
         frame if at least one channel carries an uncorrupted copy; if all
         copies that arrive are corrupted the delivery is CORRUPTED; if
         nothing arrives it is OMITTED.
+
+        Random draws happen in a fixed order: per channel the sender's
+        connector, then the channel's omission; then the sender's EMI
+        exposure; then per receiver its EMI exposure and, per channel, its
+        connector.  A pin or channel drops the frame while blocked, else
+        with its omission probability; a draw is skipped where its outcome
+        cannot matter (blocked, zero probability, inactive zone).
         """
-        sender_att = self.attachment(frame.sender)
+        sender = frame.sender
+        sender_att = self.attachment(sender)
         self.frames_broadcast += 1
+        rng = self._rng
+        channel_range = range(self.channels)
 
         # Sender-side effects, computed once per channel.
         tx_on_channel: list[bool] = []
-        for ch in range(self.channels):
+        for ch in channel_range:
+            tx = sender_att.tx[ch]
             ch_state = self.channel_state[ch]
             lost = (
-                sender_att.tx[ch].drops(now_us, self._rng)
-                or ch_state.active_block(now_us)
+                now_us < tx.blocked_until_us
+                or (tx.omission_prob > 0.0 and rng.random() < tx.omission_prob)
+                or now_us < ch_state.blocked_until_us
                 or (
                     ch_state.omission_prob > 0.0
-                    and self._rng.random() < ch_state.omission_prob
+                    and rng.random() < ch_state.omission_prob
                 )
             )
             tx_on_channel.append(not lost)
 
-        # _zone_flips draws from the RNG only inside an active covering
-        # zone, so skipping the call entirely when no zones exist changes
-        # neither the draw sequence nor the result.
+        # Expired zones can never draw again (active() fails first), so
+        # dropping them changes no draw; _zone_flips is skipped entirely
+        # when no zone is left.
         zones = self.zones
+        if zones:
+            self.prune_zones(now_us)
+            zones = self.zones
         sender_flips = (
             self._zone_flips(sender_att.position, now_us) if zones else 0
         )
 
-        deliveries: dict[str, Delivery] = {}
-        rng = self._rng
-        channel_range = range(self.channels)
-        for name, att in self.attachments.items():
-            if name == frame.sender:
-                continue
-            got_clean = False
-            got_corrupt: Frame | None = None
-            channels_ok: list[bool] = []
-            rx_flips = (
-                self._zone_flips(att.position, now_us) if zones else 0
+        rows = self._receiver_rows.get(sender)
+        if rows is None:
+            rows = tuple(
+                (name, att.rx, att.position)
+                for name, att in self.attachments.items()
+                if name != sender
             )
-            flips = sender_flips + rx_flips
+            self._receiver_rows[sender] = rows
+        deliveries: dict[str, Delivery] = {}
+        for name, rx_states, position in rows:
+            flips = (
+                sender_flips + self._zone_flips(position, now_us)
+                if zones
+                else 0
+            )
+            clean = frame.crc_valid and not flips
+            arrived = False
+            channels_ok: list[bool] = []
             for ch in channel_range:
                 if not tx_on_channel[ch]:
                     channels_ok.append(False)
                     continue
-                if att.rx[ch].drops(now_us, rng):
+                rx = rx_states[ch]
+                if now_us < rx.blocked_until_us or (
+                    rx.omission_prob > 0.0 and rng.random() < rx.omission_prob
+                ):
                     channels_ok.append(False)
                     continue
-                copy = frame.corrupted(flips) if flips else frame
-                if copy.crc_valid:
-                    got_clean = True
-                    channels_ok.append(True)
-                else:
-                    got_corrupt = copy
-                    channels_ok.append(False)
-            if got_clean:
+                arrived = True
+                channels_ok.append(clean)
+            if not arrived:
+                deliveries[name] = Delivery(
+                    name, DeliveryStatus.OMITTED, None, tuple(channels_ok)
+                )
+            elif clean:
                 deliveries[name] = Delivery(
                     name, DeliveryStatus.RECEIVED, frame, tuple(channels_ok)
                 )
-            elif got_corrupt is not None:
-                deliveries[name] = Delivery(
-                    name, DeliveryStatus.CORRUPTED, got_corrupt, tuple(channels_ok)
-                )
             else:
                 deliveries[name] = Delivery(
-                    name, DeliveryStatus.OMITTED, None, tuple(channels_ok)
+                    name,
+                    DeliveryStatus.CORRUPTED,
+                    frame.corrupted(flips),
+                    tuple(channels_ok),
                 )
         return deliveries

@@ -58,7 +58,7 @@ def fault_tolerant_average(
         # peer per round).  numpy's pairwise mean reduces sequentially for
         # fewer than 8 elements, so a plain sorted sum is *bit-identical*
         # to the array path while skipping the ndarray round-trip.
-        dev_list = sorted(float(v) for v in deviations_us)
+        dev_list = sorted(map(float, deviations_us))
         if k:
             dev_list = dev_list[k:-k]
         total = 0.0

@@ -11,25 +11,23 @@ than the length of a slot of the TDMA round can be detected by other FRUs"
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True, slots=True)
-class SlotPosition:
-    """Position of a slot occurrence on the global timeline."""
+class SlotPosition(NamedTuple):
+    """Position of a slot occurrence on the global timeline.
+
+    Immutable; a NamedTuple rather than a frozen dataclass because one is
+    built per slot (see docs/performance.md, "Slot pipeline cost").
+    """
 
     round_index: int
     slot_index: int
     start_us: int
     end_us: int
     sender: str
-
-    @property
-    def global_slot(self) -> int:
-        """Monotone counter of slot occurrences since t=0."""
-        return self.round_index * 10**9 + self.slot_index  # pragma: no cover
 
 
 class TdmaSchedule:
@@ -94,11 +92,27 @@ class TdmaSchedule:
         slot_index = within // self.slot_length_us
         start = round_index * self.round_length_us + slot_index * self.slot_length_us
         return SlotPosition(
-            round_index=round_index,
-            slot_index=slot_index,
-            start_us=start,
-            end_us=start + self.slot_length_us,
-            sender=self.senders[slot_index],
+            round_index,
+            slot_index,
+            start,
+            start + self.slot_length_us,
+            self.senders[slot_index],
+        )
+
+    def next_slot(self, slot: SlotPosition) -> SlotPosition:
+        """The slot occurrence after ``slot``; equals ``slot_at(slot.end_us)``."""
+        slot_index = slot.slot_index + 1
+        round_index = slot.round_index
+        if slot_index == self.slots_per_round:
+            slot_index = 0
+            round_index += 1
+        end = slot.end_us
+        return SlotPosition(
+            round_index,
+            slot_index,
+            end,
+            end + self.slot_length_us,
+            self.senders[slot_index],
         )
 
     def slot_start(self, round_index: int, slot_index: int) -> int:

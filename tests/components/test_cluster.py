@@ -157,6 +157,29 @@ def test_job_placed_twice_rejected():
         Cluster(spec)
 
 
+def test_routing_recompiles_only_on_route_change():
+    cluster = small_cluster(n_components=3, seed=9)
+    vn = cluster.vns["vn-main"]
+    cluster.run(ms(5))
+    generation = cluster.routes_generation
+    vn.reconfigure_budget(2)  # a budget is not a route
+    cluster.run(ms(5))
+    assert cluster.routes_generation == generation
+    vn.add_link(VnLink(PortAddress("k1", "in"), (PortAddress("k2", "in"),)))
+    cluster.run(ms(5))
+    assert cluster.routes_generation == generation + 1
+
+
+def test_route_to_missing_port_fails_when_compiled():
+    cluster = small_cluster(n_components=3, seed=10)
+    cluster.run(ms(5))
+    cluster.vns["vn-main"].add_link(
+        VnLink(PortAddress("k1", "in"), (PortAddress("k2", "ghost"),))
+    )
+    with pytest.raises(ConfigurationError, match="ghost"):
+        cluster.run(ms(5))
+
+
 def test_local_loopback_delivery():
     """Jobs co-hosted with a producer receive its VN messages locally."""
     from repro.presets import figure10_cluster

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.components.ports import (
+    CONFORMING,
+    MARGINAL,
+    VIOLATING,
     Message,
     Port,
     PortDirection,
@@ -37,9 +40,12 @@ def test_value_spec_conformance():
 
 def test_value_spec_marginal_band():
     spec = ValueSpec(low=0.0, high=10.0, margin=0.1)
-    assert spec.marginal(0.5) and spec.marginal(9.5)
-    assert not spec.marginal(5.0)
-    assert not spec.marginal(11.0)  # out of spec is not "marginal"
+    assert spec.classify(0.5) == spec.classify(9.5) == MARGINAL
+    # the band includes its inner edge: margin * (high - low) = 1.0
+    assert spec.classify(1.0) == spec.classify(9.0) == MARGINAL
+    assert spec.classify(5.0) == CONFORMING
+    assert spec.classify(11.0) == VIOLATING  # out of spec is not "marginal"
+    assert spec.classify("x") == spec.classify(float("nan")) == VIOLATING
 
 
 def test_value_spec_deviation():
@@ -54,7 +60,7 @@ def test_value_spec_deviation():
 def test_unbounded_spec_never_marginal():
     spec = ValueSpec()
     assert spec.conforms(1e300)
-    assert not spec.marginal(1e300)
+    assert spec.classify(1e300) == CONFORMING
     assert spec.deviation(1e300) == 0.0
 
 

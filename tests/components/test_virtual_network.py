@@ -9,6 +9,7 @@ from repro.components.virtual_network import (
     PortAddress,
     VirtualNetwork,
     VnLink,
+    carrier_index,
 )
 from repro.errors import ConfigurationError
 
@@ -33,17 +34,30 @@ def msg(job="p", port="out", value=1.0):
 
 def test_routing():
     vn = make_vn()
-    dests = vn.route(msg())
+    dests = vn.routes()[("p", "out")]
     assert [str(d) for d in dests] == ["k1.in", "k2.in"]
-    assert vn.messages_routed == 1
+    # routes() is a copy: editing it changes no route
+    vn.routes().clear()
+    assert ("p", "out") in vn.routes()
 
 
 def test_unrouted_message():
     vn = make_vn()
-    assert vn.route(msg(port="other")) == ()
-    assert vn.messages_routed == 0
-    assert not vn.has_route(msg(port="other"))
-    assert vn.has_route(msg())
+    other = msg(port="other")
+    assert (other.source_job, other.port) not in vn.routes()
+    assert carrier_index({"vn-x": vn}) == {("p", "out"): ("vn-x",)}
+    assert carrier_index({}) == {}
+
+
+def test_carrier_index_lists_every_carrier_in_vn_order():
+    shared = VnLink(PortAddress("p", "out"), ())  # carried, no destination
+    index = carrier_index(
+        {
+            "vn-b": VirtualNetwork("vn-b", "x", (shared,)),
+            "vn-a": make_vn(),
+        }
+    )
+    assert index == {("p", "out"): ("vn-b", "vn-a")}
 
 
 def test_duplicate_source_rejected():

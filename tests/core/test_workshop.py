@@ -58,7 +58,7 @@ def test_replace_component_repairs_permanent_fault(broken_vehicle):
     before = cluster.trace.count("frame.silent")
     cluster.run(seconds(1))
     assert cluster.trace.count("frame.silent") == before
-    assert cluster.components["comp2"].operational(cluster.now)
+    assert cluster.components["comp2"].hardware.operational(cluster.now)
 
 
 def test_replacement_for_external_fault_is_nff(broken_vehicle):

@@ -36,13 +36,13 @@ def test_transient_internal_causes_bounded_outage(cluster, injector):
     silent = cluster.trace.records("frame.silent", source="c1")
     # 20 ms outage, c1's slot comes once per 4 ms round: ~5 missed slots.
     assert 3 <= len(silent) <= 7
-    assert cluster.components["c1"].operational(cluster.now)
+    assert cluster.components["c1"].hardware.operational(cluster.now)
 
 
 def test_permanent_silent_never_recovers(cluster, injector):
     d = injector.inject_permanent_internal("c1", ms(10), mode="silent")
     cluster.run(ms(100))
-    assert not cluster.components["c1"].operational(cluster.now)
+    assert not cluster.components["c1"].hardware.operational(cluster.now)
     assert d.persistence is Persistence.PERMANENT
     assert d.fault_class is FaultClass.COMPONENT_INTERNAL
 

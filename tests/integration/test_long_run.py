@@ -29,9 +29,9 @@ def test_restart_recovers_external_victim():
     component = cluster.components["c2"]
     component.hardware.transient_outage_until_us = seconds(10)  # stuck
     cluster.run(ms(100))
-    assert not component.operational(cluster.now)
+    assert not component.hardware.operational(cluster.now)
     component.restart(cluster.now)
-    assert component.operational(cluster.now)
+    assert component.hardware.operational(cluster.now)
     cluster.run(ms(200))
     assert cluster.memberships["c0"].is_member("c2")
 

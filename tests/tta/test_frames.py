@@ -22,7 +22,7 @@ def test_corruption_invalidates_crc(frame):
     bad = frame.corrupted(3)
     assert not bad.crc_valid
     assert bad.bit_flips == 3
-    # original untouched (frozen dataclass semantics)
+    # original untouched (frames are immutable values)
     assert frame.crc_valid
 
 

@@ -51,6 +51,19 @@ def test_observer_always_member_of_own_view():
     assert "a" in svc.view()
 
 
+def test_view_is_cached_until_a_transition():
+    svc = MembershipService("a", SENDERS, fail_limit=1, rejoin_limit=2)
+    view = svc.view()
+    svc.observe("b", True, 1)
+    assert svc.view() is view
+    svc.observe("b", False, 2)
+    assert svc.view() == frozenset({"a", "c"})
+    svc.observe("b", True, 3)
+    assert svc.view() == frozenset({"a", "c"})
+    svc.observe("b", True, 4)
+    assert svc.view() == frozenset(SENDERS)
+
+
 def test_unknown_sender_ignored():
     svc = MembershipService("a", SENDERS)
     svc.observe("ghost", False, 1)

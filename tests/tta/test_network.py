@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults.injector import FaultInjector
+from repro.presets import small_cluster
 from repro.tta.frames import Frame
 from repro.tta.network import Bus, DeliveryStatus, DisturbanceZone
 from repro.tta.tdma import TdmaSchedule
+from repro.units import ms
 
 
 def make_bus(channels=2, n=3, seed=0):
@@ -116,6 +119,24 @@ def test_prune_zones():
     bus.add_zone(DisturbanceZone((0, 0), 1.0, 0, 1000))
     bus.prune_zones(now_us=500)
     assert len(bus.zones) == 1
+
+
+def test_broadcast_drops_expired_zones():
+    cluster = small_cluster(seed=3)
+    FaultInjector(cluster).inject_emi_burst(
+        ms(10), center=(1.0, 0.0), radius=1.5, duration_us=ms(5)
+    )
+    cluster.run(ms(12))
+    assert len(cluster.bus.zones) == 1
+    cluster.run(ms(10))
+    assert cluster.bus.zones == []
+
+
+def test_attach_after_broadcast_reaches_the_new_component():
+    bus = make_bus()
+    bus.broadcast(make_frame(), now_us=0)
+    bus.attach("c3", (3.0, 0.0))
+    assert set(bus.broadcast(make_frame(), now_us=0)) == {"c1", "c2", "c3"}
 
 
 def test_duplicate_attach_rejected():

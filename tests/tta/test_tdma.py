@@ -85,3 +85,14 @@ def test_property_slot_at_consistency(senders, slot_len, t):
         slot.round_index,
         slot.slot_index,
     )
+
+
+@given(
+    st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=5000),
+    st.integers(min_value=0, max_value=10**8),
+)
+def test_property_next_slot_is_slot_at_end(senders, slot_len, t):
+    sched = TdmaSchedule(tuple(senders), slot_len)
+    slot = sched.slot_at(t)
+    assert sched.next_slot(slot) == sched.slot_at(slot.end_us)

@@ -55,11 +55,8 @@ Commands
 
 Campaign-style commands accept ``--workers N`` to fan replicas out over
 the spawn-safe process pool (bit-identical results to ``--workers 1``;
-see ``docs/parallel_runtime.md``), ``--backend batched`` to execute
-each chunk through the replica-batched struct-of-arrays backend
-(bit-identical results to ``--backend scalar``; see
-``docs/performance.md``) and ``--metrics-json PATH`` to write the
-structured run-metrics record.  ``--checkpoint PATH`` makes the run
+see ``docs/parallel_runtime.md``) and ``--metrics-json PATH`` to write
+the structured run-metrics record.  ``--checkpoint PATH`` makes the run
 durable (chunk-granular JSONL ledger, resumable with ``repro resume``);
 ``--salvage`` degrades gracefully on retry exhaustion — the partial
 aggregate is returned with an explicit completeness report instead of
@@ -189,7 +186,6 @@ def _checkpoint_kwargs(args: argparse.Namespace, command: str, params: dict):
             "params": {
                 "seed": args.seed,
                 "workers": args.workers,
-                "backend": args.backend,
                 "trace": args.trace,
                 "profile": args.profile,
                 "provenance": args.provenance,
@@ -212,7 +208,6 @@ def _checkpoint_kwargs(args: argparse.Namespace, command: str, params: dict):
         }
     return {
         "on_exhausted": "salvage" if args.salvage else "serial",
-        "backend": args.backend,
         "checkpoint": checkpoint,
         "resume": bool(getattr(args, "_resume", False)),
         "checkpoint_meta": meta,
@@ -762,7 +757,6 @@ def cmd_whatif(args: argparse.Namespace) -> int:
                 baseline,
                 mode=args.scan,
                 workers=args.workers,
-                backend=args.backend,
             )
             if args.json:
                 print(json.dumps(scan_to_dict(result), sort_keys=True))
@@ -774,7 +768,6 @@ def cmd_whatif(args: argparse.Namespace) -> int:
                 suppress_faults=without_faults,
                 disable_onas=without_onas,
                 workers=args.workers,
-                backend=args.backend,
             )
             if args.json:
                 print(json.dumps(whatif_to_dict(result), sort_keys=True))
@@ -792,7 +785,6 @@ def cmd_whatif(args: argparse.Namespace) -> int:
 #: it is part of the ledger's campaign identity).
 _RESUME_OVERRIDABLE: dict[str, object] = {
     "workers": 1,
-    "backend": "scalar",
     "metrics_json": None,
     "trace": None,
     "profile": False,
@@ -870,19 +862,6 @@ _GLOBAL_OPTIONS: list[tuple[tuple[str, ...], dict]] = [
             "type": int,
             "default": 1,
             "help": "worker processes for campaign-style commands (default 1)",
-        },
-    ),
-    (
-        ("--backend",),
-        {
-            "choices": ["scalar", "batched"],
-            "default": "scalar",
-            "help": (
-                "execution backend for campaign-style commands: 'scalar' "
-                "runs one replica at a time, 'batched' amortizes one "
-                "struct-of-arrays pass over each chunk of replicas with "
-                "bit-identical results (docs/performance.md)"
-            ),
         },
     ),
     (

@@ -158,7 +158,6 @@ def simulate_diagnosed_fleet(
     workers: int = 1,
     chunk_size: int | None = None,
     on_exhausted: str = "serial",
-    backend: str = "scalar",
     checkpoint: str | None = None,
     resume: bool = False,
     checkpoint_meta: dict | None = None,
@@ -176,9 +175,6 @@ def simulate_diagnosed_fleet(
 
     ``workers > 1`` fans the vehicles out over a spawn-safe process pool;
     the result is bit-identical to ``workers=1`` for the same ``seed``.
-    ``backend="batched"`` executes chunks through the runner's batched
-    executor (generic object pack — vehicle outcomes carry no SoA
-    encoding) with identical results.
     """
     if n_vehicles < 1:
         raise AnalysisError("need at least one vehicle")
@@ -199,7 +195,6 @@ def simulate_diagnosed_fleet(
         workers=workers,
         chunk_size=chunk_size,
         on_exhausted=on_exhausted,
-        backend=backend,
     )
     outcome = runner.run(
         [spec] * n_vehicles,

@@ -402,7 +402,6 @@ def run_campaign(
     workers: int = 1,
     chunk_size: int | None = None,
     on_exhausted: str = "serial",
-    backend: str = "scalar",
     checkpoint: str | None = None,
     resume: bool = False,
     checkpoint_meta: dict | None = None,
@@ -419,80 +418,37 @@ def run_campaign(
     parallel runtime; the aggregate is identical to a serial run, but
     ``runs`` is empty (full :class:`ScenarioRun` objects — live clusters
     and services — do not cross process boundaries).  Parallel execution
-    requires every scenario to come from :data:`CATALOGUE`.
-
-    ``backend="batched"`` routes the grid through the runner's batched
-    chunk executor (catalogue cells carry no SoA encoding, so the
-    generic :class:`~repro.runtime.batch.SequentialBatchTask` pack is
-    used: one payload pickle per chunk, identical aggregates).
+    requires every scenario to come from :data:`CATALOGUE`.  So does a
+    ``checkpoint``, ``store`` or ``live_log``, which route even a
+    ``workers <= 1`` run through the runner (with one worker).
     """
     specs = [
         (scenario.name, seed) for seed in seeds for scenario in scenarios
     ]
     if (
-        checkpoint is not None
+        workers > 1
+        or checkpoint is not None
         or store is not None
         or live_log is not None
-        or backend != "scalar"
-    ) and workers <= 1:
+    ):
         # The serial fast path below keeps live ScenarioRun objects and
-        # bypasses the runner; checkpointing needs the runner's chunked
-        # ledger, the columnar store its post-reduce write hook, live
-        # telemetry its lifecycle events, and a non-default backend its
-        # chunk executor, so route through it.
-        workers = 1
+        # bypasses the runner; the process pool, the checkpoint's chunked
+        # ledger, the columnar store's post-reduce write hook and live
+        # telemetry's lifecycle events all need the runner.
         catalogue_names = {s.name for s in CATALOGUE}
         unknown = {name for name, _ in specs} - catalogue_names
         if unknown:
             raise AnalysisError(
-                "checkpointed or batched campaigns only support catalogue "
-                f"scenarios; unknown: {sorted(unknown)!r}"
+                "parallel, checkpointed, stored or live-logged campaigns "
+                "only support catalogue scenarios; unknown: "
+                f"{sorted(unknown)!r}"
             )
         runner = ParallelCampaignRunner(
             run_catalogue_cell,
             reduce_catalogue_cells,
-            workers=1,
+            workers=max(workers, 1),
             chunk_size=chunk_size,
             on_exhausted=on_exhausted,
-            backend=backend,
-        )
-        outcome = runner.run(
-            specs,
-            root_seed=0,
-            checkpoint=checkpoint,
-            resume=resume,
-            checkpoint_meta=checkpoint_meta,
-            store=store,
-            store_meta=store_meta,
-            live_log=live_log,
-        )
-        result = (
-            outcome.value
-            if outcome.results
-            else reduce_catalogue_cells([])
-        )
-        return CampaignResult(
-            runs=result.runs,
-            score=result.score,
-            integrated_cost=result.integrated_cost,
-            obd_cost=result.obd_cost,
-            metrics=outcome.metrics,
-        )
-    if workers > 1:
-        catalogue_names = {s.name for s in CATALOGUE}
-        unknown = {name for name, _ in specs} - catalogue_names
-        if unknown:
-            raise AnalysisError(
-                "parallel campaigns only support catalogue scenarios; "
-                f"unknown: {sorted(unknown)!r}"
-            )
-        runner = ParallelCampaignRunner(
-            run_catalogue_cell,
-            reduce_catalogue_cells,
-            workers=workers,
-            chunk_size=chunk_size,
-            on_exhausted=on_exhausted,
-            backend=backend,
         )
         outcome = runner.run(
             specs,

@@ -16,10 +16,7 @@ at the same location at a higher rate (Constantinescu) and accumulate.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import state as _obs
@@ -156,23 +153,6 @@ class AlphaCountBank:
 
     def scores(self) -> dict[str, float]:
         return {name: ac.score for name, ac in self._counts.items()}
-
-    def scores_vector(self, order: Sequence[str]) -> np.ndarray:
-        """Scores as a dense float64 vector over ``order``.
-
-        The struct-of-arrays export used by the batched execution
-        backend (:mod:`repro.runtime.batch`): stacking one vector per
-        replica yields the ``(B, n_fru)`` score matrix.  An FRU the bank
-        has never observed reads 0.0 — exactly the score a fresh
-        :class:`AlphaCount` would report, so the vector is a pure
-        projection of :meth:`scores` onto ``order``.
-        """
-        out = np.zeros(len(order), dtype=np.float64)
-        for j, fru in enumerate(order):
-            ac = self._counts.get(fru)
-            if ac is not None:
-                out[j] = ac.score
-        return out
 
     def reset(self, fru: str) -> None:
         if fru in self._counts:

@@ -13,10 +13,7 @@ recorded so the Fig. 9 bench can print the assessment arrows A and B.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import state as _obs
@@ -141,22 +138,6 @@ class TrustBank:
 
     def values(self) -> dict[str, float]:
         return {name: lvl.value for name, lvl in self._levels.items()}
-
-    def values_vector(self, order: Sequence[str]) -> np.ndarray:
-        """Trust levels as a dense float64 vector over ``order``.
-
-        Struct-of-arrays export for the batched execution backend
-        (:mod:`repro.runtime.batch`); one vector per replica stacks into
-        the ``(B, n_fru)`` trust matrix.  An FRU the bank has never
-        assessed reads 1.0 — a fresh :class:`TrustLevel` starts fully
-        trusted — so the vector is a pure projection of :meth:`values`.
-        """
-        out = np.ones(len(order), dtype=np.float64)
-        for j, fru in enumerate(order):
-            lvl = self._levels.get(fru)
-            if lvl is not None:
-                out[j] = lvl.value
-        return out
 
     def suspicious(self) -> list[str]:
         """FRUs below the decision threshold, most distrusted first."""

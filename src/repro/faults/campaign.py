@@ -334,8 +334,7 @@ class CampaignReplicaOutcome:
     obs_trace: tuple[dict, ...] = ()
     #: Final per-FRU alpha-count scores, sorted by FRU name — the
     #: diagnostic state the columnar store persists as verdict columns
-    #: (:mod:`repro.storage`).  Identical across backends: the batched
-    #: pack round-trips them through its CSR state columns.
+    #: (:mod:`repro.storage`).
     alpha_state: tuple[tuple[str, float], ...] = ()
     #: Final per-FRU trust levels, sorted by FRU name.
     trust_state: tuple[tuple[str, float], ...] = ()

@@ -530,7 +530,6 @@ def summarize_live(
     return {
         "schema": schema,
         "command": started.get("command"),
-        "backend": started.get("backend"),
         "workers_requested": started.get("workers"),
         "chunk_size": started.get("chunk_size"),
         "replicas_total": total,
@@ -579,9 +578,8 @@ def render_monitor_report(summary: dict[str, Any], name: str) -> str:
         header += f" (schema v{schema})"
     lines.append(header)
     command = summary["command"] or "?"
-    backend = summary["backend"] or "?"
     lines.append(
-        f"  command {command}, backend {backend}, "
+        f"  command {command}, "
         f"workers {summary['workers_requested'] or '?'}, "
         f"chunk size {summary['chunk_size'] or '?'}"
     )
@@ -662,7 +660,6 @@ def render_monitor_report(summary: dict[str, Any], name: str) -> str:
     if metrics:
         lines.append(
             "  final metrics: "
-            f"backend {metrics.get('backend', '?')}, "
             f"{metrics.get('events_per_second', 0):,.0f} events/s, "
             f"{metrics.get('replicas_resumed', 0)} resumed, "
             f"{metrics.get('replicas_failed', 0)} failed "

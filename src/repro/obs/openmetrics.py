@@ -160,13 +160,10 @@ def render_openmetrics(
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"{name} {_fmt(metrics[field])}")
-    if metrics.get("backend"):
+    if metrics.get("schema") is not None:
         name = _metric_name("run_info")
         lines.append(f"# TYPE {name} gauge")
-        lines.append(
-            f'{name}{{backend="{_escape_label(str(metrics["backend"]))}",'
-            f'schema="{metrics.get("schema", "")}"}} 1'
-        )
+        lines.append(f"{name}{_labels_text({'schema': metrics['schema']})} 1")
 
     lines.append("# EOF")
     return "\n".join(lines) + "\n"

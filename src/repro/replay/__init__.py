@@ -11,10 +11,9 @@ reduce, and diffs the two campaigns into a marginal-diagnostic-value
 report.
 
 The identity contract — replay-with-splice is bit-identical to a fresh
-full run with the cause removed, at any worker count and under either
-execution backend — is enforced by ``tests/replay/``; the engine's
-``events_simulated`` accounting proves the splice (see
-``docs/replay.md``).
+full run with the cause removed, at any worker count — is enforced by
+``tests/replay/``; the engine's ``events_simulated`` accounting proves
+the splice (see ``docs/replay.md``).
 """
 
 from repro.replay.baseline import CampaignBaseline, load_baseline

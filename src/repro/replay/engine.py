@@ -248,7 +248,6 @@ def whatif(
     suppress_faults: tuple[str, ...] = (),
     disable_onas: tuple[str, ...] = (),
     workers: int = 1,
-    backend: str = "scalar",
 ) -> WhatifResult:
     """Replay the baseline with the rewrite applied; diff the campaigns.
 
@@ -256,8 +255,7 @@ def whatif(
     streams, so the counterfactual is exact, not resampled); every other
     replica is spliced from the baseline.  The returned summary is
     bit-identical to a fresh full run of the rewritten spec — the
-    contract ``tests/replay/`` enforces across worker counts and
-    backends.
+    contract ``tests/replay/`` enforces across worker counts.
     """
     from repro.runtime.workloads import run_random_campaigns
 
@@ -284,7 +282,6 @@ def whatif(
         root_seed=baseline.root_seed,
         spec=counterfactual_spec,
         workers=workers,
-        backend=backend,
         preloaded={i: baseline.results[i] for i in spliced},
     )
     by_index = {r.index: r.value for r in outcome.results}
@@ -354,7 +351,6 @@ def scan(
     *,
     mode: str = "faults",
     workers: int = 1,
-    backend: str = "scalar",
 ) -> ScanResult:
     """Sweep every removable cause, one counterfactual replay each.
 
@@ -380,7 +376,6 @@ def scan(
                     baseline,
                     suppress_faults=(selector,),
                     workers=workers,
-                    backend=backend,
                 )
                 entries.append(_scan_entry("fault", selector, result))
     else:
@@ -391,7 +386,6 @@ def scan(
                 baseline,
                 disable_onas=(name,),
                 workers=workers,
-                backend=backend,
             )
             entries.append(_scan_entry("ona", name, result))
     entries.sort(

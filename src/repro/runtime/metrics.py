@@ -56,9 +56,6 @@ class RunMetrics:
         Replicas loaded from a checkpoint ledger instead of executed;
         their compute happened in a previous process, so they are
         excluded from ``events_simulated`` and busy-time accounting.
-    backend:
-        Execution backend that produced the run (``"scalar"`` or
-        ``"batched"``; see :mod:`repro.runtime.batch`).
     worker_busy_s:
         Cumulative in-replica compute time attributed to each worker
         (keyed by worker label, e.g. ``"pid-1234"`` or ``"serial"``).
@@ -79,7 +76,6 @@ class RunMetrics:
     leaked_worker_pids: tuple[int, ...] = ()
     replicas_failed: int = 0
     replicas_resumed: int = 0
-    backend: str = "scalar"
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form (JSON-safe scalars only)."""
@@ -102,7 +98,6 @@ class RunMetrics:
             "leaked_worker_pids": list(self.leaked_worker_pids),
             "replicas_failed": self.replicas_failed,
             "replicas_resumed": self.replicas_resumed,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -111,7 +106,8 @@ class RunMetrics:
 
         Round-trips exactly (up to ``to_dict``'s documented rounding):
         ``RunMetrics.from_dict(m.to_dict()).to_dict() == m.to_dict()``.
-        Unknown schema versions raise rather than misparse.
+        Unknown schema versions raise rather than misparse; unknown keys
+        (such as the ``backend`` label older builds wrote) are ignored.
         """
         schema = data.get("schema", METRICS_SCHEMA_VERSION)
         if schema != METRICS_SCHEMA_VERSION:
@@ -140,7 +136,6 @@ class RunMetrics:
             ),
             replicas_failed=int(data.get("replicas_failed", 0)),
             replicas_resumed=int(data.get("replicas_resumed", 0)),
-            backend=str(data.get("backend", "scalar")),
         )
 
     def to_json(self, *, indent: int = 2) -> str:
@@ -167,7 +162,6 @@ class RunMetrics:
         leaked_worker_pids: tuple[int, ...] = (),
         replicas_failed: int = 0,
         replicas_resumed: int = 0,
-        backend: str = "scalar",
     ) -> "RunMetrics":
         """Assemble the record from per-replica accounting."""
         total_events = int(sum(events))
@@ -187,5 +181,4 @@ class RunMetrics:
             leaked_worker_pids=tuple(leaked_worker_pids),
             replicas_failed=replicas_failed,
             replicas_resumed=replicas_resumed,
-            backend=backend,
         )

@@ -84,12 +84,6 @@ FALLBACK_WORKER = "serial-fallback"
 #: Retry-exhaustion policies (see class docstring).
 EXHAUSTION_POLICIES = ("serial", "salvage")
 
-#: Execution backends: ``"scalar"`` runs one replica at a time through
-#: the task callable; ``"batched"`` hands whole chunks to a batch task
-#: that returns a single pack per chunk (see :mod:`repro.runtime.batch`).
-BACKENDS = ("scalar", "batched")
-
-
 @dataclass(frozen=True, slots=True)
 class ReplicaTask:
     """One unit of work: replica index, root seed and the task spec."""
@@ -200,7 +194,7 @@ def _execute_chunk(
     worker stamps progress — pid, replicas done, events simulated, rss —
     at chunk start and after every replica, feeding the parent's stall
     detector.  The disabled path pays one ``is not None`` check per
-    replica and nothing else.
+    replica.
     """
     worker = worker_label if worker_label is not None else f"pid-{os.getpid()}"
     stamp = None
@@ -210,7 +204,6 @@ def _execute_chunk(
         stamp(
             heartbeat, worker=worker, chunk=chunk_id, replicas_done=0, events=0
         )
-    done = 0
     events_total = 0
     out: list[ReplicaResult | ReplicaFailure] = []
     for replica in tasks:
@@ -230,82 +223,28 @@ def _execute_chunk(
                     worker=worker,
                 )
             )
-            if stamp is not None:
-                done += 1
-                stamp(
-                    heartbeat,
-                    worker=worker,
-                    chunk=chunk_id,
-                    replicas_done=done,
-                    events=events_total,
-                )
-            continue
-        elapsed = time.perf_counter() - t0
-        events = int(getattr(value, "events_simulated", 0) or 0)
-        out.append(
-            ReplicaResult(
-                index=replica.index,
-                value=value,
-                events=events,
-                elapsed_s=elapsed,
-                worker=worker,
-            )
-        )
-        if stamp is not None:
-            done += 1
+        else:
+            elapsed = time.perf_counter() - t0
+            events = int(getattr(value, "events_simulated", 0) or 0)
             events_total += events
+            out.append(
+                ReplicaResult(
+                    index=replica.index,
+                    value=value,
+                    events=events,
+                    elapsed_s=elapsed,
+                    worker=worker,
+                )
+            )
+        if stamp is not None:
             stamp(
                 heartbeat,
                 worker=worker,
                 chunk=chunk_id,
-                replicas_done=done,
+                replicas_done=len(out),
                 events=events_total,
             )
     return out
-
-
-def _execute_packed_chunk(
-    batch_task,
-    tasks: list[ReplicaTask],
-    worker_label: str | None = None,
-    capture_errors: bool = False,
-    heartbeat: str | None = None,
-    chunk_id: int = 0,
-):
-    """Run one chunk through a batch task; returns the task's pack.
-
-    The pack crosses the process boundary as a single pickle and is
-    unpacked in the parent (``pack.unpack()`` yields the same
-    ``list[ReplicaResult | ReplicaFailure]`` the scalar executor would
-    have produced), so ledger appends, retries and the reduce all
-    operate on identical shapes regardless of backend.  Top-level so
-    spawn can pickle it by reference.
-
-    Heartbeats are stamped at batch start and end only — the batch task
-    owns the whole chunk, so per-replica liveness is not observable from
-    here without changing the batch API; coarse liveness still bounds
-    stall detection to one chunk latency.
-    """
-    stamp = None
-    if heartbeat is not None:
-        from repro.obs.live import stamp_heartbeat as stamp
-
-        worker = (
-            worker_label if worker_label is not None else f"pid-{os.getpid()}"
-        )
-        stamp(
-            heartbeat, worker=worker, chunk=chunk_id, replicas_done=0, events=0
-        )
-    pack = batch_task(tasks, worker_label, capture_errors)
-    if stamp is not None:
-        stamp(
-            heartbeat,
-            worker=worker,
-            chunk=chunk_id,
-            replicas_done=len(tasks),
-            events=0,
-        )
-    return pack
 
 
 class ParallelCampaignRunner:
@@ -348,23 +287,6 @@ class ParallelCampaignRunner:
         process; ``"salvage"`` returns a partial :class:`RunOutcome`
         carrying :class:`ReplicaFailure` records and a completeness
         report.
-    backend:
-        ``"scalar"`` (default) executes replicas one at a time through
-        ``task``.  ``"batched"`` hands each chunk (chunk = batch) to the
-        batch task, which returns one pack per chunk; the pack is
-        unpacked in the parent before ledger appends and the reduce, so
-        checkpoint/resume, retry and metrics semantics are unchanged —
-        including mid-batch resume, because already-completed replicas
-        are filtered out of a chunk *before* the batch task sees it.
-        The retry-exhaustion serial fallback always runs the scalar
-        task: after ``max_retries`` failed batches the reference path is
-        the diagnostic tool of choice.
-    batch_task:
-        Spawn-picklable ``batch_task(tasks, worker_label,
-        capture_errors) -> pack`` with ``pack.unpack() ->
-        list[ReplicaResult | ReplicaFailure]``.  Only meaningful with
-        ``backend="batched"``; defaults to wrapping ``task`` in
-        :class:`repro.runtime.batch.SequentialBatchTask`.
     stall_timeout_s:
         Live-telemetry runs only: a pooled chunk whose worker has not
         stamped a heartbeat for this long is suspected stalled and
@@ -394,8 +316,6 @@ class ParallelCampaignRunner:
         retry_backoff_s: float = 0.05,
         shutdown_timeout_s: float = 5.0,
         on_exhausted: str = "serial",
-        backend: str = "scalar",
-        batch_task: Callable[..., Any] | None = None,
         stall_timeout_s: float | None = 30.0,
         stall_poll_s: float = 1.0,
         straggler_factor: float = 4.0,
@@ -421,10 +341,6 @@ class ParallelCampaignRunner:
                 f"on_exhausted must be one of {EXHAUSTION_POLICIES}, "
                 f"got {on_exhausted!r}"
             )
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         if stall_timeout_s is not None and stall_timeout_s <= 0:
             raise ValueError(
                 f"stall_timeout_s must be > 0 or None, got {stall_timeout_s}"
@@ -437,17 +353,6 @@ class ParallelCampaignRunner:
             raise ValueError(
                 f"straggler_factor must be > 1, got {straggler_factor}"
             )
-        if batch_task is not None and backend != "batched":
-            raise ValueError(
-                "batch_task requires backend='batched' "
-                f"(got backend={backend!r})"
-            )
-        if backend == "batched" and batch_task is None:
-            from repro.runtime.batch import SequentialBatchTask
-
-            batch_task = SequentialBatchTask(task)
-        self.backend = backend
-        self.batch_task = batch_task
         self.task = task
         self.reduce = reduce
         self.workers = workers
@@ -541,7 +446,6 @@ class ParallelCampaignRunner:
                     retries=0,
                     events=[],
                     busy_by_worker={},
-                    backend=self.backend,
                 ),
             )
 
@@ -604,7 +508,6 @@ class ParallelCampaignRunner:
                 replicas_resumed=len(preloaded),
                 workers=self.workers,
                 chunk_size=chunk_size,
-                backend=self.backend,
                 command=meta.get("command"),
                 root_seed=int(root_seed),
             )
@@ -682,7 +585,6 @@ class ParallelCampaignRunner:
             leaked_worker_pids=tuple(sorted(leaked)),
             replicas_failed=len(failures),
             replicas_resumed=len(preloaded),
-            backend=self.backend,
         )
         values = [r.value for r in results]
         if not values:
@@ -746,6 +648,50 @@ class ParallelCampaignRunner:
         if self.retry_backoff_s > 0 and attempt > 0:
             time.sleep(self.retry_backoff_s * (2 ** (attempt - 1)))
 
+    def _complete_chunk(
+        self,
+        cid: int,
+        out: list[ReplicaResult | ReplicaFailure],
+        attempt: int,
+        done: dict[int, ReplicaResult],
+        failures: dict[int, ReplicaFailure],
+        ledger,
+        monitor,
+    ) -> list[int]:
+        """Record one finished chunk; returns the indices that failed.
+
+        The runner's only completion path, shared by the serial run, the
+        pool and the serial fallback.  Results and failures are deduped
+        by replica index, so no interleaving of crash, retry and stall
+        duplicate can count a replica twice.  Failures are stamped with
+        ``attempt``; fresh results go to the ledger, and the chunk is
+        reported to the live monitor under the worker that ran it.
+        """
+        fresh: list[ReplicaResult] = []
+        failed: list[int] = []
+        for r in out:
+            if r.index in done:
+                continue
+            if isinstance(r, ReplicaFailure):
+                failures[r.index] = replace(r, attempts=attempt)
+                failed.append(r.index)
+                if monitor is not None:
+                    monitor.replica_failed(r.index, r.error_type, attempt)
+            else:
+                done[r.index] = r
+                failures.pop(r.index, None)
+                fresh.append(r)
+        if ledger is not None and fresh:
+            ledger.append_chunk(fresh)
+        if monitor is not None:
+            monitor.chunk_done(
+                cid,
+                worker=out[0].worker,
+                replicas=len(fresh),
+                events=sum(r.events for r in fresh),
+            )
+        return failed
+
     def _run_serial(
         self,
         tasks: list[ReplicaTask],
@@ -757,51 +703,33 @@ class ParallelCampaignRunner:
     ) -> tuple[list[ReplicaResult], int]:
         """In-process execution, chunked so the ledger sees progress.
 
-        Exceptions propagate under the ``"serial"`` policy (identical to
-        the historical workers=1 behaviour); under ``"salvage"`` they
-        become :class:`ReplicaFailure` records like everywhere else.
+        Nothing is retried.  Exceptions propagate under the ``"serial"``
+        policy (identical to the historical workers=1 behaviour); under
+        ``"salvage"`` they become attempt-1 :class:`ReplicaFailure`
+        records like everywhere else.
         """
-        results: list[ReplicaResult] = list(preloaded.values())
+        done: dict[int, ReplicaResult] = dict(preloaded)
         capture = self.on_exhausted == "salvage"
         for cid, chunk in enumerate(self._chunked(tasks, chunk_size)):
-            # Drop already-completed replicas before the executor sees
-            # the chunk — for the batched backend this is what makes a
-            # mid-batch resume safe: the batch task only ever receives
-            # the replicas that still need to run.
-            todo = [t for t in chunk if t.index not in preloaded]
+            # Drop already-completed replicas before running the chunk:
+            # a resume with a different chunk size never runs one twice.
+            todo = [t for t in chunk if t.index not in done]
             if not todo:
                 continue
             if monitor is not None:
                 monitor.chunk_submitted(
                     cid, [t.index for t in todo], attempt=1
                 )
-            if self.backend == "batched":
-                out = self.batch_task(todo, SERIAL_WORKER, capture).unpack()
-            else:
-                out = _execute_chunk(
-                    self.task,
-                    todo,
-                    worker_label=SERIAL_WORKER,
-                    capture_errors=capture,
-                )
-            fresh = [r for r in out if isinstance(r, ReplicaResult)]
-            for r in out:
-                if isinstance(r, ReplicaFailure):
-                    failures[r.index] = r
-                    if monitor is not None:
-                        monitor.replica_failed(r.index, r.error_type, 1)
-            results.extend(fresh)
-            if ledger is not None and fresh:
-                ledger.append_chunk(fresh)
+            out = _execute_chunk(
+                self.task,
+                todo,
+                worker_label=SERIAL_WORKER,
+                capture_errors=capture,
+            )
+            self._complete_chunk(cid, out, 1, done, failures, ledger, monitor)
             if monitor is not None:
-                monitor.chunk_done(
-                    cid,
-                    worker=SERIAL_WORKER,
-                    replicas=len(fresh),
-                    events=sum(r.events for r in fresh),
-                )
                 monitor.poll()
-        return results, 0
+        return list(done.values()), 0
 
     def _run_pool(
         self,
@@ -813,11 +741,11 @@ class ParallelCampaignRunner:
         leaked: list[int],
         monitor=None,
     ) -> tuple[list[ReplicaResult], int]:
-        results_by_index: dict[int, ReplicaResult] = dict(preloaded)
+        done: dict[int, ReplicaResult] = dict(preloaded)
         pending: dict[int, list[ReplicaTask]] = {}
         next_cid = 0
         for chunk in self._chunked(tasks, chunk_size):
-            todo = [t for t in chunk if t.index not in results_by_index]
+            todo = [t for t in chunk if t.index not in done]
             if todo:
                 pending[next_cid] = todo
             next_cid += 1
@@ -830,7 +758,7 @@ class ParallelCampaignRunner:
                     monitor.retry(chunks=len(pending), attempt=attempt)
                 self._backoff(attempt)
             attempt += 1
-            newly_failed: dict[int, ReplicaFailure] = {}
+            newly_failed: list[int] = []
             ctx = multiprocessing.get_context("spawn")
             executor = ProcessPoolExecutor(
                 max_workers=min(self.workers, len(pending)), mp_context=ctx
@@ -843,16 +771,6 @@ class ParallelCampaignRunner:
                         if monitor is not None
                         else None
                     )
-                    if self.backend == "batched":
-                        return executor.submit(
-                            _execute_packed_chunk,
-                            self.batch_task,
-                            chunk,
-                            None,
-                            True,
-                            hb,
-                            cid,
-                        )
                     return executor.submit(
                         _execute_chunk, self.task, chunk, None, True, hb, cid
                     )
@@ -872,13 +790,13 @@ class ParallelCampaignRunner:
                 poll = self.stall_poll_s if monitor is not None else None
                 resubmitted: set[int] = set()
                 while not_done:
-                    done, not_done = wait(
+                    finished, not_done = wait(
                         not_done, timeout=poll, return_when=FIRST_COMPLETED
                     )
-                    for future in done:
+                    for future in finished:
                         cid = futures[future]
                         try:
-                            chunk_results = future.result()
+                            out = future.result()
                         except (BrokenProcessPool, OSError):
                             # This chunk's worker died.  Leave the chunk
                             # pending for the next attempt but KEEP
@@ -889,52 +807,22 @@ class ParallelCampaignRunner:
                             # resubmission bug that tripped the lost-
                             # replicas guard).
                             continue
-                        if self.backend == "batched":
-                            # One pack per chunk crossed the boundary;
-                            # materialize the per-replica results here so
-                            # dedup, ledger appends and the reduce see
-                            # the exact scalar shapes.
-                            chunk_results = chunk_results.unpack()
-                        # Pop before recording, and dedupe by replica
-                        # index, so no interleaving of crash and
-                        # completion can double-count a replica.  A
-                        # stall-resubmitted duplicate that finishes
+                        # Pop before recording, so no interleaving of
+                        # crash and completion can double-count a chunk.
+                        # A stall-resubmitted duplicate that finishes
                         # second pops nothing and records nothing.
-                        was_pending = pending.pop(cid, None) is not None
-                        fresh: list[ReplicaResult] = []
-                        for r in chunk_results:
-                            if isinstance(r, ReplicaFailure):
-                                failures[r.index] = replace(
-                                    r, attempts=attempt
-                                )
-                                newly_failed[r.index] = failures[r.index]
-                                if monitor is not None:
-                                    monitor.replica_failed(
-                                        r.index, r.error_type, attempt
-                                    )
-                            elif r.index not in results_by_index:
-                                results_by_index[r.index] = r
-                                failures.pop(r.index, None)
-                                fresh.append(r)
-                        if monitor is not None and was_pending:
-                            monitor.chunk_done(
-                                cid,
-                                worker=(
-                                    fresh[0].worker if fresh else "pool"
-                                ),
-                                replicas=len(fresh),
-                                events=sum(r.events for r in fresh),
-                            )
-                        if ledger is not None and fresh:
-                            ledger.append_chunk(fresh)
+                        if pending.pop(cid, None) is None:
+                            continue
+                        newly_failed += self._complete_chunk(
+                            cid, out, attempt, done, failures, ledger, monitor
+                        )
                     if monitor is not None:
                         for stalled_cid in monitor.poll():
                             # Duplicate the stalled chunk onto a free
                             # worker instead of waiting for pool
                             # teardown; at most one duplicate per chunk
-                            # per attempt.  Index-dedup above makes the
-                            # race between original and duplicate safe
-                            # whichever finishes first.
+                            # per attempt.  Whichever copy finishes first
+                            # pops the chunk; the other records nothing.
                             if (
                                 stalled_cid in pending
                                 and stalled_cid not in resubmitted
@@ -968,46 +856,30 @@ class ParallelCampaignRunner:
                 pass
             finally:
                 leaked.extend(self._shutdown_executor(executor))
-            if newly_failed and attempt <= self.max_retries:
-                # Resubmit raising replicas as fresh chunks; their
-                # failure records stay until a retry succeeds.
-                retry_tasks = [
-                    tasks[i] for i in sorted(newly_failed)
-                ]
-                for chunk in self._chunked(retry_tasks, chunk_size):
-                    pending[next_cid] = chunk
-                    next_cid += 1
+            # Queue raising replicas as fresh chunks; their failure
+            # records stay until a retry succeeds.  After the last
+            # attempt they wait here for the exhaustion policy.
+            retry_tasks = [tasks[i] for i in sorted(newly_failed)]
+            for chunk in self._chunked(retry_tasks, chunk_size):
+                pending[next_cid] = chunk
+                next_cid += 1
 
-        leftovers = [
-            t
-            for cid in sorted(pending)
-            for t in pending[cid]
-            if t.index not in results_by_index
-        ]
-        exhausted_failures = sorted(
-            i for i in failures if i not in results_by_index
-        )
         if self.on_exhausted == "serial":
-            # Last resort: finish in the parent so the run completes.
-            # Exceptions propagate here — after max_retries identical
-            # failures there is no point converting them again.
-            rerun = leftovers + [tasks[i] for i in exhausted_failures]
-            rerun.sort(key=lambda t: t.index)
-            if rerun:
+            # Last resort: finish in the parent so the run completes,
+            # each leftover chunk under its own id.  Exceptions propagate
+            # here — after max_retries identical failures there is no
+            # point converting them again.
+            for cid in sorted(pending):
                 out = _execute_chunk(
-                    self.task, rerun, worker_label=FALLBACK_WORKER
+                    self.task, pending[cid], worker_label=FALLBACK_WORKER
                 )
-                fresh = []
-                for r in out:
-                    if r.index not in results_by_index:
-                        results_by_index[r.index] = r
-                        failures.pop(r.index, None)
-                        fresh.append(r)
-                if ledger is not None and fresh:
-                    ledger.append_chunk(fresh)
+                self._complete_chunk(
+                    cid, out, attempt + 1, done, failures, ledger, monitor
+                )
         else:
             # Salvage: replicas lost to worker crashes get a structured
             # failure record too (task exceptions already have one).
+            leftovers = [t for chunk in pending.values() for t in chunk]
             for t in leftovers:
                 failures.setdefault(
                     t.index,
@@ -1023,7 +895,7 @@ class ParallelCampaignRunner:
                         worker="pool",
                     ),
                 )
-        return list(results_by_index.values()), retries
+        return list(done.values()), retries
 
     @staticmethod
     def _write_prom_snapshot(

@@ -15,10 +15,6 @@ CLI, the equivalence tests and the scaling benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro import obs as obs_api
 from repro.analysis.scenarios import predicted_class_for
 from repro.core.maintenance import determine_action
@@ -37,39 +33,8 @@ from repro.presets import figure10_cluster
 from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOutcome
 
 
-@dataclass(slots=True)
-class ReplicaMaterials:
-    """Raw products of one simulated campaign replica, pre-fold.
-
-    Everything :func:`run_campaign_replica` needs to assemble its
-    :class:`CampaignReplicaOutcome` except the mechanism-count fold
-    itself: the scalar task folds ``plan_events``/``correct`` into
-    per-mechanism dicts one replica at a time, while the batched backend
-    (:mod:`repro.runtime.batch`) scatters the same flags into shared
-    ``(B, n_mech)`` matrices with one vectorized pass — both folds are
-    integer counts over identical flags, so they agree bit-for-bit.
-
-    ``alpha_frus``/``alpha_scores`` and ``trust_frus``/``trust_values``
-    are the banks' struct-of-arrays exports (dense vectors over the
-    replica's own sorted FRU order) captured before the cluster is torn
-    down; the batch backend reindexes them into batch-wide matrices.
-    """
-
-    index: int
-    plan_events: tuple[tuple[str, str, int], ...]
-    correct: tuple[bool, ...]
-    verdicts_emitted: int
-    events_simulated: int
-    obs_counters: dict | None
-    obs_trace: tuple[dict, ...]
-    alpha_frus: tuple[str, ...]
-    alpha_scores: np.ndarray
-    trust_frus: tuple[str, ...]
-    trust_values: np.ndarray
-
-
-def replica_materials(replica: ReplicaTask) -> ReplicaMaterials:
-    """Simulate one campaign replica; return its raw materials.
+def run_campaign_replica(replica: ReplicaTask) -> CampaignReplicaOutcome:
+    """One Monte-Carlo campaign replica on a fresh Fig. 10 cluster.
 
     The cluster's internal named streams are seeded from the replica's
     state seed and the campaign sampling from the replica's generator —
@@ -153,64 +118,37 @@ def replica_materials(replica: ReplicaTask) -> ReplicaMaterials:
             for record in obs.trace_dicts()
         )
 
-    correct = tuple(
-        predicted_class_for(descriptor, verdicts, cluster.job_location)
-        is descriptor.fault_class
-        for descriptor in plan.descriptors
-    )
+    injected: dict[str, int] = {}
+    attributed: dict[str, int] = {}
+    hits = 0
+    for descriptor, (mechanism, _target, _at) in zip(
+        plan.descriptors, plan.events
+    ):
+        injected[mechanism] = injected.get(mechanism, 0) + 1
+        if (
+            predicted_class_for(descriptor, verdicts, cluster.job_location)
+            is descriptor.fault_class
+        ):
+            attributed[mechanism] = attributed.get(mechanism, 0) + 1
+            hits += 1
     alpha_bank = service.assessment.classifier.alpha
     trust_bank = service.assessment.trust
-    alpha_frus = tuple(sorted(alpha_bank.scores()))
-    trust_frus = tuple(sorted(trust_bank.values()))
-    return ReplicaMaterials(
+    return CampaignReplicaOutcome(
         index=replica.index,
         plan_events=plan.events,
-        correct=correct,
+        injected_by_mechanism=tuple(sorted(injected.items())),
+        attributed_by_mechanism=tuple(sorted(attributed.items())),
+        faults_injected=len(plan.events),
+        faults_attributed=hits,
         verdicts_emitted=len(verdicts),
         events_simulated=cluster.sim.events_processed,
         obs_counters=obs_counters,
         obs_trace=obs_trace,
-        alpha_frus=alpha_frus,
-        alpha_scores=alpha_bank.scores_vector(alpha_frus),
-        trust_frus=trust_frus,
-        trust_values=trust_bank.values_vector(trust_frus),
-    )
-
-
-def run_campaign_replica(replica: ReplicaTask) -> CampaignReplicaOutcome:
-    """One Monte-Carlo campaign replica on a fresh Fig. 10 cluster.
-
-    The scalar reference fold: per-replica dict accumulation over the
-    materials' correctness flags.  The batched backend reuses the exact
-    same :func:`replica_materials` and differs only in folding the flags
-    of a whole batch with one vectorized scatter, so per-replica
-    outcomes are bit-identical across backends.
-    """
-    m = replica_materials(replica)
-    injected: dict[str, int] = {}
-    attributed: dict[str, int] = {}
-    hits = 0
-    for (mechanism, _target, _at), ok in zip(m.plan_events, m.correct):
-        injected[mechanism] = injected.get(mechanism, 0) + 1
-        if ok:
-            attributed[mechanism] = attributed.get(mechanism, 0) + 1
-            hits += 1
-    return CampaignReplicaOutcome(
-        index=m.index,
-        plan_events=m.plan_events,
-        injected_by_mechanism=tuple(sorted(injected.items())),
-        attributed_by_mechanism=tuple(sorted(attributed.items())),
-        faults_injected=len(m.plan_events),
-        faults_attributed=hits,
-        verdicts_emitted=m.verdicts_emitted,
-        events_simulated=m.events_simulated,
-        obs_counters=m.obs_counters,
-        obs_trace=m.obs_trace,
         alpha_state=tuple(
-            (fru, float(v)) for fru, v in zip(m.alpha_frus, m.alpha_scores)
+            (fru, float(v)) for fru, v in sorted(alpha_bank.scores().items())
         ),
         trust_state=tuple(
-            (fru, float(v)) for fru, v in zip(m.trust_frus, m.trust_values)
+            (fru, float(v)) for fru, v in sorted(trust_bank.values().items())
         ),
     )
 
@@ -228,7 +166,6 @@ def run_random_campaigns(
     chunk_size: int | None = None,
     max_retries: int = 2,
     on_exhausted: str = "serial",
-    backend: str = "scalar",
     checkpoint: str | None = None,
     resume: bool = False,
     checkpoint_meta: dict | None = None,
@@ -247,14 +184,6 @@ def run_random_campaigns(
     ``replicas=0`` yields the runner's explicit empty outcome (value
     ``()``) instead of tripping the summary's empty-campaign check.
 
-    ``backend="batched"`` executes each chunk through the replica-batched
-    struct-of-arrays executor (:func:`repro.runtime.batch
-    .run_campaign_batch`): one shared pack per chunk instead of one
-    pickled outcome per replica, with the attribution fold vectorized
-    over the batch.  Per-replica outcomes and the reduced summary are
-    bit-identical to the scalar backend (enforced by
-    ``tests/integration/test_backend_differential.py``).
-
     ``preloaded`` splices already-known per-replica results (index →
     :class:`~repro.runtime.runner.ReplicaResult`) straight into the
     reduce without re-executing them — the counterfactual replay engine
@@ -270,11 +199,6 @@ def run_random_campaigns(
     """
     if replicas < 0:
         raise ValueError(f"replicas must be >= 0, got {replicas}")
-    batch_task = None
-    if backend == "batched":
-        from repro.runtime.batch import run_campaign_batch
-
-        batch_task = run_campaign_batch
     runner = ParallelCampaignRunner(
         run_campaign_replica,
         _reduce_campaign,
@@ -282,8 +206,6 @@ def run_random_campaigns(
         chunk_size=chunk_size,
         max_retries=max_retries,
         on_exhausted=on_exhausted,
-        backend=backend,
-        batch_task=batch_task,
         stall_timeout_s=stall_timeout_s,
     )
     spec = spec if spec is not None else CampaignReplicaSpec()

@@ -174,7 +174,7 @@ class ParquetTableBackend:
         }
 
 
-_BACKENDS = {
+_BY_FORMAT = {
     JsonTableBackend.name: JsonTableBackend,
     ParquetTableBackend.name: ParquetTableBackend,
 }
@@ -183,9 +183,9 @@ _BACKENDS = {
 def get_backend(name: str):
     """Backend instance for a concrete format name."""
     try:
-        return _BACKENDS[name]()
+        return _BY_FORMAT[name]()
     except KeyError:
         raise ConfigurationError(
             f"unknown store backend {name!r}; expected one of "
-            f"{sorted(_BACKENDS)}"
+            f"{sorted(_BY_FORMAT)}"
         ) from None

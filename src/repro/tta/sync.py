@@ -64,11 +64,22 @@ def fault_tolerant_average(
         total = 0.0
         for v in dev_list:
             total += v
-        return total / len(dev_list)
+        return _clamp(total / len(dev_list), dev_list[0], dev_list[-1])
     dev = np.sort(np.asarray(deviations_us, dtype=float))
     if k:
         dev = dev[k:-k]
-    return float(dev.mean())
+    return _clamp(float(dev.mean()), float(dev[0]), float(dev[-1]))
+
+
+def _clamp(mean: float, lo: float, hi: float) -> float:
+    """The rounded mean, kept within the surviving values ``[lo, hi]``.
+
+    The exact mean always lies there, but the float sum can round past
+    an end: three copies of 85.45428512246357 average one ulp below
+    themselves.  The clamp removes only that rounding error; a mean
+    already inside the range comes back unchanged, bit for bit.
+    """
+    return min(max(mean, lo), hi)
 
 
 class SyncService:

@@ -1,7 +1,6 @@
 """Shared helpers of the differential batteries.
 
-Three batteries promise exactness against a reference execution —
-scalar-vs-batched (``tests/integration/test_backend_differential.py``),
+Two batteries promise exactness against a reference execution —
 store-vs-reduce (``tests/storage/test_store_differential.py``) and
 replay-vs-fresh (``tests/replay/``).  They share one comparison idiom:
 
@@ -70,7 +69,6 @@ def wall_free(outcome):
 
 
 def run_campaign(
-    backend="scalar",
     *,
     replicas=6,
     seed=11,
@@ -86,6 +84,5 @@ def run_campaign(
         spec=spec,
         workers=workers,
         chunk_size=chunk,
-        backend=backend,
         **kwargs,
     )

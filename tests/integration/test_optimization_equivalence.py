@@ -252,47 +252,3 @@ def test_campaign_equivalence(seed):
 def test_golden_covers_all_cases():
     """The golden file and the battery enumerate the same scenario set."""
     assert set(_golden_cases()) == set(_all_cases())
-
-
-# -- the battery, replayed through the batched backend -------------------------
-
-
-def run_golden_case(replica) -> dict:
-    """Runner task: replica.spec is a golden case id ("kind:detail")."""
-    case_id: str = replica.spec
-    kind, _, rest = case_id.partition(":")
-    if kind == "mechanism":
-        return run_mechanism(rest)
-    if kind == "pair":
-        a, b = rest.split("+")
-        return run_pair(a, b)
-    return run_campaign(int(rest.removeprefix("seed")))
-
-
-def test_all_goldens_under_batched_backend():
-    """Every golden case also holds under ``backend="batched"``.
-
-    Non-campaign tasks ride the generic sequential object pack, so each
-    golden's digests must survive the pack → transport → unpack cycle
-    bit for bit — per-replica, not just in aggregate.
-    """
-    from repro.runtime.runner import ParallelCampaignRunner
-
-    golden = _golden_cases()
-    case_ids = sorted(golden)
-    runner = ParallelCampaignRunner(
-        run_golden_case, workers=1, chunk_size=8, backend="batched"
-    )
-    outcome = runner.run(case_ids, root_seed=0)
-    assert outcome.metrics.backend == "batched"
-    assert len(outcome.results) == len(case_ids)
-    for case_id, result in zip(case_ids, outcome.results):
-        snapshot = result.value
-        for key in (
-            "events_processed",
-            "symptoms",
-            "verdicts",
-            "cluster_digest",
-            "obs_digest",
-        ):
-            assert snapshot[key] == golden[case_id][key], case_id

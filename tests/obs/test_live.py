@@ -299,7 +299,6 @@ def test_summarize_live_golden_fixture():
     summary = summarize_live(records, skipped_lines=skipped)
     assert summary["schema"] == LIVE_SCHEMA_VERSION
     assert summary["command"] == "mc"
-    assert summary["backend"] == "scalar"
     assert summary["workers_requested"] == 2
     assert summary["replicas_total"] == 8
     assert summary["replicas_resumed"] == 2

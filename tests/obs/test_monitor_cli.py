@@ -76,7 +76,6 @@ def test_monitor_json_output_is_parseable(capsys):
     assert payload["replicas_total"] == 8
     assert payload["finished"] is True
     assert payload["stalls"] == 1
-    assert payload["backend"] == "scalar"
     assert payload["replicas_resumed"] == 2
     assert payload["skipped_lines"] == 1
 

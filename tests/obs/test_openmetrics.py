@@ -55,7 +55,6 @@ def test_run_metrics_become_gauges_with_help_and_info():
         events=[100, 100],
         busy_by_worker={"pid-1": 1.0},
         replicas_resumed=2,
-        backend="batched",
     )
     text = render_openmetrics(run_metrics=metrics.to_dict())
     assert "# TYPE repro_run_replicas gauge" in text
@@ -65,7 +64,7 @@ def test_run_metrics_become_gauges_with_help_and_info():
     assert "repro_run_replicas_resumed 2" in text
     assert "repro_run_retries 1" in text
     assert "# HELP repro_run_wall_time_s" in text
-    assert 'repro_run_info{backend="batched",schema="1"} 1' in text
+    assert 'repro_run_info{schema="1"} 1' in text
 
 
 def test_empty_inputs_still_terminate_with_eof():

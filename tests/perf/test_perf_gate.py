@@ -119,49 +119,44 @@ def _rate_periodic(n: int) -> float:
     return best
 
 
-def test_batch_backend_wall():
-    """The batched backend must not regress — absolutely or vs scalar.
+def test_campaign_serial_wall():
+    """The serial campaign path must not regress.
 
-    Two gates from one measurement: the batched serial wall against the
-    committed baseline, and against the scalar path measured in the same
-    session (host-speed-independent overhead bound).  The event count is
-    a pure function of (seed, spec, replicas), so a count mismatch is a
-    behaviour change, not a perf regression.
+    A 12-replica 300 ms A10 campaign through ``run_random_campaigns``
+    against the committed baseline.  The event count is a pure function
+    of (seed, spec, replicas), so a count mismatch is a behaviour
+    change, not a perf regression.
     """
-    from benchmarks.bench_batch import _time_backends
+    from repro.faults.campaign import CampaignReplicaSpec
+    from repro.runtime.workloads import run_random_campaigns
+    from repro.units import ms
 
     baselines = _baselines()
-    base = baselines["benches"]["batch_backend"]
+    base = baselines["benches"]["campaign_serial"]
     tolerance = _tolerance(baselines)
-    scalar, batched = _time_backends(base["replicas"])
-    wall = batched.metrics.wall_time_s
-    scalar_wall = scalar.metrics.wall_time_s
+    outcome = run_random_campaigns(
+        base["replicas"],
+        root_seed=4321,
+        spec=CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(300)),
+    )
+    wall = outcome.metrics.wall_time_s
     limit = base["wall_s"] * (1.0 + tolerance)
     _record(
-        "batch_backend",
+        "campaign_serial",
         {
             "wall_s": round(wall, 4),
-            "scalar_wall_s": round(scalar_wall, 4),
-            "events": batched.metrics.events_simulated,
+            "events": outcome.metrics.events_simulated,
             "baseline_wall_s": base["wall_s"],
             "limit_wall_s": round(limit, 4),
         },
     )
-    assert batched.value == scalar.value, (
-        "batched aggregate diverged from scalar — identity broken; "
-        "fix the differential battery first"
-    )
-    assert batched.metrics.events_simulated == base["events"], (
-        f"event count diverged: {batched.metrics.events_simulated} != "
+    assert outcome.metrics.events_simulated == base["events"], (
+        f"event count diverged: {outcome.metrics.events_simulated} != "
         f"{base['events']} — behaviour change, not a perf regression"
     )
     assert wall <= limit, (
-        f"batched serial wall {wall:.3f} s exceeds baseline "
+        f"serial campaign wall {wall:.3f} s exceeds baseline "
         f"{base['wall_s']:.3f} s by more than {tolerance:.0%}"
-    )
-    assert wall <= scalar_wall * (1.0 + tolerance), (
-        f"batched serial wall {wall:.3f} s is more than {tolerance:.0%} "
-        f"over the scalar path ({scalar_wall:.3f} s) on this host"
     )
 
 

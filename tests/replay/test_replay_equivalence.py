@@ -5,13 +5,13 @@ baseline with a cause removed is **bit-identical** to a fresh full
 campaign run with the same cause removed — same summary (verdict totals,
 per-mechanism folds, plan digest, merged obs counters with the
 provenance stage-latency histograms), same wall-free per-replica
-outcomes — at any worker count and under either execution backend.  The
-``events_simulated``/``replicas_resumed`` metrics prove that only the
-DAG-affected replicas actually re-ran.
+outcomes — at any worker count.  The ``events_simulated``/
+``replicas_resumed`` metrics prove that only the DAG-affected replicas
+actually re-ran.
 
 The hypothesis block is ``derandomize=True`` over the shared strategy
 space in ``tests/_differential.py`` — a fixed, replayable corpus, same
-convention as the backend and store batteries.
+convention as the store battery.
 """
 
 from __future__ import annotations
@@ -61,13 +61,12 @@ def _first_selector(baseline, replica=0):
     return f"r{replica}:{mechanism}@{target}@{at_us}"
 
 
-def _fresh(baseline, *, suppress=(), onas=(), workers=1, backend="scalar"):
+def _fresh(baseline, *, suppress=(), onas=(), workers=1):
     """A full fresh campaign of the rewritten spec — the reference."""
     spec = replace(
         baseline.spec, suppress_faults=tuple(suppress), disable_onas=tuple(onas)
     )
     return run_campaign(
-        backend,
         replicas=baseline.replicas,
         seed=baseline.root_seed,
         spec=spec,
@@ -75,15 +74,11 @@ def _fresh(baseline, *, suppress=(), onas=(), workers=1, backend="scalar"):
     )
 
 
-# -- identity across workers and backends -----------------------------------
+# -- identity across workers ------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    ("workers", "backend"),
-    [(1, "scalar"), (4, "scalar"), (1, "batched")],
-    ids=["serial", "workers4", "batched"],
-)
-def test_whatif_equals_fresh_run(tmp_path, workers, backend):
+@pytest.mark.parametrize("workers", [1, 4], ids=["serial", "workers4"])
+def test_whatif_equals_fresh_run(tmp_path, workers):
     """Splice-replay ≡ fresh full run with the fault removed, exactly."""
     _, baseline = _checkpoint_baseline(tmp_path)
     selector = _first_selector(baseline)
@@ -91,11 +86,8 @@ def test_whatif_equals_fresh_run(tmp_path, workers, backend):
         baseline,
         suppress_faults=(selector,),
         workers=workers,
-        backend=backend,
     )
-    fresh = _fresh(
-        baseline, suppress=(selector,), workers=workers, backend=backend
-    )
+    fresh = _fresh(baseline, suppress=(selector,), workers=workers)
     # Summary equality covers verdict totals, per-mechanism folds, the
     # plan digest and the merged obs-counter snapshot (which includes
     # the provenance stage-latency histograms).
@@ -221,10 +213,9 @@ def test_whatif_store_baseline_equals_fresh(tmp_path):
     replicas=st.integers(min_value=1, max_value=4),
     chunk=FUZZ_CHUNK,
     expected_faults=FUZZ_EXPECTED_FAULTS,
-    backend=st.sampled_from(("scalar", "batched")),
 )
 def test_fuzz_whatif_equals_fresh(
-    tmp_path_factory, seed, replicas, chunk, expected_faults, backend
+    tmp_path_factory, seed, replicas, chunk, expected_faults
 ):
     """Random baselines: splice-replay always equals the fresh rerun."""
     tmp_path = tmp_path_factory.mktemp("replay-fuzz")
@@ -238,7 +229,7 @@ def test_fuzz_whatif_equals_fresh(
     else:
         mechanism, target, at_us = events[0]
         selectors = (f"r{replicas - 1}:{mechanism}@{target}@{at_us}",)
-    result = whatif(baseline, suppress_faults=selectors, backend=backend)
-    fresh = _fresh(baseline, suppress=selectors, backend=backend)
+    result = whatif(baseline, suppress_faults=selectors)
+    fresh = _fresh(baseline, suppress=selectors)
     assert result.counterfactual_summary == fresh.value
     assert result.metrics.replicas_resumed == len(result.spliced)

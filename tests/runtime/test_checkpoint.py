@@ -326,58 +326,15 @@ def test_resumed_campaign_bit_identical_with_obs_digests(tmp_path):
         assert resumed.metrics.workers == workers
 
 
-def test_resumed_batched_campaign_bit_identical(tmp_path):
-    """The PR-5 acceptance case, replayed under ``backend="batched"``.
-
-    The scalar run is the reference: a batched run that checkpoints,
-    crashes and resumes (serially and pooled) must still land on the
-    scalar aggregates and canonical obs digests.
-    """
-    reference = run_random_campaigns(
-        6, root_seed=11, spec=OBS_SPEC, workers=1, chunk_size=2
-    )
-    reference_digest = _obs_digest(reference)
-    full = tmp_path / "full.jsonl"
-    checkpointed = run_random_campaigns(
-        6,
-        root_seed=11,
-        spec=OBS_SPEC,
-        workers=1,
-        chunk_size=2,
-        backend="batched",
-        checkpoint=str(full),
-    )
-    assert checkpointed.value == reference.value
-    assert _obs_digest(checkpointed) == reference_digest
-    for workers in (1, 4):
-        trunc = tmp_path / f"trunc-w{workers}.jsonl"
-        kept = _truncate_to_first_chunk(full, trunc)
-        assert 0 < kept < 6
-        resumed = run_random_campaigns(
-            6,
-            root_seed=11,
-            spec=OBS_SPEC,
-            workers=workers,
-            chunk_size=2,
-            backend="batched",
-            checkpoint=str(trunc),
-            resume=True,
-        )
-        assert resumed.value == reference.value
-        assert _obs_digest(resumed) == reference_digest
-        assert resumed.metrics.replicas_resumed == kept
-        assert resumed.metrics.backend == "batched"
-
-
 def test_mid_batch_resume_skips_completed_replicas(tmp_path):
-    """A resume whose preloaded replicas straddle a batch boundary never
+    """A resume whose preloaded replicas straddle a chunk boundary never
     re-runs them.
 
     The ledger is written with chunk_size=4 (replicas 0–3 complete); the
-    resume re-chunks at chunk_size=3, so batch [3, 4, 5] is *partially*
-    preloaded.  The runner must hand the batch executor only the fresh
-    replicas — proven by the events_simulated accounting, which counts
-    executed replicas only.
+    resume re-chunks at chunk_size=3, so chunk [3, 4, 5] is *partially*
+    preloaded.  The runner must execute only the fresh replicas — proven
+    by the events_simulated accounting, which counts executed replicas
+    only.
     """
     spec = CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(300))
     reference = run_random_campaigns(
@@ -390,7 +347,6 @@ def test_mid_batch_resume_skips_completed_replicas(tmp_path):
         spec=spec,
         workers=1,
         chunk_size=4,
-        backend="batched",
         checkpoint=str(full),
     )
     trunc = tmp_path / "trunc.jsonl"
@@ -402,7 +358,6 @@ def test_mid_batch_resume_skips_completed_replicas(tmp_path):
         spec=spec,
         workers=1,
         chunk_size=3,
-        backend="batched",
         checkpoint=str(trunc),
         resume=True,
     )

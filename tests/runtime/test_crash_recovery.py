@@ -233,6 +233,32 @@ def test_fallback_completes_run_with_distinct_worker_label(tmp_path):
     assert FALLBACK_WORKER != SERIAL_WORKER
 
 
+def test_fallback_reports_its_chunks_to_the_live_log(tmp_path):
+    """A run finished by the serial fallback shows full progress: each
+    leftover chunk is reported done under its own chunk id."""
+    from repro.obs.live import LiveEventBus, MemoryLiveSink, summarize_live
+
+    sink = MemoryLiveSink()
+    spec = (str(tmp_path), os.getpid())
+    runner = ParallelCampaignRunner(
+        parent_only_task,
+        workers=2,
+        chunk_size=2,
+        max_retries=0,
+        retry_backoff_s=0.0,
+    )
+    outcome = runner.run(
+        [spec] * 3, root_seed=0, live=LiveEventBus([sink])
+    )
+    assert outcome.value == (0, 1, 2)
+    summary = summarize_live(sink.records)
+    assert summary["finished"] is True
+    assert summary["progress"] == 1.0
+    assert summary["replicas_done"] == 3
+    assert summary["chunks_in_flight"] == []
+    assert summary["workers"][FALLBACK_WORKER]["chunks"] == 2
+
+
 def test_fallback_label_never_merges_with_pool_workers(tmp_path):
     """Mixed run: one chunk completes in a pool worker, the rest crash
     into the fallback — the metrics keep the two labels separate and the

@@ -19,14 +19,12 @@ def _metrics() -> RunMetrics:
         leaked_worker_pids=(77,),
         replicas_failed=1,
         replicas_resumed=2,
-        backend="batched",
     )
 
 
 def test_to_dict_carries_schema_version():
     payload = _metrics().to_dict()
     assert payload["schema"] == METRICS_SCHEMA_VERSION == 1
-    assert payload["backend"] == "batched"
     assert payload["replicas_resumed"] == 2
 
 
@@ -58,7 +56,6 @@ def test_from_dict_defaults_optional_fields():
     assert metrics.leaked_worker_pids == ()
     assert metrics.replicas_failed == 0
     assert metrics.replicas_resumed == 0
-    assert metrics.backend == "scalar"
 
 
 def test_round_trip_survives_json(tmp_path):
@@ -66,4 +63,14 @@ def test_round_trip_survives_json(tmp_path):
 
     path = _metrics().write_json(tmp_path / "m.json")
     loaded = RunMetrics.from_dict(json.loads(path.read_text()))
+    assert loaded.to_dict() == _metrics().to_dict()
+
+
+def test_payload_with_backend_label_from_older_builds_still_loads():
+    """``--metrics-json`` files and live ``run_finished`` records from
+    older builds carry a ``"backend"`` label; they still load, and the
+    label is not written back."""
+    payload = {**_metrics().to_dict(), "backend": "batched"}
+    loaded = RunMetrics.from_dict(payload)
+    assert "backend" not in loaded.to_dict()
     assert loaded.to_dict() == _metrics().to_dict()

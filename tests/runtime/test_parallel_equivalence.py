@@ -117,31 +117,40 @@ def test_diagnosed_fleet_workers_equivalence():
     assert parallel.metrics.replicas == 4
 
 
-def test_catalogue_campaign_workers_equivalence():
+def test_catalogue_campaign_workers_equivalence(tmp_path):
+    """The pooled runner and the runner at workers=1 (taken because of
+    the checkpoint) both reproduce the serial fast path's aggregate."""
     scenarios = CATALOGUE[:3]
     serial = run_campaign(scenarios, seeds=(7,), workers=1)
     parallel = run_campaign(scenarios, seeds=(7,), workers=2)
-    assert serial.score.matrix.rows() == parallel.score.matrix.rows()
-    assert serial.score.matrix.labels() == parallel.score.matrix.labels()
-    assert serial.score.matched == parallel.score.matched
-    assert serial.score.missed == parallel.score.missed
-    assert (
-        serial.score.spurious_verdicts == parallel.score.spurious_verdicts
+    checkpointed = run_campaign(
+        scenarios,
+        seeds=(7,),
+        workers=1,
+        checkpoint=str(tmp_path / "catalogue.jsonl"),
     )
-    assert serial.integrated_cost.removals == parallel.integrated_cost.removals
-    assert (
-        serial.integrated_cost.nff_removals
-        == parallel.integrated_cost.nff_removals
-    )
-    assert serial.integrated_cost.actions == parallel.integrated_cost.actions
-    assert serial.obd_cost.actions == parallel.obd_cost.actions
-    # serial keeps the full runs; parallel cannot ship them across spawn
+    for run in (parallel, checkpointed):
+        assert serial.score.matrix.rows() == run.score.matrix.rows()
+        assert serial.score.matrix.labels() == run.score.matrix.labels()
+        assert serial.score.matched == run.score.matched
+        assert serial.score.missed == run.score.missed
+        assert serial.score.spurious_verdicts == run.score.spurious_verdicts
+        assert serial.integrated_cost.removals == run.integrated_cost.removals
+        assert (
+            serial.integrated_cost.nff_removals
+            == run.integrated_cost.nff_removals
+        )
+        assert serial.integrated_cost.actions == run.integrated_cost.actions
+        assert serial.obd_cost.actions == run.obd_cost.actions
+        # only the serial fast path keeps the full runs
+        assert run.runs == ()
+        assert run.metrics is not None
     assert len(serial.runs) == 3
-    assert parallel.runs == ()
-    assert parallel.metrics is not None
+    assert parallel.metrics.workers == 2
+    assert checkpointed.metrics.workers == 1
 
 
-def test_catalogue_campaign_rejects_foreign_scenarios_in_parallel():
+def test_catalogue_campaign_rejects_foreign_scenarios_in_parallel(tmp_path):
     from repro.analysis.scenarios import Scenario
     from repro.core.fault_model import FaultClass
 
@@ -150,6 +159,13 @@ def test_catalogue_campaign_rejects_foreign_scenarios_in_parallel():
     )
     with pytest.raises(AnalysisError):
         run_campaign((foreign,), seeds=(1,), workers=2)
+    with pytest.raises(AnalysisError):
+        run_campaign(
+            (foreign,),
+            seeds=(1,),
+            workers=1,
+            checkpoint=str(tmp_path / "foreign.jsonl"),
+        )
 
 
 def test_synthetic_fleet_sharding_equivalence():

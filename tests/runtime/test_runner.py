@@ -130,29 +130,6 @@ def test_validation():
         ParallelCampaignRunner(square_task, max_retries=-1)
 
 
-def test_backend_validation():
-    with pytest.raises(ValueError, match="backend"):
-        ParallelCampaignRunner(square_task, backend="vectorised")
-    with pytest.raises(ValueError, match="batch_task"):
-        ParallelCampaignRunner(
-            square_task, batch_task=lambda tasks, label, capture: None
-        )
-
-
-def test_batched_backend_generic_task_serial_and_pool():
-    """backend="batched" auto-wraps a scalar task and stays value-exact
-    in both the serial path and the process pool."""
-    scalar = ParallelCampaignRunner(square_task).run([5] * 6, root_seed=3)
-    for workers in (1, 3):
-        batched = ParallelCampaignRunner(
-            square_task, workers=workers, chunk_size=2, backend="batched"
-        ).run([5] * 6, root_seed=3)
-        assert batched.values() == scalar.values()
-        assert batched.metrics.backend == "batched"
-        assert batched.metrics.workers == workers
-    assert scalar.metrics.backend == "scalar"
-
-
 # -- parallel path ---------------------------------------------------------
 
 

@@ -6,18 +6,12 @@ interleaved :class:`ReplicaFailure` rows — are written with
 :class:`repro.storage.store.CampaignStore`; every stored field must come
 back *bit-equal* (floats compared by their IEEE-754 bit pattern, so a
 NaN final survives the trip too).
-
-The same corpus drives the batched backend's CSR state columns:
-``CampaignOutcomePack.from_results`` -> ``unpack`` must reproduce
-``alpha_state``/``trust_state`` exactly, including replicas whose banks
-never saw a FRU (empty state) next to replicas with populated state.
 """
 
 from __future__ import annotations
 
 import struct
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignReplicaOutcome
-from repro.runtime.batch import CampaignOutcomePack
 from repro.runtime.runner import ReplicaFailure, ReplicaResult, RunOutcome
 from repro.runtime.seeds import stream_fingerprint
 from repro.storage import CampaignStore, parquet_available, write_run
@@ -39,15 +32,6 @@ SPEC_DIGEST = "ab" * 32
 def _bits(x: float) -> int:
     """IEEE-754 bit pattern — NaN-safe float identity."""
     return struct.unpack("<q", struct.pack("<d", float(x)))[0]
-
-
-def _canon(outcome: CampaignReplicaOutcome) -> CampaignReplicaOutcome:
-    """Outcome with float state mapped to bit patterns (NaN-comparable)."""
-    return replace(
-        outcome,
-        alpha_state=tuple((f, _bits(v)) for f, v in outcome.alpha_state),
-        trust_state=tuple((f, _bits(v)) for f, v in outcome.trust_state),
-    )
 
 
 # -- strategies ------------------------------------------------------------
@@ -417,23 +401,3 @@ def test_invalid_campaign_id_rejected():
                     spec_digest=SPEC_DIGEST,
                     meta={"campaign_id": bad, "format": "json"},
                 )
-
-
-# -- batched-backend CSR state columns (property) --------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(_result_batches())
-def test_pack_roundtrip_preserves_state_bits(results):
-    """from_results -> unpack keeps alpha/trust state NaN-exactly."""
-    pack = CampaignOutcomePack.from_results(results)
-    unpacked = pack.unpack()
-    expected = sorted(results, key=lambda r: r.index)
-    assert len(unpacked) == len(expected)
-    for got, want in zip(unpacked, expected):
-        if isinstance(want, ReplicaFailure):
-            assert got == want
-            continue
-        assert _canon(got.value) == _canon(want.value)
-        assert got.index == want.index
-        assert got.events == want.events

@@ -5,9 +5,9 @@ columns — NFF ratio, the per-mechanism confusion table, the provenance
 stage-latency percentiles — are exactly equal to the same aggregates
 derived from the in-memory :class:`CampaignSummary` reduce that wrote
 the part.  This battery runs identical campaigns through the serial
-path, the process pool (``workers=4``) and the replica-batched backend,
-stores each run, and fails on any divergence between the store-backed
-query answer and the in-memory answer.
+path and the process pool (``workers=4``), stores each run, and fails
+on any divergence between the store-backed query answer and the
+in-memory answer.
 
 The hypothesis block is ``derandomize=True``: a fixed, replayable fuzz
 corpus drawn from the shared strategy space in
@@ -64,7 +64,6 @@ def _store_run(
     root,
     *,
     workers=1,
-    backend="scalar",
     seed=11,
     replicas=6,
     chunk=2,
@@ -77,7 +76,6 @@ def _store_run(
         spec=spec,
         workers=workers,
         chunk_size=chunk,
-        backend=backend,
         store=str(root),
         store_meta={"campaign_id": campaign, "format": "json"},
     )
@@ -148,28 +146,23 @@ def _assert_store_equals_reduce(store: CampaignStore, summary) -> None:
     assert rows[0]["complete"] is True
 
 
-# -- deterministic battery: serial, pooled, batched ------------------------
+# -- deterministic battery: serial, pooled ---------------------------------
 
 
-@pytest.mark.parametrize(
-    ("workers", "backend"),
-    [(1, "scalar"), (4, "scalar"), (1, "batched")],
-    ids=["serial", "workers4", "batched"],
-)
-def test_store_aggregates_equal_reduce(tmp_path, workers, backend):
-    """Stored-column aggregates ≡ the in-memory reduce, per backend."""
-    outcome = _store_run(tmp_path, workers=workers, backend=backend)
+@pytest.mark.parametrize("workers", [1, 4], ids=["serial", "workers4"])
+def test_store_aggregates_equal_reduce(tmp_path, workers):
+    """Stored-column aggregates ≡ the in-memory reduce, per worker count."""
+    outcome = _store_run(tmp_path, workers=workers)
     store = CampaignStore(tmp_path)
     _assert_store_equals_reduce(store, outcome.value)
 
 
 def test_all_backends_store_identical_aggregates(tmp_path):
-    """Three stores of the same campaign answer queries identically."""
+    """Serial and pooled stores of one campaign answer queries identically."""
     answers = []
     for name, kwargs in (
         ("serial", {}),
         ("workers4", {"workers": 4}),
-        ("batched", {"backend": "batched"}),
     ):
         root = tmp_path / name
         _store_run(root, replicas=4, **kwargs)
@@ -177,7 +170,7 @@ def test_all_backends_store_identical_aggregates(tmp_path):
         answers.append(
             (nff_ratio(store), confusion(store), stage_latency(store))
         )
-    assert answers[0] == answers[1] == answers[2]
+    assert answers[0] == answers[1]
 
 
 def test_accuracy_drift_across_stored_campaigns(tmp_path):

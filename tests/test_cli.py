@@ -123,6 +123,42 @@ def test_mc_checkpoint_resume_roundtrip(capsys, tmp_path):
     assert _plan_digest_line(out) == reference
 
 
+def test_resume_ignores_backend_recorded_by_older_builds(capsys, tmp_path):
+    """Ledgers from builds that had ``--backend`` record it in the header
+    params; ``repro resume`` ignores the key and still reproduces the
+    uninterrupted run's aggregate line."""
+    import json
+
+    ledger = tmp_path / "mc.jsonl"
+    args = [
+        "--seed",
+        "11",
+        "--checkpoint",
+        str(ledger),
+        "mc",
+        "--replicas",
+        "4",
+        "--horizon-ms",
+        "300",
+    ]
+    assert main(args) == 0
+    reference = _plan_digest_line(capsys.readouterr().out)
+
+    header, first_chunk = ledger.read_text(encoding="utf-8").splitlines()[:2]
+    record = json.loads(header)
+    assert "backend" not in record["params"]
+    record["params"]["backend"] = "batched"
+    ledger.write_text(
+        json.dumps(record, sort_keys=True) + "\n" + first_chunk + "\n",
+        encoding="utf-8",
+    )
+
+    assert main(["resume", str(ledger)]) == 0
+    out = capsys.readouterr().out
+    assert "resumed:" in out
+    assert _plan_digest_line(out) == reference
+
+
 def test_resume_rejects_missing_ledger(capsys, tmp_path):
     assert main(["resume", str(tmp_path / "nope.jsonl")]) == 1
     err = capsys.readouterr().err

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import PRIORITY_NETWORK, Simulator
@@ -45,6 +45,23 @@ _ROUTES_VERSION = attrgetter("routes_version")
 FrameObserver = Callable[[SlotPosition, Frame | None, dict[str, Delivery], int], None]
 PayloadContributor = Callable[[str, SlotPosition, int], dict[str, tuple[Any, ...]]]
 PayloadConsumer = Callable[[str, Frame, int], None]
+
+
+class _SlotPlan(NamedTuple):
+    """What one sender's slots touch, resolved once per sender.
+
+    Rows hold :class:`Component` objects, never their ``hardware`` or
+    ``clock``: :meth:`Component.replace` swaps both.
+    """
+
+    component: Component
+    membership: MembershipService
+    guardian: BusGuardian
+    #: ``(name, component, guardian)`` of every other component, for the
+    #: babbling check.
+    others: tuple[tuple[str, Component, BusGuardian], ...]
+    #: ``(name, component, membership, sync)`` of every receiver.
+    receivers: tuple[tuple[str, Component, MembershipService, SyncService], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,11 +194,11 @@ class Cluster:
         self._started = False
         self.slots_elapsed = 0
         self._next_slot: SlotPosition | None = None
-        # Per-sender receiver rows (name, component, membership, sync),
-        # built lazily: the component set and its services are fixed for
-        # the cluster's lifetime, so the per-slot delivery loop walks a
-        # precomputed tuple instead of re-filtering the component dict.
-        self._peer_rows: dict[str, tuple] = {}
+        # Per-sender slot plans (see _plan), built on first use: the
+        # component set and its services are fixed for the cluster's
+        # lifetime, so a slot walks precomputed rows instead of filtering
+        # and indexing the per-component dicts.
+        self._plans: dict[str, _SlotPlan] = {}
         # VN routing compiled by _compile_routes whenever a VN's
         # routes_version moves; routes_generation counts the compilations
         # so other per-slot caches (the detector's) can key on it.
@@ -256,11 +273,23 @@ class Cluster:
     # -- runtime ------------------------------------------------------------
 
     def start(self) -> None:
-        """Schedule the communication system; idempotent."""
+        """Schedule the communication system; idempotent.
+
+        One periodic handle drives the slot cascade.  Each tick re-arms it
+        at ``now + slot_length_us``, the slot's ``end_us``, and takes its
+        sequence number after :meth:`_on_slot` returns, so the event order
+        is what a ``schedule_at(slot.end_us, ...)`` ending ``_on_slot``
+        would give.
+        """
         if self._started:
             return
         self._started = True
-        self.sim.schedule_at(0, self._on_slot, priority=PRIORITY_NETWORK)
+        self.sim.schedule_periodic(
+            self.schedule.slot_length_us,
+            self._on_slot,
+            start=0,
+            priority=PRIORITY_NETWORK,
+        )
 
     def run(self, duration_us: int) -> None:
         """Run the cluster for ``duration_us`` microseconds."""
@@ -338,6 +367,28 @@ class Cluster:
 
     # -- slot processing ------------------------------------------------------
 
+    def _plan(self, sender: str) -> _SlotPlan:
+        """Build (once) and return the slot plan of ``sender``."""
+        memberships = self.memberships
+        guardians = self.guardians
+        peers = [
+            (name, component)
+            for name, component in self.components.items()
+            if name != sender
+        ]
+        plan = _SlotPlan(
+            self.components[sender],
+            memberships[sender],
+            guardians[sender],
+            tuple((name, comp, guardians[name]) for name, comp in peers),
+            tuple(
+                (name, comp, memberships[name], self.sync_services[name])
+                for name, comp in peers
+            ),
+        )
+        self._plans[sender] = plan
+        return plan
+
     def _on_slot(self, sim: Simulator) -> None:
         now = sim.now
         slot = self._next_slot
@@ -346,7 +397,10 @@ class Cluster:
         self._next_slot = self.schedule.next_slot(slot)
         self.slots_elapsed += 1
         sender_name = slot.sender
-        sender = self.components[sender_name]
+        plan = self._plans.get(sender_name)
+        if plan is None:
+            plan = self._plan(sender_name)
+        sender, membership, guardian, others, receivers = plan
         versions = tuple(map(_ROUTES_VERSION, self.vns.values()))
         if versions != self._routes_versions:
             self._compile_routes(versions)
@@ -356,17 +410,16 @@ class Cluster:
             now,
             self.vns,
             self._carriers,
-            membership=self.memberships[sender_name].view(),
+            membership=membership.view(),
         )
 
         # Babbling components attempt transmissions in foreign slots; the
         # guardians cut them off (strong fault isolation, C3).
-        for name, component in self.components.items():
-            if name == sender_name or not component.hardware.babbling:
+        for name, component, other_guardian in others:
+            hardware = component.hardware
+            if not hardware.babbling or not hardware.operational(now):
                 continue
-            if not component.hardware.operational(now):
-                continue
-            decision = self.guardians[name].check(now + 1, slot)
+            decision = other_guardian.check(now + 1, slot)
             if not decision.allowed:
                 self.trace.record(
                     now, "guardian.blocked", name, reason=decision.reason
@@ -386,8 +439,16 @@ class Cluster:
                 payload = dict(frame.payload)
                 for vn_name, messages in contributions.items():
                     payload[vn_name] = payload.get(vn_name, ()) + messages
-                frame = frame._replace(payload=payload)
-            decision = self.guardians[sender_name].check(frame.send_time_us, slot)
+                frame = Frame(
+                    frame.sender,
+                    frame.slot,
+                    frame.send_time_us,
+                    payload,
+                    frame.crc_valid,
+                    frame.bit_flips,
+                    frame.membership,
+                )
+            decision = guardian.check(frame.send_time_us, slot)
             if decision.allowed:
                 self._route(frame)
                 deliveries = self.bus.broadcast(frame, now)
@@ -405,10 +466,17 @@ class Cluster:
 
         # Local loopback: jobs hosted on the sending component receive the
         # VN messages of their co-hosted producers without a bus hop.
+        delivered = 0
         if frame is not None and sender.hardware.operational(now):
-            self._deliver_payload(sender_name, now)
+            delivered = 1
+            pushes = self._pushes.get(sender_name)
+            if pushes is not None:
+                self._deliver_payload(pushes, now)
 
-        self._process_deliveries(slot, frame, deliveries, now)
+        delivered += self._process_deliveries(slot, receivers, deliveries, now)
+        if delivered:
+            for vn, routed in self._routed_counts:
+                vn.messages_routed += routed * delivered
 
         for observer in self.frame_observers:
             observer(slot, frame, deliveries, now)
@@ -417,39 +485,40 @@ class Cluster:
         if slot.slot_index == self.schedule.slots_per_round - 1:
             self._end_of_round(now)
 
-        sim.schedule_at(slot.end_us, self._on_slot, priority=PRIORITY_NETWORK)
-
     def _process_deliveries(
         self,
         slot: SlotPosition,
-        frame: Frame | None,
+        receivers: tuple[tuple[str, Component, MembershipService, SyncService], ...],
         deliveries: dict[str, Delivery],
         now: int,
-    ) -> None:
+    ) -> int:
+        """The receiver side of one slot; returns the number of intact
+        receptions at operational receivers."""
         sender = slot.sender
-        rows = self._peer_rows.get(sender)
-        if rows is None:
-            rows = tuple(
-                (name, comp, self.memberships[name], self.sync_services[name])
-                for name, comp in self.components.items()
-                if name != sender
-            )
-            self._peer_rows[sender] = rows
         get_delivery = deliveries.get
-        for name, component, membership, sync_service in rows:
-            if not component.hardware.operational(now):
+        get_pushes = self._pushes.get
+        intact = DeliveryStatus.RECEIVED
+        count = 0
+        for name, component, membership, sync_service in receivers:
+            hardware = component.hardware
+            # HardwareState.operational, inlined: this runs for every
+            # receiver of every slot.
+            if hardware.permanently_failed or now < hardware.transient_outage_until_us:
                 continue
             delivery = get_delivery(name)
             status = None if delivery is None else delivery.status
-            membership.observe(sender, status is DeliveryStatus.RECEIVED, now)
-            if status is DeliveryStatus.RECEIVED:
+            membership.observe(sender, status is intact, now)
+            if status is intact:
                 # Successful reception: clock sync measurement + port delivery.
+                count += 1
                 received = delivery.frame
                 deviation = received.send_time_us - (
                     slot.start_us + component.clock.error(now)
                 )
                 sync_service.observe(deviation)
-                self._deliver_payload(name, now)
+                pushes = get_pushes(name)
+                if pushes is not None:
+                    self._deliver_payload(pushes, now)
                 for consumer in self.payload_consumers:
                     consumer(name, received, now)
             elif status is DeliveryStatus.CORRUPTED:
@@ -462,15 +531,13 @@ class Cluster:
                 )
             else:
                 self.trace.record(now, "delivery.omitted", name, sender=sender)
+        return count
 
-    def _deliver_payload(self, receiver: str, now: int) -> None:
-        """Push the slot frame's VN messages (routed by :meth:`_route`)
-        into the ports ``receiver`` hosts."""
-        for vn, routed in self._routed_counts:
-            vn.messages_routed += routed
-        pushes = self._pushes.get(receiver)
-        if pushes is None:
-            return
+    def _deliver_payload(
+        self, pushes: list[tuple[Port, Any, str, str, str]], now: int
+    ) -> None:
+        """Push one receiver's share of the slot frame's VN messages
+        (routed by :meth:`_route`) into its ports."""
         for port, message, job_name, port_name, vn_name in pushes:
             if not port.push(message):
                 self.trace.record(

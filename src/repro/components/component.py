@@ -83,7 +83,12 @@ class HardwareState:
 
     def operational(self, now_us: int) -> bool:
         """True when the shared hardware currently executes (a component
-        runs exactly when its hardware does)."""
+        runs exactly when its hardware does).
+
+        The receiver loops of ``Cluster._process_deliveries`` and
+        ``DetectionService._on_slot`` inline this test; change all three
+        together.
+        """
         return not self.permanently_failed and now_us >= self.transient_outage_until_us
 
 

@@ -241,39 +241,36 @@ class Job:
         ports).  The behaviour's outputs are routed to OUT ports; the
         pseudo-port ``"*"`` broadcasts a value on every OUT port.
         """
-        if not self.active(now_us):
-            return []
-        self.dispatch_count += 1
+        if self.crashed or now_us < self.suppressed_until_us:
+            return []  # inactive (see active())
+        seq = self.dispatch_count + 1
+        self.dispatch_count = seq
         ctx = DispatchContext(
-            now_us,
-            self.dispatch_count - 1,
-            self._inputs,
-            self.state,
-            self.read_sensors(),
+            now_us, seq - 1, self._inputs, self.state, self.read_sensors()
         )
         behaviour = self.spec.behaviour
         outputs: Mapping[str, Any] = {} if behaviour is None else behaviour(ctx)
         if self.behaviour_wrapper is not None:
             outputs = self.behaviour_wrapper(ctx, outputs)
+        name = self.name
         messages: list[Message] = []
         for port_name, value in outputs.items():
-            targets = (
-                self._out_ports
-                if port_name == "*"
-                else (self.port(port_name),)
-            )
-            for port in targets:
-                if port.spec.direction is not PortDirection.OUT:
-                    raise ConfigurationError(
-                        f"behaviour of {self.name!r} wrote to IN port "
-                        f"{port.spec.name!r}"
+            if port_name == "*":
+                # OUT ports by construction, and directions never change.
+                for port in self._out_ports:
+                    port.messages_out += 1
+                    messages.append(
+                        Message(name, port.spec.name, value, seq, now_us)
                     )
-                port.messages_out += 1
-                messages.append(
-                    Message(
-                        self.name, port.spec.name, value, self.dispatch_count, now_us
-                    )
+                continue
+            port = self.port(port_name)
+            if port.spec.direction is not PortDirection.OUT:
+                raise ConfigurationError(
+                    f"behaviour of {name!r} wrote to IN port "
+                    f"{port.spec.name!r}"
                 )
+            port.messages_out += 1
+            messages.append(Message(name, port.spec.name, value, seq, now_us))
         return messages
 
     # -- maintenance hooks --------------------------------------------------

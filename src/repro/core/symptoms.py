@@ -10,8 +10,8 @@ fault patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class SymptomType(Enum):
@@ -37,6 +37,11 @@ class SymptomType(Enum):
     GUARDIAN_BLOCK = "guardian-block"  # untimely send cut off
     SENSOR_IMPLAUSIBLE = "sensor-implausible"  # job-internal model-based check
 
+    # Members compare by identity, so they may hash by identity too.
+    # Enum's own __hash__ is Python-level (hash of the name) and runs on
+    # every symptom key and window-index lookup.
+    __hash__ = object.__hash__
+
     @property
     def domain(self) -> str:
         """The failure domain the symptom belongs to (time/value/both)."""
@@ -59,9 +64,11 @@ class SymptomType(Enum):
         return "time+value"
 
 
-@dataclass(frozen=True, slots=True)
-class Symptom:
+class Symptom(NamedTuple):
     """One local LIF observation.
+
+    Immutable: a NamedTuple, like the per-slot values (see
+    docs/performance.md, "Slot pipeline cost").
 
     Attributes
     ----------

@@ -27,6 +27,7 @@ from repro.components.cluster import Cluster
 from repro.core.fault_model import FaultClass
 from repro.core.maintenance import MaintenanceAction, MaintenanceRecommendation
 from repro.core.fault_model import component_fru
+from repro.errors import ConfigurationError
 from repro.faults.rates import OBD_RECORD_THRESHOLD_US
 from repro.tta.frames import Frame
 from repro.tta.network import Delivery, DeliveryStatus
@@ -117,8 +118,8 @@ class ObdBaseline:
             for message in messages:
                 try:
                     job = cluster.job(message.source_job)
-                except Exception:
-                    continue
+                except ConfigurationError:
+                    continue  # no component hosts the source job
                 spec = job.spec.port(message.port).value_spec
                 if spec.conforms(message.value):
                     continue

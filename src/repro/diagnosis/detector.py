@@ -127,6 +127,10 @@ class DetectionService:
         self._expected_generation: int | None = None
         self._expected_sources: dict[str, tuple[tuple[str, str], ...]] = {}
         self._event_ports: list | None = None
+        # Fixed per cluster: the lattice the symptoms are stamped on and
+        # the slot index that closes a round.
+        self._granularity_us = cluster.time_base.granularity_us
+        self._last_slot_index = cluster.schedule.slots_per_round - 1
         cluster.frame_observers.append(self._on_slot)
 
     # -- configuration ------------------------------------------------------
@@ -182,125 +186,140 @@ class DetectionService:
         deliveries: dict[str, Delivery],
         now_us: int,
     ) -> None:
-        cluster = self.cluster
-        lattice = cluster.time_base.lattice_point(now_us)
-        peers = self._peers.get(slot.sender)
+        """Judge one slot outcome at every operational peer of its sender.
+
+        One pass over the peers, in component order: a peer's up-state is
+        checked where it is judged (no emission changes hardware state),
+        and the first operational peer is the nominal observer of the
+        payload checks that follow.
+        """
+        lattice = now_us // self._granularity_us
+        sender = slot.sender
+        peers = self._peers.get(sender)
         if peers is None:
             peers = tuple(
                 (name, comp)
-                for name, comp in cluster.components.items()
-                if name != slot.sender
+                for name, comp in self.cluster.components.items()
+                if name != sender
             )
-            self._peers[slot.sender] = peers
-        receivers = [
-            (name, comp)
-            for name, comp in peers
-            if comp.hardware.operational(now_us)
-        ]
+            self._peers[sender] = peers
 
         if frame is None:
-            for name, _comp in receivers:
-                self._emit(
-                    Symptom(
-                        type=SymptomType.OMISSION,
-                        observer=name,
-                        subject_component=slot.sender,
-                        time_us=now_us,
-                        lattice_point=lattice,
+            for name, comp in peers:
+                if comp.hardware.operational(now_us):
+                    self._emit(
+                        Symptom(
+                            type=SymptomType.OMISSION,
+                            observer=name,
+                            subject_component=sender,
+                            time_us=now_us,
+                            lattice_point=lattice,
+                        )
                     )
-                )
         else:
-            self._observe_frame(slot, frame, deliveries, receivers, now_us, lattice)
+            timing_error = frame.timing_error_us
+            late = abs(timing_error) > self.timing_threshold_us
+            # The common case, received on every channel and on time,
+            # costs one ``if`` and no call; ``clean`` matches no status
+            # when the frame is late.
+            clean = None if late else DeliveryStatus.RECEIVED
+            get_delivery = deliveries.get
+            observer = None
+            for name, comp in peers:
+                hardware = comp.hardware
+                # HardwareState.operational, inlined: this runs for every
+                # peer of every slot.
+                if (
+                    hardware.permanently_failed
+                    or now_us < hardware.transient_outage_until_us
+                ):
+                    continue
+                if observer is None:
+                    observer = name
+                delivery = get_delivery(name)
+                if (
+                    delivery is not None
+                    and delivery.status is clean
+                    and False not in delivery.channels_ok
+                ):
+                    continue
+                self._observe_reception(
+                    name, sender, delivery, late, timing_error, now_us, lattice
+                )
+            # Content checks are observer-independent (every receiver of
+            # the frame sees the same payload); evaluate once with the
+            # first operational receiver as the nominal observer.
+            if observer is not None:
+                self._observe_payload(slot, frame, observer, now_us, lattice)
 
         # Round-granular checks at the last slot of each round.
-        if slot.slot_index == cluster.schedule.slots_per_round - 1:
+        if slot.slot_index == self._last_slot_index:
             self._poll_overflows(now_us, lattice)
             self._poll_membership(now_us, lattice)
             self._poll_guardians(now_us, lattice)
             self._poll_tmr(now_us)
             self._poll_internal_checks(now_us, lattice)
 
-    def _observe_frame(
+    def _observe_reception(
         self,
-        slot: SlotPosition,
-        frame: Frame,
-        deliveries: dict[str, Delivery],
-        receivers: list,
+        name: str,
+        sender: str,
+        delivery: Delivery | None,
+        late: bool,
+        timing_error: float,
         now_us: int,
         lattice: int,
     ) -> None:
-        timing_error = frame.timing_error_us
-        late = abs(timing_error) > self.timing_threshold_us
-        for name, _comp in receivers:
-            delivery = deliveries.get(name)
-            if delivery is None:
-                status = DeliveryStatus.OMITTED
-            else:
-                status = delivery.status
-                # The common case: received on every channel, on time.
-                if (
-                    status is DeliveryStatus.RECEIVED
-                    and not late
-                    and all(delivery.channels_ok)
-                ):
-                    continue
-            if status is DeliveryStatus.OMITTED:
+        """Symptoms of one anomalous reception of ``sender``'s frame."""
+        status = DeliveryStatus.OMITTED if delivery is None else delivery.status
+        if status is DeliveryStatus.OMITTED:
+            self._emit(
+                Symptom(
+                    type=SymptomType.OMISSION,
+                    observer=name,
+                    subject_component=sender,
+                    time_us=now_us,
+                    lattice_point=lattice,
+                )
+            )
+            return
+        if status is DeliveryStatus.CORRUPTED:
+            self._emit(
+                Symptom(
+                    type=SymptomType.CRC_ERROR,
+                    observer=name,
+                    subject_component=sender,
+                    time_us=now_us,
+                    lattice_point=lattice,
+                    magnitude=float(delivery.frame.bit_flips),
+                )
+            )
+            return
+        # RECEIVED (so on at least one channel): per-channel shadow
+        # omissions.
+        for ch, ok in enumerate(delivery.channels_ok):
+            if not ok:
                 self._emit(
                     Symptom(
-                        type=SymptomType.OMISSION,
+                        type=SymptomType.CHANNEL_OMISSION,
                         observer=name,
-                        subject_component=slot.sender,
+                        subject_component=sender,
                         time_us=now_us,
                         lattice_point=lattice,
+                        channel=ch,
                     )
                 )
-                continue
-            if status is DeliveryStatus.CORRUPTED:
-                flips = delivery.frame.bit_flips
-                self._emit(
-                    Symptom(
-                        type=SymptomType.CRC_ERROR,
-                        observer=name,
-                        subject_component=slot.sender,
-                        time_us=now_us,
-                        lattice_point=lattice,
-                        magnitude=float(flips),
-                    )
+        if late:
+            self._emit(
+                Symptom(
+                    type=SymptomType.TIMING_VIOLATION,
+                    observer=name,
+                    subject_component=sender,
+                    time_us=now_us,
+                    lattice_point=lattice,
+                    magnitude=float(timing_error),
                 )
-                continue
-            # RECEIVED (so on at least one channel): per-channel shadow
-            # omissions.
-            channels_ok = delivery.channels_ok
-            if not all(channels_ok):
-                for ch, ok in enumerate(channels_ok):
-                    if not ok:
-                        self._emit(
-                            Symptom(
-                                type=SymptomType.CHANNEL_OMISSION,
-                                observer=name,
-                                subject_component=slot.sender,
-                                time_us=now_us,
-                                lattice_point=lattice,
-                                channel=ch,
-                            )
-                        )
-            if late:
-                self._emit(
-                    Symptom(
-                        type=SymptomType.TIMING_VIOLATION,
-                        observer=name,
-                        subject_component=slot.sender,
-                        time_us=now_us,
-                        lattice_point=lattice,
-                        magnitude=float(timing_error),
-                    )
-                )
-        # Content checks are observer-independent (every receiver of the
-        # frame sees the same payload); evaluate once with the first
-        # operational receiver as the nominal observer.
-        if receivers:
-            observer = receivers[0][0]
-            self._observe_payload(slot, frame, observer, now_us, lattice)
+            )
 
     def _observe_payload(
         self,
@@ -328,7 +347,7 @@ class DetectionService:
                     # stays the live one.  Unknown source jobs cache None.
                     try:
                         source_job = cluster.job(message.source_job)
-                    except Exception:
+                    except ConfigurationError:
                         spec = None
                     else:
                         spec = source_job.spec.port(message.port).value_spec

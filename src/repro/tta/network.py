@@ -162,6 +162,8 @@ class Bus:
         self.attachments: dict[str, NetworkAttachment] = {}
         self.zones: list[DisturbanceZone] = []
         self.frames_broadcast = 0
+        # channels_ok of a reception that arrived intact on every channel.
+        self._all_ok: tuple[bool, ...] = (True,) * channels
         # Per-sender receiver rows (name, rx fault states, position), built
         # lazily and dropped by attach(): the per-slot broadcast walks a
         # precomputed tuple instead of filtering the attachment dict.
@@ -220,6 +222,12 @@ class Bus:
         connector.  A pin or channel drops the frame while blocked, else
         with its omission probability; a draw is skipped where its outcome
         cannot matter (blocked, zero probability, inactive zone).
+
+        Fast path: when the frame's CRC is valid, no zone is left and every
+        channel's tx side passed, a receiver whose rx pins are all
+        unblocked with zero omission probability receives the frame on
+        every channel.  Such pins draw nothing in the per-channel loop
+        either, so the draw order above holds on both paths.
         """
         sender = frame.sender
         sender_att = self.attachment(sender)
@@ -262,8 +270,18 @@ class Bus:
                 if name != sender
             )
             self._receiver_rows[sender] = rows
+        received = DeliveryStatus.RECEIVED
+        all_ok = self._all_ok
+        fast = frame.crc_valid and not zones and False not in tx_on_channel
         deliveries: dict[str, Delivery] = {}
         for name, rx_states, position in rows:
+            if fast:
+                for rx in rx_states:
+                    if now_us < rx.blocked_until_us or rx.omission_prob != 0.0:
+                        break
+                else:
+                    deliveries[name] = Delivery(name, received, frame, all_ok)
+                    continue
             flips = (
                 sender_flips + self._zone_flips(position, now_us)
                 if zones
@@ -290,7 +308,7 @@ class Bus:
                 )
             elif clean:
                 deliveries[name] = Delivery(
-                    name, DeliveryStatus.RECEIVED, frame, tuple(channels_ok)
+                    name, received, frame, tuple(channels_ok)
                 )
             else:
                 deliveries[name] = Delivery(

@@ -12,6 +12,7 @@ from repro.components.partition import PartitionSpec
 from repro.components.ports import PortDirection, PortSpec
 from repro.components.virtual_network import PortAddress, VirtualNetwork, VnLink
 from repro.errors import ConfigurationError
+from repro.faults.injector import FaultInjector
 from repro.presets import small_cluster
 from repro.tta.membership import views_consistent
 from repro.units import ms
@@ -74,6 +75,41 @@ def test_lookup_errors():
         cluster.job("ghost")
     with pytest.raises(ConfigurationError):
         cluster.component_of_job("ghost")
+
+
+def test_replaced_component_receives_again():
+    # The per-sender slot plans hold Component objects, never their
+    # hardware: replace() swaps it, and the fresh unit is served at once.
+    cluster = small_cluster(n_components=4, seed=9)
+    FaultInjector(cluster).inject_permanent_internal("c1", ms(10))
+    cluster.run(ms(40))
+    port = cluster.job("k1").port("in")
+    received_while_failed = port.messages_in
+    cluster.run(ms(10))
+    assert port.messages_in == received_while_failed
+    cluster.component("c1").replace(cluster.now)
+    cluster.run(ms(10))
+    assert port.messages_in > received_while_failed
+
+
+def test_piggybacked_payload_keeps_the_other_frame_fields():
+    cluster = small_cluster(n_components=3, seed=10)
+    cluster.payload_contributors.append(
+        lambda sender, slot, now: {"vn-extra": ("note",)}
+    )
+    frames = []
+    cluster.frame_observers.append(
+        lambda slot, frame, deliveries, now: frames.append((slot, frame))
+    )
+    cluster.run(ms(5))
+    assert len(frames) == 6
+    for slot, frame in frames:
+        assert frame.payload["vn-extra"] == ("note",)
+        if slot.sender == "c0":
+            assert "vn-main" in frame.payload  # the producer's own payload
+        assert (frame.sender, frame.slot) == (slot.sender, slot)
+        assert frame.membership == frozenset(cluster.components)
+        assert frame.crc_valid and frame.bit_flips == 0
 
 
 def test_start_is_idempotent():

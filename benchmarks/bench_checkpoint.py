@@ -3,9 +3,10 @@
 Runs the same stochastic campaign with and without ``--checkpoint``-style
 ledger appends (same seed, serial execution, so the simulated work is
 bit-identical) and records the wall-clock cost of durability — each
-chunk line is pickled, checksummed, flushed and fsynced.  A resumed run
-over the complete ledger is timed too: it bounds the fixed price a crash
-recovery pays before any replica executes.
+chunk line is encoded as the declared store tables, checksummed, flushed
+and fsynced.  A resumed run over the complete ledger is timed too: it
+bounds the fixed price a crash recovery pays (reading, checking and
+decoding every chunk) before any replica executes.
 
 Emits ``benchmarks/out/BENCH_checkpoint.json``: wall times, overhead
 ratio, chunk count and ledger size.  The overhead is asserted only

@@ -172,47 +172,42 @@ def _emit_completeness(outcome) -> None:
 
 
 def _checkpoint_kwargs(args: argparse.Namespace, command: str, params: dict):
-    """Runner keyword arguments shared by the campaign-style commands."""
-    checkpoint = getattr(args, "checkpoint", None)
+    """Runner keyword arguments shared by the campaign-style commands.
+
+    One invocation record serves the ledger header, the store manifest
+    and the live log's run header (the runner merges checkpoint/store
+    meta into ``run_started``), so ``repro resume`` and ``repro whatif``
+    rebuild the same campaign from either artefact — obs flags included.
+    """
     store = getattr(args, "store", None)
-    meta = None
-    # The same invocation record doubles as the live-log's run header
-    # (the runner merges checkpoint/store meta into ``run_started``), so
-    # build it for live-only runs too — the ledger only consumes it when
-    # --checkpoint is actually given.
-    if checkpoint or getattr(args, "live_log", None):
-        meta = {
-            "command": command,
-            "params": {
-                "seed": args.seed,
-                "workers": args.workers,
-                "trace": args.trace,
-                "profile": args.profile,
-                "provenance": args.provenance,
-                "metrics_json": args.metrics_json,
-                "salvage": args.salvage,
-                "store": store,
-                "campaign_id": args.campaign_id,
-                "store_format": args.store_format,
-                "live_log": getattr(args, "live_log", None),
-                **params,
-            },
-        }
-    store_meta = None
-    if store:
-        store_meta = {
+    meta = {
+        "command": command,
+        "params": {
+            "seed": args.seed,
+            "workers": args.workers,
+            "trace": args.trace,
+            "profile": args.profile,
+            "provenance": args.provenance,
+            "metrics_json": args.metrics_json,
+            "salvage": args.salvage,
+            "store": store,
             "campaign_id": args.campaign_id,
-            "format": args.store_format,
-            "command": command,
-            "params": {"seed": args.seed, **params},
-        }
+            "store_format": args.store_format,
+            "live_log": getattr(args, "live_log", None),
+            **params,
+        },
+    }
     return {
         "on_exhausted": "salvage" if args.salvage else "serial",
-        "checkpoint": checkpoint,
+        "checkpoint": getattr(args, "checkpoint", None),
         "resume": bool(getattr(args, "_resume", False)),
         "checkpoint_meta": meta,
         "store": store,
-        "store_meta": store_meta,
+        "store_meta": {
+            "campaign_id": args.campaign_id,
+            "format": args.store_format,
+            **meta,
+        },
         "live_log": getattr(args, "live_log", None),
     }
 
@@ -666,10 +661,11 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_monitor(args: argparse.Namespace) -> int:
     """Render live campaign telemetry — never touches the sim.
 
-    Reads only the ``--live-log`` JSONL sidecar (tolerant-tail parsing,
-    like the checkpoint ledger loader) and the ``PATH.prom`` OpenMetrics
-    snapshot; the one-shot report is a pure function of the log bytes,
-    which the committed golden in ``tests/data/`` pins byte for byte.
+    Reads only the ``--live-log`` JSONL sidecar (through the tolerant
+    JSONL reader the checkpoint ledger uses, :mod:`repro.jsonl`) and the
+    ``PATH.prom`` OpenMetrics snapshot; the one-shot report is a pure
+    function of the log bytes, which the committed golden in
+    ``tests/data/`` pins byte for byte.
     """
     import json
     import time
@@ -1132,8 +1128,8 @@ def main(argv: list[str] | None = None) -> int:
     whatif_cmd.add_argument(
         "baseline",
         help=(
-            "campaign baseline: a checkpoint ledger file or a columnar "
-            "store directory"
+            "campaign baseline: the checkpoint ledger file or the columnar "
+            "store directory of an mc run (any obs flags)"
         ),
     )
     whatif_cmd.add_argument(

@@ -42,7 +42,8 @@ these into rolling throughput/ETA estimates on each poll tick and flags
 
 The reader half (:func:`read_live_log`, :func:`summarize_live`,
 :func:`render_monitor_report`) powers the sim-free ``repro monitor``
-CLI; parsing tolerates a truncated tail exactly like the ledger loader.
+CLI; parsing tolerates a truncated tail through the same reader as the
+ledger loader.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ import os
 import time
 from pathlib import Path
 from typing import Any, TextIO
+
+from repro.jsonl import read_json_lines
 
 #: Live-log layout version (bumped on incompatible record changes).
 LIVE_SCHEMA_VERSION = 1
@@ -420,27 +423,13 @@ class LiveRunMonitor:
 def read_live_log(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     """Tolerant live-log parse: records plus the skipped-line count.
 
-    Exactly the ledger idiom — any line that fails JSON parsing (a torn
-    tail after SIGKILL) is skipped and counted, never fatal.  A missing
-    file raises ``OSError`` for the CLI to render.
+    A line that is not a JSON object (a torn tail after SIGKILL) is
+    skipped and counted, never fatal (:func:`repro.jsonl.read_json_lines`
+    in tolerant mode).  A missing file raises ``OSError`` for the CLI to
+    render.
     """
-    records: list[dict[str, Any]] = []
-    skipped = 0
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if not isinstance(record, dict):
-                skipped += 1
-                continue
-            records.append(record)
-    return records, skipped
+    entries, skipped = read_json_lines(path, tolerant=True)
+    return [record for _lineno, record in entries], skipped
 
 
 def summarize_live(

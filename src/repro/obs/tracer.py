@@ -66,6 +66,7 @@ from pathlib import Path
 from typing import Any, TextIO
 
 from repro.errors import ConfigurationError
+from repro.jsonl import read_json_lines
 from repro.sim.trace import _canonical_value
 
 #: Version stamp written into every trace header; bump on layout changes.
@@ -348,29 +349,13 @@ def write_jsonl(
 def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
     """Read a JSONL trace file into line dicts (no schema validation).
 
-    Raises :class:`~repro.errors.ConfigurationError` on lines that are
-    not JSON objects, so CLI consumers surface one friendly message
+    Strict (:func:`repro.jsonl.read_json_lines`): a line that is not a
+    JSON object raises :class:`~repro.errors.ConfigurationError` naming
+    its line number, so CLI consumers surface one friendly message
     instead of a decoder traceback.
     """
-    out: list[dict[str, Any]] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"line {lineno} is not valid JSON: {exc}"
-                ) from exc
-            if not isinstance(rec, dict):
-                raise ConfigurationError(
-                    f"line {lineno} is not a JSON object "
-                    f"(got {type(rec).__name__})"
-                )
-            out.append(rec)
-    return out
+    entries, _skipped = read_json_lines(path, tolerant=False)
+    return [record for _lineno, record in entries]
 
 
 # -- schema validation ---------------------------------------------------------

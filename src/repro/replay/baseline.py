@@ -3,29 +3,28 @@
 A *baseline* is one completed ``mc`` campaign with full per-replica
 results, recoverable from either durable artefact the runtime writes:
 
-* a **checkpoint ledger** (``--checkpoint PATH``): the ledger stores the
-  pickled :class:`~repro.runtime.runner.ReplicaResult` values verbatim —
-  including per-replica obs counters and trace records — so any
-  campaign, observability on or off, can be replayed from it;
-* a **columnar store part** (``--store DIR``): the CSR tables hold the
-  plan events, per-mechanism counts and final alpha/trust state of each
-  replica, from which the exact
-  :class:`~repro.faults.campaign.CampaignReplicaOutcome` of an
-  obs-disabled run is rebuilt column by column.  Runs recorded with
-  observability enabled cannot be reconstructed from the store (the
-  per-replica counter snapshots are merged away at write time); they are
-  rejected with a pointer at the ledger.
+* a **checkpoint ledger** (``--checkpoint PATH``), whose chunk lines
+  carry the declared result tables of their replicas;
+* a **columnar store part** (``--store DIR``), which holds the same
+  tables for the whole run.
 
-Both loaders end in the same validation: the campaign spec is rebuilt
-from the recorded CLI parameters and its
+Both hold per-replica obs counters and trace records in the declared
+sidecar tables, and both decode through the one decoder
+(:func:`repro.storage.codec.decode`) that ``repro resume`` uses too, so
+any ``mc`` campaign, observability on or off, replays from either.
+After reading ``(meta, results)`` from its container, one path
+validates every baseline: the campaign spec is rebuilt from the
+recorded CLI parameters and its
 :func:`~repro.runtime.checkpoint.spec_digest` must equal the digest the
 artefact was bound to — a reconstruction that cannot prove it matches
-the original campaign must not silently replay something else.
+the original campaign must not silently replay something else — and
+every replica of the campaign must be present.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -33,6 +32,9 @@ from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignReplicaOutcome, CampaignReplicaSpec
 from repro.runtime.checkpoint import load_ledger, spec_digest
 from repro.runtime.runner import ReplicaResult
+from repro.storage.codec import decode
+from repro.storage.schema import tables_for_kind
+from repro.storage.store import CampaignStore
 from repro.units import ms
 
 
@@ -63,9 +65,7 @@ class CampaignBaseline:
         return sum(o.events_simulated for o in self.outcomes())
 
 
-def _spec_from_params(
-    params: dict[str, Any], *, allow_obs: bool
-) -> CampaignReplicaSpec:
+def _spec_from_params(params: dict[str, Any]) -> CampaignReplicaSpec:
     """Rebuild the ``mc`` spec exactly as ``cmd_mc`` constructed it."""
     try:
         expected_faults = float(params["expected_faults"])
@@ -75,91 +75,22 @@ def _spec_from_params(
             f"baseline params do not describe an mc campaign: {exc!r}"
         ) from None
     want_trace = bool(params.get("trace")) or bool(params.get("profile"))
-    provenance = bool(params.get("provenance"))
-    if not allow_obs and (want_trace or provenance):
-        raise ConfigurationError(
-            "baseline params record an observability-enabled run, which "
-            "this artefact cannot reconstruct"
-        )
     return CampaignReplicaSpec(
         expected_faults=expected_faults,
         horizon_us=ms(horizon_ms),
         obs_enabled=want_trace,
         obs_trace=want_trace,
-        obs_provenance=provenance,
+        obs_provenance=bool(params.get("provenance")),
     )
 
 
-def _verify_digest(
-    where: str,
-    recorded: Any,
-    root_seed: int,
-    replicas: int,
-    spec: CampaignReplicaSpec,
-) -> None:
-    rebuilt = spec_digest(root_seed, [spec] * replicas)
-    if recorded != rebuilt:
-        raise ConfigurationError(
-            f"{where} was written by a campaign whose spec cannot be "
-            f"reconstructed from its recorded parameters (recorded "
-            f"digest {str(recorded)[:16]}…, rebuilt {rebuilt[:16]}…) — "
-            "replay needs a plain `repro mc` baseline; obs-enabled "
-            "store parts must be replayed from their checkpoint ledger"
-        )
-
-
-def load_checkpoint_baseline(path: str | Path) -> CampaignBaseline:
-    """Load a baseline from a checkpoint ledger written by ``mc``."""
-    path = Path(path)
-    state = load_ledger(path)
-    meta = state.meta
-    command = meta.get("command")
-    if command != "mc":
-        raise ConfigurationError(
-            f"ledger {path} records command {command!r}; counterfactual "
-            "replay supports mc campaigns (write one with "
-            "`python -m repro mc --checkpoint PATH`)"
-        )
-    root_seed = int(meta.get("root_seed", 0))
-    replicas = int(meta.get("replicas", 0))
-    params = dict(meta.get("params") or {})
-    spec = _spec_from_params(params, allow_obs=True)
-    _verify_digest(
-        f"ledger {path}", meta.get("spec_digest"), root_seed, replicas, spec
-    )
-    missing = sorted(set(range(replicas)) - set(state.results_by_index))
-    if missing:
-        raise ConfigurationError(
-            f"ledger {path} covers {len(state.results_by_index)}/"
-            f"{replicas} replicas (missing {missing[:8]!r}"
-            f"{'…' if len(missing) > 8 else ''}); finish the campaign "
-            f"with `python -m repro resume {path}` before replaying it"
-        )
-    return CampaignBaseline(
-        source="checkpoint",
-        path=str(path),
-        root_seed=root_seed,
-        replicas=replicas,
-        spec=spec,
-        params=params,
-        results=dict(state.results_by_index),
-    )
-
-
-def _column(table: dict[str, list], name: str) -> list:
-    return table[name]
-
-
-def load_store_baseline(
-    path: str | Path, *, campaign: str | None = None
-) -> CampaignBaseline:
-    """Load a baseline from a columnar store part written by ``mc``."""
-    from repro.storage.store import CampaignStore
-
-    store = CampaignStore(path)
+def _read_store(
+    path: Path, campaign: str | None
+) -> tuple[str, dict[str, Any], dict[int, ReplicaResult]]:
+    """``(where, meta, results)`` of the one mc part of a store."""
     parts = [
         p
-        for p in store.parts(campaign=campaign, kind="campaign")
+        for p in CampaignStore(path).parts(campaign=campaign, kind="campaign")
         if p.manifest.get("command") == "mc"
     ]
     if not parts:
@@ -175,145 +106,76 @@ def load_store_baseline(
         )
     part = parts[0]
     manifest = part.manifest
-    if not manifest.get("complete", False):
-        raise ConfigurationError(
-            f"store part {part.path} is a salvaged partial campaign "
-            f"({manifest.get('failed')} failed replicas) — replay needs "
-            "full baseline coverage"
-        )
-    root_seed = int(manifest.get("root_seed", 0))
-    replicas = int(manifest.get("replicas", 0))
-    params = dict(manifest.get("params") or {})
-    spec = _spec_from_params(params, allow_obs=False)
-    _verify_digest(
-        f"store part {part.path}",
-        manifest.get("spec_digest"),
-        root_seed,
-        replicas,
-        spec,
+    results = decode(
+        part.kind,
+        {name: part.table(name) for name in tables_for_kind(part.kind)},
+        manifest["root_seed"],
     )
-
-    plan_by_replica: dict[int, list[tuple[int, str, str, int]]] = {}
-    plan = part.table("plan_events")
-    for replica, ordinal, mechanism, target, at_us in zip(
-        plan["replica"],
-        plan["ordinal"],
-        plan["mechanism"],
-        plan["target"],
-        plan["at_us"],
-    ):
-        plan_by_replica.setdefault(int(replica), []).append(
-            (int(ordinal), str(mechanism), str(target), int(at_us))
-        )
-    mech_by_replica: dict[int, list[tuple[str, int, int]]] = {}
-    mech = part.table("mechanisms")
-    for replica, mechanism, injected, attributed in zip(
-        mech["replica"], mech["mechanism"], mech["injected"], mech["attributed"]
-    ):
-        mech_by_replica.setdefault(int(replica), []).append(
-            (str(mechanism), int(injected), int(attributed))
-        )
-    state_by_replica: dict[str, dict[int, list[tuple[str, float]]]] = {
-        "alpha_state": {},
-        "trust_state": {},
-    }
-    for table_name, per_replica in state_by_replica.items():
-        table = part.table(table_name)
-        for replica, fru, value in zip(
-            table["replica"], table["fru"], table["value"]
-        ):
-            per_replica.setdefault(int(replica), []).append(
-                (str(fru), float(value))
-            )
-
-    results: dict[int, ReplicaResult] = {}
-    rep = part.table("replicas")
-    for (
-        replica,
-        faults_injected,
-        faults_attributed,
-        verdicts_emitted,
-        events_simulated,
-        elapsed_s,
-        worker,
-    ) in zip(
-        rep["replica"],
-        rep["faults_injected"],
-        rep["faults_attributed"],
-        rep["verdicts_emitted"],
-        rep["events_simulated"],
-        rep["elapsed_s"],
-        rep["worker"],
-    ):
-        index = int(replica)
-        events = tuple(
-            (mechanism, target, at_us)
-            for _ordinal, mechanism, target, at_us in sorted(
-                plan_by_replica.get(index, ())
-            )
-        )
-        outcome = CampaignReplicaOutcome(
-            index=index,
-            plan_events=events,
-            injected_by_mechanism=tuple(
-                sorted((m, inj) for m, inj, _att in mech_by_replica.get(index, ()))
-            ),
-            attributed_by_mechanism=tuple(
-                sorted(
-                    (m, att)
-                    for m, _inj, att in mech_by_replica.get(index, ())
-                    if att
-                )
-            ),
-            faults_injected=int(faults_injected),
-            faults_attributed=int(faults_attributed),
-            verdicts_emitted=int(verdicts_emitted),
-            events_simulated=int(events_simulated),
-            obs_counters=None,
-            obs_trace=(),
-            alpha_state=tuple(
-                sorted(state_by_replica["alpha_state"].get(index, ()))
-            ),
-            trust_state=tuple(
-                sorted(state_by_replica["trust_state"].get(index, ()))
-            ),
-        )
-        results[index] = ReplicaResult(
-            index=index,
-            value=outcome,
-            events=int(events_simulated),
-            elapsed_s=float(elapsed_s),
-            worker=str(worker),
-        )
-
-    missing = sorted(set(range(replicas)) - set(results))
-    if missing:
-        raise ConfigurationError(
-            f"store part {part.path} covers {len(results)}/{replicas} "
-            f"replicas (missing {missing[:8]!r}"
-            f"{'…' if len(missing) > 8 else ''})"
-        )
-    return CampaignBaseline(
-        source="store",
-        path=str(path),
-        root_seed=root_seed,
-        replicas=replicas,
-        spec=spec,
-        params=params,
-        results=results,
-    )
+    # A salvaged part stores its completed replicas only: the campaign
+    # had the failed ones too.
+    meta = {**manifest, "replicas": manifest["replicas"] + manifest["failed"]}
+    return f"store part {part.path}", meta, results
 
 
 def load_baseline(
     path: str | Path, *, campaign: str | None = None
 ) -> CampaignBaseline:
-    """Auto-detecting loader: a directory is a store, a file a ledger."""
+    """Load a baseline: a directory is a store, a file a ledger."""
     p = Path(path)
     if p.is_dir():
-        return load_store_baseline(p, campaign=campaign)
-    if p.is_file():
-        return load_checkpoint_baseline(p)
-    raise ConfigurationError(
-        f"baseline {p} does not exist (expected a checkpoint ledger "
-        "file or a columnar store directory)"
+        source = "store"
+        where, meta, results = _read_store(p, campaign)
+    elif p.is_file():
+        source, where = "checkpoint", f"ledger {p}"
+        state = load_ledger(p)
+        meta, results = state.meta, state.results_by_index
+    else:
+        raise ConfigurationError(
+            f"baseline {p} does not exist (expected a checkpoint ledger "
+            "file or a columnar store directory)"
+        )
+    command = meta.get("command")
+    if command != "mc":
+        raise ConfigurationError(
+            f"{where} records command {command!r}; counterfactual replay "
+            "supports mc campaigns (write one with `python -m repro mc "
+            "--checkpoint PATH` or `--store DIR`)"
+        )
+    root_seed = meta["root_seed"]
+    replicas = meta["replicas"]
+    params = dict(meta.get("params") or {})
+    spec = _spec_from_params(params)
+    # Coverage first: it bounds ``replicas`` by what the artefact holds
+    # before the digest materialises one spec per replica.
+    if len(results) != replicas or set(results) != set(range(replicas)):
+        missing = list(
+            islice((i for i in range(replicas) if i not in results), 9)
+        )
+        raise ConfigurationError(
+            f"{where} covers {len(results)}/{replicas} replicas (missing "
+            f"{missing[:8]!r}{'…' if len(missing) > 8 else ''}) — replay "
+            "needs full baseline coverage"
+            + (
+                f"; finish the campaign with `python -m repro resume {p}` "
+                "before replaying it"
+                if source == "checkpoint"
+                else ""
+            )
+        )
+    rebuilt = spec_digest(root_seed, [spec] * replicas)
+    if meta.get("spec_digest") != rebuilt:
+        raise ConfigurationError(
+            f"{where} was written by a campaign whose spec cannot be "
+            "reconstructed from its recorded parameters (recorded digest "
+            f"{str(meta.get('spec_digest'))[:16]}…, rebuilt "
+            f"{rebuilt[:16]}…) — replay needs a plain `repro mc` baseline"
+        )
+    return CampaignBaseline(
+        source=source,
+        path=str(p),
+        root_seed=root_seed,
+        replicas=replicas,
+        spec=spec,
+        params=params,
+        results=dict(results),
     )

@@ -11,36 +11,41 @@ written next to the campaign:
   worker count, plus optional CLI provenance (``command``/``params``)
   that lets ``python -m repro resume PATH`` rebuild the exact
   invocation;
-* one **chunk** line per completed chunk — the replica indices, each
-  replica's seed-stream fingerprint
-  (:func:`repro.runtime.seeds.stream_fingerprint`), and the pickled
-  :class:`~repro.runtime.runner.ReplicaResult` list (base64) guarded by
-  a SHA-256 checksum.  Lines are flushed and fsynced as they are
-  appended, so a SIGKILL can lose at most the line being written;
+* one **chunk** line per completed chunk — the replica indices, the
+  kind of their values and the chunk's results as the declared store
+  tables (:mod:`repro.storage.schema`, written by
+  :func:`repro.storage.codec.encode`), guarded by a SHA-256 over the
+  tables' canonical JSON.  Each replica row carries its seed-stream
+  fingerprint (:func:`repro.runtime.seeds.stream_fingerprint`).  Lines
+  are flushed and fsynced as they are appended, so a SIGKILL can lose at
+  most the line being written;
 * **resume** / **close** marker lines recording how each session of the
   campaign started and ended (ledger provenance).
 
 Determinism contract
 --------------------
-The ledger stores *full per-replica values*, so a resumed run hands the
-reduce exactly the same index-ordered value list an uninterrupted run
-would: interrupted-then-resumed ≡ uninterrupted ≡ ``workers=1``, bit
-for bit, including canonical obs digests (replica trace records travel
-inside the pickled values).
+The ledger stores *full per-replica values* — per-replica obs counters
+and trace records included, in the declared sidecar tables — so a
+resumed run hands the reduce exactly the same index-ordered value list
+an uninterrupted run would: interrupted-then-resumed ≡ uninterrupted ≡
+``workers=1``, bit for bit, including canonical obs digests.
 
 Robustness
 ----------
-Loading tolerates a truncated or corrupted tail — any line that fails
-JSON parsing, checksum verification, stream-fingerprint verification or
-unpickling is skipped (and counted), and the replicas it covered are
-simply re-executed.  A header that does not match the campaign being
-resumed raises :class:`~repro.errors.ConfigurationError` instead of
-silently mixing two experiments.
+Nothing in a ledger is ever unpickled: results are decoded by
+:func:`repro.storage.codec.decode`, the decoder ``repro whatif`` uses
+for ledgers and store parts alike.  Loading tolerates a truncated or
+corrupted tail — a chunk line that is not a JSON object, fails its
+checksum, breaks the declared schema or carries a replica bound to the
+wrong seed stream is skipped (and counted), and the replicas it covered
+are simply re-executed.  A header that does not match the campaign
+being resumed raises :class:`~repro.errors.ConfigurationError` instead
+of silently mixing two experiments, and so does a ledger of another
+format version.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -52,12 +57,17 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
+from repro.jsonl import read_json_lines
 from repro.obs import state as _obs_state
 from repro.runtime.runner import ReplicaResult
-from repro.runtime.seeds import stream_fingerprint
 
-#: Ledger schema version (bump on incompatible layout changes).
-LEDGER_VERSION = 1
+# The storage codec is imported where it is used: ``repro.runtime``
+# imports this module, and runs without a ledger must not pay for
+# loading the storage package.
+
+#: Ledger format version.  Version 1 ledgers held pickled results; they
+#: are refused, never loaded.
+LEDGER_VERSION = 2
 
 #: Pickle protocol pinned so spec digests are stable across sessions.
 _PICKLE_PROTOCOL = 4
@@ -68,12 +78,20 @@ def spec_digest(root_seed: int, specs: Sequence[Any]) -> str:
 
     Pickle is deterministic for the plain-data specs the runner accepts
     (dataclasses of scalars/tuples), and the protocol is pinned, so the
-    digest is stable across interpreter sessions of the same code.
+    digest is stable across interpreter sessions of the same code.  The
+    bytes are only hashed, never stored or loaded.
     """
     payload = pickle.dumps(
         (int(root_seed), list(specs)), protocol=_PICKLE_PROTOCOL
     )
     return hashlib.sha256(payload).hexdigest()
+
+
+def chunk_checksum(tables: dict[str, Any]) -> str:
+    """SHA-256 over the canonical JSON of one chunk's tables."""
+    from repro.storage.codec import canonical_json
+
+    return hashlib.sha256(canonical_json(tables).encode("utf-8")).hexdigest()
 
 
 def _obs_event(name: str, **attrs: Any) -> None:
@@ -83,24 +101,24 @@ def _obs_event(name: str, **attrs: Any) -> None:
         obs.tracer.event(name, **attrs)
 
 
-def _encode_results(results: Sequence[ReplicaResult]) -> tuple[str, str]:
-    raw = pickle.dumps(list(results), protocol=_PICKLE_PROTOCOL)
-    return (
-        base64.b64encode(raw).decode("ascii"),
-        hashlib.sha256(raw).hexdigest(),
-    )
+def _decode_chunk(
+    record: dict[str, Any], root_seed: int, where: str
+) -> dict[int, ReplicaResult]:
+    """The results of one chunk line; ConfigurationError if untrusted."""
+    from repro.storage.codec import decode
+    from repro.storage.schema import PART_KINDS, check_table, tables_for_kind
 
-
-def _decode_results(payload: str, checksum: str) -> list[ReplicaResult]:
-    raw = base64.b64decode(payload.encode("ascii"))
-    if hashlib.sha256(raw).hexdigest() != checksum:
-        raise ValueError("chunk payload checksum mismatch")
-    results = pickle.loads(raw)
-    if not isinstance(results, list) or not all(
-        isinstance(r, ReplicaResult) for r in results
-    ):
-        raise ValueError("chunk payload is not a ReplicaResult list")
-    return results
+    tables = record.get("tables")
+    kind = record.get("value_kind")
+    if not isinstance(tables, dict) or kind not in PART_KINDS:
+        raise ConfigurationError(f"{where}: no tables of a declared kind")
+    if record.get("sha256") != chunk_checksum(tables):
+        raise ConfigurationError(f"{where}: checksum mismatch")
+    if sorted(tables) != sorted(tables_for_kind(kind)):
+        raise ConfigurationError(f"{where}: not the tables of kind {kind!r}")
+    for name, columns in tables.items():
+        check_table(name, columns, where)
+    return decode(kind, tables, root_seed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,49 +131,57 @@ class LedgerState:
     skipped_lines: int = 0
 
 
-def load_ledger(path: str | Path) -> LedgerState:
-    """Parse a ledger, tolerating a truncated or corrupted tail.
+def _read_ledger(
+    path: Path,
+) -> tuple[dict[str, Any], list[tuple[int, dict[str, Any]]], int]:
+    """``(header, later lines, skipped lines)`` of a ledger file.
 
-    The header must parse (a campaign cannot be identified without it);
-    every later line is best-effort — bad lines are skipped and counted,
-    duplicate replica indices keep the first occurrence.
+    The first line must be a header object of this format version;
+    every later line is best-effort (:func:`repro.jsonl.read_json_lines`
+    in tolerant mode).
     """
-    path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        entries, skipped = read_json_lines(path, tolerant=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot read ledger {path}: {exc}") from exc
-    if not lines:
+    if not entries and not skipped:
         raise ConfigurationError(f"ledger {path} is empty")
-    try:
-        meta = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"ledger {path} has no parseable header line: {exc}"
-        ) from exc
-    if meta.get("kind") != "header":
+    lineno, meta = entries[0] if entries else (0, {})
+    if lineno != 1 or meta.get("kind") != "header":
         raise ConfigurationError(
             f"ledger {path} does not start with a header line"
         )
     version = meta.get("version")
     if version != LEDGER_VERSION:
         raise ConfigurationError(
-            f"ledger {path} has unsupported version {version!r} "
-            f"(supported: {LEDGER_VERSION})"
+            f"ledger {path} has format version {version!r}; this build "
+            f"reads version {LEDGER_VERSION} only (version 1 ledgers hold "
+            "pickled results, which are never loaded) — re-run the "
+            "campaign to write a new ledger"
         )
-    root_seed = int(meta.get("root_seed", 0))
-    replicas = int(meta.get("replicas", 0))
+    for key in ("root_seed", "replicas"):
+        if type(meta.get(key)) is not int:
+            raise ConfigurationError(
+                f"ledger {path} header field {key!r} is {meta.get(key)!r}"
+            )
+    return meta, entries[1:], skipped
+
+
+def load_ledger(path: str | Path) -> LedgerState:
+    """Parse a ledger, tolerating a truncated or corrupted tail.
+
+    The header must be the first line (a campaign cannot be identified
+    without it); every later line is best-effort — bad chunk lines are
+    skipped and counted, duplicate replica indices keep the first
+    occurrence.
+    """
+    path = Path(path)
+    meta, entries, skipped = _read_ledger(path)
+    root_seed = meta["root_seed"]
+    replicas = meta["replicas"]
     results_by_index: dict[int, ReplicaResult] = {}
     sessions = 1
-    skipped = 0
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1  # truncated tail or torn write
-            continue
+    for lineno, record in entries:
         kind = record.get("kind")
         if kind == "resume":
             sessions += 1
@@ -163,22 +189,13 @@ def load_ledger(path: str | Path) -> LedgerState:
         if kind != "chunk":
             continue
         try:
-            results = _decode_results(
-                record["payload"], record["sha256"]
-            )
-        except (KeyError, ValueError, TypeError, pickle.UnpicklingError):
-            skipped += 1
+            results = _decode_chunk(record, root_seed, f"{path}:{lineno}")
+        except ConfigurationError:
+            skipped += 1  # untrusted chunk — its replicas re-execute
             continue
-        streams = record.get("streams", {})
-        for result in results:
-            index = result.index
-            if not 0 <= index < replicas or index in results_by_index:
-                continue
-            expected = stream_fingerprint(root_seed, index)
-            if streams.get(str(index)) != expected:
-                skipped += 1  # wrong stream assignment — re-execute
-                continue
-            results_by_index[index] = result
+        for index, result in results.items():
+            if 0 <= index < replicas and index not in results_by_index:
+                results_by_index[index] = result
     return LedgerState(
         meta=meta,
         results_by_index=results_by_index,
@@ -188,8 +205,8 @@ def load_ledger(path: str | Path) -> LedgerState:
 
 
 def read_header(path: str | Path) -> dict[str, Any]:
-    """The header line alone (``repro resume`` dispatch)."""
-    return load_ledger(path).meta
+    """The validated header line alone (``repro resume`` dispatch)."""
+    return _read_ledger(Path(path))[0]
 
 
 @dataclass(slots=True)
@@ -288,21 +305,18 @@ class CheckpointLedger:
 
     def append_chunk(self, results: Sequence[ReplicaResult]) -> None:
         """Durably record one completed chunk of replica results."""
-        payload, checksum = _encode_results(results)
+        from repro.storage.codec import encode
+
+        kind, tables = encode(results, self.root_seed)
         indices = [r.index for r in results]
         self._append(
             {
                 "kind": "chunk",
                 "chunk": self.chunks_written,
                 "indices": indices,
-                "streams": {
-                    str(r.index): stream_fingerprint(
-                        self.root_seed, r.index
-                    )
-                    for r in results
-                },
-                "payload": payload,
-                "sha256": checksum,
+                "value_kind": kind,
+                "tables": tables,
+                "sha256": chunk_checksum(tables),
                 "wall": time.time(),
             }
         )
@@ -337,7 +351,9 @@ class CheckpointLedger:
     # -- internals --------------------------------------------------------
 
     def _append(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True)
+        # Compact item separators keep chunk lines small; the ": " key
+        # separator keeps lines greppable as '"kind": "chunk"'.
+        line = json.dumps(record, sort_keys=True, separators=(",", ": "))
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
             fh.flush()

@@ -62,8 +62,7 @@ def run_campaign_replica(replica: ReplicaTask) -> CampaignReplicaOutcome:
         # Counterfactual rewrites (repro whatif): ONA classes named by the
         # spec are left out of the battery, and fault selectors scoped to
         # this replica are handed to the sampler, which discards matched
-        # events' effects while preserving every RNG draw.  getattr keeps
-        # pre-rewrite pickled specs (old checkpoint ledgers) loadable.
+        # events' effects while preserving every RNG draw.
         disable_onas = getattr(spec, "disable_onas", ())
         service = DiagnosticService(
             cluster,

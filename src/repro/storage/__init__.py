@@ -2,11 +2,14 @@
 
 Durable, versioned, column-shaped storage for campaign results —
 per-replica verdict rows, the injected plan, per-FRU diagnostic finals,
-merged observability counters and provenance stage-latency histograms —
+each replica's observability counters, histograms and trace records —
 partitioned by campaign id and plan digest, written straight from the
 parallel runner's index-ordered reduce (``--store DIR`` on ``mc`` /
 ``fleet`` / ``campaign``) and queried by ``repro query`` without ever
-instantiating the simulator.
+instantiating the simulator.  The declared tables
+(:mod:`repro.storage.schema`) and their codec
+(:mod:`repro.storage.codec`) are also the checkpoint ledger's chunk
+format.
 
 Formats: Parquet via pyarrow when available, with a pure-Python
 columnar-JSON fallback holding identical logical content.  See

@@ -87,12 +87,6 @@ class JsonTableBackend:
         columns: dict[str, list],
     ) -> None:
         rows = len(next(iter(columns.values()))) if columns else 0
-        for column, values in columns.items():
-            if len(values) != rows:
-                raise ConfigurationError(
-                    f"ragged table {table!r}: column {column!r} has "
-                    f"{len(values)} rows, expected {rows}"
-                )
         payload = {
             "kind": "table",
             "table": table,
@@ -144,12 +138,11 @@ class ParquetTableBackend:
         arrow_types = {
             "int64": pa.int64(),
             "float64": pa.float64(),
-            "float64?": pa.float64(),
             "str": pa.string(),
-            "str?": pa.string(),
+            "bool": pa.bool_(),
         }
         arrays = [
-            pa.array(columns[column], type=arrow_types[dtype])
+            pa.array(columns[column], type=arrow_types[dtype.rstrip("?")])
             for column, dtype in dtypes.items()
         ]
         pq.write_table(

@@ -16,22 +16,26 @@ Aggregates:
   campaign order, with deltas — the cross-campaign question the store
   exists to answer without re-running anything;
 * :func:`stage_latency` — per-class provenance stage percentiles from
-  the merged power-of-two histograms.
+  the power-of-two histograms of the per-replica sidecars, merged
+  exactly as the reduce merged them (:func:`merged_counters`).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.analysis.reports import render_table
 from repro.errors import ConfigurationError
-from repro.obs.counters import Histogram
+from repro.obs.counters import CounterRegistry
 from repro.obs.provenance import histogram_quantile
+from repro.storage.codec import counter_snapshots
 from repro.storage.store import CampaignStore, StorePart
 
 #: Histogram-key prefix of the provenance stage-latency tables.
 STAGE_LATENCY_PREFIX = "provenance.stage_latency_us{"
+
+#: The tables per-replica counter snapshots are rebuilt from.
+_COUNTER_TABLES = ("replicas", "replica_counters", "replica_histograms")
 
 
 def _campaign_parts(
@@ -151,56 +155,51 @@ def accuracy_drift(store: CampaignStore) -> list[dict[str, Any]]:
     return rows
 
 
-def merged_histograms(
+def merged_counters(
     store: CampaignStore, campaign: str | None = None
-) -> dict[str, Histogram]:
-    """All stored histograms, merged across parts in part order."""
-    merged: dict[str, Histogram] = {}
-    for part in store.parts(campaign=campaign):
-        table = part.table("histograms")
-        for i, key in enumerate(table["key"]):
-            incoming = Histogram.from_dict(
-                {
-                    "count": table["count"][i],
-                    "sum": table["sum"][i],
-                    "min": table["min"][i],
-                    "max": table["max"][i],
-                    "buckets": json.loads(table["buckets"][i]),
-                }
-            )
-            existing = merged.get(key)
-            if existing is None:
-                merged[key] = incoming
-            else:
-                existing.merge(incoming)
-    return merged
+) -> dict[str, Any]:
+    """The counter snapshot of the stored campaigns, merged.
+
+    Within a part the replicas' snapshots merge in replica order — the
+    order the reduce merged them in, so float sums come out bit-equal —
+    and then the parts merge in part order.
+    """
+    per_part = []
+    for part in _campaign_parts(store, campaign):
+        snapshots = counter_snapshots(
+            {name: part.table(name) for name in _COUNTER_TABLES}
+        )
+        per_part.append(
+            CounterRegistry.merged(snapshots[i] for i in sorted(snapshots))
+        )
+    return CounterRegistry.merged(per_part)
 
 
 def _parse_labels(key: str, prefix: str) -> dict[str, str]:
     inner = key[len(prefix) : -1]
-    return dict(item.split("=", 1) for item in inner.split(","))
+    return dict(item.split("=", 1) for item in inner.split(",") if "=" in item)
 
 
 def stage_latency(
     store: CampaignStore, campaign: str | None = None
 ) -> list[dict[str, Any]]:
-    """Per-(class, stage) latency percentiles from stored histograms."""
+    """Per-(class, stage) latency percentiles from the stored histograms,
+    merged as the reduce merged them (:func:`merged_counters`)."""
     rows = []
-    for key, hist in sorted(
-        merged_histograms(store, campaign).items()
-    ):
+    histograms = merged_counters(store, campaign)["histograms"]
+    for key, data in sorted(histograms.items()):
         if not key.startswith(STAGE_LATENCY_PREFIX):
             continue
         labels = _parse_labels(key, STAGE_LATENCY_PREFIX)
-        data = hist.to_dict()
+        count = data["count"]
         rows.append(
             {
                 "cls": labels.get("cls", "?"),
                 "stage": labels.get("stage", "?"),
-                "count": hist.count,
+                "count": count,
                 "p50_us": histogram_quantile(data, 0.5),
                 "p90_us": histogram_quantile(data, 0.9),
-                "mean_us": hist.mean,
+                "mean_us": data["sum"] / count if count else 0.0,
             }
         )
     return rows

@@ -1,11 +1,13 @@
 """Read path of the columnar campaign store.
 
 :class:`CampaignStore` scans a store root for parts, validates every
-manifest (schema version, table inventory) and verifies each table
-file's byte checksum before parsing it — a truncated, bit-flipped or
-version-skewed part fails with a clear
-:class:`~repro.errors.ConfigurationError` naming the offending file,
-never a backend stack trace.  A tolerant scan mode mirrors the
+manifest (schema version, field types, table inventory, table file
+names inside the part) and verifies each table file's byte checksum
+before parsing it — a truncated, bit-flipped or version-skewed part
+fails with a clear :class:`~repro.errors.ConfigurationError` naming the
+offending file, never a backend stack trace.  A checksum is not a MAC,
+so every value read is also held to its column's declared dtype
+(:func:`~repro.storage.schema.check_table`).  A tolerant scan mode mirrors the
 checkpoint ledger's tail recovery: skip unreadable parts, report how
 many were dropped, aggregate the rest.
 
@@ -26,7 +28,7 @@ from repro.storage.schema import (
     MANIFEST_NAME,
     PART_KINDS,
     STORE_SCHEMA_VERSION,
-    TABLES,
+    check_table,
     tables_for_kind,
 )
 
@@ -54,7 +56,8 @@ class StorePart:
         return self.manifest.get("plan_digest")
 
     def table(self, name: str) -> dict[str, list]:
-        """Columns of one table, checksum-verified on first access."""
+        """Columns of one table, checksum- and schema-checked on first
+        access."""
         cached = self._tables.get(name)
         if cached is not None:
             return cached
@@ -79,25 +82,39 @@ class StorePart:
                 "written"
             )
         backend = get_backend(self.manifest["format"])
-        columns = backend.read_table(path, name)
-        expected = list(TABLES[name])
-        if sorted(columns) != sorted(expected):
+        columns = check_table(
+            name,
+            backend.read_table(path, name),
+            f"corrupt store table {path}",
+        )
+        rows = len(next(iter(columns.values())))
+        if rows != entry["rows"]:
             raise ConfigurationError(
-                f"corrupt store table {path}: columns {sorted(columns)!r} "
-                f"do not match schema v{STORE_SCHEMA_VERSION} "
-                f"({expected!r})"
-            )
-        rows = {len(values) for values in columns.values()}
-        if len(rows) > 1 or (rows and rows != {entry["rows"]}):
-            raise ConfigurationError(
-                f"corrupt store table {path}: row counts {sorted(rows)!r} "
-                f"disagree with the manifest ({entry['rows']})"
+                f"corrupt store table {path}: {rows} rows disagree with "
+                f"the manifest ({entry['rows']})"
             )
         self._tables[name] = columns
         return columns
 
 
+#: Manifest fields and the exact types their values may have.
+_MANIFEST_FIELDS: dict[str, tuple[type, ...]] = {
+    "campaign_id": (str,),
+    "format": (str,),
+    "root_seed": (int,),
+    "spec_digest": (str,),
+    "plan_digest": (str, type(None)),
+    "replicas": (int,),
+    "failed": (int,),
+    "complete": (bool,),
+    "command": (str, type(None)),
+    "params": (dict, type(None)),
+    "files": (dict,),
+}
+
+
 def _load_manifest(part_dir: Path) -> dict[str, Any]:
+    """The part's manifest, if its shape is the declared one."""
     manifest_path = part_dir / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ConfigurationError(
@@ -109,6 +126,10 @@ def _load_manifest(part_dir: Path) -> dict[str, Any]:
         raise ConfigurationError(
             f"corrupt store part {part_dir}: unreadable manifest ({exc})"
         ) from None
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(
+            f"corrupt store manifest {manifest_path}: not a JSON object"
+        )
     version = manifest.get("schema_version")
     if version != STORE_SCHEMA_VERSION:
         raise ConfigurationError(
@@ -121,13 +142,34 @@ def _load_manifest(part_dir: Path) -> dict[str, Any]:
         raise ConfigurationError(
             f"corrupt store part {part_dir}: unknown kind {kind!r}"
         )
-    files = manifest.get("files")
-    missing = [t for t in tables_for_kind(kind) if t not in (files or {})]
+    for key, types in _MANIFEST_FIELDS.items():
+        if type(manifest.get(key)) not in types:
+            raise ConfigurationError(
+                f"corrupt store manifest {manifest_path}: field {key!r} "
+                f"is {manifest.get(key)!r}"
+            )
+    files = manifest["files"]
+    missing = [t for t in tables_for_kind(kind) if t not in files]
     if missing:
         raise ConfigurationError(
             f"corrupt store part {part_dir}: manifest lists no "
             f"file for table(s) {missing!r}"
         )
+    for table in tables_for_kind(kind):
+        entry = files[table]
+        if not (
+            isinstance(entry, dict)
+            and type(entry.get("path")) is str
+            and entry["path"] == Path(entry["path"]).name
+            and entry["path"] not in ("", ".", "..")
+            and type(entry.get("sha256")) is str
+            and type(entry.get("rows")) is int
+        ):
+            raise ConfigurationError(
+                f"corrupt store manifest {manifest_path}: table {table!r} "
+                f"entry {entry!r} is not {{path: a file name in the part, "
+                "sha256: str, rows: int}"
+            )
     return manifest
 
 

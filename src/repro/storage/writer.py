@@ -13,10 +13,12 @@ alone.  Both are pure functions of ``(root_seed, specs)``, so storing a
 resumed run overwrites *the same* part an uninterrupted run would have
 written — store writes are idempotent per run identity.
 
-The writer is deliberately duck-typed (``getattr`` over the outcome
-values) and imports nothing from the simulator: it runs in the parent
-process after the index-ordered reduce, and the whole storage package
-must stay importable — and usable — without the simulation stack.
+The tables come from :func:`repro.storage.codec.encode`, the encoder
+the checkpoint ledger uses too, which is duck-typed over the outcome
+values and imports nothing from the simulator: the writer runs in the
+parent process after the index-ordered reduce, and the whole storage
+package must stay importable — and usable — without the simulation
+stack.
 """
 
 from __future__ import annotations
@@ -29,12 +31,8 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.storage.backend import file_sha256, get_backend, resolve_format
-from repro.storage.schema import (
-    MANIFEST_NAME,
-    STORE_SCHEMA_VERSION,
-    TABLES,
-    tables_for_kind,
-)
+from repro.storage.codec import encode
+from repro.storage.schema import MANIFEST_NAME, STORE_SCHEMA_VERSION, TABLES
 
 #: Characters allowed in a campaign id (it becomes a directory name).
 _ID_ALLOWED = set(
@@ -57,121 +55,6 @@ def validate_campaign_id(campaign_id: str) -> str:
             "'-', '_' and '.' (not leading)"
         )
     return campaign_id
-
-
-def _empty_columns(table: str) -> dict[str, list]:
-    return {column: [] for column in TABLES[table]}
-
-
-def _is_campaign_value(value: Any) -> bool:
-    return hasattr(value, "plan_events") and hasattr(
-        value, "injected_by_mechanism"
-    )
-
-
-def _build_tables(
-    outcome: Any, root_seed: int, kind: str
-) -> dict[str, dict[str, list]]:
-    """Flatten the per-replica results into the declared columns."""
-    from repro.runtime.seeds import stream_fingerprint
-
-    tables = {name: _empty_columns(name) for name in tables_for_kind(kind)}
-
-    replicas = tables["replicas"]
-    for r in outcome.results:
-        v = r.value
-        replicas["replica"].append(int(r.index))
-        replicas["seed_fingerprint"].append(
-            stream_fingerprint(root_seed, r.index)
-        )
-        replicas["faults_injected"].append(
-            int(getattr(v, "faults_injected", 0) or 0)
-        )
-        replicas["faults_attributed"].append(
-            int(getattr(v, "faults_attributed", 0) or 0)
-        )
-        replicas["verdicts_emitted"].append(
-            int(getattr(v, "verdicts_emitted", 0) or 0)
-        )
-        replicas["events_simulated"].append(
-            int(getattr(v, "events_simulated", r.events) or 0)
-        )
-        replicas["elapsed_s"].append(float(r.elapsed_s))
-        replicas["worker"].append(str(r.worker))
-
-    if kind == "campaign":
-        plan = tables["plan_events"]
-        mech = tables["mechanisms"]
-        alpha = tables["alpha_state"]
-        trust = tables["trust_state"]
-        for r in outcome.results:
-            v = r.value
-            for ordinal, (mechanism, target, at_us) in enumerate(
-                v.plan_events
-            ):
-                plan["replica"].append(int(r.index))
-                plan["ordinal"].append(ordinal)
-                plan["mechanism"].append(mechanism)
-                plan["target"].append(target)
-                plan["at_us"].append(int(at_us))
-            attributed = dict(v.attributed_by_mechanism)
-            for mechanism, injected in v.injected_by_mechanism:
-                mech["replica"].append(int(r.index))
-                mech["mechanism"].append(mechanism)
-                mech["injected"].append(int(injected))
-                mech["attributed"].append(int(attributed.get(mechanism, 0)))
-            for fru, value in getattr(v, "alpha_state", ()) or ():
-                alpha["replica"].append(int(r.index))
-                alpha["fru"].append(fru)
-                alpha["value"].append(float(value))
-            for fru, value in getattr(v, "trust_state", ()) or ():
-                trust["replica"].append(int(r.index))
-                trust["fru"].append(fru)
-                trust["value"].append(float(value))
-
-    snapshot = getattr(outcome.value, "obs_counters", None)
-    if snapshot:
-        counters = tables["counters"]
-        for key in sorted(snapshot.get("counters", {})):
-            counters["key"].append(key)
-            counters["value"].append(float(snapshot["counters"][key]))
-        hists = tables["histograms"]
-        for key in sorted(snapshot.get("histograms", {})):
-            data = snapshot["histograms"][key]
-            hists["key"].append(key)
-            hists["count"].append(int(data["count"]))
-            hists["sum"].append(float(data["sum"]))
-            hists["min"].append(
-                None if data["min"] is None else float(data["min"])
-            )
-            hists["max"].append(
-                None if data["max"] is None else float(data["max"])
-            )
-            # Canonical bucket encoding: sorted keys, compact separators —
-            # identical state always serializes to identical bytes.
-            hists["buckets"].append(
-                json.dumps(
-                    {
-                        str(b): int(n)
-                        for b, n in sorted(
-                            (int(b), int(n))
-                            for b, n in data["buckets"].items()
-                        )
-                    },
-                    separators=(",", ":"),
-                )
-            )
-
-    failures = tables["failures"]
-    for f in outcome.failures:
-        failures["replica"].append(int(f.index))
-        failures["error_type"].append(f.error_type)
-        failures["message"].append(f.message)
-        failures["traceback"].append(f.traceback)
-        failures["attempts"].append(int(f.attempts))
-        failures["worker"].append(f.worker)
-
-    return tables
 
 
 def write_run(
@@ -205,14 +88,8 @@ def write_run(
     )
     backend = get_backend(resolved)
 
-    value = outcome.value
-    kind = (
-        "campaign"
-        if all(_is_campaign_value(r.value) for r in outcome.results)
-        and outcome.results
-        else "generic"
-    )
-    plan_digest = getattr(value, "plan_digest", None)
+    kind, tables = encode(outcome.results, root_seed, outcome.failures)
+    plan_digest = getattr(outcome.value, "plan_digest", None)
     partition = (plan_digest or spec_digest)[:DIGEST_PREFIX]
     part_name = f"part-{spec_digest[:DIGEST_PREFIX]}"
     part_dir = Path(root) / campaign_id / partition / part_name
@@ -222,7 +99,6 @@ def write_run(
     tmp_dir.mkdir(parents=True)
 
     try:
-        tables = _build_tables(outcome, root_seed, kind)
         files: dict[str, dict[str, Any]] = {}
         for table, columns in tables.items():
             path = tmp_dir / f"{table}{backend.suffix}"

@@ -33,7 +33,9 @@ FULL_OBS_SPEC = CampaignReplicaSpec(
 )
 
 #: Counters and provenance histograms, but no trace stream — the store
-#: batteries use this (stores never hold raw traces).
+#: battery's default (its queries aggregate counters; trace records
+#: round-trip through the store too, see the replay fuzz over store
+#: baselines).
 PROVENANCE_SPEC = CampaignReplicaSpec(
     expected_faults=3.0,
     horizon_us=ms(300),

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.faults.campaign import CampaignReplicaOutcome
 from repro.obs.live import (
     LIVE_EVENT_KINDS,
     LIVE_SCHEMA_VERSION,
@@ -59,6 +60,21 @@ class FakeClock:
 def double_task(replica: ReplicaTask) -> int:
     """Trivial module-level task (spawn-picklable)."""
     return replica.index * 2
+
+
+def ledgered_task(replica: ReplicaTask) -> CampaignReplicaOutcome:
+    """``double_task`` as a value of a declared storage kind — the only
+    values a checkpoint ledger holds."""
+    return CampaignReplicaOutcome(
+        index=replica.index,
+        plan_events=(),
+        injected_by_mechanism=(),
+        attributed_by_mechanism=(),
+        faults_injected=0,
+        faults_attributed=0,
+        verdicts_emitted=replica.index * 2,
+        events_simulated=0,
+    )
 
 
 # -- sinks and bus ------------------------------------------------------------
@@ -389,7 +405,7 @@ def test_runner_pool_live_log_reports_pool_workers(tmp_path):
 
 def test_runner_checkpoint_flushes_reach_the_live_log(tmp_path):
     path = tmp_path / "live.jsonl"
-    ParallelCampaignRunner(double_task, chunk_size=2).run(
+    ParallelCampaignRunner(ledgered_task, chunk_size=2).run(
         [None] * 4,
         root_seed=1,
         checkpoint=tmp_path / "ledger.jsonl",

@@ -56,6 +56,31 @@ def _checkpoint_baseline(tmp_path, *, replicas=4, seed=11, spec=FULL_OBS_SPEC):
     return outcome, load_baseline(ledger)
 
 
+def _store_baseline(tmp_path, *, replicas=4, seed=11, spec=FULL_OBS_SPEC, chunk=2):
+    """Run one stored mc campaign and load it back as a baseline."""
+    params = {
+        "replicas": replicas,
+        "expected_faults": spec.expected_faults,
+        "horizon_ms": spec.horizon_us // 1000,
+        "trace": spec.obs_trace,
+        "provenance": spec.obs_provenance,
+    }
+    outcome = run_campaign(
+        replicas=replicas,
+        seed=seed,
+        spec=spec,
+        chunk=chunk,
+        store=str(tmp_path),
+        store_meta={
+            "campaign_id": "c1",
+            "format": "json",
+            "command": "mc",
+            "params": params,
+        },
+    )
+    return outcome, load_baseline(tmp_path)
+
+
 def _first_selector(baseline, replica=0):
     mechanism, target, at_us = baseline.outcome(replica).plan_events[0]
     return f"r{replica}:{mechanism}@{target}@{at_us}"
@@ -204,6 +229,42 @@ def test_whatif_store_baseline_equals_fresh(tmp_path):
     assert result.metrics.replicas_resumed == len(result.spliced)
 
 
+def test_obs_store_baseline_equals_ledger_baseline(tmp_path):
+    """One traced, provenance-enabled run writes a ledger and a store
+    part; both decode to the run's own results, trace records and wall
+    stamps included, so both replay it identically."""
+    spec = FULL_OBS_SPEC
+    meta = {
+        "command": "mc",
+        "params": {
+            "replicas": 4,
+            "expected_faults": spec.expected_faults,
+            "horizon_ms": spec.horizon_us // 1000,
+            "trace": True,
+            "provenance": True,
+        },
+    }
+    outcome = run_campaign(
+        replicas=4,
+        spec=spec,
+        checkpoint=tmp_path / "baseline.ckpt",
+        checkpoint_meta=meta,
+        store=str(tmp_path / "store"),
+        store_meta={"campaign_id": "c1", "format": "json", **meta},
+    )
+    from_ledger = load_baseline(tmp_path / "baseline.ckpt")
+    from_store = load_baseline(tmp_path / "store")
+    assert (from_ledger.source, from_store.source) == ("checkpoint", "store")
+    assert from_store.spec == from_ledger.spec == spec
+    expected = {r.index: r.value for r in outcome.results}
+    assert {i: r.value for i, r in from_store.results.items()} == expected
+    assert {i: r.value for i, r in from_ledger.results.items()} == expected
+    result = whatif(from_store, disable_onas=("isolated-transient",))
+    assert result.counterfactual_summary == _fresh(
+        from_store, onas=("isolated-transient",)
+    ).value
+
+
 # -- fixed-corpus fuzz ------------------------------------------------------
 
 
@@ -226,6 +287,38 @@ def test_fuzz_whatif_equals_fresh(
     events = baseline.outcome(replicas - 1).plan_events
     if not events:
         selectors = ("r0:seu",)  # may match nothing: full-splice path
+    else:
+        mechanism, target, at_us = events[0]
+        selectors = (f"r{replicas - 1}:{mechanism}@{target}@{at_us}",)
+    result = whatif(baseline, suppress_faults=selectors)
+    fresh = _fresh(baseline, suppress=selectors)
+    assert result.counterfactual_summary == fresh.value
+    assert result.metrics.replicas_resumed == len(result.spliced)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(
+    seed=FUZZ_SEED,
+    replicas=st.integers(min_value=1, max_value=4),
+    chunk=FUZZ_CHUNK,
+    expected_faults=FUZZ_EXPECTED_FAULTS,
+    trace=st.booleans(),
+)
+def test_fuzz_whatif_equals_fresh_from_store(
+    tmp_path_factory, seed, replicas, chunk, expected_faults, trace
+):
+    """The same corpus from obs-enabled store baselines: a store part
+    replays exactly like the ledger the fuzz above replays."""
+    tmp_path = tmp_path_factory.mktemp("replay-store-fuzz")
+    # As `mc --provenance [--trace]` builds it: counters need obs_enabled
+    # only with the trace.
+    spec = replace(fuzz_spec(expected_faults, True, trace=trace), obs_enabled=trace)
+    _, baseline = _store_baseline(
+        tmp_path, replicas=replicas, seed=seed, spec=spec, chunk=chunk
+    )
+    events = baseline.outcome(replicas - 1).plan_events
+    if not events:
+        selectors = ("r0:seu",)
     else:
         mechanism, target, at_us = events[0]
         selectors = (f"r{replicas - 1}:{mechanism}@{target}@{at_us}",)

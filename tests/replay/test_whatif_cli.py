@@ -140,6 +140,23 @@ def test_whatif_scan_json(tmp_path, capsys):
     assert kinds == {"ona"}
 
 
+def test_obs_store_and_ledger_scan_identically(tmp_path, capsys):
+    """An obs-enabled run's store part replays like its ledger: both
+    print the same scan entries and baseline summary."""
+    store, ledger = tmp_path / "st", tmp_path / "led.jsonl"
+    argv = ["--seed", "11", "--store", str(store), "--checkpoint", str(ledger)]
+    assert main([*argv, "mc", "--replicas", "4", "--horizon-ms", "400", "--provenance"]) == 0
+    capsys.readouterr()
+    payloads = []
+    for baseline in (store, ledger):
+        assert main(["whatif", str(baseline), "--scan", "onas", "--json"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    from_store, from_ledger = payloads
+    assert from_store["entries"] == from_ledger["entries"]
+    assert from_store["baseline_summary"] == from_ledger["baseline_summary"]
+    assert [e["affected"] for e in from_store["entries"]] == [2, 1, 2, 0, 1, 0, 0, 0]
+
+
 # -- end-to-end subprocess pipeline -----------------------------------------
 
 

@@ -14,10 +14,11 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.campaign import CampaignReplicaSpec
+from repro.faults.campaign import CampaignReplicaOutcome, CampaignReplicaSpec
 from repro.obs import trace_digest
 from repro.runtime.checkpoint import (
     CheckpointLedger,
+    chunk_checksum,
     load_ledger,
     read_header,
     spec_digest,
@@ -35,9 +36,23 @@ OBS_SPEC = CampaignReplicaSpec(
 )
 
 
-def draw_task(replica: ReplicaTask) -> float:
-    """First draw of the replica's private stream (spawn-picklable)."""
-    return float(replica.rng().random())
+def draw_task(replica: ReplicaTask) -> CampaignReplicaOutcome:
+    """First draw of the replica's private stream (spawn-picklable).
+
+    The draw rides in ``alpha_state`` of a declared value kind: the
+    ledger only holds values it has declared tables for.
+    """
+    return CampaignReplicaOutcome(
+        index=replica.index,
+        plan_events=(),
+        injected_by_mechanism=(),
+        attributed_by_mechanism=(),
+        faults_injected=0,
+        faults_attributed=0,
+        verdicts_emitted=0,
+        events_simulated=0,
+        alpha_state=(("draw", float(replica.rng().random())),),
+    )
 
 
 def _ledger_lines(path) -> list[dict]:
@@ -189,8 +204,10 @@ def test_stream_fingerprint_guard_forces_reexecution(tmp_path):
     for line in lines:
         record = json.loads(line)
         if record.get("kind") == "chunk" and not tampered:
-            index = record["indices"][0]
-            record["streams"][str(index)] = "f" * 32
+            # A valid checksum over a wrong fingerprint: only the
+            # stream guard can reject this line.
+            record["tables"]["replicas"]["seed_fingerprint"][0] = "f" * 32
+            record["sha256"] = chunk_checksum(record["tables"])
             line = json.dumps(record, sort_keys=True)
             tampered = True
         doctored.append(line)
@@ -319,8 +336,12 @@ def test_resumed_campaign_bit_identical_with_obs_digests(tmp_path):
             resume=True,
         )
         # Bit-identical aggregate: full CampaignSummary equality covers
-        # plan digest, attribution tables and merged obs counters.
+        # plan digest, attribution tables and merged obs counters; the
+        # JSON form also catches type drift (3 == 3.0 hides it).
         assert resumed.value == reference.value
+        assert json.dumps(resumed.value.to_dict(), sort_keys=True) == json.dumps(
+            reference.value.to_dict(), sort_keys=True
+        )
         assert _obs_digest(resumed) == reference_digest
         assert resumed.metrics.replicas_resumed == kept
         assert resumed.metrics.workers == workers
@@ -367,3 +388,81 @@ def test_mid_batch_resume_skips_completed_replicas(tmp_path):
         result.events for result in reference.results if result.index >= 4
     )
     assert resumed.metrics.events_simulated == fresh_events
+
+
+# -- every declared kind ----------------------------------------------------
+
+
+def test_undeclared_value_type_fails_at_first_append(tmp_path):
+    """Only declared value kinds can be checkpointed: a bare int has no
+    tables, and the ledger says so before it writes any chunk."""
+    runner = ParallelCampaignRunner(_bare_int_task, chunk_size=2)
+    path = tmp_path / "ledger.jsonl"
+    with pytest.raises(ConfigurationError, match="no declared storage kind"):
+        runner.run([None] * 4, root_seed=1, checkpoint=path)
+    assert [r["kind"] for r in _ledger_lines(path)] == ["header"]
+
+
+def _bare_int_task(replica: ReplicaTask) -> int:
+    return replica.index
+
+
+def _fleet(**kwargs):
+    from repro.analysis.fleet_sim import simulate_diagnosed_fleet
+
+    result = simulate_diagnosed_fleet(
+        3,
+        seed=21,
+        fault_probability=0.7,
+        drive_duration_us=ms(200),
+        chunk_size=1,
+        **kwargs,
+    )
+    return (result.report.counts.tolist(), result.vehicles_detected), result
+
+
+def _catalogue(**kwargs):
+    from repro.analysis.scenarios import CATALOGUE, run_campaign
+
+    result = run_campaign(CATALOGUE[:2], seeds=(7,), chunk_size=1, **kwargs)
+    return (
+        result.score.matrix.rows(),
+        result.integrated_cost.actions,
+        result.obd_cost.actions,
+    ), result
+
+
+@pytest.mark.parametrize(
+    "run, kind", [(_fleet, "fleet"), (_catalogue, "catalogue")]
+)
+def test_every_declared_kind_resumes_and_stores_identically(
+    tmp_path, run, kind
+):
+    """Fleet and catalogue values round-trip through both artefacts: a
+    resume from a truncated ledger reduces to the uninterrupted result,
+    and the store part decodes to the values the ledger holds."""
+    from repro.storage import CampaignStore
+    from repro.storage.codec import decode
+    from repro.storage.schema import tables_for_kind
+
+    reference, _ = run()
+    full = tmp_path / "full.jsonl"
+    store = tmp_path / "store"
+    run(checkpoint=str(full), store=str(store), store_meta={"format": "json"})
+    trunc = tmp_path / "trunc.jsonl"
+    assert _truncate_to_first_chunk(full, trunc) == 1
+    resumed, outcome = run(checkpoint=str(trunc), resume=True)
+    assert resumed == reference
+    assert outcome.metrics.replicas_resumed == 1
+
+    (part,) = CampaignStore(store).parts()
+    assert part.kind == kind
+    stored = decode(
+        kind,
+        {name: part.table(name) for name in tables_for_kind(kind)},
+        part.manifest["root_seed"],
+    )
+    ledgered = load_ledger(full).results_by_index
+    assert {i: r.value for i, r in stored.items()} == {
+        i: r.value for i, r in ledgered.items()
+    }

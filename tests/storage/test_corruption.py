@@ -28,7 +28,9 @@ from repro.units import ms
 SPEC_DIGEST = "cd" * 32
 
 
-def _synthetic_part(root: Path, *, campaign="c1", seed=7) -> Path:
+def _synthetic_part(
+    root: Path, *, campaign="c1", seed=7, obs_counters=None
+) -> Path:
     """One small campaign part written without touching the simulator."""
     outcome = CampaignReplicaOutcome(
         index=0,
@@ -41,6 +43,7 @@ def _synthetic_part(root: Path, *, campaign="c1", seed=7) -> Path:
         events_simulated=50,
         alpha_state=(("comp1", 2.0),),
         trust_state=(("comp1", 0.5),),
+        obs_counters=obs_counters,
     )
     run = RunOutcome(
         value=SimpleNamespace(plan_digest="e" * 64, obs_counters=None),
@@ -97,15 +100,15 @@ def test_unparseable_table_with_matching_checksum(tmp_path):
     from repro.storage.backend import file_sha256
 
     part_dir = _synthetic_part(tmp_path)
-    table_path = part_dir / "counters.json"
+    table_path = part_dir / "replica_counters.json"
     table_path.write_text("this is not json{", encoding="utf-8")
     manifest_path = part_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["files"]["counters"]["sha256"] = file_sha256(table_path)
+    manifest["files"]["replica_counters"]["sha256"] = file_sha256(table_path)
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     part = CampaignStore(tmp_path).parts()[0]
     with pytest.raises(ConfigurationError):
-        part.table("counters")
+        part.table("replica_counters")
 
 
 # -- manifest corruption and version skew ----------------------------------
@@ -229,3 +232,187 @@ def test_rewriting_a_part_is_idempotent(tmp_path):
     part = store.parts()[0]
     for name in tables_for_kind(part.kind):
         assert sorted(part.table(name)) == sorted(TABLES[name])
+
+
+# -- hostile input: a checksum is not a MAC ----------------------------------
+
+
+def _doctor_manifest(part_dir: Path, edit) -> None:
+    manifest_path = part_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest_path.write_text(json.dumps(edit(manifest)), encoding="utf-8")
+
+
+def _replace_entry(manifest: dict, **entry) -> dict:
+    return {**manifest, "files": {**manifest["files"], "replicas": entry}}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: [m], "not a JSON object"),
+        (lambda m: {k: v for k, v in m.items() if k != "format"}, "'format'"),
+        (
+            lambda m: _replace_entry(m, path="replicas.json", rows=1),
+            "'replicas' entry",
+        ),
+        (
+            lambda m: {**m, "files": {**m["files"], "replicas": "replicas.json"}},
+            "'replicas' entry",
+        ),
+        (
+            lambda m: _replace_entry(m, path="replicas.json", sha256="0", rows="1"),
+            "'replicas' entry",
+        ),
+    ],
+    ids=["array", "no-format", "no-sha256", "entry-not-object", "rows-not-int"],
+)
+def test_malformed_manifest_is_a_config_error(tmp_path, edit, message):
+    part_dir = _synthetic_part(tmp_path)
+    _doctor_manifest(part_dir, edit)
+    store = CampaignStore(tmp_path)
+    with pytest.raises(ConfigurationError, match=message):
+        store.parts()[0].table("replicas")
+    report = store.scan_report()  # the tolerant scan drops the part
+    assert (report["parts"], report["skipped"]) == (0, 1)
+    assert "manifest" in report["skipped_parts"][0]["error"]
+
+
+def test_table_path_outside_the_part_is_refused(tmp_path):
+    """A manifest cannot point a table at a file outside its part, even
+    with that file's valid checksum."""
+    root = tmp_path / "store"
+    part_dir = _synthetic_part(root)
+    outside = tmp_path / "elsewhere.json"
+    outside.write_bytes((part_dir / "replicas.json").read_bytes())
+    for path in (str(outside), "../../../../elsewhere.json"):
+        _doctor_manifest(
+            part_dir,
+            lambda m: _replace_entry(m, **{**m["files"]["replicas"], "path": path}),
+        )
+        with pytest.raises(ConfigurationError, match="'replicas' entry"):
+            CampaignStore(root).parts()
+
+
+def _rechecksummed_value(part_dir: Path, table: str, column: str, value) -> None:
+    """Overwrite one stored value and re-stamp the table's checksum."""
+    from repro.storage.backend import file_sha256
+
+    table_path = part_dir / f"{table}.json"
+    payload = json.loads(table_path.read_text(encoding="utf-8"))
+    assert payload["columns"][column], f"{table}.{column} is empty"
+    payload["columns"][column][0] = value
+    table_path.write_text(json.dumps(payload), encoding="utf-8")
+    _doctor_manifest(
+        part_dir,
+        lambda m: {
+            **m,
+            "files": {
+                **m["files"],
+                table: {**m["files"][table], "sha256": file_sha256(table_path)},
+            },
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "table, column, value",
+    [
+        ("plan_events", "at_us", "soon"),
+        ("replicas", "faults_injected", True),
+        ("alpha_state", "value", 2),
+        ("mechanisms", "mechanism", None),
+    ],
+)
+def test_value_of_the_wrong_dtype_is_a_config_error(tmp_path, table, column, value):
+    part_dir = _synthetic_part(tmp_path)
+    _rechecksummed_value(part_dir, table, column, value)
+    part = CampaignStore(tmp_path).parts()[0]
+    with pytest.raises(
+        ConfigurationError, match=rf"{table}\.json: table '{table}' column '{column}'"
+    ):
+        part.table(table)
+
+
+def _mc_part(root: Path) -> Path:
+    """A small stored mc campaign that `repro whatif` accepts."""
+    spec = CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(250))
+    run_random_campaigns(
+        2,
+        root_seed=21,
+        spec=spec,
+        store=str(root),
+        store_meta={
+            "campaign_id": "c1",
+            "format": "json",
+            "command": "mc",
+            "params": {"replicas": 2, "expected_faults": 3.0, "horizon_ms": 250},
+        },
+    )
+    (part_dir,) = CampaignStore(root).part_dirs()
+    return part_dir
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        (
+            lambda d: _rechecksummed_value(d, "plan_events", "at_us", "soon"),
+            "'at_us'",
+        ),
+        (
+            lambda d: _rechecksummed_value(d, "replicas", "replica", -1),
+            "undecodable",
+        ),
+        (
+            lambda d: _doctor_manifest(d, lambda m: {**m, "replicas": 10**12}),
+            "covers 2/1000000000000 replicas",
+        ),
+    ],
+    ids=["bad-dtype", "negative-index", "huge-replica-count"],
+)
+def test_whatif_over_a_doctored_store_fails_cleanly(
+    tmp_path, capsys, doctor, message
+):
+    from repro.__main__ import main
+
+    doctor(_mc_part(tmp_path))
+    assert main(["whatif", str(tmp_path), "--scan", "onas"]) == 1
+    err = capsys.readouterr().err
+    assert "whatif failed" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "column, value, rc, output",
+    [
+        ("buckets", '{"x":1}', 1, "buckets"),
+        ("key", "provenance.stage_latency_us{junk}", 0, '"cls": "?"'),
+    ],
+    ids=["bad-bucket-key", "label-without-value"],
+)
+def test_query_over_doctored_histograms(tmp_path, capsys, column, value, rc, output):
+    """Bucket JSON is decoded and checked too, so a doctored bucket key
+    is a query error, not a ValueError deep in the histogram merge; a
+    label without a value reads as unknown."""
+    from repro.__main__ import main
+
+    snapshot = {
+        "schema": 1,
+        "counters": {"sim.events": 50},
+        "histograms": {
+            "provenance.stage_latency_us{cls=a,stage=x->y}": {
+                "count": 1,
+                "sum": 3.0,
+                "min": 3.0,
+                "max": 3.0,
+                "buckets": {"2": 1},
+            }
+        },
+    }
+    part_dir = _synthetic_part(tmp_path, obs_counters=snapshot)
+    assert main(["query", "latency", "--store", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _rechecksummed_value(part_dir, "replica_histograms", column, value)
+    assert main(["query", "latency", "--store", str(tmp_path)]) == rc
+    captured = capsys.readouterr()
+    assert output in (captured.err if rc else captured.out)

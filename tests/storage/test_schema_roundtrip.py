@@ -286,10 +286,11 @@ def test_store_roundtrip_nonfinite_state():
 
 
 def test_store_roundtrip_counters_and_histograms():
-    """Merged counter/histogram snapshots round-trip canonically."""
+    """Per-replica counter/histogram snapshots round-trip canonically
+    through the replica sidecar tables, int counters staying int."""
     snapshot = {
         "schema": 1,
-        "counters": {"detector.symptoms{cls=a}": 3.0, "verdicts": 7.0},
+        "counters": {"detector.symptoms{cls=a}": 3, "verdicts": 7.5},
         "histograms": {
             "provenance.stage_latency_us{cls=a,stage=x->y}": {
                 "count": 2,
@@ -316,6 +317,7 @@ def test_store_roundtrip_counters_and_histograms():
         faults_attributed=0,
         verdicts_emitted=0,
         events_simulated=1,
+        obs_counters=snapshot,
     )
     results = (
         ReplicaResult(index=0, value=outcome, events=1, elapsed_s=0.1, worker="serial"),
@@ -336,9 +338,18 @@ def test_store_roundtrip_counters_and_histograms():
             meta={"campaign_id": "rt", "format": "json"},
         )
         part = CampaignStore(root).parts()[0]
-        counters = part.table("counters")
-        assert dict(zip(counters["key"], counters["value"])) == snapshot["counters"]
-        hists = part.table("histograms")
+        assert part.table("replicas")["counters_schema"] == [1]
+        counters = part.table("replica_counters")
+        assert list(
+            zip(
+                counters["replica"],
+                counters["key"],
+                counters["int_value"],
+                counters["float_value"],
+            )
+        ) == [(0, "detector.symptoms{cls=a}", 3, None), (0, "verdicts", None, 7.5)]
+        hists = part.table("replica_histograms")
+        assert hists["replica"] == [0, 0]
         assert sorted(hists["key"]) == sorted(snapshot["histograms"])
         i = hists["key"].index("provenance.stage_latency_us{cls=a,stage=x->y}")
         assert hists["count"][i] == 2

@@ -20,6 +20,7 @@ import os
 
 from repro.faults.campaign import CampaignReplicaSpec
 from repro.runtime.checkpoint import load_ledger
+from repro.runtime.runner import RunOptions
 from repro.runtime.workloads import run_random_campaigns
 
 from repro.units import ms
@@ -34,16 +35,18 @@ SPEC = CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(300))
 
 def run_all(ledger_path: str):
     plain = run_random_campaigns(
-        REPLICAS, root_seed=ROOT_SEED, spec=SPEC, workers=1,
-        chunk_size=CHUNK_SIZE,
+        REPLICAS, root_seed=ROOT_SEED, spec=SPEC,
+        options=RunOptions(chunk_size=CHUNK_SIZE),
     )
     checkpointed = run_random_campaigns(
-        REPLICAS, root_seed=ROOT_SEED, spec=SPEC, workers=1,
-        chunk_size=CHUNK_SIZE, checkpoint=ledger_path,
+        REPLICAS, root_seed=ROOT_SEED, spec=SPEC,
+        options=RunOptions(chunk_size=CHUNK_SIZE, checkpoint=ledger_path),
     )
     resumed = run_random_campaigns(
-        REPLICAS, root_seed=ROOT_SEED, spec=SPEC, workers=1,
-        chunk_size=CHUNK_SIZE, checkpoint=ledger_path, resume=True,
+        REPLICAS, root_seed=ROOT_SEED, spec=SPEC,
+        options=RunOptions(
+            chunk_size=CHUNK_SIZE, checkpoint=ledger_path, resume=True
+        ),
     )
     return plain, checkpointed, resumed
 

@@ -47,6 +47,7 @@ import time
 from repro.analysis.reports import render_table
 from repro.errors import SchedulingError, SimulationError
 from repro.faults.campaign import CampaignReplicaSpec
+from repro.runtime.runner import RunOptions
 from repro.runtime.workloads import run_random_campaigns
 from repro.sim.engine import Simulator
 from repro.units import ms
@@ -176,9 +177,7 @@ def test_tracer_disabled_dispatch_overhead(benchmark):
 
 
 def _campaign(spec: CampaignReplicaSpec):
-    return run_random_campaigns(
-        REPLICAS, root_seed=ROOT_SEED, spec=spec, workers=1
-    )
+    return run_random_campaigns(REPLICAS, root_seed=ROOT_SEED, spec=spec)
 
 
 def _measure_campaign_modes():
@@ -379,8 +378,9 @@ def _measure_live_overhead():
                 REPLICAS,
                 root_seed=ROOT_SEED,
                 spec=spec,
-                workers=1,
-                live_log=str(Path(tmp) / f"live-{i}.jsonl"),
+                options=RunOptions(
+                    live_log=str(Path(tmp) / f"live-{i}.jsonl")
+                ),
             )
             round_walls["live"] = live.metrics.wall_time_s
             summaries["live"] = live.value

@@ -22,6 +22,7 @@ import pytest
 
 from repro.analysis.reports import render_table
 from repro.faults.campaign import CampaignReplicaSpec
+from repro.runtime.runner import RunOptions
 from repro.runtime.workloads import run_random_campaigns
 from repro.units import ms
 
@@ -39,11 +40,12 @@ _CACHE: dict[str, tuple] = {}
 
 
 def run_both():
-    serial = run_random_campaigns(
-        REPLICAS, root_seed=ROOT_SEED, spec=SPEC, workers=1
-    )
+    serial = run_random_campaigns(REPLICAS, root_seed=ROOT_SEED, spec=SPEC)
     parallel = run_random_campaigns(
-        REPLICAS, root_seed=ROOT_SEED, spec=SPEC, workers=WORKERS
+        REPLICAS,
+        root_seed=ROOT_SEED,
+        spec=SPEC,
+        options=RunOptions(workers=WORKERS),
     )
     _CACHE["runs"] = (serial, parallel)
     return serial, parallel

@@ -22,6 +22,7 @@ import os
 import time
 
 from repro.faults.campaign import CampaignReplicaSpec
+from repro.runtime.runner import RunOptions
 from repro.runtime.workloads import run_random_campaigns
 from repro.storage import CampaignStore
 from repro.storage.query import confusion, nff_ratio
@@ -42,13 +43,15 @@ def _dir_bytes(root) -> int:
 def _time_store(replicas: int, store_root):
     """(plain outcome, stored outcome, query seconds) for the gate."""
     plain = run_random_campaigns(
-        replicas, root_seed=ROOT_SEED, spec=SPEC, workers=1,
-        chunk_size=CHUNK_SIZE,
+        replicas, root_seed=ROOT_SEED, spec=SPEC,
+        options=RunOptions(chunk_size=CHUNK_SIZE),
     )
     stored = run_random_campaigns(
-        replicas, root_seed=ROOT_SEED, spec=SPEC, workers=1,
-        chunk_size=CHUNK_SIZE, store=str(store_root),
-        store_meta={"campaign_id": "bench", "format": "json"},
+        replicas, root_seed=ROOT_SEED, spec=SPEC,
+        options=RunOptions(
+            chunk_size=CHUNK_SIZE, store=str(store_root),
+            campaign_id="bench", store_format="json",
+        ),
     )
     t0 = time.perf_counter()
     store = CampaignStore(store_root)

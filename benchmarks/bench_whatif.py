@@ -21,6 +21,7 @@ from dataclasses import replace
 
 from repro.faults.campaign import CampaignReplicaSpec
 from repro.replay import load_baseline, whatif
+from repro.runtime.runner import RunOptions
 from repro.runtime.workloads import run_random_campaigns
 from repro.units import ms
 
@@ -41,9 +42,10 @@ def run_all(ledger_path: str):
         REPLICAS,
         root_seed=ROOT_SEED,
         spec=SPEC,
-        workers=1,
-        checkpoint=ledger_path,
-        checkpoint_meta={"command": "mc", "params": params},
+        options=RunOptions(
+            checkpoint=ledger_path,
+            invocation={"command": "mc", "params": params},
+        ),
     )
     baseline = load_baseline(ledger_path)
     target_replica = next(
@@ -61,7 +63,6 @@ def run_all(ledger_path: str):
         REPLICAS,
         root_seed=ROOT_SEED,
         spec=replace(SPEC, suppress_faults=(selector,)),
-        workers=1,
     )
     wall_fresh = time.perf_counter() - t0
     return baseline, replayed, fresh, wall_replay, wall_fresh

@@ -24,9 +24,13 @@ Commands
 ``resume PATH``
     Continue an interrupted checkpointed campaign from its JSONL ledger
     (written by ``mc``/``fleet``/``campaign --checkpoint PATH``).  The
-    ledger header records the original invocation; already-completed
-    replicas are loaded, the rest are executed, and the final aggregate
-    is bit-identical to an uninterrupted run.
+    ledger header records the original argv; ``resume`` re-parses it,
+    applies every global flag typed to ``resume`` itself (``--workers``,
+    ``--store``, ``--metrics-json``, ...), loads the already-completed
+    replicas and executes the rest — the final aggregate is
+    bit-identical to an uninterrupted run.  The ledger's identity check
+    refuses flags that would change the campaign (``--seed``; for ``mc``
+    also ``--trace``/``--profile``/``--provenance``).
 
 ``query [WHAT] --store DIR``
     Offline analytics over a columnar campaign store written with
@@ -171,45 +175,41 @@ def _emit_completeness(outcome) -> None:
             print(f"  - {line}")
 
 
-def _checkpoint_kwargs(args: argparse.Namespace, command: str, params: dict):
-    """Runner keyword arguments shared by the campaign-style commands.
+def _run_options(args: argparse.Namespace):
+    """The :class:`~repro.runtime.runner.RunOptions` of one command.
 
-    One invocation record serves the ledger header, the store manifest
-    and the live log's run header (the runner merges checkpoint/store
-    meta into ``run_started``), so ``repro resume`` and ``repro whatif``
-    rebuild the same campaign from either artefact — obs flags included.
+    Built once per run from the parsed namespace.  Its invocation record
+    serves the ledger header, the store manifest and the live log:
+    ``params`` is the namespace minus the command, the checkpoint path
+    and private names (``repro whatif`` rebuilds an ``mc`` spec from
+    it), and ``argv`` is what ``repro resume`` re-parses.
     """
-    store = getattr(args, "store", None)
-    meta = {
-        "command": command,
-        "params": {
-            "seed": args.seed,
-            "workers": args.workers,
-            "trace": args.trace,
-            "profile": args.profile,
-            "provenance": args.provenance,
-            "metrics_json": args.metrics_json,
-            "salvage": args.salvage,
-            "store": store,
-            "campaign_id": args.campaign_id,
-            "store_format": args.store_format,
-            "live_log": getattr(args, "live_log", None),
-            **params,
-        },
+    from repro.errors import ConfigurationError
+    from repro.runtime.runner import RunOptions
+
+    params = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "checkpoint") and not key.startswith("_")
     }
-    return {
-        "on_exhausted": "salvage" if args.salvage else "serial",
-        "checkpoint": getattr(args, "checkpoint", None),
-        "resume": bool(getattr(args, "_resume", False)),
-        "checkpoint_meta": meta,
-        "store": store,
-        "store_meta": {
-            "campaign_id": args.campaign_id,
-            "format": args.store_format,
-            **meta,
-        },
-        "live_log": getattr(args, "live_log", None),
-    }
+    try:
+        return RunOptions(
+            workers=args.workers,
+            on_exhausted="salvage" if args.salvage else "serial",
+            checkpoint=args.checkpoint,
+            resume=args._resume,
+            store=args.store,
+            campaign_id=args.campaign_id,
+            store_format=args.store_format,
+            live_log=args.live_log,
+            invocation={
+                "command": args.command,
+                "params": params,
+                "argv": args._argv,
+            },
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"store setup failed: {exc}") from None
 
 
 def _emit_store(args: argparse.Namespace) -> None:
@@ -256,15 +256,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.analysis.scenarios import CATALOGUE, run_campaign
 
+    options = _run_options(args)
     print(
         f"running {len(CATALOGUE)} scenarios "
         f"(workers={args.workers}) ..."
     )
-    result = run_campaign(
-        seeds=(args.seed,),
-        workers=args.workers,
-        **_checkpoint_kwargs(args, "campaign", {}),
-    )
+    result = run_campaign(seeds=(args.seed,), options=options)
     matrix = result.score.matrix
     print(
         render_table(
@@ -304,44 +301,25 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 def cmd_mc(args: argparse.Namespace) -> int:
     from repro.faults.campaign import CampaignReplicaSpec
     from repro.runtime.workloads import run_random_campaigns
-    from repro.units import ms
 
+    options = _run_options(args)
     if args.replicas <= 0:
         print("0 replicas — nothing to run, nothing to aggregate")
         return 0
-    want_trace = bool(args.trace) or args.profile
-    spec = CampaignReplicaSpec(
-        expected_faults=args.expected_faults,
-        horizon_us=ms(args.horizon_ms),
-        obs_enabled=want_trace,
-        obs_trace=want_trace,
-        obs_provenance=args.provenance,
-    )
+    spec = CampaignReplicaSpec.from_flags(vars(args))
     print(
         f"running {args.replicas} stochastic campaigns "
         f"(workers={args.workers}, horizon={args.horizon_ms} ms) ..."
     )
     outcome = run_random_campaigns(
-        args.replicas,
-        root_seed=args.seed,
-        spec=spec,
-        workers=args.workers,
-        **_checkpoint_kwargs(
-            args,
-            "mc",
-            {
-                "replicas": args.replicas,
-                "expected_faults": args.expected_faults,
-                "horizon_ms": args.horizon_ms,
-            },
-        ),
+        args.replicas, root_seed=args.seed, spec=spec, options=options
     )
     summary = outcome.value
     if not outcome.results:
         _emit_completeness(outcome)
         print("no replicas completed — no aggregate to report")
         return 1
-    if want_trace:
+    if spec.obs_trace:
         _emit_mc_obs(args, outcome, summary)
     print(
         render_table(
@@ -438,6 +416,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.core.fleet import analyse_fleet
     from repro.units import ms
 
+    options = _run_options(args)
     print(
         f"simulating {args.vehicles} vehicles "
         f"(workers={args.workers}, drive={args.drive_ms} ms) ..."
@@ -447,16 +426,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         fault_probability=args.fault_prob,
         drive_duration_us=ms(args.drive_ms),
-        workers=args.workers,
-        **_checkpoint_kwargs(
-            args,
-            "fleet",
-            {
-                "vehicles": args.vehicles,
-                "fault_prob": args.fault_prob,
-                "drive_ms": args.drive_ms,
-            },
-        ),
+        options=options,
     )
     totals = result.report.totals()
     print(
@@ -775,78 +745,61 @@ def cmd_whatif(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Parser defaults of the options ``resume`` may override; a post-
-#: ``resume`` flag wins over the recorded invocation only when it
-#: differs from the default (the seed is deliberately NOT overridable —
-#: it is part of the ledger's campaign identity).
-_RESUME_OVERRIDABLE: dict[str, object] = {
-    "workers": 1,
-    "metrics_json": None,
-    "trace": None,
-    "profile": False,
-    "salvage": False,
-    "store": None,
-    "campaign_id": "default",
-    "store_format": "auto",
-    "live_log": None,
-}
-
-#: Per-command parser defaults ``cmd_resume`` starts from before
-#: applying the ledger's recorded params.
-_RESUME_COMMAND_DEFAULTS: dict[str, dict[str, object]] = {
-    "mc": {"replicas": 20, "expected_faults": 3.0, "horizon_ms": 2_000},
-    "campaign": {},
-    "fleet": {"vehicles": 10, "fault_prob": 0.6, "drive_ms": 2_000},
-}
-
-
 def cmd_resume(args: argparse.Namespace) -> int:
+    """Re-run the ledger's recorded argv plus the global flags typed here.
+
+    Every global flag typed before or after ``resume`` wins, whatever
+    its value; ``--checkpoint`` is forced to the ledger.  Flags that
+    would change the campaign are refused by the ledger's identity check
+    (:meth:`~repro.runtime.checkpoint.CheckpointLedger.open`): ``--seed``
+    changes the root seed, and for ``mc`` the obs flags change the spec
+    digest.
+    """
     from repro.errors import ConfigurationError
     from repro.runtime.checkpoint import read_header
 
+    meta = read_header(args.path)
+    where = f"checkpoint ledger {args.path}"
+    command, argv = meta.get("command"), meta.get("argv")
+    if command not in ("mc", "fleet", "campaign"):
+        raise ConfigurationError(
+            f"{where} does not record a resumable command (got "
+            f"{command!r}); write it with "
+            "`python -m repro <mc|fleet|campaign> --checkpoint PATH`"
+        )
+    if argv is None:
+        raise ConfigurationError(
+            f"{where} predates argv replay: its header records no argv. "
+            "`repro whatif` still reads it; to resume, re-run the campaign"
+        )
+    if not isinstance(argv, list) or not all(
+        isinstance(token, str) for token in argv
+    ):
+        raise ConfigurationError(
+            f"{where} records argv {argv!r}, not a list of strings"
+        )
     try:
-        meta = read_header(args.path)
-    except ConfigurationError as exc:
-        print(
-            f"invalid checkpoint ledger {args.path}: {exc}",
-            file=sys.stderr,
+        resumed = _build_parser().parse_args(argv)
+    except SystemExit:
+        raise ConfigurationError(
+            f"{where} records an argv the parser rejects: {argv!r}"
+        ) from None
+    if resumed.command != command:
+        raise ConfigurationError(
+            f"{where} records command {command!r}, but its argv runs "
+            f"{resumed.command!r}"
         )
-        return 1
-    command = meta.get("command")
-    if command not in _RESUME_COMMAND_DEFAULTS:
-        print(
-            f"ledger {args.path} does not record a resumable command "
-            f"(got {command!r}); write it with "
-            "`python -m repro <mc|fleet|campaign> --checkpoint PATH`",
-            file=sys.stderr,
-        )
-        return 2
-    ns: dict[str, object] = {
-        "seed": 42,
-        "provenance": False,
-        **_RESUME_OVERRIDABLE,
-        **_RESUME_COMMAND_DEFAULTS[command],
-    }
-    params = meta.get("params") or {}
-    ns.update({k: v for k, v in params.items() if k in ns})
-    for key, default in _RESUME_OVERRIDABLE.items():
-        value = getattr(args, key, default)
-        if value != default:
-            ns[key] = value
-    ns["checkpoint"] = args.path
-    ns["_resume"] = True
-    ns["command"] = command
-    resumed = argparse.Namespace(**ns)
+    vars(resumed).update(
+        _typed_global_options(args._argv),
+        checkpoint=args.path,
+        _argv=argv,
+        _resume=True,
+    )
     print(
         f"resuming {command} campaign from {args.path} "
         f"(seed {resumed.seed}, workers={resumed.workers}) ..."
     )
-    handler = {"mc": cmd_mc, "campaign": cmd_campaign, "fleet": cmd_fleet}[
-        command
-    ]
-    if command != "mc" and (resumed.trace or resumed.profile):
-        return _run_observed(handler, resumed)
-    return handler(resumed)
+    return _dispatch(resumed)
 
 
 #: Global options accepted both before and after the subcommand.
@@ -988,7 +941,20 @@ def _add_global_options(
         parser.add_argument(*flags, **kwargs)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _typed_global_options(argv: list[str]) -> dict[str, object]:
+    """Exactly the global options typed in ``argv``, with their values.
+
+    A second parse with every default suppressed: an absent flag leaves
+    no attribute, so a typed value counts even when it equals the
+    default.  Later occurrences win, as in the main parse.
+    """
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_global_options(parser, suppress=True)
+    typed, _others = parser.parse_known_args(argv)
+    return vars(typed)
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="DECOS maintenance-oriented fault model reproduction",
@@ -1164,52 +1130,63 @@ def main(argv: list[str] | None = None) -> int:
     whatif_cmd.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
     )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
     args = parser.parse_args(argv)
-    commands = {
-        "demo": cmd_demo,
-        "campaign": cmd_campaign,
-        "mc": cmd_mc,
-        "fleet": cmd_fleet,
-        "scenario": cmd_scenario,
-        "list": cmd_list,
-        "bathtub": cmd_bathtub,
-        "obs": cmd_obs,
-        "explain": cmd_explain,
-        "resume": cmd_resume,
-        "query": cmd_query,
-        "monitor": cmd_monitor,
-        "whatif": cmd_whatif,
-    }
     if args.command is None:
         parser.print_help()
         return 1
-    if getattr(args, "store", None):
-        # Fail fast on an unusable store target: a bad campaign id or a
-        # format the host cannot write must be reported before hours of
-        # simulation, not when write_run finally runs after the reduce.
-        from repro.errors import ConfigurationError
-        from repro.storage.backend import resolve_format
-        from repro.storage.writer import validate_campaign_id
+    vars(args).update(_argv=argv, _resume=False)
+    return _dispatch(args)
 
-        try:
-            resolve_format(args.store_format)
-            validate_campaign_id(args.campaign_id)
-        except ConfigurationError as exc:
-            print(f"store setup failed: {exc}", file=sys.stderr)
-            return 1
-    if args.command in (
-        "obs",
-        "mc",
-        "explain",
-        "resume",
-        "query",
-        "monitor",
-        "whatif",
-    ) or not (
-        getattr(args, "trace", None) or getattr(args, "profile", False)
-    ):
-        return commands[args.command](args)
-    return _run_observed(commands[args.command], args)
+
+_COMMANDS = {
+    "demo": cmd_demo,
+    "campaign": cmd_campaign,
+    "mc": cmd_mc,
+    "fleet": cmd_fleet,
+    "scenario": cmd_scenario,
+    "list": cmd_list,
+    "bathtub": cmd_bathtub,
+    "obs": cmd_obs,
+    "explain": cmd_explain,
+    "resume": cmd_resume,
+    "query": cmd_query,
+    "monitor": cmd_monitor,
+    "whatif": cmd_whatif,
+}
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run one parsed command; ``main()`` and ``resume`` both end here.
+
+    A :class:`~repro.errors.ConfigurationError` the command does not
+    handle itself — a store that cannot be set up, a checkpoint ledger
+    that does not match the campaign — ends it with the message on
+    stderr and exit status 1.
+    """
+    from repro.errors import ConfigurationError
+
+    command = _COMMANDS[args.command]
+    try:
+        if args.command in (
+            "obs",
+            "mc",
+            "explain",
+            "resume",
+            "query",
+            "monitor",
+            "whatif",
+        ) or not (args.trace or args.profile):
+            return command(args)
+        return _run_observed(command, args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 def _run_observed(command, args: argparse.Namespace) -> int:

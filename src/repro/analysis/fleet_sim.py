@@ -32,7 +32,7 @@ from repro.errors import AnalysisError
 from repro.faults.injector import FaultInjector
 from repro.presets import figure10_cluster
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask
+from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOptions
 from repro.units import ms, seconds
 
 #: Non safety-critical jobs of the reference vehicle that can carry a
@@ -155,15 +155,7 @@ def simulate_diagnosed_fleet(
     hot_fraction: float = 0.2,
     hot_share: float = 0.8,
     *,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    on_exhausted: str = "serial",
-    checkpoint: str | None = None,
-    resume: bool = False,
-    checkpoint_meta: dict | None = None,
-    store: str | None = None,
-    store_meta: dict | None = None,
-    live_log: str | None = None,
+    options: RunOptions = RunOptions(),
 ) -> DiagnosedFleetResult:
     """Simulate ``n_vehicles`` full vehicles and collect OEM field data.
 
@@ -173,8 +165,9 @@ def simulate_diagnosed_fleet(
     ``drive_duration_us`` with the integrated diagnosis running; every
     job-inherent-software verdict becomes one field report.
 
-    ``workers > 1`` fans the vehicles out over a spawn-safe process pool;
-    the result is bit-identical to ``workers=1`` for the same ``seed``.
+    ``options.workers > 1`` fans the vehicles out over a spawn-safe
+    process pool; the result is bit-identical to one worker for the same
+    ``seed``.
     """
     if n_vehicles < 1:
         raise AnalysisError("need at least one vehicle")
@@ -192,20 +185,9 @@ def simulate_diagnosed_fleet(
     runner = ParallelCampaignRunner(
         simulate_vehicle,
         lambda values: reduce_fleet(values, spec),
-        workers=workers,
-        chunk_size=chunk_size,
-        on_exhausted=on_exhausted,
+        options=options,
     )
-    outcome = runner.run(
-        [spec] * n_vehicles,
-        root_seed=seed,
-        checkpoint=checkpoint,
-        resume=resume,
-        checkpoint_meta=checkpoint_meta,
-        store=store,
-        store_meta=store_meta,
-        live_log=live_log,
-    )
+    outcome = runner.run([spec] * n_vehicles, root_seed=seed)
     if not outcome.results:
         raise AnalysisError(
             "no vehicles completed: "

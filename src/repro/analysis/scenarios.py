@@ -30,7 +30,7 @@ from repro.errors import AnalysisError
 from repro.faults.injector import FaultInjector
 from repro.presets import Figure10Parts, figure10_cluster
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask
+from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOptions
 from repro.units import ms, seconds
 
 
@@ -399,37 +399,29 @@ def run_campaign(
     scenarios: tuple[Scenario, ...] = CATALOGUE,
     seeds: tuple[int, ...] = (7,),
     *,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    on_exhausted: str = "serial",
-    checkpoint: str | None = None,
-    resume: bool = False,
-    checkpoint_meta: dict | None = None,
-    store: str | None = None,
-    store_meta: dict | None = None,
-    live_log: str | None = None,
+    options: RunOptions = RunOptions(),
 ) -> CampaignResult:
     """Run every scenario on every seed; score classification and costs.
 
     Each scenario runs in its own fresh cluster (faults do not interact),
     which matches how the per-class figures of the paper are defined.
 
-    With ``workers > 1`` the (scenario, seed) grid is fanned out over the
-    parallel runtime; the aggregate is identical to a serial run, but
-    ``runs`` is empty (full :class:`ScenarioRun` objects — live clusters
-    and services — do not cross process boundaries).  Parallel execution
-    requires every scenario to come from :data:`CATALOGUE`.  So does a
-    ``checkpoint``, ``store`` or ``live_log``, which route even a
-    ``workers <= 1`` run through the runner (with one worker).
+    With ``options.workers > 1`` the (scenario, seed) grid is fanned out
+    over the parallel runtime; the aggregate is identical to a serial
+    run, but ``runs`` is empty (full :class:`ScenarioRun` objects — live
+    clusters and services — do not cross process boundaries).  Parallel
+    execution requires every scenario to come from :data:`CATALOGUE`.
+    So does a ``checkpoint``, ``store`` or ``live_log``, which route even
+    a one-worker run through the runner.
     """
     specs = [
         (scenario.name, seed) for seed in seeds for scenario in scenarios
     ]
     if (
-        workers > 1
-        or checkpoint is not None
-        or store is not None
-        or live_log is not None
+        options.workers > 1
+        or options.checkpoint is not None
+        or options.store is not None
+        or options.live_log is not None
     ):
         # The serial fast path below keeps live ScenarioRun objects and
         # bypasses the runner; the process pool, the checkpoint's chunked
@@ -444,22 +436,9 @@ def run_campaign(
                 f"{sorted(unknown)!r}"
             )
         runner = ParallelCampaignRunner(
-            run_catalogue_cell,
-            reduce_catalogue_cells,
-            workers=max(workers, 1),
-            chunk_size=chunk_size,
-            on_exhausted=on_exhausted,
+            run_catalogue_cell, reduce_catalogue_cells, options=options
         )
-        outcome = runner.run(
-            specs,
-            root_seed=0,
-            checkpoint=checkpoint,
-            resume=resume,
-            checkpoint_meta=checkpoint_meta,
-            store=store,
-            store_meta=store_meta,
-            live_log=live_log,
-        )
+        outcome = runner.run(specs, root_seed=0)
         result = (
             outcome.value
             if outcome.results

@@ -165,7 +165,7 @@ def synthesize_fleet_parallel(
     Returns a :class:`repro.runtime.runner.RunOutcome` whose ``value``
     is the merged :class:`FleetReport`.
     """
-    from repro.runtime.runner import ParallelCampaignRunner
+    from repro.runtime.runner import ParallelCampaignRunner, RunOptions
 
     if n_vehicles < 1:
         raise AnalysisError("need at least one vehicle")
@@ -182,7 +182,9 @@ def synthesize_fleet_parallel(
         for lo in range(0, n_vehicles, shard_vehicles)
     ]
     runner = ParallelCampaignRunner(
-        _synthesize_shard, merge_fleet_reports, workers=workers
+        _synthesize_shard,
+        merge_fleet_reports,
+        options=RunOptions(workers=workers),
     )
     return runner.run(shards, root_seed=root_seed)
 

@@ -16,8 +16,9 @@ an explicit time-acceleration — while preserving the mechanism mix.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -314,6 +315,26 @@ class CampaignReplicaSpec:
     # spec's digest is a pure function of the campaign parameters.
     suppress_faults: tuple[str, ...] = ()
     disable_onas: tuple[str, ...] = ()
+
+    @classmethod
+    def from_flags(cls, flags: Mapping[str, Any]) -> CampaignReplicaSpec:
+        """The spec ``repro mc`` runs for a set of its flags.
+
+        ``flags`` is the parsed CLI namespace (``vars(args)``) or the
+        ``params`` recorded from it in a ledger header or store manifest,
+        so ``repro mc`` and ``repro whatif`` build the spec — and its
+        digest — through this one mapping.  ``--profile`` turns
+        observability on like ``--trace`` does: the profile is rendered
+        from the replicas' span records.
+        """
+        want_trace = bool(flags.get("trace")) or bool(flags.get("profile"))
+        return cls(
+            expected_faults=float(flags["expected_faults"]),
+            horizon_us=ms(int(flags["horizon_ms"])),
+            obs_enabled=want_trace,
+            obs_trace=want_trace,
+            obs_provenance=bool(flags.get("provenance")),
+        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,7 +35,6 @@ from repro.runtime.runner import ReplicaResult
 from repro.storage.codec import decode
 from repro.storage.schema import tables_for_kind
 from repro.storage.store import CampaignStore
-from repro.units import ms
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,25 +62,6 @@ class CampaignBaseline:
     def events_simulated(self) -> int:
         """Total simulated events of the full baseline run."""
         return sum(o.events_simulated for o in self.outcomes())
-
-
-def _spec_from_params(params: dict[str, Any]) -> CampaignReplicaSpec:
-    """Rebuild the ``mc`` spec exactly as ``cmd_mc`` constructed it."""
-    try:
-        expected_faults = float(params["expected_faults"])
-        horizon_ms = int(params["horizon_ms"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"baseline params do not describe an mc campaign: {exc!r}"
-        ) from None
-    want_trace = bool(params.get("trace")) or bool(params.get("profile"))
-    return CampaignReplicaSpec(
-        expected_faults=expected_faults,
-        horizon_us=ms(horizon_ms),
-        obs_enabled=want_trace,
-        obs_trace=want_trace,
-        obs_provenance=bool(params.get("provenance")),
-    )
 
 
 def _read_store(
@@ -144,7 +124,12 @@ def load_baseline(
     root_seed = meta["root_seed"]
     replicas = meta["replicas"]
     params = dict(meta.get("params") or {})
-    spec = _spec_from_params(params)
+    try:
+        spec = CampaignReplicaSpec.from_flags(params)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{where} params do not describe an mc campaign: {exc!r}"
+        ) from None
     # Coverage first: it bounds ``replicas`` by what the artefact holds
     # before the digest materialises one spec per replica.
     if len(results) != replicas or set(results) != set(range(replicas)):

@@ -47,6 +47,7 @@ from repro.faults.campaign import (
 from repro.faults.suppress import matching_events, parse_selectors
 from repro.replay.baseline import CampaignBaseline
 from repro.runtime.metrics import RunMetrics
+from repro.runtime.runner import RunOptions
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,7 +282,7 @@ def whatif(
         baseline.replicas,
         root_seed=baseline.root_seed,
         spec=counterfactual_spec,
-        workers=workers,
+        options=RunOptions(workers=workers),
         preloaded={i: baseline.results[i] for i in spliced},
     )
     by_index = {r.index: r.value for r in outcome.results}

@@ -39,6 +39,7 @@ from repro.runtime.runner import (
     ReplicaFailure,
     ReplicaResult,
     ReplicaTask,
+    RunOptions,
     RunOutcome,
 )
 from repro.runtime.seeds import (
@@ -56,6 +57,7 @@ __all__ = [
     "ReplicaResult",
     "ReplicaTask",
     "RunMetrics",
+    "RunOptions",
     "RunOutcome",
     "load_ledger",
     "read_header",

@@ -8,9 +8,9 @@ written next to the campaign:
 
 * a **header** line binds the ledger to one campaign — root seed, a
   SHA-256 digest of ``(root_seed, specs)``, replica count, chunk size,
-  worker count, plus optional CLI provenance (``command``/``params``)
-  that lets ``python -m repro resume PATH`` rebuild the exact
-  invocation;
+  worker count, plus the CLI's invocation record (``command``,
+  ``params`` and ``argv``); ``python -m repro resume PATH`` re-parses
+  that ``argv`` to rebuild the exact invocation;
 * one **chunk** line per completed chunk — the replica indices, the
   kind of their values and the chunk's results as the declared store
   tables (:mod:`repro.storage.schema`, written by
@@ -234,14 +234,15 @@ class CheckpointLedger:
         chunk_size: int,
         workers: int,
         resume: bool,
-        command: str | None = None,
-        params: dict[str, Any] | None = None,
+        invocation: dict[str, Any] | None = None,
     ) -> tuple["CheckpointLedger", dict[int, ReplicaResult]]:
         """Open the ledger for one runner session.
 
         Fresh runs (or ``resume`` against a missing file) truncate and
-        write a new header; resumes validate the existing header against
-        the campaign and return the replica results already covered.
+        write a new header, which carries the ``invocation`` record's
+        keys (``command``/``params``/``argv``) beside the campaign
+        identity; resumes validate the existing header against the
+        campaign and return the replica results already covered.
         """
         path = Path(path)
         digest = spec_digest(root_seed, specs)
@@ -282,6 +283,7 @@ class CheckpointLedger:
             )
         else:
             header = {
+                **(invocation or {}),
                 "kind": "header",
                 "version": LEDGER_VERSION,
                 "root_seed": int(root_seed),
@@ -291,10 +293,6 @@ class CheckpointLedger:
                 "spec_digest": digest,
                 "wall": time.time(),
             }
-            if command is not None:
-                header["command"] = command
-            if params is not None:
-                header["params"] = params
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text("", encoding="utf-8")  # truncate stale ledger
             ledger._append(header)

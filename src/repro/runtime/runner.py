@@ -60,6 +60,7 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait as wait_exited
 from pathlib import Path
 from typing import Any
 
@@ -83,6 +84,67 @@ FALLBACK_WORKER = "serial-fallback"
 
 #: Retry-exhaustion policies (see class docstring).
 EXHAUSTION_POLICIES = ("serial", "salvage")
+
+
+@dataclass(frozen=True, slots=True)
+class RunOptions:
+    """How one campaign runs: built once, passed unopened to the runner.
+
+    The CLI builds one value from its parsed global options; the
+    workload functions hand it to :class:`ParallelCampaignRunner` as is.
+    Every field is validated here, so a bad value fails before any
+    simulation.
+
+    ``workers`` processes (``1`` runs serially in-process: no pool, no
+    pickling); ``chunk_size`` replicas per submitted chunk (by default
+    about four chunks per worker, which amortises submission overhead
+    while keeping crash blast radius and tail latency small);
+    ``on_exhausted`` after retry exhaustion: ``"serial"`` finishes
+    unrecovered chunks in the parent, ``"salvage"`` returns a partial
+    :class:`RunOutcome` with a completeness report.  The ledger
+    (``checkpoint``/``resume``), store (``store``/``campaign_id``/
+    ``store_format``) and ``live_log`` are described under
+    :meth:`ParallelCampaignRunner.run`.  ``invocation`` is the CLI's
+    record of the run, ``{"command", "params", "argv"}``: the ledger
+    header keeps all three (``repro resume`` re-parses the ``argv``),
+    the store manifest ``command`` and ``params``, the live log
+    ``command``.
+    """
+
+    workers: int = 1
+    chunk_size: int | None = None
+    on_exhausted: str = "serial"
+    checkpoint: str | Path | None = None
+    resume: bool = False
+    store: str | Path | None = None
+    campaign_id: str = "default"
+    store_format: str = "auto"
+    live_log: str | Path | None = None
+    invocation: dict[str, Any] | None = None
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(
+                f"workers must be <= {MAX_WORKERS}, got {self.workers}"
+            )
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if self.on_exhausted not in EXHAUSTION_POLICIES:
+            raise ValueError(
+                f"on_exhausted must be one of {EXHAUSTION_POLICIES}, "
+                f"got {self.on_exhausted!r}"
+            )
+        if self.store is not None:
+            # A bad campaign id or a format the host cannot write must
+            # fail now, not when write_run runs after hours of simulation.
+            from repro.storage.backend import resolve_format
+            from repro.storage.writer import validate_campaign_id
+
+            resolve_format(self.store_format)
+            validate_campaign_id(self.campaign_id)
+
 
 @dataclass(frozen=True, slots=True)
 class ReplicaTask:
@@ -262,14 +324,10 @@ class ParallelCampaignRunner:
         index.  Defaults to returning the tuple of values.  Never called
         for an empty campaign — ``run([])`` short-circuits to an empty
         outcome instead of handing ``[]`` to fold reducers that reject it.
-    workers:
-        Worker processes.  ``1`` (default) runs serially in-process —
-        no pool, no pickling, the exact same code path a single replica
-        takes inside a worker.
-    chunk_size:
-        Replicas per submitted chunk.  Defaults to a size that yields
-        roughly four chunks per worker (amortises submission overhead
-        while keeping crash blast radius and tail latency small).
+    options:
+        The :class:`RunOptions` of the run: worker count (``1`` runs in
+        the parent, the same code path a replica takes in a worker),
+        chunk size, exhaustion policy, ledger, store and live log.
     max_retries:
         Pool rebuilds / replica retries allowed after crashes or task
         exceptions before the ``on_exhausted`` policy applies.
@@ -282,11 +340,6 @@ class ParallelCampaignRunner:
         workers still alive afterwards are reported as
         ``leaked_worker_pids`` in :class:`RunMetrics` instead of being
         silently left behind while the next pool starts.
-    on_exhausted:
-        ``"serial"`` (default) finishes unrecovered chunks in the parent
-        process; ``"salvage"`` returns a partial :class:`RunOutcome`
-        carrying :class:`ReplicaFailure` records and a completeness
-        report.
     stall_timeout_s:
         Live-telemetry runs only: a pooled chunk whose worker has not
         stamped a heartbeat for this long is suspected stalled and
@@ -310,22 +363,14 @@ class ParallelCampaignRunner:
         task: Callable[[ReplicaTask], Any],
         reduce: Callable[[list[Any]], Any] | None = None,
         *,
-        workers: int = 1,
-        chunk_size: int | None = None,
+        options: RunOptions = RunOptions(),
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
         shutdown_timeout_s: float = 5.0,
-        on_exhausted: str = "serial",
         stall_timeout_s: float | None = 30.0,
         stall_poll_s: float = 1.0,
         straggler_factor: float = 4.0,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > MAX_WORKERS:
-            raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if retry_backoff_s < 0:
@@ -335,11 +380,6 @@ class ParallelCampaignRunner:
         if shutdown_timeout_s < 0:
             raise ValueError(
                 f"shutdown_timeout_s must be >= 0, got {shutdown_timeout_s}"
-            )
-        if on_exhausted not in EXHAUSTION_POLICIES:
-            raise ValueError(
-                f"on_exhausted must be one of {EXHAUSTION_POLICIES}, "
-                f"got {on_exhausted!r}"
             )
         if stall_timeout_s is not None and stall_timeout_s <= 0:
             raise ValueError(
@@ -355,12 +395,10 @@ class ParallelCampaignRunner:
             )
         self.task = task
         self.reduce = reduce
-        self.workers = workers
-        self.chunk_size = chunk_size
+        self.options = options
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.shutdown_timeout_s = shutdown_timeout_s
-        self.on_exhausted = on_exhausted
         self.stall_timeout_s = stall_timeout_s
         self.stall_poll_s = stall_poll_s
         self.straggler_factor = straggler_factor
@@ -372,13 +410,7 @@ class ParallelCampaignRunner:
         specs: Sequence[Any],
         root_seed: int = 0,
         *,
-        checkpoint: str | Path | None = None,
-        resume: bool = False,
-        checkpoint_meta: dict[str, Any] | None = None,
-        store: str | Path | None = None,
-        store_meta: dict[str, Any] | None = None,
         preloaded: dict[int, ReplicaResult] | None = None,
-        live_log: str | Path | None = None,
         live: Any = None,
     ) -> RunOutcome:
         """Execute one replica per spec; reduce deterministically.
@@ -387,22 +419,20 @@ class ParallelCampaignRunner:
         ``SeedSequence(root_seed, spawn_key=(i,))``.  Pass ``range(n)``
         (or ``[spec] * n``) for homogeneous campaigns.
 
-        With ``checkpoint`` every completed chunk is appended to a
-        durable JSONL ledger at that path; ``resume=True`` additionally
-        loads any matching ledger first and re-executes only the
-        replicas it does not cover.  The reduced aggregate of an
-        interrupted-then-resumed run is bit-identical to an
+        With ``options.checkpoint`` every completed chunk is appended
+        to a durable JSONL ledger at that path; ``options.resume``
+        additionally loads any matching ledger first and re-executes
+        only the replicas it does not cover.  The reduced aggregate of
+        an interrupted-then-resumed run is bit-identical to an
         uninterrupted one (the ledger stores the full per-replica
         values, and the reduce always sees all of them in index order).
 
-        With ``store`` the reduced outcome is additionally flattened
-        into the columnar campaign store rooted at that directory
-        (:mod:`repro.storage`) — one part per ``(campaign id, plan
-        digest, spec digest)``, written after the reduce so a
+        With ``options.store`` the reduced outcome is additionally
+        flattened into the columnar campaign store rooted at that
+        directory (:mod:`repro.storage`) — one part per ``(campaign id,
+        plan digest, spec digest)``, written after the reduce so a
         resumed-then-stored run produces the identical part an
-        uninterrupted run would.  ``store_meta`` may carry
-        ``campaign_id`` and ``command``/``params`` labels for the part
-        manifest.
+        uninterrupted run would.
 
         ``preloaded`` splices externally supplied per-replica results
         (index → :class:`ReplicaResult`) into the outcome without
@@ -414,7 +444,7 @@ class ParallelCampaignRunner:
         ``replicas_resumed`` — which is precisely how the
         replay-equivalence battery proves only affected replicas re-ran.
 
-        With ``live_log`` (or an explicit ``live`` bus, a
+        With ``options.live_log`` (or an explicit ``live`` bus, a
         :class:`repro.obs.live.LiveEventBus`) the run additionally
         streams lifecycle telemetry — chunk submissions/completions,
         worker heartbeats, retries, checkpoint flushes, stall and
@@ -426,6 +456,7 @@ class ParallelCampaignRunner:
         ``tests/obs/test_live.py`` asserts).  Without either argument
         the runner takes the exact pre-telemetry code path.
         """
+        options = self.options
         tasks = [
             ReplicaTask(index=i, root_seed=int(root_seed), spec=spec)
             for i, spec in enumerate(specs)
@@ -440,7 +471,7 @@ class ParallelCampaignRunner:
                 results=(),
                 metrics=RunMetrics.from_results(
                     replicas=0,
-                    workers=self.workers,
+                    workers=options.workers,
                     chunk_size=chunk_size,
                     wall_time_s=0.0,
                     retries=0,
@@ -469,28 +500,27 @@ class ParallelCampaignRunner:
 
         ledger = None
         preloaded = spliced
-        if checkpoint is not None:
+        if options.checkpoint is not None:
             from repro.runtime.checkpoint import CheckpointLedger
 
-            meta = checkpoint_meta or {}
             ledger, resumed = CheckpointLedger.open(
-                checkpoint,
+                options.checkpoint,
                 root_seed=int(root_seed),
                 specs=specs,
                 chunk_size=chunk_size,
-                workers=self.workers,
-                resume=resume,
-                command=meta.get("command"),
-                params=meta.get("params"),
+                workers=options.workers,
+                resume=options.resume,
+                invocation=options.invocation,
             )
             # Ledger-resumed results fill the gaps; explicit splices win.
             preloaded = {**resumed, **preloaded}
 
+        live_log = options.live_log
         bus = live
         owns_bus = bus is None and live_log is not None
         monitor = None
         heartbeat_dir = None
-        pooled = not (self.workers == 1 or len(tasks) <= 1)
+        pooled = not (options.workers == 1 or len(tasks) <= 1)
         if bus is not None or live_log is not None:
             # Lazy import: runs without telemetry never pay for it.
             from repro.obs.live import (
@@ -501,14 +531,13 @@ class ParallelCampaignRunner:
 
             if bus is None:
                 bus = LiveEventBus([JsonlLiveSink(live_log)])
-            meta = {**(store_meta or {}), **(checkpoint_meta or {})}
             bus.emit(
                 "run_started",
                 replicas=len(tasks),
                 replicas_resumed=len(preloaded),
-                workers=self.workers,
+                workers=options.workers,
                 chunk_size=chunk_size,
-                command=meta.get("command"),
+                command=(options.invocation or {}).get("command"),
                 root_seed=int(root_seed),
             )
             if pooled:
@@ -560,7 +589,9 @@ class ParallelCampaignRunner:
         have = {r.index for r in results}
         duplicates = len(results) - len(have)
         missing = sorted(expected - have - set(failures))
-        if duplicates or missing or (failures and self.on_exhausted != "salvage"):
+        if duplicates or missing or (
+            failures and options.on_exhausted != "salvage"
+        ):
             # Structurally impossible after the dedup fix unless a
             # subclass or reducer misbehaves — keep the guard.
             raise SimulationError(
@@ -576,7 +607,7 @@ class ParallelCampaignRunner:
             busy[r.worker] = busy.get(r.worker, 0.0) + r.elapsed_s
         metrics = RunMetrics.from_results(
             replicas=len(tasks),
-            workers=self.workers,
+            workers=options.workers,
             chunk_size=chunk_size,
             wall_time_s=wall,
             retries=retries,
@@ -609,7 +640,7 @@ class ParallelCampaignRunner:
             if owns_bus:
                 self._write_prom_snapshot(live_log, outcome)
                 bus.close()
-        if store is not None:
+        if options.store is not None:
             # Deferred import: the storage package is sim-free and the
             # runner must stay importable without it paying for (or the
             # query path depending on) this write path.
@@ -617,22 +648,24 @@ class ParallelCampaignRunner:
             from repro.storage.writer import write_run
 
             write_run(
-                store,
+                options.store,
                 outcome,
                 root_seed=int(root_seed),
                 spec_digest=spec_digest(int(root_seed), specs),
-                meta=store_meta,
+                campaign_id=options.campaign_id,
+                store_format=options.store_format,
+                invocation=options.invocation,
             )
         return outcome
 
     # -- internals --------------------------------------------------------
 
     def _effective_chunk_size(self, n: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
+        if self.options.chunk_size is not None:
+            return self.options.chunk_size
         if n == 0:
             return 1
-        target_chunks = 4 * self.workers
+        target_chunks = 4 * self.options.workers
         return max(1, -(-n // target_chunks))
 
     def _chunked(
@@ -709,7 +742,7 @@ class ParallelCampaignRunner:
         records like everywhere else.
         """
         done: dict[int, ReplicaResult] = dict(preloaded)
-        capture = self.on_exhausted == "salvage"
+        capture = self.options.on_exhausted == "salvage"
         for cid, chunk in enumerate(self._chunked(tasks, chunk_size)):
             # Drop already-completed replicas before running the chunk:
             # a resume with a different chunk size never runs one twice.
@@ -761,7 +794,8 @@ class ParallelCampaignRunner:
             newly_failed: list[int] = []
             ctx = multiprocessing.get_context("spawn")
             executor = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending)), mp_context=ctx
+                max_workers=min(self.options.workers, len(pending)),
+                mp_context=ctx,
             )
             try:
 
@@ -864,7 +898,7 @@ class ParallelCampaignRunner:
                 pending[next_cid] = chunk
                 next_cid += 1
 
-        if self.on_exhausted == "serial":
+        if self.options.on_exhausted == "serial":
             # Last resort: finish in the parent so the run completes,
             # each leftover chunk under its own id.  Exceptions propagate
             # here — after max_retries identical failures there is no
@@ -927,16 +961,26 @@ class ParallelCampaignRunner:
 
         ``shutdown(wait=False, cancel_futures=True)`` alone can leave
         spawn workers alive while the next pool starts (they only exit
-        once they notice the closed call queue).  Join each worker with
-        a shared deadline and surface whoever is still alive so
+        once they notice the closed call queue).  Wait for every worker
+        with a shared deadline and surface whoever has not exited so
         :class:`RunMetrics` can report the leak instead of hiding it.
+
+        Exit is read from each process's sentinel, never from
+        ``is_alive()``: the executor's own management thread reaps the
+        same children, and a worker it reaped first reads as alive to
+        ``is_alive()`` (its ``waitpid`` fails and reports no exit).
         """
-        procs = list((executor._processes or {}).values())
+        running = {
+            proc.sentinel: proc.pid
+            for proc in (executor._processes or {}).values()
+        }
         executor.shutdown(wait=False, cancel_futures=True)
-        leaked: list[int] = []
         deadline = time.monotonic() + self.shutdown_timeout_s
-        for proc in procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive() and proc.pid is not None:
-                leaked.append(proc.pid)
-        return leaked
+        while running:
+            remaining = deadline - time.monotonic()
+            exited = wait_exited(list(running), timeout=max(0.0, remaining))
+            for sentinel in exited:
+                del running[sentinel]
+            if remaining <= 0:
+                break
+        return sorted(pid for pid in running.values() if pid is not None)

@@ -30,7 +30,12 @@ from repro.core.ona import onas_without
 from repro.faults.injector import FaultInjector
 from repro.faults.suppress import selectors_for_replica
 from repro.presets import figure10_cluster
-from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOutcome
+from repro.runtime.runner import (
+    ParallelCampaignRunner,
+    ReplicaTask,
+    RunOptions,
+    RunOutcome,
+)
 
 
 def run_campaign_replica(replica: ReplicaTask) -> CampaignReplicaOutcome:
@@ -161,27 +166,18 @@ def run_random_campaigns(
     root_seed: int = 0,
     spec: CampaignReplicaSpec | None = None,
     *,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    max_retries: int = 2,
-    on_exhausted: str = "serial",
-    checkpoint: str | None = None,
-    resume: bool = False,
-    checkpoint_meta: dict | None = None,
-    store: str | None = None,
-    store_meta: dict | None = None,
+    options: RunOptions = RunOptions(),
     preloaded: dict | None = None,
-    live_log: str | None = None,
-    stall_timeout_s: float | None = 30.0,
 ) -> RunOutcome:
     """Run ``replicas`` independent stochastic campaigns.
 
     Returns a :class:`~repro.runtime.runner.RunOutcome` whose ``value``
     is the deterministic :class:`CampaignSummary` aggregate — identical
-    for every ``workers`` setting given the same ``root_seed``, and for
-    an interrupted run resumed from its ``checkpoint`` ledger.
-    ``replicas=0`` yields the runner's explicit empty outcome (value
-    ``()``) instead of tripping the summary's empty-campaign check.
+    for every ``options.workers`` setting given the same ``root_seed``,
+    and for an interrupted run resumed from its ``options.checkpoint``
+    ledger.  ``replicas=0`` yields the runner's explicit empty outcome
+    (value ``()``) instead of tripping the summary's empty-campaign
+    check.
 
     ``preloaded`` splices already-known per-replica results (index →
     :class:`~repro.runtime.runner.ReplicaResult`) straight into the
@@ -189,33 +185,13 @@ def run_random_campaigns(
     uses it to re-run only DAG-affected replicas.  The runner's metrics
     count only fresh work, so ``events_simulated``/``replicas_resumed``
     prove what was spliced.
-
-    ``live_log`` streams in-flight lifecycle telemetry (progress, worker
-    heartbeats, stall/straggler flags) to a JSONL sidecar readable by
-    ``repro monitor``; it never influences the simulation or any
-    canonical digest.  ``stall_timeout_s`` tunes the heartbeat deadline
-    for the live path's stall detector.
     """
     if replicas < 0:
         raise ValueError(f"replicas must be >= 0, got {replicas}")
     runner = ParallelCampaignRunner(
-        run_campaign_replica,
-        _reduce_campaign,
-        workers=workers,
-        chunk_size=chunk_size,
-        max_retries=max_retries,
-        on_exhausted=on_exhausted,
-        stall_timeout_s=stall_timeout_s,
+        run_campaign_replica, _reduce_campaign, options=options
     )
     spec = spec if spec is not None else CampaignReplicaSpec()
     return runner.run(
-        [spec] * replicas,
-        root_seed=root_seed,
-        checkpoint=checkpoint,
-        resume=resume,
-        checkpoint_meta=checkpoint_meta,
-        store=store,
-        store_meta=store_meta,
-        preloaded=preloaded,
-        live_log=live_log,
+        [spec] * replicas, root_seed=root_seed, preloaded=preloaded
     )

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 
-#: Store formats accepted by ``--store-format`` / ``REPRO_STORE_FORMAT``.
+#: Store formats accepted by ``--store-format``.
 FORMATS = ("auto", "json", "parquet")
 
 

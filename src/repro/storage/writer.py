@@ -63,30 +63,23 @@ def write_run(
     *,
     root_seed: int,
     spec_digest: str,
-    meta: dict[str, Any] | None = None,
-    fmt: str | None = None,
+    campaign_id: str = "default",
+    store_format: str = "auto",
+    invocation: dict[str, Any] | None = None,
 ) -> Path:
     """Persist one reduced run as a store part; returns the part path.
 
-    ``meta`` may carry ``campaign_id`` (partition label, default
-    ``"default"``), ``format`` (overrides ``fmt``), and ``command`` /
-    ``params`` labels copied into the manifest for provenance.  The part
-    is written into a temporary sibling directory and swapped in with a
-    directory rename, so readers never observe a half-written part and
-    rewriting an existing part is atomic.
+    ``campaign_id`` is the partition label and ``store_format`` one of
+    :data:`~repro.storage.backend.FORMATS`; the ``command`` and
+    ``params`` of the CLI's ``invocation`` record are copied into the
+    manifest for provenance.  The part is written into a temporary
+    sibling directory and swapped in with a directory rename, so readers
+    never observe a half-written part and rewriting an existing part is
+    atomic.
     """
-    meta = dict(meta or {})
-    campaign_id = validate_campaign_id(
-        str(meta.get("campaign_id") or "default")
-    )
-    resolved = resolve_format(
-        str(
-            fmt
-            or meta.get("format")
-            or os.environ.get("REPRO_STORE_FORMAT", "auto")
-        )
-    )
-    backend = get_backend(resolved)
+    campaign_id = validate_campaign_id(campaign_id)
+    backend = get_backend(resolve_format(store_format))
+    invocation = invocation or {}
 
     kind, tables = encode(outcome.results, root_seed, outcome.failures)
     plan_digest = getattr(outcome.value, "plan_digest", None)
@@ -119,8 +112,8 @@ def write_run(
             "replicas": len(outcome.results),
             "failed": len(outcome.failures),
             "complete": not outcome.failures,
-            "command": meta.get("command"),
-            "params": meta.get("params"),
+            "command": invocation.get("command"),
+            "params": invocation.get("params"),
             "files": files,
         }
         (tmp_dir / MANIFEST_NAME).write_text(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.faults.campaign import CampaignReplicaSpec
 from repro.obs import trace_digest
+from repro.runtime.runner import RunOptions
 from repro.runtime.workloads import run_random_campaigns
 from repro.units import ms
 
@@ -77,14 +78,15 @@ def run_campaign(
     chunk=2,
     workers=1,
     spec=FULL_OBS_SPEC,
-    **kwargs,
+    **options,
 ):
-    """One campaign through the parallel runner, battery defaults."""
+    """One campaign through the parallel runner, battery defaults.
+
+    Keyword ``options`` are further :class:`RunOptions` fields.
+    """
     return run_random_campaigns(
         replicas,
         root_seed=seed,
         spec=spec,
-        workers=workers,
-        chunk_size=chunk,
-        **kwargs,
+        options=RunOptions(workers=workers, chunk_size=chunk, **options),
     )

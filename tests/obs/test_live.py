@@ -40,7 +40,7 @@ from repro.obs.live import (
     stamp_heartbeat,
     summarize_live,
 )
-from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask
+from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOptions
 
 DATA = Path(__file__).parent.parent / "data"
 GOLDEN_LOG = DATA / "golden_live_log.jsonl"
@@ -357,9 +357,9 @@ def test_render_report_without_header_says_total_unknown():
 
 def test_runner_serial_live_log_end_to_end(tmp_path):
     path = tmp_path / "live.jsonl"
-    outcome = ParallelCampaignRunner(double_task, chunk_size=2).run(
-        [None] * 5, root_seed=3, live_log=path
-    )
+    outcome = ParallelCampaignRunner(
+        double_task, options=RunOptions(chunk_size=2, live_log=path)
+    ).run([None] * 5, root_seed=3)
     assert outcome.value == (0, 2, 4, 6, 8)
     records, skipped = read_live_log(path)
     assert skipped == 0
@@ -384,8 +384,10 @@ def test_runner_serial_live_log_end_to_end(tmp_path):
 def test_runner_pool_live_log_reports_pool_workers(tmp_path):
     path = tmp_path / "live.jsonl"
     outcome = ParallelCampaignRunner(
-        double_task, workers=2, chunk_size=1, retry_backoff_s=0.0
-    ).run([None] * 4, root_seed=3, live_log=path)
+        double_task,
+        options=RunOptions(workers=2, chunk_size=1, live_log=path),
+        retry_backoff_s=0.0,
+    ).run([None] * 4, root_seed=3)
     assert outcome.value == (0, 2, 4, 6)
     summary, report = monitor_once(path)
     assert summary["finished"] is True
@@ -405,12 +407,14 @@ def test_runner_pool_live_log_reports_pool_workers(tmp_path):
 
 def test_runner_checkpoint_flushes_reach_the_live_log(tmp_path):
     path = tmp_path / "live.jsonl"
-    ParallelCampaignRunner(ledgered_task, chunk_size=2).run(
-        [None] * 4,
-        root_seed=1,
-        checkpoint=tmp_path / "ledger.jsonl",
-        live_log=path,
-    )
+    ParallelCampaignRunner(
+        ledgered_task,
+        options=RunOptions(
+            chunk_size=2,
+            checkpoint=tmp_path / "ledger.jsonl",
+            live_log=path,
+        ),
+    ).run([None] * 4, root_seed=1)
     records, _ = read_live_log(path)
     flushes = [r for r in records if r["kind"] == "checkpoint_flushed"]
     assert len(flushes) == 2
@@ -445,13 +449,16 @@ def test_live_bus_does_not_perturb_campaign_digests(tmp_path, workers):
         obs_enabled=True,
         obs_trace=True,
     )
-    off = run_random_campaigns(6, root_seed=11, spec=spec, workers=workers)
+    off = run_random_campaigns(
+        6, root_seed=11, spec=spec, options=RunOptions(workers=workers)
+    )
     on = run_random_campaigns(
         6,
         root_seed=11,
         spec=spec,
-        workers=workers,
-        live_log=str(tmp_path / f"live-{workers}.jsonl"),
+        options=RunOptions(
+            workers=workers, live_log=str(tmp_path / f"live-{workers}.jsonl")
+        ),
     )
     assert on.value == off.value  # plan digest, counters, every replica
     assert on.value.obs_counters == off.value.obs_counters
@@ -477,9 +484,9 @@ def _scrape(port: int) -> tuple[str, str]:
 
 def test_serve_metrics_once_prefers_prom_sidecar(tmp_path):
     live = tmp_path / "live.jsonl"
-    ParallelCampaignRunner(double_task).run(
-        [None] * 3, root_seed=0, live_log=live
-    )
+    ParallelCampaignRunner(
+        double_task, options=RunOptions(live_log=live)
+    ).run([None] * 3, root_seed=0)
     expected = (tmp_path / "live.jsonl.prom").read_text(encoding="utf-8")
     started = threading.Event()
     ports: list[int] = []

@@ -167,7 +167,7 @@ def test_rewritten_spec_round_trips_through_checkpoint_header(
         seed=seed,
         spec=spec,
         checkpoint=ledger,
-        checkpoint_meta={"command": "mc", "params": {}},
+        invocation={"command": "mc", "params": {}},
     )
     state = load_ledger(ledger)
     assert state.meta["spec_digest"] == spec_digest(seed, [spec] * 2)
@@ -203,7 +203,8 @@ def test_rewritten_plan_round_trips_through_store_columns(
         seed=seed,
         spec=spec,
         store=str(tmp),
-        store_meta={"campaign_id": "c1", "format": "json"},
+        campaign_id="c1",
+        store_format="json",
     )
     part = CampaignStore(tmp).parts()[0]
     table = part.table("plan_events")

@@ -51,7 +51,7 @@ def _checkpoint_baseline(tmp_path, *, replicas=4, seed=11, spec=FULL_OBS_SPEC):
         seed=seed,
         spec=spec,
         checkpoint=ledger,
-        checkpoint_meta={"command": "mc", "params": params},
+        invocation={"command": "mc", "params": params},
     )
     return outcome, load_baseline(ledger)
 
@@ -71,12 +71,9 @@ def _store_baseline(tmp_path, *, replicas=4, seed=11, spec=FULL_OBS_SPEC, chunk=
         spec=spec,
         chunk=chunk,
         store=str(tmp_path),
-        store_meta={
-            "campaign_id": "c1",
-            "format": "json",
-            "command": "mc",
-            "params": params,
-        },
+        campaign_id="c1",
+        store_format="json",
+        invocation={"command": "mc", "params": params},
     )
     return outcome, load_baseline(tmp_path)
 
@@ -209,9 +206,9 @@ def test_whatif_store_baseline_equals_fresh(tmp_path):
         seed=seed,
         spec=spec,
         store=str(tmp_path),
-        store_meta={
-            "campaign_id": "c1",
-            "format": "json",
+        campaign_id="c1",
+        store_format="json",
+        invocation={
             "command": "mc",
             "params": {
                 "replicas": replicas,
@@ -234,7 +231,7 @@ def test_obs_store_baseline_equals_ledger_baseline(tmp_path):
     part; both decode to the run's own results, trace records and wall
     stamps included, so both replay it identically."""
     spec = FULL_OBS_SPEC
-    meta = {
+    invocation = {
         "command": "mc",
         "params": {
             "replicas": 4,
@@ -248,9 +245,10 @@ def test_obs_store_baseline_equals_ledger_baseline(tmp_path):
         replicas=4,
         spec=spec,
         checkpoint=tmp_path / "baseline.ckpt",
-        checkpoint_meta=meta,
         store=str(tmp_path / "store"),
-        store_meta={"campaign_id": "c1", "format": "json", **meta},
+        campaign_id="c1",
+        store_format="json",
+        invocation=invocation,
     )
     from_ledger = load_baseline(tmp_path / "baseline.ckpt")
     from_store = load_baseline(tmp_path / "store")

@@ -47,7 +47,7 @@ def _write_baseline(tmp_path: Path):
         seed=GOLDEN_SEED,
         spec=FULL_OBS_SPEC,
         checkpoint=ledger,
-        checkpoint_meta={"command": "mc", "params": params},
+        invocation={"command": "mc", "params": params},
     )
     return ledger
 
@@ -155,6 +155,24 @@ def test_obs_store_and_ledger_scan_identically(tmp_path, capsys):
     assert from_store["entries"] == from_ledger["entries"]
     assert from_store["baseline_summary"] == from_ledger["baseline_summary"]
     assert [e["affected"] for e in from_store["entries"]] == [2, 1, 2, 0, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("flags", [["--profile"], ["--trace", "t.jsonl"]], ids=["profile", "trace"])
+def test_profile_or_trace_alone_writes_a_replayable_baseline(tmp_path, capsys, flags):
+    """``--profile`` turns obs on exactly like ``--trace``, both when
+    ``repro mc`` builds its spec and when ``repro whatif`` rebuilds it
+    from the recorded flags, so either flag alone replays."""
+    ledger = tmp_path / "led.jsonl"
+    flags = [str(tmp_path / flag) if flag.endswith(".jsonl") else flag for flag in flags]
+    argv = ["--seed", "11", "--checkpoint", str(ledger), *flags]
+    assert main([*argv, "mc", "--replicas", "2", "--horizon-ms", "300"]) == 0
+    capsys.readouterr()
+    baseline = load_baseline(ledger)
+    assert baseline.spec.obs_enabled and baseline.spec.obs_trace
+    assert not baseline.spec.obs_provenance
+    assert main(["whatif", str(ledger), "--without-ona", "wearout", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rewrite"]["without_onas"] == ["wearout"]
 
 
 # -- end-to-end subprocess pipeline -----------------------------------------

@@ -23,7 +23,7 @@ from repro.runtime.checkpoint import (
     read_header,
     spec_digest,
 )
-from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask
+from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOptions
 from repro.runtime.seeds import stream_fingerprint
 from repro.runtime.workloads import run_random_campaigns
 from repro.units import ms
@@ -52,6 +52,14 @@ def draw_task(replica: ReplicaTask) -> CampaignReplicaOutcome:
         verdicts_emitted=0,
         events_simulated=0,
         alpha_state=(("draw", float(replica.rng().random())),),
+    )
+
+
+def _draws(checkpoint=None, *, chunk_size=2, **options) -> ParallelCampaignRunner:
+    """The draw task under a ledger at ``checkpoint``."""
+    return ParallelCampaignRunner(
+        draw_task,
+        options=RunOptions(chunk_size=chunk_size, checkpoint=checkpoint, **options),
     )
 
 
@@ -104,8 +112,7 @@ def test_spec_digest_identity():
 
 def test_ledger_roundtrip(tmp_path):
     path = tmp_path / "ledger.jsonl"
-    runner = ParallelCampaignRunner(draw_task, chunk_size=2)
-    outcome = runner.run([None] * 5, root_seed=7, checkpoint=path)
+    outcome = _draws(path).run([None] * 5, root_seed=7)
     state = load_ledger(path)
     assert sorted(state.results_by_index) == [0, 1, 2, 3, 4]
     assert state.sessions == 1
@@ -126,11 +133,8 @@ def test_ledger_roundtrip(tmp_path):
 
 def test_resume_of_complete_ledger_executes_nothing(tmp_path):
     path = tmp_path / "ledger.jsonl"
-    runner = ParallelCampaignRunner(draw_task, chunk_size=2)
-    first = runner.run([None] * 5, root_seed=7, checkpoint=path)
-    second = runner.run(
-        [None] * 5, root_seed=7, checkpoint=path, resume=True
-    )
+    first = _draws(path).run([None] * 5, root_seed=7)
+    second = _draws(path, resume=True).run([None] * 5, root_seed=7)
     assert second.values() == first.values()
     m = second.metrics
     assert m.replicas_resumed == 5
@@ -144,28 +148,23 @@ def test_resume_of_complete_ledger_executes_nothing(tmp_path):
 def test_interrupted_then_resumed_equivalence_toy(tmp_path):
     """Truncated ledger (simulated crash) + resume == uninterrupted,
     for both a serial and a pooled resume."""
-    reference = ParallelCampaignRunner(draw_task, chunk_size=2).run(
-        [None] * 8, root_seed=13
-    )
+    reference = _draws().run([None] * 8, root_seed=13)
     full = tmp_path / "full.jsonl"
-    ParallelCampaignRunner(draw_task, chunk_size=2).run(
-        [None] * 8, root_seed=13, checkpoint=full
-    )
+    _draws(full).run([None] * 8, root_seed=13)
     for workers in (1, 3):
         trunc = tmp_path / f"trunc-w{workers}.jsonl"
         kept = _truncate_to_first_chunk(full, trunc)
         assert 0 < kept < 8
-        resumed = ParallelCampaignRunner(
-            draw_task, workers=workers, chunk_size=2
-        ).run([None] * 8, root_seed=13, checkpoint=trunc, resume=True)
+        resumed = _draws(trunc, resume=True, workers=workers).run(
+            [None] * 8, root_seed=13
+        )
         assert resumed.values() == reference.values()
         assert resumed.metrics.replicas_resumed == kept
 
 
 def test_corrupted_tail_is_skipped_and_reexecuted(tmp_path):
     path = tmp_path / "ledger.jsonl"
-    runner = ParallelCampaignRunner(draw_task, chunk_size=2)
-    first = runner.run([None] * 5, root_seed=7, checkpoint=path)
+    first = _draws(path).run([None] * 5, root_seed=7)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"kind": "chunk", "payload": "AAAA", "sha2')  # torn write
         fh.write("\n")
@@ -184,9 +183,7 @@ def test_corrupted_tail_is_skipped_and_reexecuted(tmp_path):
     state = load_ledger(path)
     assert state.skipped_lines == 2
     assert sorted(state.results_by_index) == [0, 1, 2, 3, 4]
-    resumed = runner.run(
-        [None] * 5, root_seed=7, checkpoint=path, resume=True
-    )
+    resumed = _draws(path, resume=True).run([None] * 5, root_seed=7)
     assert resumed.values() == first.values()
     assert resumed.metrics.replicas_resumed == 5
 
@@ -196,8 +193,7 @@ def test_stream_fingerprint_guard_forces_reexecution(tmp_path):
     is not trusted: the replica re-executes and the aggregate is still
     exactly the uninterrupted one."""
     path = tmp_path / "ledger.jsonl"
-    runner = ParallelCampaignRunner(draw_task, chunk_size=1)
-    first = runner.run([None] * 4, root_seed=7, checkpoint=path)
+    first = _draws(path, chunk_size=1).run([None] * 4, root_seed=7)
     lines = path.read_text(encoding="utf-8").splitlines()
     doctored = []
     tampered = False
@@ -215,8 +211,8 @@ def test_stream_fingerprint_guard_forces_reexecution(tmp_path):
     state = load_ledger(path)
     assert state.skipped_lines == 1
     assert len(state.results_by_index) == 3
-    resumed = runner.run(
-        [None] * 4, root_seed=7, checkpoint=path, resume=True
+    resumed = _draws(path, chunk_size=1, resume=True).run(
+        [None] * 4, root_seed=7
     )
     assert resumed.values() == first.values()
     assert resumed.metrics.replicas_resumed == 3
@@ -224,23 +220,23 @@ def test_stream_fingerprint_guard_forces_reexecution(tmp_path):
 
 def test_resume_rejects_mismatched_campaign(tmp_path):
     path = tmp_path / "ledger.jsonl"
-    runner = ParallelCampaignRunner(draw_task, chunk_size=2)
-    runner.run([None] * 5, root_seed=7, checkpoint=path)
+    _draws(path).run([None] * 5, root_seed=7)
+    resuming = _draws(path, resume=True)
     with pytest.raises(ConfigurationError, match="root_seed"):
-        runner.run([None] * 5, root_seed=8, checkpoint=path, resume=True)
+        resuming.run([None] * 5, root_seed=8)
     with pytest.raises(ConfigurationError, match="replicas"):
-        runner.run([None] * 6, root_seed=7, checkpoint=path, resume=True)
+        resuming.run([None] * 6, root_seed=7)
     with pytest.raises(ConfigurationError, match="spec_digest"):
-        runner.run(["x"] * 5, root_seed=7, checkpoint=path, resume=True)
+        resuming.run(["x"] * 5, root_seed=7)
 
 
 def test_fresh_run_truncates_stale_ledger(tmp_path):
     """Without resume=True an existing ledger is overwritten, never
     silently mixed into the new campaign."""
     path = tmp_path / "ledger.jsonl"
-    runner = ParallelCampaignRunner(draw_task, chunk_size=2)
-    runner.run([None] * 5, root_seed=7, checkpoint=path)
-    fresh = runner.run([None] * 3, root_seed=9, checkpoint=path)
+    runner = _draws(path)
+    runner.run([None] * 5, root_seed=7)
+    fresh = runner.run([None] * 3, root_seed=9)
     assert fresh.metrics.replicas_resumed == 0
     meta = read_header(path)
     assert meta["root_seed"] == 9
@@ -281,14 +277,18 @@ def test_ledger_open_records_command_provenance(tmp_path):
         chunk_size=1,
         workers=1,
         resume=False,
-        command="mc",
-        params={"seed": 3, "replicas": 2},
+        invocation={
+            "command": "mc",
+            "params": {"seed": 3, "replicas": 2},
+            "argv": ["--seed", "3", "mc", "--replicas", "2"],
+        },
     )
     ledger.close(completed=0, failed=0)
     assert preloaded == {}
     meta = read_header(path)
     assert meta["command"] == "mc"
     assert meta["params"] == {"seed": 3, "replicas": 2}
+    assert meta["argv"] == ["--seed", "3", "mc", "--replicas", "2"]
 
 
 def test_stream_fingerprint_shape():
@@ -307,7 +307,7 @@ def test_resumed_campaign_bit_identical_with_obs_digests(tmp_path):
     """Interrupted-then-resumed ≡ uninterrupted ≡ workers=1, including
     canonical obs trace digests, at workers=1 and workers=4."""
     reference = run_random_campaigns(
-        6, root_seed=11, spec=OBS_SPEC, workers=1, chunk_size=2
+        6, root_seed=11, spec=OBS_SPEC, options=RunOptions(chunk_size=2)
     )
     reference_digest = _obs_digest(reference)
     full = tmp_path / "full.jsonl"
@@ -315,9 +315,7 @@ def test_resumed_campaign_bit_identical_with_obs_digests(tmp_path):
         6,
         root_seed=11,
         spec=OBS_SPEC,
-        workers=1,
-        chunk_size=2,
-        checkpoint=str(full),
+        options=RunOptions(chunk_size=2, checkpoint=str(full)),
     )
     # Checkpointing itself must not perturb the campaign.
     assert checkpointed.value == reference.value
@@ -330,10 +328,12 @@ def test_resumed_campaign_bit_identical_with_obs_digests(tmp_path):
             6,
             root_seed=11,
             spec=OBS_SPEC,
-            workers=workers,
-            chunk_size=2,
-            checkpoint=str(trunc),
-            resume=True,
+            options=RunOptions(
+                workers=workers,
+                chunk_size=2,
+                checkpoint=str(trunc),
+                resume=True,
+            ),
         )
         # Bit-identical aggregate: full CampaignSummary equality covers
         # plan digest, attribution tables and merged obs counters; the
@@ -359,16 +359,14 @@ def test_mid_batch_resume_skips_completed_replicas(tmp_path):
     """
     spec = CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(300))
     reference = run_random_campaigns(
-        6, root_seed=11, spec=spec, workers=1, chunk_size=4
+        6, root_seed=11, spec=spec, options=RunOptions(chunk_size=4)
     )
     full = tmp_path / "full.jsonl"
     run_random_campaigns(
         6,
         root_seed=11,
         spec=spec,
-        workers=1,
-        chunk_size=4,
-        checkpoint=str(full),
+        options=RunOptions(chunk_size=4, checkpoint=str(full)),
     )
     trunc = tmp_path / "trunc.jsonl"
     kept = _truncate_to_first_chunk(full, trunc)
@@ -377,10 +375,7 @@ def test_mid_batch_resume_skips_completed_replicas(tmp_path):
         6,
         root_seed=11,
         spec=spec,
-        workers=1,
-        chunk_size=3,
-        checkpoint=str(trunc),
-        resume=True,
+        options=RunOptions(chunk_size=3, checkpoint=str(trunc), resume=True),
     )
     assert resumed.value == reference.value
     assert resumed.metrics.replicas_resumed == 4
@@ -396,10 +391,12 @@ def test_mid_batch_resume_skips_completed_replicas(tmp_path):
 def test_undeclared_value_type_fails_at_first_append(tmp_path):
     """Only declared value kinds can be checkpointed: a bare int has no
     tables, and the ledger says so before it writes any chunk."""
-    runner = ParallelCampaignRunner(_bare_int_task, chunk_size=2)
     path = tmp_path / "ledger.jsonl"
+    runner = ParallelCampaignRunner(
+        _bare_int_task, options=RunOptions(chunk_size=2, checkpoint=path)
+    )
     with pytest.raises(ConfigurationError, match="no declared storage kind"):
-        runner.run([None] * 4, root_seed=1, checkpoint=path)
+        runner.run([None] * 4, root_seed=1)
     assert [r["kind"] for r in _ledger_lines(path)] == ["header"]
 
 
@@ -407,7 +404,7 @@ def _bare_int_task(replica: ReplicaTask) -> int:
     return replica.index
 
 
-def _fleet(**kwargs):
+def _fleet(**options):
     from repro.analysis.fleet_sim import simulate_diagnosed_fleet
 
     result = simulate_diagnosed_fleet(
@@ -415,16 +412,17 @@ def _fleet(**kwargs):
         seed=21,
         fault_probability=0.7,
         drive_duration_us=ms(200),
-        chunk_size=1,
-        **kwargs,
+        options=RunOptions(chunk_size=1, **options),
     )
     return (result.report.counts.tolist(), result.vehicles_detected), result
 
 
-def _catalogue(**kwargs):
+def _catalogue(**options):
     from repro.analysis.scenarios import CATALOGUE, run_campaign
 
-    result = run_campaign(CATALOGUE[:2], seeds=(7,), chunk_size=1, **kwargs)
+    result = run_campaign(
+        CATALOGUE[:2], seeds=(7,), options=RunOptions(chunk_size=1, **options)
+    )
     return (
         result.score.matrix.rows(),
         result.integrated_cost.actions,
@@ -448,7 +446,7 @@ def test_every_declared_kind_resumes_and_stores_identically(
     reference, _ = run()
     full = tmp_path / "full.jsonl"
     store = tmp_path / "store"
-    run(checkpoint=str(full), store=str(store), store_meta={"format": "json"})
+    run(checkpoint=str(full), store=str(store), store_format="json")
     trunc = tmp_path / "trunc.jsonl"
     assert _truncate_to_first_chunk(full, trunc) == 1
     resumed, outcome = run(checkpoint=str(trunc), resume=True)

@@ -32,6 +32,7 @@ from repro.runtime.runner import (
     ParallelCampaignRunner,
     ReplicaFailure,
     ReplicaTask,
+    RunOptions,
 )
 
 _POLL_S = 0.01
@@ -135,6 +136,11 @@ def high_index_crash_task(replica: ReplicaTask) -> int:
     return replica.index
 
 
+def quick_task(replica: ReplicaTask) -> int:
+    """Returns at once, so pool teardown only waits for worker exit."""
+    return replica.index
+
+
 def sleepy_task(base: str) -> int:
     """Plain executor task: announce start, then outlive any timeout."""
     with open(
@@ -154,8 +160,7 @@ def test_crash_amid_completed_siblings_never_duplicates(tmp_path):
     counts only the chunk that genuinely re-ran."""
     runner = ParallelCampaignRunner(
         batch_crash_task,
-        workers=2,
-        chunk_size=1,
+        options=RunOptions(workers=2, chunk_size=1),
         max_retries=2,
         retry_backoff_s=0.0,
     )
@@ -178,8 +183,7 @@ def test_replica_exception_is_retried_to_success(tmp_path):
     transient failure therefore costs one retry, not the campaign."""
     runner = ParallelCampaignRunner(
         flaky_task,
-        workers=2,
-        chunk_size=2,
+        options=RunOptions(workers=2, chunk_size=2),
         max_retries=2,
         retry_backoff_s=0.0,
     )
@@ -199,8 +203,7 @@ def test_serial_policy_reraises_deterministic_exception(tmp_path):
     its real exception (from the parent fallback), not a crash wrapper."""
     runner = ParallelCampaignRunner(
         cursed_task,
-        workers=2,
-        chunk_size=2,
+        options=RunOptions(workers=2, chunk_size=2),
         max_retries=0,
         retry_backoff_s=0.0,
     )
@@ -220,8 +223,7 @@ def test_fallback_completes_run_with_distinct_worker_label(tmp_path):
     spec = (str(tmp_path), os.getpid())
     runner = ParallelCampaignRunner(
         parent_only_task,
-        workers=2,
-        chunk_size=2,
+        options=RunOptions(workers=2, chunk_size=2),
         max_retries=0,
         retry_backoff_s=0.0,
     )
@@ -242,8 +244,7 @@ def test_fallback_reports_its_chunks_to_the_live_log(tmp_path):
     spec = (str(tmp_path), os.getpid())
     runner = ParallelCampaignRunner(
         parent_only_task,
-        workers=2,
-        chunk_size=2,
+        options=RunOptions(workers=2, chunk_size=2),
         max_retries=0,
         retry_backoff_s=0.0,
     )
@@ -266,8 +267,7 @@ def test_fallback_label_never_merges_with_pool_workers(tmp_path):
     spec = (str(tmp_path), os.getpid())
     runner = ParallelCampaignRunner(
         high_index_crash_task,
-        workers=2,
-        chunk_size=2,
+        options=RunOptions(workers=2, chunk_size=2),
         max_retries=0,
         retry_backoff_s=0.0,
     )
@@ -286,9 +286,9 @@ def test_fallback_label_never_merges_with_pool_workers(tmp_path):
 
 
 def test_serial_path_uses_serial_label():
-    outcome = ParallelCampaignRunner(cursed_task, on_exhausted="salvage").run(
-        [None] * 3, root_seed=0
-    )
+    outcome = ParallelCampaignRunner(
+        cursed_task, options=RunOptions(on_exhausted="salvage")
+    ).run([None] * 3, root_seed=0)
     assert {r.worker for r in outcome.results} == {SERIAL_WORKER}
     assert set(outcome.metrics.worker_busy_s) == {SERIAL_WORKER}
 
@@ -299,11 +299,9 @@ def test_serial_path_uses_serial_label():
 def test_salvage_partial_outcome_for_deterministic_exception():
     runner = ParallelCampaignRunner(
         cursed_task,
-        workers=2,
-        chunk_size=2,
+        options=RunOptions(workers=2, chunk_size=2, on_exhausted="salvage"),
         max_retries=1,
         retry_backoff_s=0.0,
-        on_exhausted="salvage",
     )
     outcome = runner.run([None] * 4, root_seed=0)
     assert not outcome.complete
@@ -329,11 +327,9 @@ def test_salvage_partial_outcome_for_deterministic_exception():
 def test_salvage_records_worker_crash_as_structured_failure(tmp_path):
     runner = ParallelCampaignRunner(
         always_crash_task,
-        workers=2,
-        chunk_size=1,
+        options=RunOptions(workers=2, chunk_size=1, on_exhausted="salvage"),
         max_retries=1,
         retry_backoff_s=0.0,
-        on_exhausted="salvage",
     )
     outcome = runner.run([str(tmp_path)] * 4, root_seed=0)
     assert not outcome.complete
@@ -347,7 +343,7 @@ def test_salvage_records_worker_crash_as_structured_failure(tmp_path):
 
 def test_salvage_workers1_captures_exceptions():
     outcome = ParallelCampaignRunner(
-        cursed_task, on_exhausted="salvage"
+        cursed_task, options=RunOptions(on_exhausted="salvage")
     ).run([None] * 4, root_seed=0)
     assert not outcome.complete
     assert outcome.value == (0, 20, 30)
@@ -372,7 +368,7 @@ def test_replica_failure_describe():
 
 def test_on_exhausted_validated():
     with pytest.raises(ValueError, match="on_exhausted"):
-        ParallelCampaignRunner(cursed_task, on_exhausted="explode")
+        RunOptions(on_exhausted="explode")
 
 
 # -- worker teardown -------------------------------------------------------
@@ -406,6 +402,19 @@ def test_shutdown_reports_leaked_workers(tmp_path):
                     pass
     assert len(leaked) == 1
     assert leaked[0] > 0
+
+
+def test_exited_workers_are_not_reported_as_leaked():
+    """Healthy pooled runs report no leaked pid.  The executor's own
+    management thread reaps the same workers, and one it reaped first
+    must not read as still alive."""
+    runner = ParallelCampaignRunner(
+        quick_task, options=RunOptions(workers=2, chunk_size=1)
+    )
+    leaked = [
+        runner.run([None] * 4).metrics.leaked_worker_pids for _ in range(10)
+    ]
+    assert leaked == [()] * 10
 
 
 def test_metrics_carry_failure_and_leak_fields(tmp_path):

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import io
 import json
 import pickle
 import re
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,54 @@ def test_header_that_is_not_an_object(tmp_path, capsys, ledger_lines):
         load_ledger(path)
     assert main(["resume", str(path)]) == 1
     assert "header" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cli_ledger_lines(tmp_path_factory) -> list[str]:
+    """A ledger written by ``repro mc``: its header records the argv."""
+    path = tmp_path_factory.mktemp("cli-ledger") / "mc.jsonl"
+    argv = ["--seed", "11", "--checkpoint", str(path), "mc", "--replicas", "2", "--horizon-ms", "300"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0])["argv"] == argv
+    return lines
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda h, path: h.pop("argv"), "predates argv replay"),
+        (lambda h, path: h.update(argv="mc --replicas 2"), "not a list of strings"),
+        (lambda h, path: h.update(argv=["mc", "--replicas", 2]), "not a list of strings"),
+        (lambda h, path: h["argv"].extend(["--workers", "x"]), "parser rejects"),
+        (lambda h, path: h.update(argv=["resume", str(path)]), "its argv runs 'resume'"),
+        (lambda h, path: h.update(argv=["fleet", "--vehicles", "2"]), "its argv runs 'fleet'"),
+    ],
+    ids=[
+        "argv-missing",
+        "argv-string",
+        "argv-not-strings",
+        "argv-bad-workers",
+        "argv-resume",
+        "argv-other-command",
+    ],
+)
+def test_hostile_resume_header_ends_in_a_message(
+    tmp_path, capsys, cli_ledger_lines, edit, message
+):
+    """``repro resume`` re-parses the header's argv: an argv that is
+    missing (a ledger written before argv replay), not a list of
+    strings, rejected by the parser, naming ``resume`` itself or another
+    command than the header's ends with a message naming the ledger."""
+    path = tmp_path / "ledger.jsonl"
+    header = json.loads(cli_ledger_lines[0])
+    edit(header, path)
+    _write(tmp_path, [json.dumps(header, sort_keys=True), *cli_ledger_lines[1:]])
+    assert main(["resume", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint ledger {path}" in err
+    assert message in err
 
 
 def test_later_line_that_is_not_an_object_is_skipped(tmp_path, ledger_lines):

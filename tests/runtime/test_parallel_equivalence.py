@@ -17,6 +17,7 @@ from repro.analysis.scenarios import CATALOGUE, run_campaign
 from repro.core.fleet import synthesize_fleet_parallel
 from repro.errors import AnalysisError
 from repro.faults.campaign import CampaignReplicaSpec
+from repro.runtime.runner import RunOptions
 from repro.runtime.workloads import run_random_campaigns
 from repro.units import ms
 
@@ -25,8 +26,8 @@ SPEC = CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(400))
 
 def test_campaign_workers_1_vs_4_identical():
     """The ISSUE acceptance case: workers=4 == workers=1, bit for bit."""
-    serial = run_random_campaigns(6, root_seed=11, spec=SPEC, workers=1)
-    parallel = run_random_campaigns(6, root_seed=11, spec=SPEC, workers=4)
+    serial = run_random_campaigns(6, root_seed=11, spec=SPEC, options=RunOptions(workers=1))
+    parallel = run_random_campaigns(6, root_seed=11, spec=SPEC, options=RunOptions(workers=4))
     assert serial.value == parallel.value  # full CampaignSummary equality
     assert parallel.metrics.workers == 4
     assert len(parallel.metrics.worker_busy_s) >= 2
@@ -41,13 +42,13 @@ def test_campaign_obs_counters_aggregate_identically_across_workers():
         obs_enabled=True,
         obs_trace=True,
     )
-    serial = run_random_campaigns(6, root_seed=11, spec=spec, workers=1)
-    parallel = run_random_campaigns(6, root_seed=11, spec=spec, workers=4)
+    serial = run_random_campaigns(6, root_seed=11, spec=spec, options=RunOptions(workers=1))
+    parallel = run_random_campaigns(6, root_seed=11, spec=spec, options=RunOptions(workers=4))
     assert serial.value.obs_counters is not None
     assert serial.value.obs_counters == parallel.value.obs_counters
     assert serial.value == parallel.value
     # Enabling obs must not perturb the campaign itself.
-    baseline = run_random_campaigns(6, root_seed=11, spec=SPEC, workers=1)
+    baseline = run_random_campaigns(6, root_seed=11, spec=SPEC, options=RunOptions(workers=1))
     assert baseline.value.plan_digest == serial.value.plan_digest
     assert baseline.value.events_simulated == serial.value.events_simulated
     # Replica-tagged trace records come back through the reduce.
@@ -67,8 +68,8 @@ def test_campaign_provenance_aggregates_identically_across_workers():
         obs_enabled=True,
         obs_provenance=True,
     )
-    serial = run_random_campaigns(6, root_seed=11, spec=spec, workers=1)
-    parallel = run_random_campaigns(6, root_seed=11, spec=spec, workers=4)
+    serial = run_random_campaigns(6, root_seed=11, spec=spec, options=RunOptions(workers=1))
+    parallel = run_random_campaigns(6, root_seed=11, spec=spec, options=RunOptions(workers=4))
     counters = serial.value.obs_counters
     assert counters is not None
     assert counters == parallel.value.obs_counters
@@ -85,21 +86,25 @@ def test_campaign_provenance_aggregates_identically_across_workers():
     }
     assert sum(chains.values()) >= 6  # at least one chain per replica
     # Lineage must not perturb the campaign itself.
-    baseline = run_random_campaigns(6, root_seed=11, spec=SPEC, workers=1)
+    baseline = run_random_campaigns(6, root_seed=11, spec=SPEC, options=RunOptions(workers=1))
     assert baseline.value.plan_digest == serial.value.plan_digest
     assert baseline.value.events_simulated == serial.value.events_simulated
 
 
 def test_campaign_different_root_seed_different_plans():
-    a = run_random_campaigns(4, root_seed=1, spec=SPEC, workers=1)
-    b = run_random_campaigns(4, root_seed=2, spec=SPEC, workers=1)
+    a = run_random_campaigns(4, root_seed=1, spec=SPEC, options=RunOptions(workers=1))
+    b = run_random_campaigns(4, root_seed=2, spec=SPEC, options=RunOptions(workers=1))
     assert a.value.plan_digest != b.value.plan_digest
 
 
 def test_campaign_chunking_does_not_change_summary():
     """Chunk layout is an execution detail, not a statistical one."""
-    a = run_random_campaigns(5, root_seed=4, spec=SPEC, workers=1, chunk_size=1)
-    b = run_random_campaigns(5, root_seed=4, spec=SPEC, workers=1, chunk_size=5)
+    a = run_random_campaigns(
+        5, root_seed=4, spec=SPEC, options=RunOptions(chunk_size=1)
+    )
+    b = run_random_campaigns(
+        5, root_seed=4, spec=SPEC, options=RunOptions(chunk_size=5)
+    )
     assert a.value == b.value
 
 
@@ -107,8 +112,10 @@ def test_diagnosed_fleet_workers_equivalence():
     kwargs = dict(
         seed=21, fault_probability=0.7, drive_duration_us=ms(300)
     )
-    serial = simulate_diagnosed_fleet(4, workers=1, **kwargs)
-    parallel = simulate_diagnosed_fleet(4, workers=2, **kwargs)
+    serial = simulate_diagnosed_fleet(4, **kwargs)
+    parallel = simulate_diagnosed_fleet(
+        4, options=RunOptions(workers=2), **kwargs
+    )
     assert np.array_equal(serial.report.counts, parallel.report.counts)
     assert serial.report.hot_types == parallel.report.hot_types
     assert serial.vehicles_with_fault == parallel.vehicles_with_fault
@@ -121,13 +128,14 @@ def test_catalogue_campaign_workers_equivalence(tmp_path):
     """The pooled runner and the runner at workers=1 (taken because of
     the checkpoint) both reproduce the serial fast path's aggregate."""
     scenarios = CATALOGUE[:3]
-    serial = run_campaign(scenarios, seeds=(7,), workers=1)
-    parallel = run_campaign(scenarios, seeds=(7,), workers=2)
+    serial = run_campaign(scenarios, seeds=(7,))
+    parallel = run_campaign(
+        scenarios, seeds=(7,), options=RunOptions(workers=2)
+    )
     checkpointed = run_campaign(
         scenarios,
         seeds=(7,),
-        workers=1,
-        checkpoint=str(tmp_path / "catalogue.jsonl"),
+        options=RunOptions(checkpoint=str(tmp_path / "catalogue.jsonl")),
     )
     for run in (parallel, checkpointed):
         assert serial.score.matrix.rows() == run.score.matrix.rows()
@@ -158,13 +166,12 @@ def test_catalogue_campaign_rejects_foreign_scenarios_in_parallel(tmp_path):
         "not-in-catalogue", lambda inj: None, ms(100), FaultClass.COMPONENT_INTERNAL
     )
     with pytest.raises(AnalysisError):
-        run_campaign((foreign,), seeds=(1,), workers=2)
+        run_campaign((foreign,), seeds=(1,), options=RunOptions(workers=2))
     with pytest.raises(AnalysisError):
         run_campaign(
             (foreign,),
             seeds=(1,),
-            workers=1,
-            checkpoint=str(tmp_path / "foreign.jsonl"),
+            options=RunOptions(checkpoint=str(tmp_path / "foreign.jsonl")),
         )
 
 

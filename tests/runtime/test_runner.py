@@ -18,6 +18,7 @@ from repro.runtime.runner import (
     MAX_WORKERS,
     ParallelCampaignRunner,
     ReplicaTask,
+    RunOptions,
 )
 
 
@@ -65,7 +66,9 @@ def test_serial_map_without_reduce():
 
 
 def test_reduce_receives_index_order():
-    runner = ParallelCampaignRunner(square_task, reduce=list, chunk_size=2)
+    runner = ParallelCampaignRunner(
+        square_task, reduce=list, options=RunOptions(chunk_size=2)
+    )
     outcome = runner.run([0] * 5, root_seed=0)
     assert outcome.value == [0, 1, 4, 9, 16]
     assert [r.index for r in outcome.results] == [0, 1, 2, 3, 4]
@@ -121,11 +124,11 @@ def test_empty_run_never_calls_reduce():
 
 def test_validation():
     with pytest.raises(ValueError):
-        ParallelCampaignRunner(square_task, workers=0)
+        RunOptions(workers=0)
     with pytest.raises(ValueError):
-        ParallelCampaignRunner(square_task, workers=MAX_WORKERS + 1)
+        RunOptions(workers=MAX_WORKERS + 1)
     with pytest.raises(ValueError):
-        ParallelCampaignRunner(square_task, chunk_size=0)
+        RunOptions(chunk_size=0)
     with pytest.raises(ValueError):
         ParallelCampaignRunner(square_task, max_retries=-1)
 
@@ -135,16 +138,18 @@ def test_validation():
 
 def test_parallel_equals_serial_toy_task():
     serial = ParallelCampaignRunner(square_task).run([5] * 9, root_seed=3)
-    parallel = ParallelCampaignRunner(square_task, workers=2, chunk_size=2).run(
-        [5] * 9, root_seed=3
-    )
+    parallel = ParallelCampaignRunner(
+        square_task, options=RunOptions(workers=2, chunk_size=2)
+    ).run([5] * 9, root_seed=3)
     assert parallel.value == serial.value
     assert parallel.metrics.workers == 2
 
 
 def test_worker_crash_is_retried(tmp_path):
     runner = ParallelCampaignRunner(
-        crashy_task, workers=2, chunk_size=1, max_retries=2
+        crashy_task,
+        options=RunOptions(workers=2, chunk_size=1),
+        max_retries=2,
     )
     outcome = runner.run([str(tmp_path)] * 4, root_seed=0)
     assert outcome.value == (0, 1, 2, 3)
@@ -185,7 +190,7 @@ def test_lost_replica_detected():
             )
             return results[:-1], retries
 
-    runner = Hole(square_task, workers=2, chunk_size=1)
+    runner = Hole(square_task, options=RunOptions(workers=2, chunk_size=1))
     with pytest.raises(SimulationError, match="lost replicas"):
         runner.run([0] * 4, root_seed=0)
 
@@ -200,6 +205,6 @@ def test_duplicated_replica_detected():
             )
             return results + results[:1], retries
 
-    runner = Double(square_task, workers=2, chunk_size=1)
+    runner = Double(square_task, options=RunOptions(workers=2, chunk_size=1))
     with pytest.raises(SimulationError, match="lost replicas"):
         runner.run([0] * 4, root_seed=0)

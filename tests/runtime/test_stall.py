@@ -27,7 +27,7 @@ import time
 import pytest
 
 from repro.obs.live import LiveEventBus, MemoryLiveSink
-from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask
+from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOptions
 
 #: Upper bound on how long the hung replica sleeps if never released.
 _HANG_DEADLINE_S = 30.0
@@ -54,8 +54,7 @@ def test_stalled_chunk_is_resubmitted_without_pool_teardown(tmp_path):
     bus = LiveEventBus([sink])
     runner = ParallelCampaignRunner(
         hang_once_task,
-        workers=2,
-        chunk_size=1,
+        options=RunOptions(workers=2, chunk_size=1),
         max_retries=2,
         retry_backoff_s=0.0,
         stall_timeout_s=2.0,

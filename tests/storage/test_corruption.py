@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignReplicaOutcome, CampaignReplicaSpec
-from repro.runtime.runner import ReplicaResult, RunOutcome
+from repro.runtime.runner import ReplicaResult, RunOptions, RunOutcome
 from repro.runtime.workloads import run_random_campaigns
 from repro.storage import CampaignStore, write_run
 from repro.storage.schema import TABLES, VOLATILE_COLUMNS, tables_for_kind
@@ -60,7 +60,8 @@ def _synthetic_part(
         run,
         root_seed=seed,
         spec_digest=SPEC_DIGEST,
-        meta={"campaign_id": campaign, "format": "json"},
+        campaign_id=campaign,
+        store_format="json",
     )
 
 
@@ -190,25 +191,20 @@ def _comparable_tables(part) -> dict:
 def test_resume_then_store_equals_uninterrupted_store(tmp_path):
     """A resumed run stores the identical part (modulo wall/worker)."""
     spec = CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(250))
-    kwargs = dict(root_seed=21, spec=spec, workers=1, chunk_size=2)
+    stored = dict(campaign_id="c1", store_format="json")
     plain_root = tmp_path / "plain"
     resumed_root = tmp_path / "resumed"
     ledger = str(tmp_path / "ledger.jsonl")
 
-    plain = run_random_campaigns(
-        4,
-        store=str(plain_root),
-        store_meta={"campaign_id": "c1", "format": "json"},
-        **kwargs,
-    )
-    run_random_campaigns(4, checkpoint=ledger, **kwargs)
-    resumed = run_random_campaigns(
-        4,
-        checkpoint=ledger,
-        resume=True,
-        store=str(resumed_root),
-        store_meta={"campaign_id": "c1", "format": "json"},
-        **kwargs,
+    def run(**options):
+        return run_random_campaigns(
+            4, root_seed=21, spec=spec, options=RunOptions(chunk_size=2, **options)
+        )
+
+    plain = run(store=str(plain_root), **stored)
+    run(checkpoint=ledger)
+    resumed = run(
+        checkpoint=ledger, resume=True, store=str(resumed_root), **stored
     )
     assert resumed.value == plain.value
     assert resumed.metrics.replicas_resumed == 4
@@ -341,13 +337,15 @@ def _mc_part(root: Path) -> Path:
         2,
         root_seed=21,
         spec=spec,
-        store=str(root),
-        store_meta={
-            "campaign_id": "c1",
-            "format": "json",
-            "command": "mc",
-            "params": {"replicas": 2, "expected_faults": 3.0, "horizon_ms": 250},
-        },
+        options=RunOptions(
+            store=str(root),
+            campaign_id="c1",
+            store_format="json",
+            invocation={
+                "command": "mc",
+                "params": {"replicas": 2, "expected_faults": 3.0, "horizon_ms": 250},
+            },
+        ),
     )
     (part_dir,) = CampaignStore(root).part_dirs()
     return part_dir

@@ -67,7 +67,8 @@ def _populate(root: Path, campaigns=("c001", "c002")) -> None:
             run,
             root_seed=3 + i,
             spec_digest=f"{i:x}" * 64,
-            meta={"campaign_id": campaign, "format": "json"},
+            campaign_id=campaign,
+            store_format="json",
         )
 
 

@@ -142,7 +142,8 @@ def _write_and_read(results, fmt: str, root: Path):
         outcome,
         root_seed=ROOT_SEED,
         spec_digest=SPEC_DIGEST,
-        meta={"campaign_id": "rt", "format": fmt},
+        campaign_id="rt",
+        store_format=fmt,
     )
     parts = CampaignStore(root).parts()
     assert len(parts) == 1
@@ -335,7 +336,8 @@ def test_store_roundtrip_counters_and_histograms():
             run,
             root_seed=ROOT_SEED,
             spec_digest=SPEC_DIGEST,
-            meta={"campaign_id": "rt", "format": "json"},
+            campaign_id="rt",
+            store_format="json",
         )
         part = CampaignStore(root).parts()[0]
         assert part.table("replicas")["counters_schema"] == [1]
@@ -410,5 +412,6 @@ def test_invalid_campaign_id_rejected():
                     _outcome_of(results),
                     root_seed=ROOT_SEED,
                     spec_digest=SPEC_DIGEST,
-                    meta={"campaign_id": bad, "format": "json"},
+                    campaign_id=bad,
+                    store_format="json",
                 )

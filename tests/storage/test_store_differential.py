@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.faults.campaign import CampaignReplicaSpec
 from repro.obs.provenance import histogram_quantile
+from repro.runtime.runner import RunOptions
 from repro.runtime.workloads import run_random_campaigns
 from repro.storage import CampaignStore
 from repro.storage.query import (
@@ -74,10 +75,13 @@ def _store_run(
         replicas,
         root_seed=seed,
         spec=spec,
-        workers=workers,
-        chunk_size=chunk,
-        store=str(root),
-        store_meta={"campaign_id": campaign, "format": "json"},
+        options=RunOptions(
+            workers=workers,
+            chunk_size=chunk,
+            store=str(root),
+            campaign_id=campaign,
+            store_format="json",
+        ),
     )
 
 

@@ -1,12 +1,13 @@
-"""Columnar store write-overhead bench.
+"""Store write-overhead bench.
 
 Runs the same stochastic campaign with and without ``--store``-style
 part writes (same seed, serial execution, so the simulated work is
 bit-identical) and records the wall-clock cost of persistence — the
-reduce is flattened into columnar tables, checksummed and swapped in
-atomically.  A ``repro query``-path aggregation over the freshly
-written part is timed too: it bounds what an offline analysis pays to
-answer the NFF/confusion questions without re-running anything.
+reduce is encoded into the declared tables and written as one
+checksummed part file, fsynced and renamed into place.  A ``repro
+query``-path aggregation over the freshly written part is timed too: it
+bounds what an offline analysis pays to answer the NFF/confusion
+questions without re-running anything.
 
 Emits ``benchmarks/out/BENCH_store.json``: wall times, overhead ratio,
 part size, and the store-vs-reduce equality check.  The perf gate
@@ -50,7 +51,7 @@ def _time_store(replicas: int, store_root):
         replicas, root_seed=ROOT_SEED, spec=SPEC,
         options=RunOptions(
             chunk_size=CHUNK_SIZE, store=str(store_root),
-            campaign_id="bench", store_format="json",
+            campaign_id="bench",
         ),
     )
     t0 = time.perf_counter()
@@ -86,13 +87,13 @@ def test_store_write_overhead(benchmark, tmp_path):
     wall_store = stored.metrics.wall_time_s
     overhead = (wall_store - wall_plain) / wall_plain if wall_plain else 0.0
     lines = [
-        f"Columnar store write overhead ({REPLICAS} replicas, "
+        f"Store write overhead ({REPLICAS} replicas, "
         f"chunk_size={CHUNK_SIZE})",
         f"  no store    : {wall_plain:8.3f} s wall",
         f"  with store  : {wall_store:8.3f} s wall "
         f"({overhead:+.1%} overhead)",
         f"  query (cold): {query_s * 1e3:8.2f} ms for NFF + confusion",
-        f"  part        : {part_bytes / 1024:.1f} KiB columnar JSON",
+        f"  part        : {part_bytes / 1024:.1f} KiB, one part file",
     ]
     emit(
         "BENCH_store",

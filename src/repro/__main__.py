@@ -33,7 +33,7 @@ Commands
     also ``--trace``/``--profile``/``--provenance``).
 
 ``query [WHAT] --store DIR``
-    Offline analytics over a columnar campaign store written with
+    Offline analytics over a campaign store written with
     ``--store`` (NFF ratio, per-mechanism confusion, accuracy drift
     across campaigns, provenance stage-latency percentiles) — reads the
     stored tables only and never instantiates the simulator.
@@ -65,9 +65,9 @@ durable (chunk-granular JSONL ledger, resumable with ``repro resume``);
 ``--salvage`` degrades gracefully on retry exhaustion — the partial
 aggregate is returned with an explicit completeness report instead of
 the run stalling in the serial fallback.  ``--store DIR`` additionally
-writes the reduced result into the columnar campaign store (with
-``--campaign-id`` as the partition label and ``--store-format`` picking
-Parquet or the columnar-JSON fallback; see ``docs/storage.md``).
+writes the reduced result into the campaign store as one part file, in
+the checkpoint ledger's line format (with ``--campaign-id`` as the
+partition label; see ``docs/storage.md``).
 ``--live-log PATH`` streams in-flight lifecycle telemetry — progress,
 worker heartbeats, stall/straggler flags — to a JSONL sidecar watchable
 with ``repro monitor`` (plus an OpenMetrics ``PATH.prom`` snapshot);
@@ -179,7 +179,7 @@ def _run_options(args: argparse.Namespace):
     """The :class:`~repro.runtime.runner.RunOptions` of one command.
 
     Built once per run from the parsed namespace.  Its invocation record
-    serves the ledger header, the store manifest and the live log:
+    serves the ledger header, the store part header and the live log:
     ``params`` is the namespace minus the command, the checkpoint path
     and private names (``repro whatif`` rebuilds an ``mc`` spec from
     it), and ``argv`` is what ``repro resume`` re-parses.
@@ -200,7 +200,6 @@ def _run_options(args: argparse.Namespace):
             resume=args._resume,
             store=args.store,
             campaign_id=args.campaign_id,
-            store_format=args.store_format,
             live_log=args.live_log,
             invocation={
                 "command": args.command,
@@ -802,13 +801,30 @@ def cmd_resume(args: argparse.Namespace) -> int:
     return _dispatch(resumed)
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` value: an int the runner accepts, or a usage error."""
+    from repro.runtime.runner import MAX_WORKERS
+
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if not 1 <= workers <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {MAX_WORKERS}, got {workers}"
+        )
+    return workers
+
+
 #: Global options accepted both before and after the subcommand.
 _GLOBAL_OPTIONS: list[tuple[tuple[str, ...], dict]] = [
     (("--seed",), {"type": int, "default": 42}),
     (
         ("--workers",),
         {
-            "type": int,
+            "type": _worker_count,
             "default": 1,
             "help": "worker processes for campaign-style commands (default 1)",
         },
@@ -879,9 +895,9 @@ _GLOBAL_OPTIONS: list[tuple[tuple[str, ...], dict]] = [
             "metavar": "DIR",
             "default": None,
             "help": (
-                "write the reduced run into the columnar campaign store "
-                "rooted at DIR (docs/storage.md); query offline with "
-                "`python -m repro query ... --store DIR`"
+                "write the reduced run into the campaign store rooted at "
+                "DIR, one part file per run (docs/storage.md); query "
+                "offline with `python -m repro query ... --store DIR`"
             ),
         },
     ),
@@ -900,11 +916,11 @@ _GLOBAL_OPTIONS: list[tuple[tuple[str, ...], dict]] = [
     (
         ("--store-format",),
         {
-            "choices": ["auto", "json", "parquet"],
+            "choices": ["auto", "json"],
             "default": "auto",
             "help": (
-                "store file format: 'auto' (default) prefers Parquet when "
-                "pyarrow is installed and falls back to columnar JSON"
+                "accepted for old command lines and selects nothing: a "
+                "store part has one format"
             ),
         },
     ),

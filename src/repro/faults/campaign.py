@@ -321,7 +321,7 @@ class CampaignReplicaSpec:
         """The spec ``repro mc`` runs for a set of its flags.
 
         ``flags`` is the parsed CLI namespace (``vars(args)``) or the
-        ``params`` recorded from it in a ledger header or store manifest,
+        ``params`` recorded from it in a ledger or store part header,
         so ``repro mc`` and ``repro whatif`` build the spec — and its
         digest — through this one mapping.  ``--profile`` turns
         observability on like ``--trace`` does: the profile is rendered

@@ -5,20 +5,20 @@ results, recoverable from either durable artefact the runtime writes:
 
 * a **checkpoint ledger** (``--checkpoint PATH``), whose chunk lines
   carry the declared result tables of their replicas;
-* a **columnar store part** (``--store DIR``), which holds the same
-  tables for the whole run.
+* a **store part** (``--store DIR``), a one-chunk ledger that holds the
+  same tables for the whole run.
 
 Both hold per-replica obs counters and trace records in the declared
-sidecar tables, and both decode through the one decoder
-(:func:`repro.storage.codec.decode`) that ``repro resume`` uses too, so
-any ``mc`` campaign, observability on or off, replays from either.
-After reading ``(meta, results)`` from its container, one path
-validates every baseline: the campaign spec is rebuilt from the
-recorded CLI parameters and its
-:func:`~repro.runtime.checkpoint.spec_digest` must equal the digest the
-artefact was bound to — a reconstruction that cannot prove it matches
-the original campaign must not silently replay something else — and
-every replica of the campaign must be present.
+sidecar tables.  :func:`load_baseline` picks the file — the ledger, or
+the one ``mc`` part of a store — and reads it through the line reader
+and decoder that ``repro resume`` uses too
+(:func:`repro.storage.ledger.read_ledger`, tolerant for a ledger and
+strict for a part), so any ``mc`` campaign, observability on or off,
+replays from either.  The campaign spec is rebuilt from the recorded
+CLI parameters and its :func:`~repro.runtime.checkpoint.spec_digest`
+must equal the digest the file was bound to — a reconstruction that
+cannot prove it matches the original campaign must not silently replay
+something else — and every replica of the campaign must be present.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignReplicaOutcome, CampaignReplicaSpec
-from repro.runtime.checkpoint import load_ledger, spec_digest
+from repro.runtime.checkpoint import spec_digest
 from repro.runtime.runner import ReplicaResult
-from repro.storage.codec import decode
-from repro.storage.schema import tables_for_kind
+from repro.storage.ledger import read_ledger
 from repro.storage.store import CampaignStore
 
 
@@ -64,37 +63,25 @@ class CampaignBaseline:
         return sum(o.events_simulated for o in self.outcomes())
 
 
-def _read_store(
-    path: Path, campaign: str | None
-) -> tuple[str, dict[str, Any], dict[int, ReplicaResult]]:
-    """``(where, meta, results)`` of the one mc part of a store."""
+def _mc_part(root: Path, campaign: str | None) -> Path:
+    """The path of the one mc part of a store."""
     parts = [
         p
-        for p in CampaignStore(path).parts(campaign=campaign, kind="campaign")
-        if p.manifest.get("command") == "mc"
+        for p in CampaignStore(root).parts(campaign=campaign, kind="campaign")
+        if p.header.get("command") == "mc"
     ]
     if not parts:
         raise ConfigurationError(
-            f"store {path} holds no mc campaign part"
+            f"store {root} holds no mc campaign part"
             + (f" for campaign {campaign!r}" if campaign else "")
         )
     if len(parts) > 1:
         ids = sorted({p.campaign_id for p in parts})
         raise ConfigurationError(
-            f"store {path} holds {len(parts)} mc parts (campaigns "
+            f"store {root} holds {len(parts)} mc parts (campaigns "
             f"{ids!r}); name one with --campaign"
         )
-    part = parts[0]
-    manifest = part.manifest
-    results = decode(
-        part.kind,
-        {name: part.table(name) for name in tables_for_kind(part.kind)},
-        manifest["root_seed"],
-    )
-    # A salvaged part stores its completed replicas only: the campaign
-    # had the failed ones too.
-    meta = {**manifest, "replicas": manifest["replicas"] + manifest["failed"]}
-    return f"store part {part.path}", meta, results
+    return parts[0].path
 
 
 def load_baseline(
@@ -103,17 +90,17 @@ def load_baseline(
     """Load a baseline: a directory is a store, a file a ledger."""
     p = Path(path)
     if p.is_dir():
-        source = "store"
-        where, meta, results = _read_store(p, campaign)
+        source, file = "store", _mc_part(p, campaign)
+        where = f"store part {file}"
     elif p.is_file():
-        source, where = "checkpoint", f"ledger {p}"
-        state = load_ledger(p)
-        meta, results = state.meta, state.results_by_index
+        source, file, where = "checkpoint", p, f"ledger {p}"
     else:
         raise ConfigurationError(
             f"baseline {p} does not exist (expected a checkpoint ledger "
-            "file or a columnar store directory)"
+            "file or a store directory)"
         )
+    ledger = read_ledger(file, tolerant=source == "checkpoint", decode=True)
+    meta, results = ledger.header, ledger.results
     command = meta.get("command")
     if command != "mc":
         raise ConfigurationError(
@@ -123,8 +110,8 @@ def load_baseline(
         )
     root_seed = meta["root_seed"]
     replicas = meta["replicas"]
-    params = dict(meta.get("params") or {})
     try:
+        params = dict(meta.get("params") or {})
         spec = CampaignReplicaSpec.from_flags(params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(

@@ -32,23 +32,22 @@ an uninterrupted run would: interrupted-then-resumed ≡ uninterrupted ≡
 
 Robustness
 ----------
-Nothing in a ledger is ever unpickled: results are decoded by
-:func:`repro.storage.codec.decode`, the decoder ``repro whatif`` uses
-for ledgers and store parts alike.  Loading tolerates a truncated or
-corrupted tail — a chunk line that is not a JSON object, fails its
-checksum, breaks the declared schema or carries a replica bound to the
-wrong seed stream is skipped (and counted), and the replicas it covered
-are simply re-executed.  A header that does not match the campaign
-being resumed raises :class:`~repro.errors.ConfigurationError` instead
-of silently mixing two experiments, and so does a ledger of another
-format version.
+The line format, its checks and its reader live in
+:mod:`repro.storage.ledger`, which store parts share: a part is a
+one-chunk ledger.  Nothing in a ledger is ever unpickled: results are
+decoded by :func:`repro.storage.codec.decode`.  Loading tolerates a
+truncated or corrupted tail — a chunk line that is not a JSON object,
+fails its checksum, breaks the declared schema or carries a replica
+bound to the wrong seed stream is skipped (and counted), and the
+replicas it covered are simply re-executed.  A header that does not
+match the campaign being resumed raises
+:class:`~repro.errors.ConfigurationError` instead of silently mixing two
+experiments, and so does a ledger of another format version.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import pickle
 import time
 from collections.abc import Sequence
@@ -57,17 +56,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.jsonl import read_json_lines
 from repro.obs import state as _obs_state
 from repro.runtime.runner import ReplicaResult
 
-# The storage codec is imported where it is used: ``repro.runtime``
-# imports this module, and runs without a ledger must not pay for
-# loading the storage package.
-
-#: Ledger format version.  Version 1 ledgers held pickled results; they
-#: are refused, never loaded.
-LEDGER_VERSION = 2
+# The storage package (line format, codec) is imported where it is
+# used: ``repro.runtime`` imports this module, and runs without a ledger
+# must not pay for loading it.
 
 #: Pickle protocol pinned so spec digests are stable across sessions.
 _PICKLE_PROTOCOL = 4
@@ -87,38 +81,11 @@ def spec_digest(root_seed: int, specs: Sequence[Any]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def chunk_checksum(tables: dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON of one chunk's tables."""
-    from repro.storage.codec import canonical_json
-
-    return hashlib.sha256(canonical_json(tables).encode("utf-8")).hexdigest()
-
-
 def _obs_event(name: str, **attrs: Any) -> None:
     """Emit a checkpoint span event when an obs context is active."""
     obs = _obs_state.ACTIVE
     if obs is not None and obs.enabled:
         obs.tracer.event(name, **attrs)
-
-
-def _decode_chunk(
-    record: dict[str, Any], root_seed: int, where: str
-) -> dict[int, ReplicaResult]:
-    """The results of one chunk line; ConfigurationError if untrusted."""
-    from repro.storage.codec import decode
-    from repro.storage.schema import PART_KINDS, check_table, tables_for_kind
-
-    tables = record.get("tables")
-    kind = record.get("value_kind")
-    if not isinstance(tables, dict) or kind not in PART_KINDS:
-        raise ConfigurationError(f"{where}: no tables of a declared kind")
-    if record.get("sha256") != chunk_checksum(tables):
-        raise ConfigurationError(f"{where}: checksum mismatch")
-    if sorted(tables) != sorted(tables_for_kind(kind)):
-        raise ConfigurationError(f"{where}: not the tables of kind {kind!r}")
-    for name, columns in tables.items():
-        check_table(name, columns, where)
-    return decode(kind, tables, root_seed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,42 +98,6 @@ class LedgerState:
     skipped_lines: int = 0
 
 
-def _read_ledger(
-    path: Path,
-) -> tuple[dict[str, Any], list[tuple[int, dict[str, Any]]], int]:
-    """``(header, later lines, skipped lines)`` of a ledger file.
-
-    The first line must be a header object of this format version;
-    every later line is best-effort (:func:`repro.jsonl.read_json_lines`
-    in tolerant mode).
-    """
-    try:
-        entries, skipped = read_json_lines(path, tolerant=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read ledger {path}: {exc}") from exc
-    if not entries and not skipped:
-        raise ConfigurationError(f"ledger {path} is empty")
-    lineno, meta = entries[0] if entries else (0, {})
-    if lineno != 1 or meta.get("kind") != "header":
-        raise ConfigurationError(
-            f"ledger {path} does not start with a header line"
-        )
-    version = meta.get("version")
-    if version != LEDGER_VERSION:
-        raise ConfigurationError(
-            f"ledger {path} has format version {version!r}; this build "
-            f"reads version {LEDGER_VERSION} only (version 1 ledgers hold "
-            "pickled results, which are never loaded) — re-run the "
-            "campaign to write a new ledger"
-        )
-    for key in ("root_seed", "replicas"):
-        if type(meta.get(key)) is not int:
-            raise ConfigurationError(
-                f"ledger {path} header field {key!r} is {meta.get(key)!r}"
-            )
-    return meta, entries[1:], skipped
-
-
 def load_ledger(path: str | Path) -> LedgerState:
     """Parse a ledger, tolerating a truncated or corrupted tail.
 
@@ -175,38 +106,22 @@ def load_ledger(path: str | Path) -> LedgerState:
     skipped and counted, duplicate replica indices keep the first
     occurrence.
     """
-    path = Path(path)
-    meta, entries, skipped = _read_ledger(path)
-    root_seed = meta["root_seed"]
-    replicas = meta["replicas"]
-    results_by_index: dict[int, ReplicaResult] = {}
-    sessions = 1
-    for lineno, record in entries:
-        kind = record.get("kind")
-        if kind == "resume":
-            sessions += 1
-            continue
-        if kind != "chunk":
-            continue
-        try:
-            results = _decode_chunk(record, root_seed, f"{path}:{lineno}")
-        except ConfigurationError:
-            skipped += 1  # untrusted chunk — its replicas re-execute
-            continue
-        for index, result in results.items():
-            if 0 <= index < replicas and index not in results_by_index:
-                results_by_index[index] = result
+    from repro.storage.ledger import read_ledger
+
+    ledger = read_ledger(path, tolerant=True, decode=True)
     return LedgerState(
-        meta=meta,
-        results_by_index=results_by_index,
-        sessions=sessions,
-        skipped_lines=skipped,
+        meta=ledger.header,
+        results_by_index=ledger.results,
+        sessions=1 + sum(r.get("kind") == "resume" for r in ledger.lines),
+        skipped_lines=ledger.skipped,
     )
 
 
 def read_header(path: str | Path) -> dict[str, Any]:
     """The validated header line alone (``repro resume`` dispatch)."""
-    return _read_ledger(Path(path))[0]
+    from repro.storage.ledger import read_ledger
+
+    return read_ledger(path, tolerant=True).header
 
 
 @dataclass(slots=True)
@@ -282,6 +197,8 @@ class CheckpointLedger:
                 skipped_lines=state.skipped_lines,
             )
         else:
+            from repro.storage.ledger import LEDGER_VERSION
+
             header = {
                 **(invocation or {}),
                 "kind": "header",
@@ -304,19 +221,18 @@ class CheckpointLedger:
     def append_chunk(self, results: Sequence[ReplicaResult]) -> None:
         """Durably record one completed chunk of replica results."""
         from repro.storage.codec import encode
+        from repro.storage.ledger import chunk_line
 
         kind, tables = encode(results, self.root_seed)
         indices = [r.index for r in results]
         self._append(
-            {
-                "kind": "chunk",
-                "chunk": self.chunks_written,
-                "indices": indices,
-                "value_kind": kind,
-                "tables": tables,
-                "sha256": chunk_checksum(tables),
-                "wall": time.time(),
-            }
+            chunk_line(
+                kind,
+                tables,
+                chunk=self.chunks_written,
+                indices=indices,
+                wall=time.time(),
+            )
         )
         self.chunks_written += 1
         if self.on_flush is not None:
@@ -349,10 +265,6 @@ class CheckpointLedger:
     # -- internals --------------------------------------------------------
 
     def _append(self, record: dict[str, Any]) -> None:
-        # Compact item separators keep chunk lines small; the ": " key
-        # separator keeps lines greppable as '"kind": "chunk"'.
-        line = json.dumps(record, sort_keys=True, separators=(",", ": "))
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        from repro.storage.ledger import append_lines
+
+        append_lines(self.path, record)

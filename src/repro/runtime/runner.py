@@ -102,13 +102,12 @@ class RunOptions:
     ``on_exhausted`` after retry exhaustion: ``"serial"`` finishes
     unrecovered chunks in the parent, ``"salvage"`` returns a partial
     :class:`RunOutcome` with a completeness report.  The ledger
-    (``checkpoint``/``resume``), store (``store``/``campaign_id``/
-    ``store_format``) and ``live_log`` are described under
-    :meth:`ParallelCampaignRunner.run`.  ``invocation`` is the CLI's
-    record of the run, ``{"command", "params", "argv"}``: the ledger
-    header keeps all three (``repro resume`` re-parses the ``argv``),
-    the store manifest ``command`` and ``params``, the live log
-    ``command``.
+    (``checkpoint``/``resume``), store (``store``/``campaign_id``) and
+    ``live_log`` are described under :meth:`ParallelCampaignRunner.run`.
+    ``invocation`` is the CLI's record of the run, ``{"command",
+    "params", "argv"}``: the ledger header and the store part header
+    keep all three (``repro resume`` re-parses the ``argv``), the live
+    log ``command``.
     """
 
     workers: int = 1
@@ -118,7 +117,6 @@ class RunOptions:
     resume: bool = False
     store: str | Path | None = None
     campaign_id: str = "default"
-    store_format: str = "auto"
     live_log: str | Path | None = None
     invocation: dict[str, Any] | None = None
 
@@ -137,13 +135,12 @@ class RunOptions:
                 f"got {self.on_exhausted!r}"
             )
         if self.store is not None:
-            # A bad campaign id or a format the host cannot write must
-            # fail now, not when write_run runs after hours of simulation.
-            from repro.storage.backend import resolve_format
-            from repro.storage.writer import validate_campaign_id
+            # A bad campaign id or a store root that cannot be a
+            # directory must fail now, not when write_run runs after
+            # hours of simulation.
+            from repro.storage.writer import prepare_store
 
-            resolve_format(self.store_format)
-            validate_campaign_id(self.campaign_id)
+            prepare_store(self.store, self.campaign_id, self.checkpoint)
 
 
 @dataclass(frozen=True, slots=True)
@@ -428,9 +425,9 @@ class ParallelCampaignRunner:
         values, and the reduce always sees all of them in index order).
 
         With ``options.store`` the reduced outcome is additionally
-        flattened into the columnar campaign store rooted at that
-        directory (:mod:`repro.storage`) — one part per ``(campaign id,
-        plan digest, spec digest)``, written after the reduce so a
+        written into the campaign store rooted at that directory
+        (:mod:`repro.storage`) — one part per ``(campaign id, plan
+        digest, spec digest)``, written after the reduce so a
         resumed-then-stored run produces the identical part an
         uninterrupted run would.
 
@@ -653,7 +650,6 @@ class ParallelCampaignRunner:
                 root_seed=int(root_seed),
                 spec_digest=spec_digest(int(root_seed), specs),
                 campaign_id=options.campaign_id,
-                store_format=options.store_format,
                 invocation=options.invocation,
             )
         return outcome

@@ -68,13 +68,13 @@ def campaign_summaries(
             {
                 "campaign": part.campaign_id,
                 "plan_digest": (part.plan_digest or "")[:12],
-                "root_seed": part.manifest["root_seed"],
+                "root_seed": part.root_seed,
                 **sums,
                 "accuracy": attributed / injected if injected else 0.0,
                 "nff_ratio": (
                     (injected - attributed) / injected if injected else 0.0
                 ),
-                "complete": bool(part.manifest["complete"]),
+                "complete": part.complete,
             }
         )
     return rows

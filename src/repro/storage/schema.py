@@ -1,29 +1,25 @@
-"""Declared, versioned schema of campaign results on disk.
+"""Declared schema of campaign results on disk.
 
-Both durable artefacts hold these tables: a store *part* (one stored
-run) is a directory of per-table files plus a ``manifest.json``, and
-every chunk line of the checkpoint ledger carries the same tables for
-the replicas of its chunk.  Every table is declared here as an ordered
-``column -> dtype`` mapping; both store backends
-(:mod:`repro.storage.backend`) write exactly these columns in exactly
-this order, so a part written through the pure-Python JSON fallback
-holds the same logical content as a Parquet part and every query
-aggregates identically over either.
+Both durable artefacts hold these tables in the one line format of
+:mod:`repro.storage.ledger`: a store *part* (one stored run) is a
+one-chunk ledger whose chunk line holds every replica, and every chunk
+line of the checkpoint ledger carries the same tables for the replicas
+of its chunk.  Every table is declared here as an ordered
+``column -> dtype`` mapping, and the codec (:mod:`repro.storage.codec`)
+writes exactly these columns in exactly this order.
 
-Dtypes are logical, not physical: ``int64``/``float64``/``str``/``bool``
-plus the nullable variants ``int64?``/``float64?``/``str?``.  Float
-columns round-trip **exactly** in both formats — Parquet stores IEEE-754
-doubles natively and JSON relies on Python's shortest-repr float
+Dtypes are logical: ``int64``/``float64``/``str``/``bool`` plus the
+nullable variants ``int64?``/``float64?``/``str?``.  Float columns
+round-trip **exactly**: JSON relies on Python's shortest-repr float
 serialization (with ``NaN``/``Infinity`` literals allowed), so NaN/inf
 alpha finals survive bit-for-bit.  :func:`check_table` holds every
 value read back to its declared dtype: a checksum is not a MAC, so an
 edited table that was re-checksummed must still fail with a
 :class:`~repro.errors.ConfigurationError`, never deep inside a decoder.
 
-Schema evolution is versioned: readers accept exactly
-:data:`STORE_SCHEMA_VERSION` and reject anything else with a
-:class:`~repro.errors.ConfigurationError` (see
-:class:`repro.storage.store.CampaignStore`).
+The layout is versioned by the line format
+(:data:`~repro.storage.ledger.LEDGER_VERSION`): a change to the tables
+below bumps it, and readers refuse any other version.
 """
 
 from __future__ import annotations
@@ -31,12 +27,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import ConfigurationError
-
-#: Bump on any change to the table layouts or manifest fields below.
-STORE_SCHEMA_VERSION = 2
-
-#: Manifest file name inside every part directory.
-MANIFEST_NAME = "manifest.json"
 
 #: Ordered ``table -> {column: dtype}`` declarations.
 TABLES: dict[str, dict[str, str]] = {
@@ -201,8 +191,8 @@ def check_table(name: str, columns: Any, where: str) -> dict[str, list]:
     declared = TABLES[name]
     if not isinstance(columns, dict) or sorted(columns) != sorted(declared):
         raise ConfigurationError(
-            f"{where}: table {name!r} does not have the schema "
-            f"v{STORE_SCHEMA_VERSION} columns {list(declared)!r}"
+            f"{where}: table {name!r} does not have the declared "
+            f"columns {list(declared)!r}"
         )
     first = columns[next(iter(declared))]
     rows = len(first) if isinstance(first, list) else -1

@@ -1,10 +1,11 @@
-"""Write path of the columnar campaign store.
+"""Write path of the campaign store.
 
-:func:`write_run` flattens a reduced :class:`~repro.runtime.runner
-.RunOutcome` into one store *part* — a directory of columnar table
-files plus a manifest — partitioned by campaign id and plan digest::
+:func:`write_run` stores a reduced :class:`~repro.runtime.runner
+.RunOutcome` as one store *part*: a one-chunk ledger file
+(:mod:`repro.storage.ledger`), partitioned by campaign id and plan
+digest::
 
-    <root>/<campaign_id>/<digest[:16]>/part-<spec_digest[:16]>/
+    <root>/<campaign_id>/<digest[:16]>/part-<spec_digest[:16]>.jsonl
 
 The partition digest is the campaign's ``plan_digest`` (a pure function
 of the injected fault plan) when the reduced value carries one, else
@@ -23,23 +24,20 @@ stack.
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.storage.backend import file_sha256, get_backend, resolve_format
 from repro.storage.codec import encode
-from repro.storage.schema import MANIFEST_NAME, STORE_SCHEMA_VERSION, TABLES
+from repro.storage.ledger import LEDGER_VERSION, append_lines, chunk_line
 
 #: Characters allowed in a campaign id (it becomes a directory name).
 _ID_ALLOWED = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_."
 )
 
-#: Digest prefix length used for partition/part directory names.
+#: Digest prefix length used for partition and part names.
 DIGEST_PREFIX = 16
 
 
@@ -57,6 +55,31 @@ def validate_campaign_id(campaign_id: str) -> str:
     return campaign_id
 
 
+def prepare_store(
+    root: str | Path,
+    campaign_id: str,
+    checkpoint: str | Path | None = None,
+) -> None:
+    """Fail now if a run could not store under ``root`` when it ends.
+
+    Checks the campaign id, refuses a checkpoint ledger at the store
+    root itself and creates the root directory.
+    """
+    validate_campaign_id(campaign_id)
+    root = Path(root)
+    if checkpoint is not None and Path(checkpoint).resolve() == root.resolve():
+        raise ConfigurationError(
+            f"store root {root} is also the checkpoint ledger path; give "
+            "--store a directory of its own"
+        )
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"store root {root} cannot be a directory: {exc}"
+        ) from None
+
+
 def write_run(
     root: str | Path,
     outcome: Any,
@@ -64,66 +87,52 @@ def write_run(
     root_seed: int,
     spec_digest: str,
     campaign_id: str = "default",
-    store_format: str = "auto",
     invocation: dict[str, Any] | None = None,
 ) -> Path:
     """Persist one reduced run as a store part; returns the part path.
 
-    ``campaign_id`` is the partition label and ``store_format`` one of
-    :data:`~repro.storage.backend.FORMATS`; the ``command`` and
-    ``params`` of the CLI's ``invocation`` record are copied into the
-    manifest for provenance.  The part is written into a temporary
-    sibling directory and swapped in with a directory rename, so readers
-    never observe a half-written part and rewriting an existing part is
-    atomic.
+    The header carries the ledger header fields, the CLI's
+    ``invocation`` record (``command``, ``params``, ``argv``) and
+    ``campaign_id``, the partition label.  The one chunk line holds
+    every result and the salvage ``failures``; the close line the plan
+    digest and the completed and failed counts.  The file is written
+    and fsynced under a temporary name in the partition directory, then
+    renamed into place, so readers never observe a half-written part and
+    rewriting an existing part is atomic.
     """
     campaign_id = validate_campaign_id(campaign_id)
-    backend = get_backend(resolve_format(store_format))
-    invocation = invocation or {}
-
     kind, tables = encode(outcome.results, root_seed, outcome.failures)
     plan_digest = getattr(outcome.value, "plan_digest", None)
-    partition = (plan_digest or spec_digest)[:DIGEST_PREFIX]
-    part_name = f"part-{spec_digest[:DIGEST_PREFIX]}"
-    part_dir = Path(root) / campaign_id / partition / part_name
-    tmp_dir = part_dir.parent / f".tmp-{part_name}-{os.getpid()}"
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
-
+    completed, failed = len(outcome.results), len(outcome.failures)
+    header = {
+        **(invocation or {}),
+        "kind": "header",
+        "version": LEDGER_VERSION,
+        "root_seed": int(root_seed),
+        "replicas": completed + failed,
+        "spec_digest": spec_digest,
+        "campaign_id": campaign_id,
+    }
+    indices = [r.index for r in outcome.results]
+    close = {
+        "kind": "close",
+        "plan_digest": plan_digest,
+        "completed": completed,
+        "failed": failed,
+        "complete": not outcome.failures,
+    }
+    digest = (plan_digest or spec_digest)[:DIGEST_PREFIX]
+    partition = Path(root) / campaign_id / digest
+    part = partition / f"part-{spec_digest[:DIGEST_PREFIX]}.jsonl"
+    tmp = partition / f".tmp-{part.name}-{os.getpid()}"
+    partition.mkdir(parents=True, exist_ok=True)
+    tmp.unlink(missing_ok=True)
     try:
-        files: dict[str, dict[str, Any]] = {}
-        for table, columns in tables.items():
-            path = tmp_dir / f"{table}{backend.suffix}"
-            backend.write_table(path, table, TABLES[table], columns)
-            files[table] = {
-                "path": path.name,
-                "sha256": file_sha256(path),
-                "rows": len(next(iter(columns.values()))),
-            }
-        manifest = {
-            "schema_version": STORE_SCHEMA_VERSION,
-            "format": backend.name,
-            "kind": kind,
-            "campaign_id": campaign_id,
-            "root_seed": int(root_seed),
-            "spec_digest": spec_digest,
-            "plan_digest": plan_digest,
-            "replicas": len(outcome.results),
-            "failed": len(outcome.failures),
-            "complete": not outcome.failures,
-            "command": invocation.get("command"),
-            "params": invocation.get("params"),
-            "files": files,
-        }
-        (tmp_dir / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+        append_lines(
+            tmp, header, chunk_line(kind, tables, chunk=0, indices=indices), close
         )
-        if part_dir.exists():
-            shutil.rmtree(part_dir)
-        os.replace(tmp_dir, part_dir)
-    except Exception:
-        shutil.rmtree(tmp_dir, ignore_errors=True)
+        os.replace(tmp, part)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
         raise
-    return part_dir
+    return part

@@ -381,7 +381,13 @@ def test_runner_serial_live_log_end_to_end(tmp_path):
     assert "repro_run_replicas 5" in text
 
 
-def test_runner_pool_live_log_reports_pool_workers(tmp_path):
+def test_runner_pool_live_log_reports_pool_workers(tmp_path, monkeypatch):
+    import glob
+    import tempfile
+
+    # The run makes its heartbeat directory under the test's own temp
+    # directory, so the leak check below sees this run only.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     path = tmp_path / "live.jsonl"
     outcome = ParallelCampaignRunner(
         double_task,
@@ -396,9 +402,6 @@ def test_runner_pool_live_log_reports_pool_workers(tmp_path):
     assert all(w.startswith("pid-") for w in summary["workers"])
     assert "Per-worker throughput" in report
     # No heartbeat temp directories leaked.
-    import glob
-    import tempfile
-
     leftovers = glob.glob(
         str(Path(tempfile.gettempdir()) / "repro-live-hb-*" / "hb-*.json")
     )

@@ -204,7 +204,6 @@ def test_rewritten_plan_round_trips_through_store_columns(
         spec=spec,
         store=str(tmp),
         campaign_id="c1",
-        store_format="json",
     )
     part = CampaignStore(tmp).parts()[0]
     table = part.table("plan_events")

@@ -72,7 +72,6 @@ def _store_baseline(tmp_path, *, replicas=4, seed=11, spec=FULL_OBS_SPEC, chunk=
         chunk=chunk,
         store=str(tmp_path),
         campaign_id="c1",
-        store_format="json",
         invocation={"command": "mc", "params": params},
     )
     return outcome, load_baseline(tmp_path)
@@ -207,7 +206,6 @@ def test_whatif_store_baseline_equals_fresh(tmp_path):
         spec=spec,
         store=str(tmp_path),
         campaign_id="c1",
-        store_format="json",
         invocation={
             "command": "mc",
             "params": {
@@ -247,7 +245,6 @@ def test_obs_store_baseline_equals_ledger_baseline(tmp_path):
         checkpoint=tmp_path / "baseline.ckpt",
         store=str(tmp_path / "store"),
         campaign_id="c1",
-        store_format="json",
         invocation=invocation,
     )
     from_ledger = load_baseline(tmp_path / "baseline.ckpt")

@@ -18,7 +18,6 @@ from repro.faults.campaign import CampaignReplicaOutcome, CampaignReplicaSpec
 from repro.obs import trace_digest
 from repro.runtime.checkpoint import (
     CheckpointLedger,
-    chunk_checksum,
     load_ledger,
     read_header,
     spec_digest,
@@ -26,6 +25,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOptions
 from repro.runtime.seeds import stream_fingerprint
 from repro.runtime.workloads import run_random_campaigns
+from repro.storage.ledger import chunk_checksum
 from repro.units import ms
 
 OBS_SPEC = CampaignReplicaSpec(
@@ -446,7 +446,7 @@ def test_every_declared_kind_resumes_and_stores_identically(
     reference, _ = run()
     full = tmp_path / "full.jsonl"
     store = tmp_path / "store"
-    run(checkpoint=str(full), store=str(store), store_format="json")
+    run(checkpoint=str(full), store=str(store))
     trunc = tmp_path / "trunc.jsonl"
     assert _truncate_to_first_chunk(full, trunc) == 1
     resumed, outcome = run(checkpoint=str(trunc), resume=True)
@@ -458,7 +458,7 @@ def test_every_declared_kind_resumes_and_stores_identically(
     stored = decode(
         kind,
         {name: part.table(name) for name in tables_for_kind(kind)},
-        part.manifest["root_seed"],
+        part.root_seed,
     )
     ledgered = load_ledger(full).results_by_index
     assert {i: r.value for i, r in stored.items()} == {

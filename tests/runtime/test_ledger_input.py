@@ -23,8 +23,9 @@ import pytest
 
 from repro.__main__ import main
 from repro.errors import ConfigurationError
-from repro.runtime.checkpoint import chunk_checksum, load_ledger, spec_digest
+from repro.runtime.checkpoint import load_ledger, spec_digest
 from repro.runtime.seeds import stream_fingerprint
+from repro.storage.ledger import chunk_checksum
 from tests._differential import run_campaign
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"

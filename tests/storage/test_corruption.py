@@ -1,12 +1,12 @@
 """Corruption, version-skew and resume-equivalence tests for the store.
 
-A damaged store must fail *diagnosably*: truncated or bit-flipped table
-files and version-skewed manifests all surface as
-:class:`~repro.errors.ConfigurationError` naming the offending file —
-never a backend stack trace — and the tolerant scan mode reports how
-many parts were dropped.  Storing a resumed run must produce the same
-part an uninterrupted run writes, modulo the declared volatile columns
-(wall-clock and worker labels).
+A damaged store must fail *diagnosably*: a truncated, bit-flipped,
+version-skewed or malformed part file, and a part directory of the old
+layout, all surface as :class:`~repro.errors.ConfigurationError` naming
+the offending file — never a stack trace — and the tolerant scan mode
+reports how many parts were dropped.  Storing a resumed run must produce
+the same part an uninterrupted run writes, modulo the declared volatile
+columns (wall-clock and worker labels).
 """
 
 from __future__ import annotations
@@ -61,96 +61,203 @@ def _synthetic_part(
         root_seed=seed,
         spec_digest=SPEC_DIGEST,
         campaign_id=campaign,
-        store_format="json",
     )
 
 
-# -- table-file corruption --------------------------------------------------
+# -- hostile part files -------------------------------------------------------
+
+
+def _lines(part: Path) -> list[dict]:
+    return [json.loads(line) for line in part.read_text(encoding="utf-8").splitlines()]
+
+
+def _write_lines(part: Path, lines: list) -> None:
+    text = "".join(
+        (line if isinstance(line, str) else json.dumps(line, sort_keys=True)) + "\n"
+        for line in lines
+    )
+    part.write_text(text, encoding="utf-8")
+
+
+def _edit_line(part: Path, index: int, **changes) -> None:
+    lines = _lines(part)
+    lines[index].update(changes)
+    _write_lines(part, lines)
+
+
+def _strict_error(root: Path, part: Path) -> str:
+    """The strict read's message, which must name the part file."""
+    with pytest.raises(ConfigurationError) as exc:
+        CampaignStore(root).parts()
+    assert str(part) in str(exc.value)
+    return str(exc.value)
 
 
 def test_truncated_table_is_a_config_error(tmp_path):
-    part_dir = _synthetic_part(tmp_path)
-    table_path = part_dir / "replicas.json"
-    table_path.write_bytes(table_path.read_bytes()[: 10])
-    part = CampaignStore(tmp_path).parts()[0]
-    with pytest.raises(ConfigurationError, match="checksum mismatch"):
-        part.table("replicas")
+    """A part cut inside its chunk line, which holds the tables."""
+    part = _synthetic_part(tmp_path)
+    blob = part.read_bytes()
+    part.write_bytes(blob[: blob.index(b'"tables"') + 40])
+    assert "line 2 is not valid JSON" in _strict_error(tmp_path, part)
 
 
 def test_bit_flip_is_a_config_error(tmp_path):
-    part_dir = _synthetic_part(tmp_path)
-    table_path = part_dir / "mechanisms.json"
-    blob = bytearray(table_path.read_bytes())
-    blob[len(blob) // 2] ^= 0x40
-    table_path.write_bytes(bytes(blob))
-    part = CampaignStore(tmp_path).parts()[0]
-    with pytest.raises(ConfigurationError, match=r"checksum mismatch"):
-        part.table("mechanisms")
-
-
-def test_missing_table_file_is_a_config_error(tmp_path):
-    part_dir = _synthetic_part(tmp_path)
-    (part_dir / "alpha_state.json").unlink()
-    part = CampaignStore(tmp_path).parts()[0]
-    with pytest.raises(ConfigurationError, match="missing"):
-        part.table("alpha_state")
+    part = _synthetic_part(tmp_path)
+    blob = bytearray(part.read_bytes())
+    blob[blob.index(b'"connector"') + 3] ^= 0x40
+    part.write_bytes(bytes(blob))
+    assert "checksum mismatch" in _strict_error(tmp_path, part)
 
 
 def test_unparseable_table_with_matching_checksum(tmp_path):
-    """Even a checksum-valid file must fail cleanly if it won't parse."""
-    from repro.storage.backend import file_sha256
+    """Even a checksum-valid chunk must fail cleanly if a table in it is
+    not a table."""
+    from repro.storage.ledger import chunk_checksum
 
-    part_dir = _synthetic_part(tmp_path)
-    table_path = part_dir / "replica_counters.json"
-    table_path.write_text("this is not json{", encoding="utf-8")
-    manifest_path = part_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["files"]["replica_counters"]["sha256"] = file_sha256(table_path)
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-    part = CampaignStore(tmp_path).parts()[0]
-    with pytest.raises(ConfigurationError):
-        part.table("replica_counters")
-
-
-# -- manifest corruption and version skew ----------------------------------
+    part = _synthetic_part(tmp_path)
+    lines = _lines(part)
+    tables = lines[1]["tables"]
+    tables["replica_counters"] = "this is not json{"
+    lines[1]["sha256"] = chunk_checksum(tables)
+    _write_lines(part, lines)
+    assert "'replica_counters' does not have the declared columns" in (
+        _strict_error(tmp_path, part)
+    )
 
 
-def _edit_manifest(part_dir: Path, **changes) -> None:
-    manifest_path = part_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest.update(changes)
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+# -- header and close lines, and version skew -------------------------------
+#
+# A part's header and close lines hold what the manifest file of the old
+# directory layout held: version, kind, provenance, counts.
 
 
 def test_bumped_schema_version_is_a_config_error(tmp_path):
-    part_dir = _synthetic_part(tmp_path)
-    _edit_manifest(part_dir, schema_version=99)
-    with pytest.raises(ConfigurationError, match="schema version 99"):
-        CampaignStore(tmp_path).parts()
+    part = _synthetic_part(tmp_path)
+    _edit_line(part, 0, version=99)
+    assert "format version 99" in _strict_error(tmp_path, part)
 
 
 def test_unknown_kind_is_a_config_error(tmp_path):
-    part_dir = _synthetic_part(tmp_path)
-    _edit_manifest(part_dir, kind="exotic")
-    with pytest.raises(ConfigurationError, match="unknown kind"):
-        CampaignStore(tmp_path).parts()
+    part = _synthetic_part(tmp_path)
+    _edit_line(part, 1, value_kind="exotic")
+    assert "no tables of a declared kind" in _strict_error(tmp_path, part)
 
 
 def test_unreadable_manifest_is_a_config_error(tmp_path):
-    part_dir = _synthetic_part(tmp_path)
-    (part_dir / "manifest.json").write_text("{{{", encoding="utf-8")
-    with pytest.raises(ConfigurationError, match="unreadable manifest"):
-        CampaignStore(tmp_path).parts()
+    part = _synthetic_part(tmp_path)
+    _write_lines(part, ["{{{", *_lines(part)[1:]])
+    assert "line 1 is not valid JSON" in _strict_error(tmp_path, part)
 
 
 def test_manifest_missing_table_entry_is_a_config_error(tmp_path):
-    part_dir = _synthetic_part(tmp_path)
-    manifest_path = part_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    del manifest["files"]["plan_events"]
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-    with pytest.raises(ConfigurationError, match="plan_events"):
-        CampaignStore(tmp_path).parts()
+    """The chunk line's table inventory is checked against its kind."""
+    from repro.storage.ledger import chunk_checksum
+
+    part = _synthetic_part(tmp_path)
+    lines = _lines(part)
+    del lines[1]["tables"]["plan_events"]
+    lines[1]["sha256"] = chunk_checksum(lines[1]["tables"])
+    _write_lines(part, lines)
+    assert "not the tables of kind 'campaign'" in _strict_error(tmp_path, part)
+
+
+def _replace_table(lines: list, name: str, value) -> list:
+    """``lines`` with one table of the chunk replaced, checksum re-stamped."""
+    from repro.storage.ledger import chunk_checksum
+
+    tables = {**lines[1]["tables"], name: value}
+    chunk = {**lines[1], "tables": tables, "sha256": chunk_checksum(tables)}
+    return [lines[0], chunk, *lines[2:]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: ["[1, 2]", *lines[1:]], "line 1 is not a JSON object"),
+        (
+            lambda lines: [{k: v for k, v in lines[0].items() if k != "version"}, *lines[1:]],
+            "format version None",
+        ),
+        (
+            lambda lines: [lines[0], {k: v for k, v in lines[1].items() if k != "sha256"}, lines[2]],
+            "checksum mismatch",
+        ),
+        (
+            lambda lines: _replace_table(lines, "replicas", "replicas.json"),
+            "'replicas' does not have the declared columns",
+        ),
+        (lambda lines: [*lines[:2], {**lines[2], "completed": "1"}], "close field 'completed'"),
+        (lambda lines: [*lines[:2], {**lines[2], "complete": 1}], "close field 'complete'"),
+        (lambda lines: [{**lines[0], "root_seed": "7"}, *lines[1:]], "'root_seed'"),
+        (
+            lambda lines: [{k: v for k, v in lines[0].items() if k != "campaign_id"}, *lines[1:]],
+            "header field 'campaign_id'",
+        ),
+        (lambda lines: [{**lines[0], "kind": "chunk"}, *lines[1:]], "header line"),
+    ],
+    ids=[
+        "array",
+        "no-format",
+        "no-sha256",
+        "entry-not-object",
+        "rows-not-int",
+        "complete-not-bool",
+        "root-seed-not-int",
+        "no-campaign-id",
+        "header-kind",
+    ],
+)
+def test_malformed_manifest_is_a_config_error(tmp_path, edit, message):
+    part = _synthetic_part(tmp_path)
+    _write_lines(part, edit(_lines(part)))
+    assert message in _strict_error(tmp_path, part)
+    report = CampaignStore(tmp_path).scan_report()  # the tolerant scan drops it
+    assert (report["parts"], report["skipped"]) == (0, 1)
+    assert report["skipped_parts"][0]["path"] == str(part)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:1] + lines[2:], "['close']"),
+        (lambda lines: lines[:2], "['chunk']"),
+        (lambda lines: [lines[0], lines[1], lines[1], lines[2]], "['chunk', 'chunk', 'close']"),
+        (lambda lines: [lines[0], lines[2], lines[1]], "['close', 'chunk']"),
+        (lambda lines: [*lines, {"kind": "resume"}], "['chunk', 'close', 'resume']"),
+        (lambda lines: [], "is empty"),
+    ],
+    ids=[
+        "no-chunk-line",
+        "no-close-line",
+        "second-chunk-line",
+        "close-before-chunk",
+        "extra-line",
+        "empty",
+    ],
+)
+def test_part_is_exactly_header_chunk_and_close(tmp_path, edit, message):
+    part = _synthetic_part(tmp_path)
+    _write_lines(part, edit(_lines(part)))
+    assert message in _strict_error(tmp_path, part)
+    report = CampaignStore(tmp_path).scan_report()
+    assert (report["parts"], report["skipped"]) == (0, 1)
+
+
+def test_old_layout_part_directory_is_refused(tmp_path, capsys):
+    """A part directory of the manifest-and-table-files layout is never
+    skipped silently: strict reads refuse it, the tolerant scan counts it."""
+    from repro.__main__ import main
+
+    _synthetic_part(tmp_path, campaign="new")
+    old = tmp_path / "old" / ("e" * 16) / ("part-" + "cd" * 8)
+    old.mkdir(parents=True)
+    (old / "manifest.json").write_text('{"schema_version": 2}', encoding="utf-8")
+    (old / "replicas.json").write_text("{}", encoding="utf-8")
+    assert "old layout" in _strict_error(tmp_path, old)
+    report = CampaignStore(tmp_path).scan_report()
+    assert (report["parts"], report["skipped"]) == (1, 1)
+    assert main(["query", "report", "--store", str(tmp_path)]) == 1
+    assert "re-store the campaign" in capsys.readouterr().err
 
 
 def test_missing_store_root_is_a_config_error(tmp_path):
@@ -161,8 +268,8 @@ def test_missing_store_root_is_a_config_error(tmp_path):
 def test_tolerant_scan_skips_and_reports(tmp_path):
     """One healthy part + one version-skewed part: scan drops one."""
     _synthetic_part(tmp_path, campaign="ok")
-    bad_dir = _synthetic_part(tmp_path, campaign="bad", seed=8)
-    _edit_manifest(bad_dir, schema_version=99)
+    bad = _synthetic_part(tmp_path, campaign="bad", seed=8)
+    _edit_line(bad, 0, version=99)
     store = CampaignStore(tmp_path)
     with pytest.raises(ConfigurationError):
         store.parts()
@@ -171,7 +278,7 @@ def test_tolerant_scan_skips_and_reports(tmp_path):
     report = store.scan_report()
     assert report["parts"] == 1
     assert report["skipped"] == 1
-    assert "schema version" in report["skipped_parts"][0]["error"]
+    assert "format version" in report["skipped_parts"][0]["error"]
 
 
 # -- resume-then-store ≡ uninterrupted-store -------------------------------
@@ -191,7 +298,7 @@ def _comparable_tables(part) -> dict:
 def test_resume_then_store_equals_uninterrupted_store(tmp_path):
     """A resumed run stores the identical part (modulo wall/worker)."""
     spec = CampaignReplicaSpec(expected_faults=3.0, horizon_us=ms(250))
-    stored = dict(campaign_id="c1", store_format="json")
+    stored = dict(campaign_id="c1")
     plain_root = tmp_path / "plain"
     resumed_root = tmp_path / "resumed"
     ledger = str(tmp_path / "ledger.jsonl")
@@ -216,15 +323,20 @@ def test_resume_then_store_equals_uninterrupted_store(tmp_path):
         resumed_root
     )
     assert _comparable_tables(resumed_part) == _comparable_tables(plain_part)
+    assert resumed_part.header == plain_part.header
+    assert resumed_part.close == plain_part.close
 
 
 def test_rewriting_a_part_is_idempotent(tmp_path):
     """Storing the same run twice leaves exactly one identical part."""
     first = _synthetic_part(tmp_path)
+    written = first.read_bytes()
     second = _synthetic_part(tmp_path)
     assert first == second
+    assert second.read_bytes() == written
+    assert list(first.parent.iterdir()) == [first]  # no temporary file left
     store = CampaignStore(tmp_path)
-    assert len(store.part_dirs()) == 1
+    assert len(store.part_paths()) == 1
     part = store.parts()[0]
     for name in tables_for_kind(part.kind):
         assert sorted(part.table(name)) == sorted(TABLES[name])
@@ -233,82 +345,16 @@ def test_rewriting_a_part_is_idempotent(tmp_path):
 # -- hostile input: a checksum is not a MAC ----------------------------------
 
 
-def _doctor_manifest(part_dir: Path, edit) -> None:
-    manifest_path = part_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest_path.write_text(json.dumps(edit(manifest)), encoding="utf-8")
+def _rechecksummed_value(part: Path, table: str, column: str, value) -> None:
+    """Overwrite one stored value and re-stamp the chunk's checksum."""
+    from repro.storage.ledger import chunk_checksum
 
-
-def _replace_entry(manifest: dict, **entry) -> dict:
-    return {**manifest, "files": {**manifest["files"], "replicas": entry}}
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda m: [m], "not a JSON object"),
-        (lambda m: {k: v for k, v in m.items() if k != "format"}, "'format'"),
-        (
-            lambda m: _replace_entry(m, path="replicas.json", rows=1),
-            "'replicas' entry",
-        ),
-        (
-            lambda m: {**m, "files": {**m["files"], "replicas": "replicas.json"}},
-            "'replicas' entry",
-        ),
-        (
-            lambda m: _replace_entry(m, path="replicas.json", sha256="0", rows="1"),
-            "'replicas' entry",
-        ),
-    ],
-    ids=["array", "no-format", "no-sha256", "entry-not-object", "rows-not-int"],
-)
-def test_malformed_manifest_is_a_config_error(tmp_path, edit, message):
-    part_dir = _synthetic_part(tmp_path)
-    _doctor_manifest(part_dir, edit)
-    store = CampaignStore(tmp_path)
-    with pytest.raises(ConfigurationError, match=message):
-        store.parts()[0].table("replicas")
-    report = store.scan_report()  # the tolerant scan drops the part
-    assert (report["parts"], report["skipped"]) == (0, 1)
-    assert "manifest" in report["skipped_parts"][0]["error"]
-
-
-def test_table_path_outside_the_part_is_refused(tmp_path):
-    """A manifest cannot point a table at a file outside its part, even
-    with that file's valid checksum."""
-    root = tmp_path / "store"
-    part_dir = _synthetic_part(root)
-    outside = tmp_path / "elsewhere.json"
-    outside.write_bytes((part_dir / "replicas.json").read_bytes())
-    for path in (str(outside), "../../../../elsewhere.json"):
-        _doctor_manifest(
-            part_dir,
-            lambda m: _replace_entry(m, **{**m["files"]["replicas"], "path": path}),
-        )
-        with pytest.raises(ConfigurationError, match="'replicas' entry"):
-            CampaignStore(root).parts()
-
-
-def _rechecksummed_value(part_dir: Path, table: str, column: str, value) -> None:
-    """Overwrite one stored value and re-stamp the table's checksum."""
-    from repro.storage.backend import file_sha256
-
-    table_path = part_dir / f"{table}.json"
-    payload = json.loads(table_path.read_text(encoding="utf-8"))
-    assert payload["columns"][column], f"{table}.{column} is empty"
-    payload["columns"][column][0] = value
-    table_path.write_text(json.dumps(payload), encoding="utf-8")
-    _doctor_manifest(
-        part_dir,
-        lambda m: {
-            **m,
-            "files": {
-                **m["files"],
-                table: {**m["files"][table], "sha256": file_sha256(table_path)},
-            },
-        },
-    )
+    lines = _lines(part)
+    tables = lines[1]["tables"]
+    assert tables[table][column], f"{table}.{column} is empty"
+    tables[table][column][0] = value
+    lines[1]["sha256"] = chunk_checksum(tables)
+    _write_lines(part, lines)
 
 
 @pytest.mark.parametrize(
@@ -321,13 +367,10 @@ def _rechecksummed_value(part_dir: Path, table: str, column: str, value) -> None
     ],
 )
 def test_value_of_the_wrong_dtype_is_a_config_error(tmp_path, table, column, value):
-    part_dir = _synthetic_part(tmp_path)
-    _rechecksummed_value(part_dir, table, column, value)
-    part = CampaignStore(tmp_path).parts()[0]
-    with pytest.raises(
-        ConfigurationError, match=rf"{table}\.json: table '{table}' column '{column}'"
-    ):
-        part.table(table)
+    part = _synthetic_part(tmp_path)
+    _rechecksummed_value(part, table, column, value)
+    message = _strict_error(tmp_path, part)
+    assert f"{part}:2: table '{table}' column '{column}'" in message
 
 
 def _mc_part(root: Path) -> Path:
@@ -340,15 +383,14 @@ def _mc_part(root: Path) -> Path:
         options=RunOptions(
             store=str(root),
             campaign_id="c1",
-            store_format="json",
             invocation={
                 "command": "mc",
                 "params": {"replicas": 2, "expected_faults": 3.0, "horizon_ms": 250},
             },
         ),
     )
-    (part_dir,) = CampaignStore(root).part_dirs()
-    return part_dir
+    (part,) = CampaignStore(root).part_paths()
+    return part
 
 
 @pytest.mark.parametrize(
@@ -363,7 +405,7 @@ def _mc_part(root: Path) -> Path:
             "undecodable",
         ),
         (
-            lambda d: _doctor_manifest(d, lambda m: {**m, "replicas": 10**12}),
+            lambda d: _edit_line(d, 0, replicas=10**12),
             "covers 2/1000000000000 replicas",
         ),
     ],
@@ -374,10 +416,12 @@ def test_whatif_over_a_doctored_store_fails_cleanly(
 ):
     from repro.__main__ import main
 
-    doctor(_mc_part(tmp_path))
+    part = _mc_part(tmp_path)
+    doctor(part)
     assert main(["whatif", str(tmp_path), "--scan", "onas"]) == 1
     err = capsys.readouterr().err
     assert "whatif failed" in err and message in err
+    assert str(part) in err
 
 
 @pytest.mark.parametrize(
@@ -407,10 +451,10 @@ def test_query_over_doctored_histograms(tmp_path, capsys, column, value, rc, out
             }
         },
     }
-    part_dir = _synthetic_part(tmp_path, obs_counters=snapshot)
+    part = _synthetic_part(tmp_path, obs_counters=snapshot)
     assert main(["query", "latency", "--store", str(tmp_path)]) == 0
     capsys.readouterr()
-    _rechecksummed_value(part_dir, "replica_histograms", column, value)
+    _rechecksummed_value(part, "replica_histograms", column, value)
     assert main(["query", "latency", "--store", str(tmp_path)]) == rc
     captured = capsys.readouterr()
     assert output in (captured.err if rc else captured.out)

@@ -68,7 +68,6 @@ def _populate(root: Path, campaigns=("c001", "c002")) -> None:
             root_seed=3 + i,
             spec_digest=f"{i:x}" * 64,
             campaign_id=campaign,
-            store_format="json",
         )
 
 
@@ -178,24 +177,40 @@ def test_store_bad_campaign_id_fails_fast(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
-@pytest.mark.skipif(
-    __import__("repro.storage", fromlist=["parquet_available"]).parquet_available(),
-    reason="pyarrow is installed",
+@pytest.mark.parametrize(
+    "target, checkpoint",
+    [("a-file", None), ("same", "same")],
+    ids=["store-is-a-file", "store-is-the-checkpoint"],
 )
-def test_store_format_parquet_without_pyarrow_fails_fast(tmp_path, capsys):
-    rc = main(
-        [
-            "--store",
-            str(tmp_path / "s"),
-            "--store-format",
-            "parquet",
-            "mc",
-            "--replicas",
-            "1",
-        ]
-    )
+def test_store_path_that_cannot_hold_a_store_fails_fast(
+    tmp_path, capsys, target, checkpoint
+):
+    """A --store path that is a file, or the checkpoint ledger's path,
+    is refused before any replica runs, not after the whole run."""
+    (tmp_path / "a-file").write_text("not a store\n", encoding="utf-8")
+    argv = ["--store", str(tmp_path / target)]
+    if checkpoint is not None:
+        argv += ["--checkpoint", str(tmp_path / checkpoint)]
+    rc = main([*argv, "mc", "--replicas", "2", "--horizon-ms", "100"])
     assert rc == 1
-    assert "pyarrow" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "store setup failed" in captured.err
+    assert "running" not in captured.out
+    assert not (tmp_path / "same").exists()
+
+
+def test_store_format_parquet_is_a_usage_error(tmp_path, capsys):
+    """Parquet output is gone: asking for it exits 2 before anything
+    runs."""
+    store = tmp_path / "s"
+    argv = ["--store", str(store), "--store-format", "parquet", "mc"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--replicas", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--store-format" in captured.err and "'parquet'" in captured.err
+    assert captured.out == ""
+    assert not store.exists()
 
 
 def test_mc_store_cli_writes_a_queryable_part(tmp_path, capsys):

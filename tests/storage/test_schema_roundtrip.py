@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignReplicaOutcome
 from repro.runtime.runner import ReplicaFailure, ReplicaResult, RunOutcome
 from repro.runtime.seeds import stream_fingerprint
-from repro.storage import CampaignStore, parquet_available, write_run
+from repro.storage import CampaignStore, write_run
 
 ROOT_SEED = 7
 SPEC_DIGEST = "ab" * 32
@@ -135,7 +135,7 @@ def _outcome_of(results) -> RunOutcome:
     return RunOutcome(value=value, results=oks, metrics=None, failures=fails)
 
 
-def _write_and_read(results, fmt: str, root: Path):
+def _write_and_read(results, root: Path):
     outcome = _outcome_of(results)
     write_run(
         root,
@@ -143,7 +143,6 @@ def _write_and_read(results, fmt: str, root: Path):
         root_seed=ROOT_SEED,
         spec_digest=SPEC_DIGEST,
         campaign_id="rt",
-        store_format=fmt,
     )
     parts = CampaignStore(root).parts()
     assert len(parts) == 1
@@ -238,9 +237,10 @@ def _assert_failures_match(outcome: RunOutcome, part) -> None:
         (f.index, f.error_type, f.message, f.traceback, f.attempts, f.worker)
         for f in outcome.failures
     ]
-    assert part.manifest["replicas"] == len(outcome.results)
-    assert part.manifest["failed"] == len(outcome.failures)
-    assert part.manifest["complete"] == (not outcome.failures)
+    assert part.close["completed"] == len(outcome.results)
+    assert part.close["failed"] == len(outcome.failures)
+    assert part.complete == (not outcome.failures)
+    assert part.header["replicas"] == len(outcome.results) + len(outcome.failures)
 
 
 # -- store round-trip (property) -------------------------------------------
@@ -251,7 +251,7 @@ def _assert_failures_match(outcome: RunOutcome, part) -> None:
 def test_store_roundtrip_bit_equal(results):
     """write -> read reproduces every stored field bit for bit."""
     with tempfile.TemporaryDirectory() as tmp:
-        outcome, part = _write_and_read(results, "json", Path(tmp))
+        outcome, part = _write_and_read(results, Path(tmp))
         _assert_part_matches(outcome, part)
 
 
@@ -280,7 +280,7 @@ def test_store_roundtrip_nonfinite_state():
         ReplicaResult(index=0, value=outcome, events=10, elapsed_s=0.1, worker="serial")
     ]
     with tempfile.TemporaryDirectory() as tmp:
-        run, part = _write_and_read(results, "json", Path(tmp))
+        run, part = _write_and_read(results, Path(tmp))
         _assert_part_matches(run, part)
         stored = part.table("alpha_state")["value"]
         assert [_bits(v) for v in stored] == [_bits(v) for _f, v in nasty]
@@ -337,7 +337,6 @@ def test_store_roundtrip_counters_and_histograms():
             root_seed=ROOT_SEED,
             spec_digest=SPEC_DIGEST,
             campaign_id="rt",
-            store_format="json",
         )
         part = CampaignStore(root).parts()[0]
         assert part.table("replicas")["counters_schema"] == [1]
@@ -362,37 +361,6 @@ def test_store_roundtrip_counters_and_histograms():
         assert hists["buckets"][j] == "{}"
 
 
-@pytest.mark.skipif(not parquet_available(), reason="pyarrow not installed")
-@settings(max_examples=15, deadline=None)
-@given(_result_batches())
-def test_store_roundtrip_parquet(results):
-    """The pyarrow backend round-trips the identical logical content."""
-    with tempfile.TemporaryDirectory() as tmp:
-        outcome, part = _write_and_read(results, "parquet", Path(tmp))
-        assert part.manifest["format"] == "parquet"
-        _assert_part_matches(outcome, part)
-
-
-@pytest.mark.skipif(parquet_available(), reason="pyarrow is installed")
-def test_parquet_without_pyarrow_is_a_config_error():
-    with tempfile.TemporaryDirectory() as tmp:
-        with pytest.raises(ConfigurationError, match="pyarrow"):
-            _write_and_read(
-                [
-                    ReplicaFailure(
-                        index=0,
-                        error_type="ValueError",
-                        message="x",
-                        traceback="tb",
-                        attempts=1,
-                        worker="serial",
-                    )
-                ],
-                "parquet",
-                Path(tmp),
-            )
-
-
 def test_invalid_campaign_id_rejected():
     results = [
         ReplicaFailure(
@@ -413,5 +381,4 @@ def test_invalid_campaign_id_rejected():
                     root_seed=ROOT_SEED,
                     spec_digest=SPEC_DIGEST,
                     campaign_id=bad,
-                    store_format="json",
                 )

@@ -80,7 +80,6 @@ def _store_run(
             chunk_size=chunk,
             store=str(root),
             campaign_id=campaign,
-            store_format="json",
         ),
     )
 

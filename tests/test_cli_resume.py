@@ -94,7 +94,7 @@ def test_typed_campaign_id_wins_even_at_the_parser_default(
     assert "(campaign 'default')" in out
     (part,) = CampaignStore(store).parts()
     assert part.campaign_id == "default"
-    assert part.manifest["params"]["campaign_id"] == "default"
+    assert part.header["params"]["campaign_id"] == "default"
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,8 @@ class _HookFreeSimulator(Simulator):
     """
 
     def run_until(self, horizon: int, *, max_events: int | None = None) -> None:
+        if self._closed:
+            raise SimulationError("simulator is closed")
         horizon = int(horizon)
         if horizon < self._now:
             raise SchedulingError(
@@ -83,6 +85,8 @@ class _HookFreeSimulator(Simulator):
         executed = 0
         heap = self._heap
         heappop = heapq.heappop
+        heappush = heapq.heappush
+        take_seq = self._seq
         limit = -1 if max_events is None else int(max_events)
         try:
             while heap:
@@ -102,6 +106,11 @@ class _HookFreeSimulator(Simulator):
                         f"exceeded max_events={max_events} before horizon"
                     )
                 event.callback(self)
+                period = event.period
+                if period:
+                    event.time = time_ = self._now + period
+                    event.seq = seq = next(take_seq)
+                    heappush(heap, (time_, head[1], seq, event))
             self._now = horizon
         finally:
             self._running = False

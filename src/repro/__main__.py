@@ -85,6 +85,7 @@ global flags are accepted both before and after the subcommand.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.analysis.reports import render_series, render_table
@@ -818,6 +819,40 @@ def _worker_count(text: str) -> int:
     return workers
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type``: an int ``>= minimum``, or a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+def _fault_count(text: str) -> float:
+    """``--expected-faults`` value: a finite float >= 0, or a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}"
+        )
+    return value
+
+
 #: Global options accepted both before and after the subcommand.
 _GLOBAL_OPTIONS: list[tuple[tuple[str, ...], dict]] = [
     (("--seed",), {"type": int, "default": 42}),
@@ -988,11 +1023,11 @@ def _build_parser() -> argparse.ArgumentParser:
     mc = add_command(
         "mc", "Monte-Carlo stochastic campaigns via the parallel runner"
     )
-    mc.add_argument("--replicas", type=int, default=20)
-    mc.add_argument("--expected-faults", type=float, default=3.0)
-    mc.add_argument("--horizon-ms", type=int, default=2_000)
+    mc.add_argument("--replicas", type=_int_at_least(0), default=20)
+    mc.add_argument("--expected-faults", type=_fault_count, default=3.0)
+    mc.add_argument("--horizon-ms", type=_int_at_least(1), default=2_000)
     fleet = add_command("fleet", "end-to-end diagnosed fleet")
-    fleet.add_argument("--vehicles", type=int, default=10)
+    fleet.add_argument("--vehicles", type=_int_at_least(1), default=10)
     fleet.add_argument("--fault-prob", type=float, default=0.6)
     fleet.add_argument("--drive-ms", type=int, default=2_000)
     scenario = add_command("scenario", "run one named scenario")

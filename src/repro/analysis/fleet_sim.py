@@ -85,7 +85,8 @@ def simulate_vehicle(replica: ReplicaTask) -> VehicleOutcome:
 
     The vehicle's private stream decides the fault lottery and the faulty
     job; the cluster's internal named streams are seeded from the same
-    stream's state seed — no draw depends on any other vehicle.
+    stream's state seed — no draw depends on any other vehicle.  The
+    cluster is closed once the outcome is built.
     """
     spec: VehicleSpec = replica.spec
     rng = replica.rng()
@@ -98,30 +99,33 @@ def simulate_vehicle(replica: ReplicaTask) -> VehicleOutcome:
         faulty_job = CANDIDATE_JOBS[
             int(rng.choice(len(CANDIDATE_JOBS), p=probabilities))
         ]
-    parts = figure10_cluster(seed=replica.state_seed())
-    service = DiagnosticService(parts.cluster, collector="comp5")
-    if faulty_job is not None:
-        FaultInjector(parts.cluster).inject_software_heisenbug(
-            faulty_job, ms(100), manifest_prob=spec.manifest_prob
+    cluster = figure10_cluster(seed=replica.state_seed()).cluster
+    try:
+        service = DiagnosticService(cluster, collector="comp5")
+        if faulty_job is not None:
+            FaultInjector(cluster).inject_software_heisenbug(
+                faulty_job, ms(100), manifest_prob=spec.manifest_prob
+            )
+        cluster.run(spec.drive_duration_us)
+        counts = [0] * len(CANDIDATE_JOBS)
+        detected = False
+        for verdict in service.verdicts():
+            if verdict.fault_class is not FaultClass.JOB_INHERENT_SOFTWARE:
+                continue
+            job = verdict.fru.name
+            if job in CANDIDATE_JOBS:
+                counts[CANDIDATE_JOBS.index(job)] += 1
+                if job == faulty_job:
+                    detected = True
+        return VehicleOutcome(
+            index=replica.index,
+            counts=tuple(counts),
+            with_fault=faulty_job is not None,
+            detected=detected,
+            events_simulated=cluster.sim.events_processed,
         )
-    parts.cluster.run(spec.drive_duration_us)
-    counts = [0] * len(CANDIDATE_JOBS)
-    detected = False
-    for verdict in service.verdicts():
-        if verdict.fault_class is not FaultClass.JOB_INHERENT_SOFTWARE:
-            continue
-        job = verdict.fru.name
-        if job in CANDIDATE_JOBS:
-            counts[CANDIDATE_JOBS.index(job)] += 1
-            if job == faulty_job:
-                detected = True
-    return VehicleOutcome(
-        index=replica.index,
-        counts=tuple(counts),
-        with_fault=faulty_job is not None,
-        detected=detected,
-        events_simulated=parts.cluster.sim.events_processed,
-    )
+    finally:
+        cluster.close()
 
 
 def reduce_fleet(

@@ -262,8 +262,18 @@ class ScenarioRun:
 def run_scenario(
     scenario: Scenario, seed: int = 7, with_obd: bool = True
 ) -> ScenarioRun:
-    """Execute one scenario end-to-end and collect the outputs."""
-    parts = figure10_cluster(seed=seed)
+    """Execute one scenario end-to-end and collect the outputs.
+
+    The returned run holds the live cluster and services, so callers can
+    inspect them; it is never closed here.
+    """
+    return _run_on(figure10_cluster(seed=seed), scenario, seed)
+
+
+def _run_on(
+    parts: Figure10Parts, scenario: Scenario, seed: int
+) -> ScenarioRun:
+    """Execute ``scenario`` on the freshly built ``parts``."""
     cluster = parts.cluster
     # Window sized to cover the longest scenario entirely, so slow trends
     # (wearout) are measured over the full history.
@@ -348,12 +358,17 @@ def run_catalogue_cell(replica: ReplicaTask) -> CatalogueCellOutcome:
 
     The spec is ``(scenario_name, seed)``; the scenario is resolved from
     :data:`CATALOGUE` inside the worker (scenario objects carry lambdas
-    and cannot cross a spawn boundary).
+    and cannot cross a spawn boundary).  Unlike :func:`run_scenario`,
+    the cell's cluster is closed once the cell is built.
     """
     scenario_name, seed = replica.spec
     by_name = {s.name: s for s in CATALOGUE}
-    run = run_scenario(by_name[scenario_name], seed=seed)
-    return _cell_from_run(run, replica.index)
+    parts = figure10_cluster(seed=seed)
+    try:
+        run = _run_on(parts, by_name[scenario_name], seed)
+        return _cell_from_run(run, replica.index)
+    finally:
+        parts.cluster.close()
 
 
 def reduce_catalogue_cells(

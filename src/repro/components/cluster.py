@@ -300,6 +300,28 @@ class Cluster:
         """Run for an integral number of TDMA rounds."""
         self.run(rounds * self.schedule.round_length_us)
 
+    def close(self) -> None:
+        """End the cluster's life; call once its results have been read.
+
+        Closes the simulator, which drops every queued event, empties the
+        three extension hooks and removes the fault hooks from every job.
+        Those are the references that point back from the cluster to the
+        services and injectors built around it; without them a finished
+        cluster and everything attached to it are freed by reference
+        counting, with no wait for a cyclic collection.  Afterwards
+        :meth:`run` raises :class:`~repro.errors.SimulationError`; state
+        already produced (trace, counters, ``sim.events_processed``)
+        stays readable.  Idempotent.
+        """
+        self.sim.close()
+        self.frame_observers.clear()
+        self.payload_contributors.clear()
+        self.payload_consumers.clear()
+        for component in self.components.values():
+            for partition in component.partitions.values():
+                partition.job.behaviour_wrapper = None
+                partition.job.sensor_transform = None
+
     # -- VN routing -----------------------------------------------------------
 
     def _compile_routes(self, versions: tuple[int, ...]) -> None:

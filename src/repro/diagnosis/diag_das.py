@@ -102,6 +102,10 @@ class DiagnosticService:
         )
         self.epoch_results: list[EpochResult] = []
 
+        # The symptom paths capture the assessment, never ``self``: the
+        # network and the detector are owned by this service, so a
+        # closure over ``self`` would make the service a reference cycle.
+        assessment = self.assessment
         if transport == "vn":
             self.network: DiagnosticNetwork | None = DiagnosticNetwork(
                 cluster,
@@ -109,14 +113,14 @@ class DiagnosticService:
                 slot_budget=diagnostic_slot_budget,
             )
             self.network.add_consumer(
-                lambda _collector, symptom: self.assessment.submit([symptom])
+                lambda _collector, symptom: assessment.submit([symptom])
             )
             sink = self.network.deposit
         else:
             self.network = None
 
             def sink(observer: str, symptom: Symptom) -> None:
-                self.assessment.submit([symptom])
+                assessment.submit([symptom])
 
         self.detection = DetectionService(cluster, sink)
 

@@ -16,6 +16,7 @@ an explicit time-acceleration — while preserving the mechanism mix.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -23,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.fault_model import FaultDescriptor
-from repro.errors import AnalysisError, FaultInjectionError
+from repro.errors import AnalysisError, ConfigurationError, FaultInjectionError
 from repro.faults.injector import FaultInjector
 from repro.faults.suppress import FaultSelector, event_suppressed
 from repro.obs.counters import CounterRegistry
@@ -315,6 +316,21 @@ class CampaignReplicaSpec:
     # spec's digest is a pure function of the campaign parameters.
     suppress_faults: tuple[str, ...] = ()
     disable_onas: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Refuse here what the sampler would fail on mid-run, so a bad
+        # value (or a doctored ledger/store header) ends in a message.
+        if not (
+            math.isfinite(self.expected_faults) and self.expected_faults >= 0
+        ):
+            raise ConfigurationError(
+                "expected_faults must be a finite number >= 0, got "
+                f"{self.expected_faults!r}"
+            )
+        if self.horizon_us < 1:
+            raise ConfigurationError(
+                f"horizon_us must be >= 1, got {self.horizon_us!r}"
+            )
 
     @classmethod
     def from_flags(cls, flags: Mapping[str, Any]) -> CampaignReplicaSpec:

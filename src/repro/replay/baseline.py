@@ -113,7 +113,7 @@ def load_baseline(
     try:
         params = dict(meta.get("params") or {})
         spec = CampaignReplicaSpec.from_flags(params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise ConfigurationError(
             f"{where} params do not describe an mc campaign: {exc!r}"
         ) from None

@@ -517,7 +517,11 @@ class ParallelCampaignRunner:
         owns_bus = bus is None and live_log is not None
         monitor = None
         heartbeat_dir = None
-        pooled = not (options.workers == 1 or len(tasks) <= 1)
+        # Pool only when more than one replica is still to run: a
+        # resume or splice that leaves one fresh replica runs it in the
+        # parent instead of paying a pool's start-up for it.
+        to_run = sum(1 for task in tasks if task.index not in preloaded)
+        pooled = options.workers > 1 and to_run > 1
         if bus is not None or live_log is not None:
             # Lazy import: runs without telemetry never pay for it.
             from repro.obs.live import (

@@ -19,10 +19,15 @@ Performance notes (see ``docs/performance.md`` for the full contract):
 * **O(1) lazy cancellation.**  :meth:`Simulator.cancel` flips a flag on the
   handle; the heap entry is discarded when it surfaces.  No per-event set
   lookups on the hot path.
-* **Handle reuse on the periodic path.**  :meth:`Simulator.schedule_periodic`
-  allocates one :class:`ScheduledEvent` and one closure for the whole
-  cascade and re-arms them in place, instead of allocating a fresh handle
-  per tick.
+* **One handle per periodic cascade, re-armed by the loop.**
+  :meth:`Simulator.schedule_periodic` stores the caller's callback and
+  the period on one :class:`ScheduledEvent`; after each firing the run
+  loop pushes that same handle back at ``now + period`` with a fresh
+  sequence number.  No closure wraps the callback, so a cascade costs one
+  Python frame per tick and the handle never references itself.
+* **Explicit end of life.**  :meth:`Simulator.close` drops every queued
+  entry (and with it the last references the queue holds to callbacks
+  and their owners); the simulator refuses to schedule or run afterwards.
 """
 
 from __future__ import annotations
@@ -56,19 +61,27 @@ class ScheduledEvent:
 
     Ordering lives in the heap tuples ``(time, priority, seq, event)``;
     the handle itself is plain mutable state so the periodic path can
-    re-arm one handle instead of allocating per tick.
+    re-arm one handle instead of allocating per tick.  ``period`` is 0
+    for a one-shot event; a positive period makes the run loop re-arm
+    the handle after each firing.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled")
+    __slots__ = ("time", "priority", "seq", "callback", "cancelled", "period")
 
     def __init__(
-        self, time: int, priority: int, seq: int, callback: EventCallback
+        self,
+        time: int,
+        priority: int,
+        seq: int,
+        callback: EventCallback,
+        period: int = 0,
     ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
         self.callback = callback
         self.cancelled = False
+        self.period = period
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -97,6 +110,7 @@ class Simulator:
         self._heap: list[tuple[int, int, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self._running = False
+        self._closed = False
         self._events_processed = 0
 
     # -- inspection -------------------------------------------------------
@@ -138,6 +152,8 @@ class Simulator:
         SchedulingError
             If ``time`` lies in the past.
         """
+        if self._closed:
+            raise SimulationError("simulator is closed")
         time = int(time)
         if time < self._now:
             raise SchedulingError(
@@ -181,10 +197,15 @@ class Simulator:
     ) -> ScheduledEvent:
         """Schedule ``callback`` every ``period`` microseconds, forever.
 
-        The callback chain re-schedules itself; stop the cascade by running
-        the simulator only up to a horizon, or by cancelling the returned
-        handle (which always tracks the *next* pending tick).
+        One handle serves the whole cascade: after each firing the run
+        loop re-arms it at ``now + period`` with a fresh sequence number,
+        so the order is exactly that of a ``schedule_at`` called as the
+        callback's last act.  Stop the cascade by running the simulator
+        only up to a horizon, or by cancelling the returned handle (which
+        always tracks the *next* pending tick).
         """
+        if self._closed:
+            raise SimulationError("simulator is closed")
         if period <= 0:
             raise SchedulingError(f"period must be positive, got {period}")
         first = self._now + period if start is None else int(start)
@@ -192,29 +213,35 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at t={first} (now is {self._now})"
             )
-
-        # One handle and one closure for the whole cascade: each tick
-        # re-arms the same ScheduledEvent with a fresh (time, seq) pair,
-        # preserving the exact ordering a fresh schedule_at would get.
-        take_seq = self._seq
-        heap = self._heap
-
-        def tick(sim: Simulator) -> None:
-            callback(sim)
-            handle.time = time = sim._now + period
-            handle.seq = seq = next(take_seq)
-            heapq.heappush(heap, (time, priority, seq, handle))
-
-        handle = ScheduledEvent(first, priority, next(take_seq), tick)
-        heapq.heappush(heap, (first, priority, handle.seq, handle))
+        seq = next(self._seq)
+        handle = ScheduledEvent(first, priority, seq, callback, period)
+        heapq.heappush(self._heap, (first, priority, seq, handle))
         return handle
+
+    def close(self) -> None:
+        """End the simulator's life: drop every queued entry.
+
+        The queue is what ties a simulation's callbacks (and the objects
+        they are bound to) to the simulator, so closing it lets a
+        finished model be freed by reference counting.  Afterwards every
+        scheduling and running call raises :class:`SimulationError`;
+        ``now`` and ``events_processed`` stay readable.  Idempotent, but
+        not callable from inside :meth:`run_until`.
+        """
+        if self._running:
+            raise SimulationError("cannot close a running simulator")
+        self._closed = True
+        self._heap.clear()
 
     # -- execution --------------------------------------------------------
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if queue empty."""
-        while self._heap:
-            time, _priority, _seq, event = heapq.heappop(self._heap)
+        if self._closed:
+            raise SimulationError("simulator is closed")
+        heap = self._heap
+        while heap:
+            time, priority, _seq, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
             if time < self._now:  # pragma: no cover - internal invariant
@@ -225,6 +252,13 @@ class Simulator:
             if obs.enabled:
                 obs.counters.inc(_EVENTS_COUNTER)
             event.callback(self)
+            period = event.period
+            if period and not self._closed:
+                # Re-armed even when the callback cancelled the handle:
+                # the cancelled entry is dropped when it surfaces.
+                event.time = time = self._now + period
+                event.seq = seq = next(self._seq)
+                heapq.heappush(heap, (time, priority, seq, event))
             return True
         return False
 
@@ -244,6 +278,8 @@ class Simulator:
             Optional safety valve; raises :class:`SimulationError` when
             exceeded (guards against runaway self-scheduling loops).
         """
+        if self._closed:
+            raise SimulationError("simulator is closed")
         horizon = int(horizon)
         if horizon < self._now:
             raise SchedulingError(
@@ -267,6 +303,8 @@ class Simulator:
             span.__enter__()
         heap = self._heap
         heappop = heapq.heappop
+        heappush = heapq.heappush
+        take_seq = self._seq
         limit = -1 if max_events is None else int(max_events)
         try:
             while heap:
@@ -286,6 +324,16 @@ class Simulator:
                         f"exceeded max_events={max_events} before horizon"
                     )
                 event.callback(self)
+                period = event.period
+                if period:
+                    # Periodic: re-arm the same handle one period on,
+                    # with the sequence number a schedule_at called by
+                    # the callback's last statement would take.  A
+                    # handle the callback cancelled is pushed all the
+                    # same and dropped when it surfaces.
+                    event.time = time = self._now + period
+                    event.seq = seq = next(take_seq)
+                    heappush(heap, (time, head[1], seq, event))
             self._now = horizon
         finally:
             self._running = False

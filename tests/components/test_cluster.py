@@ -121,6 +121,47 @@ def test_start_is_idempotent():
     assert cluster.slots_elapsed == ms(10) // cluster.schedule.slot_length_us + 1
 
 
+def test_close_releases_hooks_and_refuses_to_run():
+    """``close`` empties the extension hooks, removes job fault hooks
+    and ends the simulator; state already produced stays readable."""
+    from repro.diagnosis.diag_das import DiagnosticService
+    from repro.errors import SimulationError
+    from repro.presets import figure10_cluster
+
+    cluster = figure10_cluster(seed=3).cluster
+    DiagnosticService(cluster, collector="comp5")
+    injector = FaultInjector(cluster)
+    injector.inject_software_bohrbug("A2", ms(5))
+    injector.inject_sensor_fault("C1", ms(5), mode="stuck", stuck_value=1.0)
+    cluster.run(ms(20))
+    assert cluster.job("A2").behaviour_wrapper is not None
+    assert cluster.job("C1").sensor_transform is not None
+    events = cluster.sim.events_processed
+
+    cluster.close()
+    assert cluster.frame_observers == []
+    assert cluster.payload_contributors == []
+    assert cluster.payload_consumers == []
+    assert cluster.sim.pending == 0
+    for component in cluster.components.values():
+        for job in component.jobs():
+            assert job.behaviour_wrapper is None
+            assert job.sensor_transform is None
+    assert (cluster.now, cluster.sim.events_processed) == (ms(20), events)
+    with pytest.raises(SimulationError):
+        cluster.run(ms(1))
+    cluster.close()  # idempotent
+
+
+def test_close_before_start_refuses_to_run():
+    from repro.errors import SimulationError
+
+    cluster = small_cluster(n_components=3, seed=8)
+    cluster.close()
+    with pytest.raises(SimulationError):
+        cluster.run(ms(1))
+
+
 # -- configuration validation ---------------------------------------------------
 
 

@@ -218,3 +218,50 @@ def test_untrusted_chunk_is_skipped_even_with_a_valid_checksum(
     state = load_ledger(path)
     assert state.skipped_lines == 1
     assert sorted(state.results_by_index) == [1]
+
+
+@pytest.fixture(scope="module")
+def cli_store_part(tmp_path_factory) -> tuple[Path, list[str]]:
+    """A store written by ``repro mc``: its one part file and lines."""
+    store = tmp_path_factory.mktemp("cli-store") / "store"
+    argv = ["--seed", "11", "--store", str(store), "mc", "--replicas", "2", "--horizon-ms", "300"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    (part,) = store.rglob("part-*.jsonl")
+    return part, part.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("artefact", ["ledger", "store"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.update(horizon_ms=0), "horizon_us must be >= 1"),
+        (lambda p: p.update(expected_faults=-1.0), "expected_faults must be"),
+    ],
+    ids=["zero-horizon", "negative-faults"],
+)
+def test_doctored_params_fail_whatif_with_a_message(
+    tmp_path, capsys, cli_ledger_lines, cli_store_part, edit, message, artefact
+):
+    """Campaign sizes the CLI would refuse, doctored into the ``params``
+    of a ledger or store part header, end ``whatif`` with a message
+    naming the file instead of failing inside the fault sampler."""
+    if artefact == "ledger":
+        lines = cli_ledger_lines
+        path = tmp_path / "ledger.jsonl"
+        baseline = path
+    else:
+        part, lines = cli_store_part
+        baseline = tmp_path / "store"
+        path = baseline / part.relative_to(part.parents[2])
+        path.parent.mkdir(parents=True)
+    header = json.loads(lines[0])
+    edit(header["params"])
+    path.write_text(
+        "\n".join([json.dumps(header, sort_keys=True), *lines[1:]]) + "\n",
+        encoding="utf-8",
+    )
+    assert main(["whatif", str(baseline), "--scan", "faults"]) == 1
+    captured = capsys.readouterr()
+    assert f"{path} params do not describe an mc campaign" in captured.err
+    assert message in captured.err

@@ -185,3 +185,38 @@ def test_fleet_command(capsys):
     out = capsys.readouterr().out
     assert "Fleet of 3" in out
     assert "replicas, workers=1" in out
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["mc", "--replicas", "-3"], "--replicas"),
+        (["mc", "--replicas", "2", "--horizon-ms", "0"], "--horizon-ms"),
+        (["mc", "--replicas", "2", "--horizon-ms", "-5"], "--horizon-ms"),
+        (["mc", "--replicas", "2", "--expected-faults", "-1"], "--expected-faults"),
+        (["mc", "--replicas", "2", "--expected-faults", "nan"], "--expected-faults"),
+        (["mc", "--replicas", "2", "--expected-faults", "inf"], "--expected-faults"),
+        (["fleet", "--vehicles", "0", "--drive-ms", "100"], "--vehicles"),
+    ],
+    ids=[
+        "negative-replicas",
+        "zero-horizon",
+        "negative-horizon",
+        "negative-faults",
+        "nan-faults",
+        "inf-faults",
+        "zero-vehicles",
+    ],
+)
+def test_invalid_campaign_sizes_are_usage_errors(tmp_path, capsys, argv, option):
+    """A campaign size the run would fail on is refused when the command
+    line is parsed: exit 2, nothing on stdout, no ledger or store."""
+    ledger = tmp_path / "mc.jsonl"
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exc:
+        main(["--checkpoint", str(ledger), "--store", str(store), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: " in captured.err
+    assert not ledger.exists() and not store.exists()

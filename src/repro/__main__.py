@@ -853,6 +853,19 @@ def _fault_count(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    """``--fault-prob`` value: a probability in [0, 1], or a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 #: Global options accepted both before and after the subcommand.
 _GLOBAL_OPTIONS: list[tuple[tuple[str, ...], dict]] = [
     (("--seed",), {"type": int, "default": 42}),
@@ -1028,8 +1041,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--horizon-ms", type=_int_at_least(1), default=2_000)
     fleet = add_command("fleet", "end-to-end diagnosed fleet")
     fleet.add_argument("--vehicles", type=_int_at_least(1), default=10)
-    fleet.add_argument("--fault-prob", type=float, default=0.6)
-    fleet.add_argument("--drive-ms", type=int, default=2_000)
+    fleet.add_argument("--fault-prob", type=_probability, default=0.6)
+    fleet.add_argument("--drive-ms", type=_int_at_least(1), default=2_000)
     scenario = add_command("scenario", "run one named scenario")
     scenario.add_argument("name")
     add_command("list", "list the scenario catalogue")

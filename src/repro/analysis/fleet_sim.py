@@ -177,6 +177,8 @@ def simulate_diagnosed_fleet(
         raise AnalysisError("need at least one vehicle")
     if not 0.0 <= fault_probability <= 1.0:
         raise AnalysisError("fault_probability must be in [0, 1]")
+    if drive_duration_us < 1:
+        raise AnalysisError("drive_duration_us must be >= 1")
     # pareto_rates validates the fractions; fail fast before spawning.
     pareto_rates(len(CANDIDATE_JOBS), 1.0, hot_fraction, hot_share)
     spec = VehicleSpec(

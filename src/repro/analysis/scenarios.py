@@ -248,7 +248,7 @@ class ScenarioRun:
     parts: Figure10Parts
     service: DiagnosticService
     injector: FaultInjector
-    obd: ObdBaseline
+    obd: ObdBaseline | None
     descriptor: FaultDescriptor
     verdicts: list[Verdict] = field(default_factory=list)
 
@@ -264,14 +264,16 @@ def run_scenario(
 ) -> ScenarioRun:
     """Execute one scenario end-to-end and collect the outputs.
 
-    The returned run holds the live cluster and services, so callers can
-    inspect them; it is never closed here.
+    ``with_obd=False`` leaves the OBD baseline out (``run.obd`` is None):
+    it only watches, so the diagnosis is the same without its per-slot
+    cost.  The returned run holds the live cluster and services, so
+    callers can inspect them; it is never closed here.
     """
-    return _run_on(figure10_cluster(seed=seed), scenario, seed)
+    return _run_on(figure10_cluster(seed=seed), scenario, seed, with_obd)
 
 
 def _run_on(
-    parts: Figure10Parts, scenario: Scenario, seed: int
+    parts: Figure10Parts, scenario: Scenario, seed: int, with_obd: bool = True
 ) -> ScenarioRun:
     """Execute ``scenario`` on the freshly built ``parts``."""
     cluster = parts.cluster
@@ -279,7 +281,7 @@ def _run_on(
     # (wearout) are measured over the full history.
     service = DiagnosticService(cluster, collector="comp5", window_points=12_000)
     service.add_tmr_monitor(parts.tmr_monitor)
-    obd = ObdBaseline(cluster)
+    obd = ObdBaseline(cluster) if with_obd else None
     injector = FaultInjector(cluster)
     descriptor = scenario.inject(injector)
     cluster.run(scenario.duration_us)
@@ -505,7 +507,10 @@ def detection_latency_us(run: ScenarioRun) -> int | None:
 
 def obd_detection_latency_us(run: ScenarioRun) -> int | None:
     """Time from fault activation to the OBD baseline's first DTC against
-    the faulty component (None when OBD never records one)."""
+    the faulty component (None when OBD never records one, or the run had
+    no baseline)."""
+    if run.obd is None:
+        return None
     descriptor = run.descriptor
     component = (
         descriptor.fru.name

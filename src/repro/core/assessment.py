@@ -19,7 +19,8 @@ the same deviation), windowed on the sparse time base, and evaluated per
 
 from __future__ import annotations
 
-from collections import defaultdict
+import heapq
+from collections import defaultdict, deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -65,6 +66,13 @@ class FruHealthReport:
 class DiagnosticAssessment:
     """Epoch-driven assessment over the distributed symptom state.
 
+    An epoch costs what changed in the window, not what it holds: the
+    window evicts without scanning or rebuilding, and each ONA receives
+    the symptoms appended and evicted since it last ran (the delta
+    contract, ``docs/performance.md``).  The window's contents and order
+    are acceptance order minus evicted symptoms, whatever the arrival
+    order of lattice points.
+
     Parameters
     ----------
     topology:
@@ -95,19 +103,28 @@ class DiagnosticAssessment:
         self.window_points = int(window_points)
         self.classifier = classifier if classifier is not None else Classifier()
         self.trust = trust if trust is not None else TrustBank()
-        self._window: list[Symptom] = []
+        # The window: accepted symptoms keyed by a per-assessment sequence
+        # number, in acceptance order; ``_window`` is a live view of the
+        # symptoms alone.  Eviction finds its victims without scanning:
+        # ``_in_order`` holds, oldest first, the seqs whose lattice point
+        # was at least every earlier one (so its points never decrease),
+        # ``_late`` is a heap of (point, seq) for the rest.  Seqs a repair
+        # removed stay in either until they surface.  ``_evicted``
+        # collects the removals since the last epoch for the ONAs (the
+        # delta contract: see docs/performance.md).
+        self._entries: dict[int, Symptom] = {}
+        self._window = self._entries.values()
+        self._seq = 0
+        self._in_order: deque[int] = deque()
+        self._late: list[tuple[int, int]] = []
+        self._max_point: int | None = None
+        self._evicted: dict[SymptomType, list[tuple[int, Symptom]]] = {}
+        # Identifies this assessment's delta stream to the ONAs: an ONA
+        # whose derived state was not built from it rebuilds from the
+        # window.
+        self._stream = object()
         self._seen_keys: set[tuple] = set()
         self._pending: list[Symptom] = []
-        # Incremental per-type window index: window-ordered (seq, symptom)
-        # lists, extended on intake and rebuilt only on eviction.  The
-        # cumulative intake counts plus the eviction generation form the
-        # ONAs' change tokens (the dirty-flag contract — see
-        # docs/performance.md).
-        self._window_index: dict[SymptomType, list[tuple[int, Symptom]]] = {}
-        self._window_seq = 0
-        self._appended_counts: dict[SymptomType, int] = {}
-        self._prune_gen = 0
-        self._window_min_point: int | None = None
         self.symptoms_total = 0
         self.symptoms_deduplicated = 0
         self.epochs_run = 0
@@ -167,19 +184,24 @@ class DiagnosticAssessment:
         try:
             new_symptoms = self._pending
             self._pending = []
-            self._extend_window(new_symptoms)
+            appended = self._extend_window(new_symptoms)
             self._prune_window(now_us)
+            evicted = self._evicted
+            self._evicted = {}
+            for removed in evicted.values():
+                removed.sort()  # window order: seqs are unique
 
-            # The window is shared by reference: ONAs only read it, and
-            # nothing mutates it until the next epoch's extend/prune.
+            # The window and the deltas are shared by reference: ONAs only
+            # read them, and nothing mutates them until the next epoch.
             ctx = OnaContext(
                 now_us=int(now_us),
                 time_base=self.time_base,
                 window=self._window,
                 topology=self.topology,
-                index=self._window_index,
-                appended=self._appended_counts,
-                prune_gen=self._prune_gen,
+                by_seq=self._entries,
+                appended=appended,
+                evicted=evicted,
+                stream=self._stream,
             )
             triggers: list[OnaTrigger] = []
             for ona in self.onas:
@@ -211,66 +233,64 @@ class DiagnosticAssessment:
             if span is not None:
                 span.__exit__(None, None, None)
 
-    def _extend_window(self, new_symptoms: list[Symptom]) -> None:
-        """Append accepted symptoms to the window and its per-type index."""
-        if not new_symptoms:
-            return
-        index = self._window_index
-        counts = self._appended_counts
-        seq = self._window_seq
-        min_point = self._window_min_point
+    def _extend_window(
+        self, new_symptoms: list[Symptom]
+    ) -> dict[SymptomType, list[tuple[int, Symptom]]]:
+        """Append accepted symptoms; returns the appended entries per type."""
+        appended: dict[SymptomType, list[tuple[int, Symptom]]] = {}
+        entries = self._entries
+        in_order = self._in_order
+        max_point = self._max_point
+        seq = self._seq
         for s in new_symptoms:
             seq += 1
-            t = s.type
-            lst = index.get(t)
-            if lst is None:
-                index[t] = [(seq, s)]
+            entries[seq] = s
+            entry = (seq, s)
+            got = appended.get(s.type)
+            if got is None:
+                appended[s.type] = [entry]
             else:
-                lst.append((seq, s))
-            counts[t] = counts.get(t, 0) + 1
+                got.append(entry)
             p = s.lattice_point
-            if min_point is None or p < min_point:
-                min_point = p
-        self._window_seq = seq
-        self._window_min_point = min_point
-        self._window.extend(new_symptoms)
+            if max_point is None or p >= max_point:
+                max_point = p
+                in_order.append(seq)
+            else:
+                heapq.heappush(self._late, (p, seq))
+        self._seq = seq
+        self._max_point = max_point
+        return appended
 
-    def _rebuild_index(self) -> None:
-        """Re-derive the per-type index after an eviction.
-
-        Bumps the prune generation so every outstanding ONA change token
-        is invalidated — an evicted symptom can change a verdict just as
-        an appended one can.
-        """
-        index: dict[SymptomType, list[tuple[int, Symptom]]] = {}
-        seq = 0
-        min_point: int | None = None
-        for s in self._window:
-            seq += 1
-            index.setdefault(s.type, []).append((seq, s))
-            p = s.lattice_point
-            if min_point is None or p < min_point:
-                min_point = p
-        self._window_index = index
-        self._window_seq = seq
-        self._window_min_point = min_point
-        self._prune_gen += 1
+    def _evict(self, seq: int) -> None:
+        """Remove one window entry and record it for the ONAs."""
+        s = self._entries.pop(seq)
+        self._seen_keys.discard(s.key())
+        got = self._evicted.get(s.type)
+        if got is None:
+            self._evicted[s.type] = [(seq, s)]
+        else:
+            got.append((seq, s))
 
     def _prune_window(self, now_us: int) -> None:
+        """Evict every symptom older than the window.  The cost is what is
+        evicted (plus the repaired seqs that surface), not the window."""
         horizon = self.time_base.lattice_point(now_us) - self.window_points
-        if horizon <= 0 or not self._window:
+        if horizon <= 0:
             return
-        min_point = self._window_min_point
-        if min_point is not None and min_point >= horizon:
-            return  # nothing old enough to evict — O(1) common case
-        kept = [s for s in self._window if s.lattice_point >= horizon]
-        if len(kept) != len(self._window):
-            dropped = {
-                s.key() for s in self._window if s.lattice_point < horizon
-            }
-            self._seen_keys -= dropped
-            self._window = kept
-            self._rebuild_index()
+        entries = self._entries
+        in_order = self._in_order
+        while in_order:
+            s = entries.get(in_order[0])
+            if s is not None and s.lattice_point >= horizon:
+                break  # every later in-order point is at least this one
+            seq = in_order.popleft()
+            if s is not None:  # None: a repair already removed it
+                self._evict(seq)
+        late = self._late
+        while late and late[0][0] < horizon:
+            seq = heapq.heappop(late)[1]
+            if seq in entries:
+                self._evict(seq)
 
     def _feed_alpha_counts(
         self,
@@ -351,16 +371,17 @@ class DiagnosticAssessment:
         self.classifier.clear(fru)
         self.trust.level(str(fru)).reset()
         self._first_seen_point.pop(fru.name, None)
+        # One pass over the window finds the stale symptoms (a repair is
+        # rare, an epoch is not); removing them costs what they number.
+        name = fru.name
+        entries = self._entries
         stale = [
-            s
-            for s in self._window
-            if s.subject_component == fru.name or s.subject_job == fru.name
+            seq
+            for seq, s in entries.items()
+            if s.subject_component == name or s.subject_job == name
         ]
-        if stale:
-            keys = {s.key() for s in stale}
-            self._seen_keys -= keys
-            self._window = [s for s in self._window if s not in stale]
-            self._rebuild_index()
+        for seq in stale:
+            self._evict(seq)
 
     # -- outputs --------------------------------------------------------------
 

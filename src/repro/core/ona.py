@@ -15,13 +15,14 @@ classifier and the trust bank.
 
 from __future__ import annotations
 
-import heapq
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_left
-from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping
+from bisect import bisect_left, bisect_right, insort
+from collections import deque
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from repro.core.fault_model import (
     FaultClass,
@@ -84,64 +85,58 @@ class Topology:
 class OnaContext:
     """Evaluation context for one assessment epoch.
 
-    When built by :class:`repro.core.assessment.DiagnosticAssessment`, the
-    context carries the assessment's *incremental* per-type window index
-    (``index``: window-ordered ``(seq, symptom)`` lists per type, maintained
-    by append/evict deltas) plus the change-token inputs (``appended``
-    cumulative per-type intake counts and the ``prune_gen`` eviction
-    generation).  :meth:`by_type` then answers from the index — no
-    full-window rescan, no enum hashing — and memoises per type-tuple, so
-    ONAs sharing a query share one materialisation per epoch.  Contexts
-    constructed without an index (unit tests, ad-hoc callers) fall back to
-    scanning ``window``; results are identical either way.
+    ``window`` holds the symptom window in window order: accepted symptoms
+    in acceptance order, minus the evicted ones.  Provenance walks it, the
+    obs span reports its size, and :meth:`by_type` filters it.
+
+    A context built by :class:`repro.core.assessment.DiagnosticAssessment`
+    also carries what changed (the delta contract, docs/performance.md):
+
+    * ``by_seq`` — the same window keyed by ``seq``, the number the
+      assessment gave each accepted symptom (so seqs order symptoms
+      across types);
+    * ``appended`` — per type, the ``(seq, symptom)`` entries appended this
+      epoch, in window order;
+    * ``evicted`` — per type, the entries evicted since the previous
+      epoch (pruning and repairs), in window order.  An entry appended and
+      evicted in one epoch is in both;
+    * ``stream`` — identifies the assessment these deltas belong to.
+
+    Types without changes are absent from ``appended`` and ``evicted``.  A
+    context without deltas (unit tests, ad-hoc callers) stands for a window
+    that is all new: every ONA rebuilds from it and judges everything.
     """
 
     now_us: int
     time_base: SparseTimeBase
-    window: list[Symptom]
+    window: Collection[Symptom]
     topology: Topology
-    index: dict[SymptomType, list[tuple[int, Symptom]]] | None = None
-    appended: Mapping[SymptomType, int] | None = None
-    prune_gen: int = 0
+    by_seq: Mapping[int, Symptom] | None = None
+    appended: Mapping[SymptomType, list[tuple[int, Symptom]]] | None = None
+    evicted: Mapping[SymptomType, list[tuple[int, Symptom]]] | None = None
+    stream: object = None
     _type_cache: dict[tuple[SymptomType, ...], list[Symptom]] = field(
         default_factory=dict
     )
 
     def by_type(self, *types: SymptomType) -> list[Symptom]:
+        """The window's symptoms of ``types``, in window order (memoised
+        per type tuple, so ONAs sharing a query share one list)."""
         got = self._type_cache.get(types)
-        if got is not None:
-            return got
-        index = self.index
-        if index is not None:
-            lists = [lst for lst in (index.get(t) for t in types) if lst]
-            if not lists:
-                got = []
-            elif len(lists) == 1:
-                got = [s for _, s in lists[0]]
-            else:
-                # Unique global seqs merge the per-type lists back into
-                # window order without ever comparing symptoms.
-                got = [s for _, s in heapq.merge(*lists)]
-        elif len(types) == 1:
-            t0 = types[0]
-            got = [s for s in self.window if s.type is t0]
-        else:
-            got = [s for s in self.window if s.type in types]
-        self._type_cache[types] = got
+        if got is None:
+            got = self._type_cache[types] = [
+                s for s in self.window if s.type in types
+            ]
         return got
 
-    def change_token(self, types: tuple[SymptomType, ...]) -> tuple | None:
-        """Opaque token that changes iff the watched slice may have changed.
-
-        Equality of two epochs' tokens guarantees the window restricted to
-        ``types`` is identical (same appends, no eviction in between) — the
-        dirty-flag contract ONAs use to skip re-evaluation.  ``None`` when
-        the context has no intake accounting (no skipping possible).
-        """
-        appended = self.appended
-        if appended is None:
-            return None
-        return (self.prune_gen, tuple(appended.get(t, 0) for t in types))
+    def entries(
+        self, types: tuple[SymptomType, ...]
+    ) -> list[tuple[int, Symptom]]:
+        """The window's ``(seq, symptom)`` entries of ``types``, in window
+        order.  Without ``by_seq``, ``seq`` is the window position."""
+        if self.by_seq is None:
+            return [(i, s) for i, s in enumerate(self.window) if s.type in types]
+        return [(seq, s) for seq, s in self.by_seq.items() if s.type in types]
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,14 +163,21 @@ class OutOfNormAssertion(ABC):
     keyed by a stable identity of the firing evidence; growing evidence
     (more episodes, more symptoms) yields new keys and hence new triggers.
 
-    ``watch`` declares the symptom types an ONA's verdict depends on.  When
-    the context's change token for those types matches the previous
-    evaluation's, the watched window slice is unchanged — a re-run would
-    regenerate exactly the keys already in ``_fired`` and return nothing —
-    so evaluation is skipped outright (the dirty-flag short-circuit; see
-    ``docs/performance.md``).  ONAs whose predicate also depends on the
-    passage of time itself (e.g. a quiet-period wait) must leave ``watch``
-    as ``None`` and run every epoch.
+    The built-in ONAs also keep *derived state* (counts, point sets,
+    episodes) that :meth:`_deltas` keeps in step with the window, and
+    re-judge only the keys whose evidence changed — the delta contract of
+    ``docs/performance.md``.  A key whose evidence did not change cannot
+    fire: it was judged when its evidence last changed, and either fired
+    then or failed on the same evidence.
+
+    ``watch`` declares the symptom types an ONA's verdict depends on.  In
+    an epoch where none of them had an append or an eviction, a full
+    re-evaluation would regenerate exactly the keys already in ``_fired``,
+    so :meth:`run` skips the ONA outright.  ONAs whose predicate also
+    depends on the passage of time itself (e.g. a quiet-period wait) must
+    leave ``watch`` as ``None`` and run every epoch.  An ONA whose
+    :meth:`evaluate` reads the whole window (``ctx.by_type``) instead of
+    calling :meth:`_deltas` is never skipped.
     """
 
     name: str = "ona"
@@ -184,7 +186,9 @@ class OutOfNormAssertion(ABC):
 
     def __init__(self) -> None:
         self._fired: set[tuple] = set()
-        self._skip_token: tuple | None = None
+        # The assessment delta stream the derived state was built from;
+        # None after a context without deltas.
+        self._stream: object = None
 
     def _once(self, *key) -> bool:
         """True exactly once per distinct key."""
@@ -197,23 +201,49 @@ class OutOfNormAssertion(ABC):
         """Quantise an evidence count so triggers re-fire as it grows."""
         return count // max(1, unit)
 
+    def _deltas(
+        self, ctx: OnaContext, types: tuple[SymptomType, ...]
+    ) -> tuple[bool, list[tuple[int, Symptom]], list[tuple[int, Symptom]]]:
+        """What changed in the window slice of ``types`` since this ONA
+        last ran: ``(rebuild, appended, evicted)``, entries in window order.
+
+        ``rebuild`` is True when the derived state must be reset first —
+        the context carries no deltas, or deltas of a stream the state was
+        not built from (the first epoch).  ``appended`` then holds the
+        whole slice and ``evicted`` is empty.  An ONA is only skipped in
+        epochs where its watched types did not change, so the deltas of
+        the epochs it missed are empty.  Call once per evaluation, with
+        every type the ONA reads.
+        """
+        stream = ctx.stream
+        if ctx.appended is None or stream is None or stream is not self._stream:
+            self._stream = stream if ctx.appended is not None else None
+            return True, ctx.entries(types), []
+        delta = []
+        for changes in (ctx.appended, ctx.evicted or {}):
+            parts = [changes[t] for t in types if t in changes]
+            if len(parts) > 1:
+                # Seqs are unique: sorting never compares symptoms.
+                delta.append(sorted(chain.from_iterable(parts)))
+            else:  # most epochs change one watched type or none
+                delta.append(parts[0] if parts else [])
+        return False, delta[0], delta[1]
+
     @abstractmethod
     def evaluate(self, ctx: OnaContext) -> list[OnaTrigger]:
         """Return all *new* triggers for the current window."""
 
     def _evaluate_guarded(self, ctx: OnaContext) -> list[OnaTrigger]:
-        """:meth:`evaluate` behind the watched-types dirty flag."""
+        """:meth:`evaluate`, skipped when the watched types did not change."""
         watch = self.watch
-        if watch is None:
+        appended = ctx.appended
+        if watch is None or appended is None or ctx.stream is not self._stream:
             return self.evaluate(ctx)
-        token = ctx.change_token(watch)
-        if token is None:
-            return self.evaluate(ctx)
-        if token == self._skip_token:
-            return []
-        triggers = self.evaluate(ctx)
-        self._skip_token = token
-        return triggers
+        evicted = ctx.evicted or ()
+        for t in watch:
+            if t in appended or t in evicted:
+                return self.evaluate(ctx)
+        return []
 
     def run(self, ctx: OnaContext) -> list[OnaTrigger]:
         """:meth:`evaluate` under the active observability context.
@@ -284,48 +314,106 @@ class MassiveTransientOna(OutOfNormAssertion):
         self.delta_points = delta_points
         self.radius = radius
         self.coherence_points = coherence_points
+        self._reset()
+
+    def _reset(self) -> None:
+        # Component-level CRC/omission evidence: the components failing at
+        # each lattice point, and each component's failure points (its
+        # span is their first and last).
+        self._at: dict[int, list[str]] = {}
+        self._points: dict[str, _PointBag] = {}
+        # Points that failed only the coherence test, grouped by their
+        # component set: only a span change of a member can let them fire.
+        self._waiting: dict[tuple[str, ...], set[int]] = {}
+        self._group_of: dict[int, tuple[str, ...]] = {}
+
+    def _leave_group(self, p: int) -> None:
+        group = self._group_of.pop(p, None)
+        if group is not None:
+            members = self._waiting[group]
+            members.discard(p)
+            if not members:
+                del self._waiting[group]
+
+    def _coherent(self, comp_list) -> bool:
+        # Burst coherence: a correlated external disturbance hits all
+        # victims over (nearly) the same interval.  A component that
+        # fails on its own schedule — a dead node, a wearing-out unit —
+        # has a failure span of its own; grouping it with a
+        # coincidental victim would launder an internal fault into an
+        # external attribution.
+        points = self._points
+        spans = [(points[c].points[0], points[c].points[-1]) for c in comp_list]
+        limit = self.coherence_points
+        return all(
+            abs(a[0] - b[0]) <= limit and abs(a[1] - b[1]) <= limit
+            for i, a in enumerate(spans)
+            for b in spans[i + 1 :]
+        )
 
     def evaluate(self, ctx: OnaContext) -> list[OnaTrigger]:
-        candidates = ctx.by_type(SymptomType.CRC_ERROR, SymptomType.OMISSION)
-        if not candidates:
+        rebuild, appended, evicted = self._deltas(ctx, self.watch)
+        if rebuild:
+            self._reset()
+        at, points = self._at, self._points
+        moved: set[int] = set()  # points whose component set changed
+        respanned: set[str] = set()  # components whose span changed
+        for _, s in appended:
+            if s.subject_job is not None:
+                continue
+            c, p = s.subject_component, s.lattice_point
+            bag = points.get(c)
+            if bag is None:
+                bag = points[c] = _PointBag()
+            if bag.add(p):
+                at.setdefault(p, []).append(c)
+                moved.add(p)
+                if p == bag.points[0] or p == bag.points[-1]:
+                    respanned.add(c)
+        for _, s in evicted:
+            if s.subject_job is not None:
+                continue
+            c, p = s.subject_component, s.lattice_point
+            bag = points[c]
+            if bag.remove(p):
+                here = at[p]
+                here.remove(c)
+                if not here:
+                    del at[p]
+                moved.add(p)
+                if not bag.points:
+                    del points[c]
+                elif p < bag.points[0] or p > bag.points[-1]:
+                    respanned.add(c)
+        if not moved:
             return []
-        by_point: dict[int, set[str]] = defaultdict(set)
-        span: dict[str, list[int]] = {}
-        for s in candidates:
-            if s.subject_job is None:
-                by_point[s.lattice_point].add(s.subject_component)
-                lo_hi = span.setdefault(
-                    s.subject_component, [s.lattice_point, s.lattice_point]
-                )
-                lo_hi[0] = min(lo_hi[0], s.lattice_point)
-                lo_hi[1] = max(lo_hi[1], s.lattice_point)
-        triggers: list[OnaTrigger] = []
+        # A point's verdict reads the components within delta of it and
+        # their spans.  Re-judge the points near a moved point, and the
+        # waiting points whose group has a respanned member and is now
+        # coherent; every other point would repeat its last verdict.
         delta = self.delta_points
-        for p in sorted(by_point):
+        touched: set[int] = set()
+        for q in moved:
+            touched.update(range(q - delta, q + delta + 1))
+        for p in touched:  # first, so every waiting group left is intact
+            self._leave_group(p)
+        dirty = {p for p in touched if p in at}
+        for group, members in self._waiting.items():
+            if not respanned.isdisjoint(group) and self._coherent(group):
+                dirty |= members
+        triggers: list[OnaTrigger] = []
+        for p in sorted(dirty):
+            self._leave_group(p)
             # Probe only the points within delta of p, so the cost stays
-            # linear in the window (docs/performance.md).
+            # linear in the change (docs/performance.md).
             components: set[str] = set()
             for q in range(p - delta, p + delta + 1):
-                near = by_point.get(q)
+                near = at.get(q)
                 if near:
-                    components |= near
+                    components.update(near)
             if len(components) < self.min_components:
                 continue
-            # Burst coherence: a correlated external disturbance hits all
-            # victims over (nearly) the same interval.  A component that
-            # fails on its own schedule — a dead node, a wearing-out unit —
-            # has a failure span of its own; grouping it with a
-            # coincidental victim would launder an internal fault into an
-            # external attribution.
             comp_list = sorted(components)
-            coherent = all(
-                abs(span[a][0] - span[b][0]) <= self.coherence_points
-                and abs(span[a][1] - span[b][1]) <= self.coherence_points
-                for i, a in enumerate(comp_list)
-                for b in comp_list[i + 1 :]
-            )
-            if not coherent:
-                continue
             # Spatial proximity: all pairwise distances within radius.
             close = all(
                 ctx.topology.distance(a, b) <= self.radius
@@ -333,6 +421,11 @@ class MassiveTransientOna(OutOfNormAssertion):
                 for b in comp_list[i + 1 :]
             )
             if not close:
+                continue
+            if not self._coherent(comp_list):
+                group = tuple(comp_list)
+                self._group_of[p] = group
+                self._waiting.setdefault(group, set()).add(p)
                 continue
             for name in comp_list:
                 if not self._once(p, name):
@@ -352,6 +445,18 @@ class MassiveTransientOna(OutOfNormAssertion):
         return triggers
 
 
+class _ChannelTally:
+    """One channel's omissions: their seqs in window order, and how often
+    each component appears as subject and as observer."""
+
+    __slots__ = ("seqs", "subjects", "observers")
+
+    def __init__(self) -> None:
+        self.seqs: deque[int] = deque()
+        self.subjects: dict[str, int] = {}
+        self.observers: dict[str, int] = {}
+
+
 class ConnectorOna(OutOfNormAssertion):
     """Fig. 8 'connector fault': message omissions on one channel.
 
@@ -368,55 +473,82 @@ class ConnectorOna(OutOfNormAssertion):
     def __init__(self, min_events: int = 3) -> None:
         super().__init__()
         self.min_events = min_events
-        # Incremental per-channel tallies: [n, subjects, observers,
-        # involvement], extended by the appended delta each dirty epoch
-        # and rebuilt from scratch when the window evicted (generation
-        # mismatch).  Incremental counting preserves Counter insertion
-        # order — and hence ``most_common`` tie-breaking — exactly as a
-        # fresh pass over the full list would.
-        self._gen: int | None = None
-        self._counted = 0
-        self._channels: dict[int, list] = {}
-
-    def _tally(self, ctx: OnaContext) -> dict[int, list]:
-        symptoms = ctx.by_type(SymptomType.CHANNEL_OMISSION)
-        if self._gen != ctx.prune_gen or self._counted > len(symptoms):
-            self._gen = ctx.prune_gen
-            self._counted = 0
-            self._channels = {}
-        channels = self._channels
-        for s in symptoms[self._counted :]:
-            if s.channel is None:
-                continue
-            data = channels.get(s.channel)
-            if data is None:
-                data = channels[s.channel] = [0, Counter(), Counter(), Counter()]
-            data[0] += 1
-            data[1][s.subject_component] += 1
-            data[2][s.observer] += 1
-            data[3][s.subject_component] += 1
-            data[3][s.observer] += 1
-        self._counted = len(symptoms)
-        return channels
+        self._channels: dict[int, _ChannelTally] = {}
 
     def evaluate(self, ctx: OnaContext) -> list[OnaTrigger]:
+        rebuild, appended, evicted = self._deltas(ctx, self.watch)
+        if rebuild:
+            self._channels = {}
+        channels = self._channels
+        dirty: set[int] = set()
+        for seq, s in appended:
+            if s.channel is None:
+                continue
+            tally = channels.get(s.channel)
+            if tally is None:
+                tally = channels[s.channel] = _ChannelTally()
+            tally.seqs.append(seq)
+            subjects, observers = tally.subjects, tally.observers
+            subjects[s.subject_component] = (
+                subjects.get(s.subject_component, 0) + 1
+            )
+            observers[s.observer] = observers.get(s.observer, 0) + 1
+            dirty.add(s.channel)
+        for seq, s in evicted:
+            if s.channel is None:
+                continue
+            tally = channels[s.channel]
+            _discard(tally.seqs, seq)
+            if not tally.seqs:
+                del channels[s.channel]
+                continue
+            for counts, name in (
+                (tally.subjects, s.subject_component),
+                (tally.observers, s.observer),
+            ):
+                n = counts[name] - 1
+                if n:
+                    counts[name] = n
+                else:
+                    del counts[name]
+            dirty.add(s.channel)
+        # A fresh pass meets the channels in the order of their first
+        # remaining omission; the triggers keep that order.
+        order = sorted(
+            (channels[channel].seqs[0], channel)
+            for channel in dirty
+            if channel in channels
+        )
         triggers: list[OnaTrigger] = []
-        for channel, (n, subjects, observers, involvement) in self._tally(
-            ctx
-        ).items():
+        for _, channel in order:
+            tally = channels[channel]
+            n = len(tally.seqs)
             if n < self.min_events:
                 continue
-            dominant_subject, subject_share = _dominant(subjects, n)
-            dominant_observer, observer_share = _dominant(observers, n)
+            subjects, observers = tally.subjects, tally.observers
+            # Ties for the top count never decide a culprit: a tied
+            # dominant subject or observer has a share of at most 1/2
+            # (< 0.8), and a tied hub fails the 2x-runner-up test.  The
+            # ``single subject AND single observer`` case has one subject.
+            # So counts alone decide, whatever the order of first
+            # occurrence.
+            dominant_subject, subject_count = max(
+                subjects.items(), key=itemgetter(1)
+            )
+            subject_share = subject_count / n
+            dominant_observer, observer_count = max(
+                observers.items(), key=itemgetter(1)
+            )
+            observer_share = observer_count / n
             # Hub test: one component involved (as sender or receiver) in
             # nearly every omission on this channel -> its connector; a
             # loom fault involves all pairings with no single hub.
-            hub, hub_count = involvement.most_common(1)[0]
-            runner_up = (
-                involvement.most_common(2)[1][1]
-                if len(involvement) > 1
-                else 0
-            )
+            involvement = dict(subjects)
+            for name, count in observers.items():
+                involvement[name] = involvement.get(name, 0) + count
+            hub, hub_count = max(involvement.items(), key=itemgetter(1))
+            counts = sorted(involvement.values(), reverse=True)
+            runner_up = counts[1] if len(counts) > 1 else 0
             if subject_share >= 0.8 and len(observers) >= 2:
                 culprit, role = dominant_subject, "tx"
             elif observer_share >= 0.8 and len(subjects) >= 2:
@@ -448,6 +580,66 @@ class ConnectorOna(OutOfNormAssertion):
         return triggers
 
 
+class _Episodes:
+    """One component's omission points grouped into episodes (maximal runs
+    of consecutive points), kept up to date point by point."""
+
+    __slots__ = ("seqs", "count", "starts", "end_of")
+
+    def __init__(self) -> None:
+        self.seqs: deque[int] = deque()  # its symptoms' seqs, in window order
+        self.count: dict[int, int] = {}  # symptoms per point
+        self.starts: list[int] = []  # episode starts, sorted
+        self.end_of: dict[int, int] = {}  # episode start -> end
+
+    def add(self, seq: int, p: int) -> None:
+        self.seqs.append(seq)
+        n = self.count.get(p, 0)
+        self.count[p] = n + 1
+        if n:
+            return
+        starts, end_of = self.starts, self.end_of
+        left, right = p - 1 in self.count, p + 1 in self.count
+        if left:
+            start = starts[bisect_right(starts, p) - 1]
+            if right:  # p joins two episodes
+                end_of[start] = end_of.pop(p + 1)
+                del starts[bisect_left(starts, p + 1)]
+            else:
+                end_of[start] = p
+        elif right:  # p starts the episode that started at p + 1
+            end_of[p] = end_of.pop(p + 1)
+            starts[bisect_left(starts, p + 1)] = p
+        else:
+            insort(starts, p)
+            end_of[p] = p
+
+    def remove(self, seq: int, p: int) -> None:
+        _discard(self.seqs, seq)
+        n = self.count[p]
+        if n > 1:
+            self.count[p] = n - 1
+            return
+        del self.count[p]
+        starts, end_of = self.starts, self.end_of
+        i = bisect_right(starts, p) - 1
+        start = starts[i]
+        end = end_of[start]
+        if start == end:
+            del starts[i]
+            del end_of[start]
+        elif p == start:
+            del end_of[start]
+            starts[i] = p + 1
+            end_of[p + 1] = end
+        elif p == end:
+            end_of[start] = p - 1
+        else:  # p splits its episode
+            end_of[start] = p - 1
+            starts.insert(i + 1, p + 1)
+            end_of[p + 1] = end
+
+
 class WearoutOna(OutOfNormAssertion):
     """Fig. 8 'wearout': transient-failure episodes of one component whose
     frequency rises as time progresses — the paper's wearout indicator."""
@@ -459,28 +651,51 @@ class WearoutOna(OutOfNormAssertion):
         super().__init__()
         self.min_episodes = min_episodes
         self.trend_factor = trend_factor
+        self._components: dict[str, _Episodes] = {}
 
     def evaluate(self, ctx: OnaContext) -> list[OnaTrigger]:
-        per_component: dict[str, set[int]] = defaultdict(set)
-        for s in ctx.by_type(SymptomType.OMISSION):
+        rebuild, appended, evicted = self._deltas(ctx, self.watch)
+        if rebuild:
+            self._components = {}
+        components = self._components
+        dirty: set[str] = set()
+        for seq, s in appended:
             if s.subject_job is None:
-                per_component[s.subject_component].add(s.lattice_point)
+                state = components.get(s.subject_component)
+                if state is None:
+                    state = components[s.subject_component] = _Episodes()
+                state.add(seq, s.lattice_point)
+                dirty.add(s.subject_component)
+        for seq, s in evicted:
+            if s.subject_job is None:
+                state = components[s.subject_component]
+                state.remove(seq, s.lattice_point)
+                if not state.seqs:
+                    del components[s.subject_component]
+                dirty.add(s.subject_component)
+        # A fresh pass meets the components in the order of their first
+        # remaining omission; the triggers keep that order.
+        order = sorted(
+            (components[name].seqs[0], name)
+            for name in dirty
+            if name in components
+        )
         triggers: list[OnaTrigger] = []
-        for name, points_set in per_component.items():
-            episodes = _episodes(sorted(points_set))
-            if len(episodes) < self.min_episodes:
+        for _, name in order:
+            starts = components[name].starts
+            episodes = len(starts)
+            if episodes < self.min_episodes:
                 continue
-            starts = [ep[0] for ep in episodes]
             lo, hi = starts[0], starts[-1]
             if hi <= lo:
                 continue
             mid = (lo + hi) / 2.0
-            early = sum(1 for t in starts if t <= mid)
-            late = len(starts) - early
+            early = bisect_right(starts, mid)  # starts at or before mid
+            late = episodes - early
             trend = (late + 0.5) / (early + 0.5)
             if trend < self.trend_factor:
                 continue
-            if not self._once(name, len(episodes)):
+            if not self._once(name, episodes):
                 continue
             triggers.append(
                 OnaTrigger(
@@ -489,9 +704,9 @@ class WearoutOna(OutOfNormAssertion):
                     subject=component_fru(name),
                     time_us=ctx.now_us,
                     confidence=min(1.0, trend / (2.0 * self.trend_factor)),
-                    evidence=len(episodes),
+                    evidence=episodes,
                     pattern=WEAROUT_PATTERN,
-                    detail=f"{len(episodes)} episodes, trend x{trend:.1f}",
+                    detail=f"{episodes} episodes, trend x{trend:.1f}",
                 )
             )
         return triggers
@@ -515,36 +730,66 @@ class CorrelatedJobFailureOna(OutOfNormAssertion):
         super().__init__()
         self.min_dases = min_dases
         self.delta_points = delta_points
+        # component -> lattice point -> the failed job of each job symptom
+        # there (a job repeats once per symptom, so an eviction can take
+        # it away exactly).
+        self._jobs: dict[str, dict[int, list[str]]] = {}
 
     def evaluate(self, ctx: OnaContext) -> list[OnaTrigger]:
-        job_symptoms = [
-            s
-            for s in ctx.by_type(
-                SymptomType.VALUE_VIOLATION,
-                SymptomType.OMISSION,
-                SymptomType.REPLICA_DEVIATION,
-            )
-            if s.subject_job is not None
-        ]
-        if not job_symptoms:
-            return []
-        by_comp_point: dict[tuple[str, int], set[str]] = defaultdict(set)
-        for s in job_symptoms:
-            by_comp_point[(s.subject_component, s.lattice_point)].add(
-                s.subject_job
-            )
-        triggers: list[OnaTrigger] = []
+        rebuild, appended, evicted = self._deltas(ctx, self.watch)
+        if rebuild:
+            self._jobs = {}
+        by_component = self._jobs
+        moved: set[tuple[str, int]] = set()  # (component, point) job sets changed
+        for _, s in appended:
+            job = s.subject_job
+            if job is None:
+                continue
+            at = by_component.get(s.subject_component)
+            if at is None:
+                at = by_component[s.subject_component] = {}
+            jobs = at.get(s.lattice_point)
+            if jobs is None:
+                at[s.lattice_point] = [job]
+                moved.add((s.subject_component, s.lattice_point))
+            else:
+                if job not in jobs:
+                    moved.add((s.subject_component, s.lattice_point))
+                jobs.append(job)
+        for _, s in evicted:
+            job = s.subject_job
+            if job is None:
+                continue
+            at = by_component[s.subject_component]
+            jobs = at[s.lattice_point]
+            jobs.remove(job)
+            if job not in jobs:
+                moved.add((s.subject_component, s.lattice_point))
+                if not jobs:
+                    del at[s.lattice_point]
+                    if not at:
+                        del by_component[s.subject_component]
+        # A key fires at most once (``_once`` would reject it again), and
+        # its verdict reads the jobs within delta of its point: re-judge
+        # the unfired keys near a changed one.
         fired = self._fired
         delta = self.delta_points
-        for (component, point), jobs in sorted(by_comp_point.items()):
-            if (component, point) in fired:
-                continue  # fires at most once; ``_once`` would reject it
-            # widen by delta: probe the neighbouring points of this component
-            all_jobs = set(jobs)
+        dirty: set[tuple[str, int]] = set()
+        for component, q in moved:
+            at = by_component.get(component)
+            if at is None:
+                continue
+            for point in range(q - delta, q + delta + 1):
+                if point in at and (component, point) not in fired:
+                    dirty.add((component, point))
+        triggers: list[OnaTrigger] = []
+        for component, point in sorted(dirty):
+            at = by_component[component]
+            all_jobs: set[str] = set()
             for p2 in range(point - delta, point + delta + 1):
-                jobs2 = by_comp_point.get((component, p2))
+                jobs2 = at.get(p2)
                 if jobs2:
-                    all_jobs |= jobs2
+                    all_jobs.update(jobs2)
             dases = {
                 ctx.topology.das_of_job.get(j, "?") for j in all_jobs
             }
@@ -567,6 +812,19 @@ class CorrelatedJobFailureOna(OutOfNormAssertion):
                 )
             )
         return triggers
+
+
+_JOB_VALUE_TYPES = (
+    SymptomType.VALUE_VIOLATION,
+    SymptomType.OMISSION,
+    SymptomType.REPLICA_DEVIATION,
+    SymptomType.SENSOR_IMPLAUSIBLE,
+)
+_COMPONENT_FAILURE_TYPES = (
+    SymptomType.OMISSION,
+    SymptomType.CRC_ERROR,
+    SymptomType.TIMING_VIOLATION,
+)
 
 
 class SingleJobOna(OutOfNormAssertion):
@@ -598,86 +856,186 @@ class SingleJobOna(OutOfNormAssertion):
         self.min_events = min_events
         self.delta_points = delta_points
         self.hw_proximity_points = hw_proximity_points
+        self._reset()
 
-    def evaluate(self, ctx: OnaContext) -> list[OnaTrigger]:
-        value_symptoms = [
-            s
-            for s in ctx.by_type(
-                SymptomType.VALUE_VIOLATION,
-                SymptomType.OMISSION,
-                SymptomType.REPLICA_DEVIATION,
-                SymptomType.SENSOR_IMPLAUSIBLE,
-            )
-            if s.subject_job is not None
-        ]
-        if not value_symptoms:
-            return []
-        # Components whose VN transmit budget overflowed: job omissions
-        # there have a configuration explanation (ConfigurationOna's case).
-        budget_components = {
-            s.subject_component
-            for s in ctx.by_type(SymptomType.VN_BUDGET_OVERFLOW)
-        }
-        sensor_flags = {
-            s.subject_job
-            for s in ctx.by_type(SymptomType.SENSOR_IMPLAUSIBLE)
-        }
-        # Component-level failure evidence, per lattice point: a job
-        # symptom raised while its host component itself was failing is a
+    def _reset(self) -> None:
+        # Component-level failure points per component.  A job symptom
+        # raised while its host component itself was failing is a
         # job-*external* manifestation of the hardware fault, not a
         # job-level fault.  The suppression is time-proximate — a brief
         # disturbance must not veto job-level attribution for the rest of
         # the window.
-        hw_failure_points: dict[str, set[int]] = defaultdict(set)
-        for s in ctx.by_type(
-            SymptomType.OMISSION,
-            SymptomType.CRC_ERROR,
-            SymptomType.TIMING_VIOLATION,
-        ):
-            if s.subject_job is None:
-                hw_failure_points[s.subject_component].add(s.lattice_point)
-        hw_sorted = {c: sorted(pts) for c, pts in hw_failure_points.items()}
+        self._failures: dict[str, _PointBag] = {}
+        # Job-level value symptoms per component and lattice point, the
+        # sorted points, and the points a failure point explains.
+        self._values: dict[str, dict[int, list[Symptom]]] = {}
+        self._value_points: dict[str, list[int]] = {}
+        self._explained: dict[str, set[int]] = {}
+        # Per job: [unexplained symptoms, unexplained non-omissions].
+        self._unexplained: dict[str, list[int]] = {}
+        # Per component: the jobs with unexplained symptoms (to enforce
+        # "only this job").
+        self._jobs_on: dict[str, set[str]] = {}
+        # VN budget overflows per component: job omissions there have a
+        # configuration explanation (ConfigurationOna's case).
+        self._budget: dict[str, int] = {}
+        self._sensor: dict[str, int] = {}  # sensor flags per job
+
+    def _count(self, s: Symptom, sign: int, changed: set[str]) -> None:
+        job = s.subject_job
+        counts = self._unexplained.get(job)
+        if counts is None:
+            counts = self._unexplained[job] = [0, 0]
+        counts[0] += sign
+        if s.type is not SymptomType.OMISSION:
+            counts[1] += sign
+        if not counts[0]:
+            del self._unexplained[job]
+        changed.add(job)
+
+    def evaluate(self, ctx: OnaContext) -> list[OnaTrigger]:
+        rebuild, appended, evicted = self._deltas(ctx, self.watch)
+        if rebuild:
+            self._reset()
+        failures, values = self._failures, self._values
+        value_points, explained = self._value_points, self._explained
+        changed_jobs: set[str] = set()
+        changed_components: set[str] = set()
+        recheck: set[tuple[str, int]] = set()  # value points to re-explain
+        moved: list[tuple[str, int]] = []  # failure points added or gone
+        for _, s in appended:
+            t, job, c = s.type, s.subject_job, s.subject_component
+            if t is SymptomType.VN_BUDGET_OVERFLOW:
+                n = self._budget.get(c, 0)
+                self._budget[c] = n + 1
+                if not n:
+                    changed_components.add(c)
+            elif job is None:
+                if t in _COMPONENT_FAILURE_TYPES:
+                    bag = failures.get(c)
+                    if bag is None:
+                        bag = failures[c] = _PointBag()
+                    if bag.add(s.lattice_point):
+                        moved.append((c, s.lattice_point))
+            elif t in _JOB_VALUE_TYPES:
+                p = s.lattice_point
+                at = values.get(c)
+                if at is None:
+                    at = values[c] = {}
+                    value_points[c] = []
+                    explained[c] = set()
+                here = at.get(p)
+                if here is None:
+                    at[p] = [s]
+                    insort(value_points[c], p)
+                    recheck.add((c, p))
+                else:
+                    here.append(s)
+                if p not in explained[c]:
+                    self._count(s, 1, changed_jobs)
+                if t is SymptomType.SENSOR_IMPLAUSIBLE:
+                    self._sensor[job] = self._sensor.get(job, 0) + 1
+        for _, s in evicted:
+            t, job, c = s.type, s.subject_job, s.subject_component
+            if t is SymptomType.VN_BUDGET_OVERFLOW:
+                n = self._budget[c] - 1
+                if n:
+                    self._budget[c] = n
+                else:
+                    del self._budget[c]
+                    changed_components.add(c)
+            elif job is None:
+                if t in _COMPONENT_FAILURE_TYPES:
+                    bag = failures[c]
+                    if bag.remove(s.lattice_point):
+                        moved.append((c, s.lattice_point))
+                        if not bag.points:
+                            del failures[c]
+            elif t in _JOB_VALUE_TYPES:
+                p = s.lattice_point
+                at = values[c]
+                here = at[p]
+                here.remove(s)
+                if p not in explained[c]:
+                    self._count(s, -1, changed_jobs)
+                if not here:
+                    del at[p]
+                    points = value_points[c]
+                    del points[bisect_left(points, p)]
+                    explained[c].discard(p)
+                    if not at:
+                        del values[c], value_points[c], explained[c]
+                if t is SymptomType.SENSOR_IMPLAUSIBLE:
+                    n = self._sensor[job] - 1
+                    if n:
+                        self._sensor[job] = n
+                    else:
+                        del self._sensor[job]
+        # A failure point at q can explain the value points within prox.
         prox = self.hw_proximity_points
-
-        def hw_explained(symptom: Symptom) -> bool:
-            # Is any failure point of the host within prox of p?  The
-            # nearest point >= p - prox decides.
-            points = hw_sorted.get(symptom.subject_component)
-            if not points:
-                return False
-            p = symptom.lattice_point
-            i = bisect_left(points, p - prox)
-            return i < len(points) and points[i] <= p + prox
-
-        by_job: dict[str, list[Symptom]] = defaultdict(list)
-        for s in value_symptoms:
-            if hw_explained(s):
+        for c, q in moved:
+            points = value_points.get(c)
+            if points:
+                i = bisect_left(points, q - prox)
+                j = bisect_right(points, q + prox)
+                recheck.update((c, p) for p in points[i:j])
+        for c, p in recheck:
+            here = values.get(c, {}).get(p)
+            if here is None:
                 continue
-            by_job[s.subject_job].append(s)
-        # Jobs per component with symptoms (to enforce "only this job").
-        jobs_per_component: dict[str, set[str]] = defaultdict(set)
-        for job in by_job:
-            comp = ctx.topology.component_of_job.get(job)
-            if comp is not None:
-                jobs_per_component[comp].add(job)
-        triggers: list[OnaTrigger] = []
-        for job, symptoms in sorted(by_job.items()):
-            if len(symptoms) < self.min_events:
+            bag = failures.get(c)
+            now_explained = bag is not None and bag.near(p, prox)
+            was_explained = p in explained[c]
+            if now_explained == was_explained:
                 continue
-            comp = ctx.topology.component_of_job.get(job)
+            if now_explained:
+                explained[c].add(p)
+            else:
+                explained[c].discard(p)
+            for s in here:
+                self._count(s, -1 if now_explained else 1, changed_jobs)
+        # A job's verdict reads its own counts, the set of jobs with
+        # unexplained symptoms on its component, and that component's
+        # budget overflows.  Sensor flags only choose the class of a
+        # trigger that fires anyway.
+        component_of_job = ctx.topology.component_of_job
+        unexplained, jobs_on = self._unexplained, self._jobs_on
+        dirty: set[str] = set()
+        for job in changed_jobs:
+            comp = component_of_job.get(job)
             if comp is None:
+                continue  # never attributed: no host component
+            on = jobs_on.get(comp)
+            if on is None:
+                on = jobs_on[comp] = set()
+            if (job in unexplained) != (job in on):
+                if job in on:
+                    on.discard(job)
+                else:
+                    on.add(job)
+                changed_components.add(comp)
+            dirty.add(job)
+        for comp in changed_components:
+            dirty.update(jobs_on.get(comp, ()))
+        triggers: list[OnaTrigger] = []
+        for job in sorted(dirty):
+            counts = unexplained.get(job)
+            if counts is None:
                 continue
-            if comp in budget_components and all(
-                s.type is SymptomType.OMISSION for s in symptoms
-            ):
+            n, non_omissions = counts
+            if n < self.min_events:
+                continue
+            comp = component_of_job[job]  # dirty jobs have a host
+            if comp in self._budget and not non_omissions:
                 continue  # message loss explained by the VN budget config
-            if len(jobs_per_component[comp]) != 1:
+            if len(jobs_on[comp]) != 1:
                 continue  # correlated failures: component-level ONA's case
-            if not self._once(job, self._bucket(len(symptoms), self.min_events)):
+            if not self._once(job, self._bucket(n, self.min_events)):
                 continue
+            sensor = job in self._sensor
             fault_class = (
                 FaultClass.JOB_INHERENT_TRANSDUCER
-                if job in sensor_flags
+                if sensor
                 else FaultClass.JOB_INHERENT_SOFTWARE
             )
             triggers.append(
@@ -686,11 +1044,11 @@ class SingleJobOna(OutOfNormAssertion):
                     fault_class=fault_class,
                     subject=job_fru(job),
                     time_us=ctx.now_us,
-                    confidence=min(1.0, len(symptoms) / (2.0 * self.min_events)),
-                    evidence=len(symptoms),
+                    confidence=min(1.0, n / (2.0 * self.min_events)),
+                    evidence=n,
                     detail=(
                         "sensor-implausibility corroborated"
-                        if job in sensor_flags
+                        if sensor
                         else "interface evidence only"
                     ),
                 )
@@ -710,31 +1068,62 @@ class IsolatedTransientOna(OutOfNormAssertion):
 
     ``watch`` stays ``None``: the quiet-period predicate depends on the
     current lattice point, so the ONA can newly fire on an *unchanged*
-    window and must run every epoch.
+    window and must run every epoch.  Each epoch costs the changed
+    components plus the candidates still waiting for their quiet period.
     """
 
     name = "isolated-transient"
+    _TYPES = (SymptomType.CRC_ERROR, SymptomType.OMISSION)
 
     def __init__(self, quiet_points: int = 50) -> None:
         super().__init__()
         self.quiet_points = quiet_points
+        self._points: dict[str, _PointBag] = {}
+        # Components whose failure points form one episode of at most two
+        # points and that have not passed their quiet period since.
+        self._candidates: set[str] = set()
 
     def evaluate(self, ctx: OnaContext) -> list[OnaTrigger]:
-        per_component: dict[str, set[int]] = defaultdict(set)
-        for s in ctx.by_type(SymptomType.CRC_ERROR, SymptomType.OMISSION):
+        rebuild, appended, evicted = self._deltas(ctx, self._TYPES)
+        if rebuild:
+            self._points = {}
+            self._candidates = set()
+        points, candidates = self._points, self._candidates
+        changed: set[str] = set()
+        for _, s in appended:
             if s.subject_job is None:
-                per_component[s.subject_component].add(s.lattice_point)
+                bag = points.get(s.subject_component)
+                if bag is None:
+                    bag = points[s.subject_component] = _PointBag()
+                if bag.add(s.lattice_point):
+                    changed.add(s.subject_component)
+        for _, s in evicted:
+            if s.subject_job is None:
+                bag = points[s.subject_component]
+                if bag.remove(s.lattice_point):
+                    changed.add(s.subject_component)
+                    if not bag.points:
+                        del points[s.subject_component]
+        for name in changed:
+            bag = points.get(name)
+            # More than two points recur: not this ONA's case.
+            if bag is not None and (
+                len(bag.points) == 1
+                or (len(bag.points) == 2 and bag.points[1] == bag.points[0] + 1)
+            ):
+                candidates.add(name)
+            else:
+                candidates.discard(name)
         now_point = ctx.time_base.lattice_point(ctx.now_us)
         triggers: list[OnaTrigger] = []
-        for name, points in sorted(per_component.items()):
-            if len(points) > 2:
-                continue  # recurring: not this ONA's case
-            episodes = _episodes(sorted(points))
-            if len(episodes) != 1:
-                continue
-            last = episodes[-1][1]
+        for name in sorted(candidates):
+            burst = points[name].points
+            first, last = burst[0], burst[-1]
             if now_point - last < self.quiet_points:
                 continue  # might still recur; wait
+            # Judged on this evidence: ``_once`` would reject it from now
+            # on, until the component's points change.
+            candidates.discard(name)
             if not self._once(name, last):
                 continue
             triggers.append(
@@ -744,9 +1133,9 @@ class IsolatedTransientOna(OutOfNormAssertion):
                     subject=component_fru(name),
                     time_us=ctx.now_us,
                     confidence=0.4,
-                    evidence=len(points),
+                    evidence=len(burst),
                     detail=(
-                        f"single burst at point {episodes[0][0]}, quiet for "
+                        f"single burst at point {first}, quiet for "
                         f"{now_point - last} points"
                     ),
                 )
@@ -770,29 +1159,56 @@ class ConfigurationOna(OutOfNormAssertion):
     def __init__(self, min_events: int = 2) -> None:
         super().__init__()
         self.min_events = min_events
+        # Per job: its overflow entries in window order (the first one's
+        # detail goes into the trigger), and its value violations.
+        self._overflows: dict[str, deque[tuple[int, Symptom]]] = {}
+        self._violations: dict[str, int] = {}
 
     def evaluate(self, ctx: OnaContext) -> list[OnaTrigger]:
-        overflows = ctx.by_type(
-            SymptomType.QUEUE_OVERFLOW, SymptomType.VN_BUDGET_OVERFLOW
-        )
-        if not overflows:
-            return []
-        violating_jobs = {
-            s.subject_job
-            for s in ctx.by_type(SymptomType.VALUE_VIOLATION)
-            if s.subject_job is not None
-        }
-        by_job: dict[str, list[Symptom]] = defaultdict(list)
-        for s in overflows:
-            if s.subject_job is not None:
-                by_job[s.subject_job].append(s)
-        triggers: list[OnaTrigger] = []
-        for job, symptoms in sorted(by_job.items()):
-            if len(symptoms) < self.min_events:
+        rebuild, appended, evicted = self._deltas(ctx, self.watch)
+        if rebuild:
+            self._overflows = {}
+            self._violations = {}
+        overflows, violations = self._overflows, self._violations
+        dirty: set[str] = set()
+        for entry in appended:
+            job = entry[1].subject_job
+            if job is None:
                 continue
-            if job in violating_jobs:
+            if entry[1].type is SymptomType.VALUE_VIOLATION:
+                violations[job] = violations.get(job, 0) + 1
+            else:
+                got = overflows.get(job)
+                if got is None:
+                    overflows[job] = deque((entry,))
+                else:
+                    got.append(entry)
+            dirty.add(job)
+        for seq, s in evicted:
+            job = s.subject_job
+            if job is None:
+                continue
+            if s.type is SymptomType.VALUE_VIOLATION:
+                n = violations[job] - 1
+                if n:
+                    violations[job] = n
+                else:
+                    del violations[job]
+            else:
+                got = overflows[job]
+                _discard(got, (seq, s))
+                if not got:
+                    del overflows[job]
+            dirty.add(job)
+        triggers: list[OnaTrigger] = []
+        for job in sorted(dirty):
+            entries = overflows.get(job)
+            if entries is None or len(entries) < self.min_events:
+                continue
+            if job in violations:
                 continue  # not a pure configuration problem
-            if not self._once(job, self._bucket(len(symptoms), self.min_events)):
+            n = len(entries)
+            if not self._once(job, self._bucket(n, self.min_events)):
                 continue
             triggers.append(
                 OnaTrigger(
@@ -800,9 +1216,9 @@ class ConfigurationOna(OutOfNormAssertion):
                     fault_class=FaultClass.JOB_BORDERLINE,
                     subject=job_fru(job),
                     time_us=ctx.now_us,
-                    confidence=min(1.0, len(symptoms) / (2.0 * self.min_events)),
-                    evidence=len(symptoms),
-                    detail=symptoms[0].detail,
+                    confidence=min(1.0, n / (2.0 * self.min_events)),
+                    evidence=n,
+                    detail=entries[0][1].detail,
                 )
             )
         return triggers
@@ -818,18 +1234,30 @@ class TimingOna(OutOfNormAssertion):
     def __init__(self, min_events: int = 3) -> None:
         super().__init__()
         self.min_events = min_events
+        self._counts: dict[str, int] = {}
 
     def evaluate(self, ctx: OnaContext) -> list[OnaTrigger]:
-        by_component: dict[str, list[Symptom]] = defaultdict(list)
-        for s in ctx.by_type(
-            SymptomType.TIMING_VIOLATION, SymptomType.GUARDIAN_BLOCK
-        ):
-            by_component[s.subject_component].append(s)
+        rebuild, appended, evicted = self._deltas(ctx, self.watch)
+        if rebuild:
+            self._counts = {}
+        counts = self._counts
+        dirty: set[str] = set()
+        for _, s in appended:
+            counts[s.subject_component] = counts.get(s.subject_component, 0) + 1
+            dirty.add(s.subject_component)
+        for _, s in evicted:
+            n = counts[s.subject_component] - 1
+            if n:
+                counts[s.subject_component] = n
+            else:
+                del counts[s.subject_component]
+            dirty.add(s.subject_component)
         triggers: list[OnaTrigger] = []
-        for name, symptoms in sorted(by_component.items()):
-            if len(symptoms) < self.min_events:
+        for name in sorted(dirty):
+            n = counts.get(name, 0)
+            if n < self.min_events:
                 continue
-            if not self._once(name, self._bucket(len(symptoms), self.min_events)):
+            if not self._once(name, self._bucket(n, self.min_events)):
                 continue
             triggers.append(
                 OnaTrigger(
@@ -837,8 +1265,8 @@ class TimingOna(OutOfNormAssertion):
                     fault_class=FaultClass.COMPONENT_INTERNAL,
                     subject=component_fru(name),
                     time_us=ctx.now_us,
-                    confidence=min(1.0, len(symptoms) / (2.0 * self.min_events)),
-                    evidence=len(symptoms),
+                    confidence=min(1.0, n / (2.0 * self.min_events)),
+                    evidence=n,
                     detail="persistent send-instant deviation",
                 )
             )
@@ -889,22 +1317,50 @@ def onas_without(disabled: Iterable[str]) -> list[OutOfNormAssertion]:
 # -- helpers -----------------------------------------------------------------
 
 
-def _dominant(counter: Counter, total: int) -> tuple[str, float]:
-    name, count = counter.most_common(1)[0]
-    return name, count / total
+def _discard(entries: deque, item) -> None:
+    """Remove ``item`` from a window-ordered deque.  Evictions take the
+    oldest entries almost always, so this is O(1) but for late arrivals."""
+    if entries[0] == item:
+        entries.popleft()
+    else:
+        entries.remove(item)
 
 
-def _episodes(points: list[int]) -> list[tuple[int, int]]:
-    """Group sorted lattice points into maximal consecutive runs."""
-    episodes: list[tuple[int, int]] = []
-    if not points:
-        return episodes
-    start = prev = points[0]
-    for p in points[1:]:
-        if p == prev + 1:
-            prev = p
-            continue
-        episodes.append((start, prev))
-        start = prev = p
-    episodes.append((start, prev))
-    return episodes
+class _PointBag:
+    """A multiset of lattice points; ``points`` holds the distinct ones in
+    ascending order."""
+
+    __slots__ = ("count", "points")
+
+    def __init__(self) -> None:
+        self.count: dict[int, int] = {}
+        self.points: list[int] = []
+
+    def add(self, p: int) -> bool:
+        """Add one occurrence; True when ``p`` is a new distinct point."""
+        n = self.count.get(p, 0)
+        self.count[p] = n + 1
+        if n:
+            return False
+        points = self.points
+        if not points or p > points[-1]:
+            points.append(p)
+        else:
+            insort(points, p)
+        return True
+
+    def remove(self, p: int) -> bool:
+        """Remove one occurrence; True when ``p`` is gone."""
+        n = self.count[p]
+        if n > 1:
+            self.count[p] = n - 1
+            return False
+        del self.count[p]
+        del self.points[bisect_left(self.points, p)]
+        return True
+
+    def near(self, p: int, reach: int) -> bool:
+        """Whether a point lies within ``reach`` of ``p``."""
+        points = self.points
+        i = bisect_left(points, p - reach)
+        return i < len(points) and points[i] <= p + reach

@@ -46,3 +46,9 @@ def test_validation():
         simulate_diagnosed_fleet(0)
     with pytest.raises(AnalysisError):
         simulate_diagnosed_fleet(1, fault_probability=1.5)
+
+
+def test_drive_duration_below_one_microsecond_is_refused():
+    for duration in (0, -5_000):
+        with pytest.raises(AnalysisError, match="drive_duration_us"):
+            simulate_diagnosed_fleet(1, drive_duration_us=duration)

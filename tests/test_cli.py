@@ -197,6 +197,11 @@ def test_fleet_command(capsys):
         (["mc", "--replicas", "2", "--expected-faults", "nan"], "--expected-faults"),
         (["mc", "--replicas", "2", "--expected-faults", "inf"], "--expected-faults"),
         (["fleet", "--vehicles", "0", "--drive-ms", "100"], "--vehicles"),
+        (["fleet", "--vehicles", "1", "--fault-prob", "2"], "--fault-prob"),
+        (["fleet", "--vehicles", "1", "--fault-prob", "-0.1"], "--fault-prob"),
+        (["fleet", "--vehicles", "1", "--fault-prob", "nan"], "--fault-prob"),
+        (["fleet", "--vehicles", "1", "--drive-ms", "-5"], "--drive-ms"),
+        (["fleet", "--vehicles", "1", "--drive-ms", "0"], "--drive-ms"),
     ],
     ids=[
         "negative-replicas",
@@ -206,6 +211,11 @@ def test_fleet_command(capsys):
         "nan-faults",
         "inf-faults",
         "zero-vehicles",
+        "fault-prob-above-one",
+        "negative-fault-prob",
+        "nan-fault-prob",
+        "negative-drive",
+        "zero-drive",
     ],
 )
 def test_invalid_campaign_sizes_are_usage_errors(tmp_path, capsys, argv, option):

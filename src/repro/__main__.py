@@ -802,68 +802,60 @@ def cmd_resume(args: argparse.Namespace) -> int:
     return _dispatch(resumed)
 
 
-def _worker_count(text: str) -> int:
-    """``--workers`` value: an int the runner accepts, or a usage error."""
-    from repro.runtime.runner import MAX_WORKERS
+def _ranged(cast, accept, requirement: str):
+    """An argparse ``type``: ``cast(text)`` when ``accept`` holds for the
+    value, else a usage error stating ``requirement``.  NaN fails every
+    comparison, so a range check refuses it too."""
 
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if not 1 <= workers <= MAX_WORKERS:
-        raise argparse.ArgumentTypeError(
-            f"must be between 1 and {MAX_WORKERS}, got {workers}"
-        )
-    return workers
-
-
-def _int_at_least(minimum: int):
-    """An argparse ``type``: an int ``>= minimum``, or a usage error."""
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}"
+                f"invalid {cast.__name__} value: {text!r}"
             ) from None
-        if value < minimum:
+        if not accept(value):
             raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {value}"
+                f"must be {requirement}, got {text}"
             )
         return value
 
     return parse
 
 
+def _int_at_least(minimum: int):
+    return _ranged(int, lambda v: v >= minimum, f">= {minimum}")
+
+
+def _worker_count(text: str) -> int:
+    """``--workers`` value: a worker count the runner accepts."""
+    from repro.runtime.runner import MAX_WORKERS
+
+    return _ranged(
+        int, lambda v: 1 <= v <= MAX_WORKERS, f"between 1 and {MAX_WORKERS}"
+    )(text)
+
+
 def _fault_count(text: str) -> float:
-    """``--expected-faults`` value: a finite float >= 0, or a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}"
-        ) from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text}"
-        )
-    return value
+    """``--expected-faults`` value: a mean the sampler can finish."""
+    from repro.faults.campaign import MAX_EXPECTED_FAULTS
+
+    return _ranged(
+        float,
+        lambda v: 0 <= v <= MAX_EXPECTED_FAULTS,
+        f"in [0, {MAX_EXPECTED_FAULTS:g}]",
+    )(text)
 
 
-def _probability(text: str) -> float:
-    """``--fault-prob`` value: a probability in [0, 1], or a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}"
-        ) from None
-    if not 0.0 <= value <= 1.0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+#: ``--fault-prob`` value.
+_probability = _ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+#: ``monitor --interval``: ``time.sleep`` refuses a negative or NaN
+#: period, and 0 would re-render in a busy loop.
+_interval = _ranged(
+    float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"
+)
+#: ``monitor --serve`` port (0 = ephemeral).
+_port = _ranged(int, lambda v: 0 <= v <= 65535, "between 0 and 65535")
 
 
 #: Global options accepted both before and after the subcommand.
@@ -1136,14 +1128,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     monitor_cmd.add_argument(
         "--interval",
-        type=float,
+        type=_interval,
         default=1.0,
         metavar="SECONDS",
         help="--follow refresh period (default 1.0)",
     )
     monitor_cmd.add_argument(
         "--serve",
-        type=int,
+        type=_port,
         default=None,
         metavar="PORT",
         help=(

@@ -1,75 +1,7 @@
 """Experiment analysis: scoring metrics and report rendering.
 
-Names resolve lazily (PEP 562): the report-rendering helpers are pure
-text formatting used by the sim-free ``repro query`` path, so importing
-them must not pull the simulator via the scenario/fleet modules.
+The package re-exports nothing: the report-rendering helpers in
+:mod:`repro.analysis.reports` are pure text formatting used by the
+sim-free ``repro query`` path, so importing them must not pull the
+simulator in via the scenario and fleet modules.
 """
-
-from __future__ import annotations
-
-import importlib
-from typing import TYPE_CHECKING
-
-#: Lazily-resolved public names → defining module.
-_EXPORTS = {
-    "CampaignScore": "repro.analysis.metrics",
-    "ConfusionMatrix": "repro.analysis.metrics",
-    "evaluate_recommendations": "repro.analysis.metrics",
-    "removal_justified": "repro.analysis.metrics",
-    "score_campaign": "repro.analysis.metrics",
-    "fmt": "repro.analysis.reports",
-    "render_series": "repro.analysis.reports",
-    "render_table": "repro.analysis.reports",
-    "DiagnosedFleetResult": "repro.analysis.fleet_sim",
-    "simulate_diagnosed_fleet": "repro.analysis.fleet_sim",
-    "CATALOGUE": "repro.analysis.scenarios",
-    "CampaignResult": "repro.analysis.scenarios",
-    "Scenario": "repro.analysis.scenarios",
-    "ScenarioRun": "repro.analysis.scenarios",
-    "component_level_scenarios": "repro.analysis.scenarios",
-    "job_level_scenarios": "repro.analysis.scenarios",
-    "run_campaign": "repro.analysis.scenarios",
-    "run_scenario": "repro.analysis.scenarios",
-}
-
-__all__ = list(_EXPORTS)
-
-if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from repro.analysis.fleet_sim import (
-        DiagnosedFleetResult,
-        simulate_diagnosed_fleet,
-    )
-    from repro.analysis.metrics import (
-        CampaignScore,
-        ConfusionMatrix,
-        evaluate_recommendations,
-        removal_justified,
-        score_campaign,
-    )
-    from repro.analysis.reports import fmt, render_series, render_table
-    from repro.analysis.scenarios import (
-        CATALOGUE,
-        CampaignResult,
-        Scenario,
-        ScenarioRun,
-        component_level_scenarios,
-        job_level_scenarios,
-        run_campaign,
-        run_scenario,
-    )
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is not None:
-        return getattr(importlib.import_module(module), name)
-    try:
-        return importlib.import_module(f"repro.analysis.{name}")
-    except ModuleNotFoundError:
-        raise AttributeError(
-            f"module 'repro.analysis' has no attribute {name!r}"
-        ) from None
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

@@ -1,56 +1,1 @@
 """DECOS component model: components, partitions, jobs, DASs, VNs."""
-
-from repro.components.cluster import Cluster, ClusterSpec
-from repro.components.component import Component, ComponentSpec, HardwareState
-from repro.components.das import Criticality, DasSpec
-from repro.components.gateway import gateway_behaviour, make_gateway_job
-from repro.components.job import (
-    Behaviour,
-    DispatchContext,
-    Job,
-    JobSpec,
-    counter_behaviour,
-    sensor_relay_behaviour,
-)
-from repro.components.partition import Partition, PartitionSpec
-from repro.components.ports import (
-    Message,
-    Port,
-    PortDirection,
-    PortKind,
-    PortSpec,
-    ValueSpec,
-)
-from repro.components.redundancy import TmrVoter, VoteResult
-from repro.components.virtual_network import PortAddress, VirtualNetwork, VnLink
-
-__all__ = [
-    "Cluster",
-    "ClusterSpec",
-    "Component",
-    "ComponentSpec",
-    "HardwareState",
-    "Criticality",
-    "DasSpec",
-    "gateway_behaviour",
-    "make_gateway_job",
-    "Behaviour",
-    "DispatchContext",
-    "Job",
-    "JobSpec",
-    "counter_behaviour",
-    "sensor_relay_behaviour",
-    "Partition",
-    "PartitionSpec",
-    "Message",
-    "Port",
-    "PortDirection",
-    "PortKind",
-    "PortSpec",
-    "ValueSpec",
-    "TmrVoter",
-    "VoteResult",
-    "PortAddress",
-    "VirtualNetwork",
-    "VnLink",
-]

@@ -1,142 +1,2 @@
 """The maintenance-oriented fault model and diagnostic core (the paper's
 primary contribution)."""
-
-from repro.core.alpha_count import AlphaCount, AlphaCountBank
-from repro.core.cbm import (
-    CbmRecommendation,
-    ConditionMonitor,
-    WearoutAssessment,
-    episodes_from_trace,
-)
-from repro.core.assessment import (
-    DiagnosticAssessment,
-    EpochResult,
-    FruHealthReport,
-)
-from repro.core.classification import Classifier, Verdict
-from repro.core.fault_model import (
-    OVERVIEW_ROWS,
-    REPLACEMENT_TARGET,
-    ChainLink,
-    ChainStage,
-    FaultClass,
-    FaultDescriptor,
-    FaultErrorFailureChain,
-    FruKind,
-    FruRef,
-    LaprieBoundary,
-    OriginPhase,
-    Persistence,
-    component_fru,
-    job_fru,
-)
-from repro.core.fleet import (
-    FleetReport,
-    ParetoAnalysis,
-    analyse_fleet,
-    identification_quality,
-    pareto_rates,
-    synthesize_fleet,
-)
-from repro.core.maintenance import (
-    ACTION_FOR_CLASS,
-    CostModel,
-    MaintenanceAction,
-    MaintenanceRecommendation,
-    determine_action,
-)
-from repro.core.ona import (
-    ConfigurationOna,
-    ConnectorOna,
-    IsolatedTransientOna,
-    CorrelatedJobFailureOna,
-    MassiveTransientOna,
-    OnaContext,
-    OnaTrigger,
-    OutOfNormAssertion,
-    SingleJobOna,
-    TimingOna,
-    Topology,
-    WearoutOna,
-    default_onas,
-)
-from repro.core.patterns import (
-    CONNECTOR_PATTERN,
-    FIG8_PATTERNS,
-    MASSIVE_TRANSIENT_PATTERN,
-    WEAROUT_PATTERN,
-    FaultPattern,
-    PatternSignature,
-    classify_signature,
-    measure_signature,
-)
-from repro.core.symptoms import Symptom, SymptomType
-from repro.core.trust import TrustBank, TrustLevel
-from repro.core.workshop import BenchRetest, ServiceStation, WorkOrder
-
-__all__ = [
-    "AlphaCount",
-    "AlphaCountBank",
-    "CbmRecommendation",
-    "ConditionMonitor",
-    "WearoutAssessment",
-    "episodes_from_trace",
-    "BenchRetest",
-    "ServiceStation",
-    "WorkOrder",
-    "DiagnosticAssessment",
-    "EpochResult",
-    "FruHealthReport",
-    "Classifier",
-    "Verdict",
-    "OVERVIEW_ROWS",
-    "REPLACEMENT_TARGET",
-    "ChainLink",
-    "ChainStage",
-    "FaultClass",
-    "FaultDescriptor",
-    "FaultErrorFailureChain",
-    "FruKind",
-    "FruRef",
-    "LaprieBoundary",
-    "OriginPhase",
-    "Persistence",
-    "component_fru",
-    "job_fru",
-    "FleetReport",
-    "ParetoAnalysis",
-    "analyse_fleet",
-    "identification_quality",
-    "pareto_rates",
-    "synthesize_fleet",
-    "ACTION_FOR_CLASS",
-    "CostModel",
-    "MaintenanceAction",
-    "MaintenanceRecommendation",
-    "determine_action",
-    "ConfigurationOna",
-    "ConnectorOna",
-    "IsolatedTransientOna",
-    "CorrelatedJobFailureOna",
-    "MassiveTransientOna",
-    "OnaContext",
-    "OnaTrigger",
-    "OutOfNormAssertion",
-    "SingleJobOna",
-    "TimingOna",
-    "Topology",
-    "WearoutOna",
-    "default_onas",
-    "CONNECTOR_PATTERN",
-    "FIG8_PATTERNS",
-    "MASSIVE_TRANSIENT_PATTERN",
-    "WEAROUT_PATTERN",
-    "FaultPattern",
-    "PatternSignature",
-    "classify_signature",
-    "measure_signature",
-    "Symptom",
-    "SymptomType",
-    "TrustBank",
-    "TrustLevel",
-]

@@ -1,32 +1,2 @@
 """Integrated diagnostic services: detection, dissemination, diagnostic DAS,
 and the federated OBD baseline."""
-
-from repro.diagnosis.baseline_obd import ObdBaseline, TroubleCode
-from repro.diagnosis.detector import (
-    DetectionService,
-    TmrMonitor,
-    sensor_range_check,
-    sensor_rate_check,
-    sensor_stuck_check,
-)
-from repro.diagnosis.diag_das import DiagnosticService, build_topology
-from repro.diagnosis.dissemination import (
-    DIAGNOSTIC_VN,
-    DiagnosticNetwork,
-    SymptomMessage,
-)
-
-__all__ = [
-    "ObdBaseline",
-    "TroubleCode",
-    "DetectionService",
-    "TmrMonitor",
-    "sensor_range_check",
-    "sensor_rate_check",
-    "sensor_stuck_check",
-    "DiagnosticService",
-    "build_topology",
-    "DIAGNOSTIC_VN",
-    "DiagnosticNetwork",
-    "SymptomMessage",
-]

@@ -1,21 +1,1 @@
 """Fault injection substrate: labelled fault mechanisms, rates, wearout."""
-
-from repro.faults import rates
-from repro.faults.campaign import DEFAULT_MIX, CampaignPlan, RandomCampaign
-from repro.faults.environment import BENIGN, HIGHWAY, ROUGH_ROAD, StressProfile
-from repro.faults.injector import FaultInjector
-from repro.faults.wearout import DamageAccumulator, wearout_fit_profile
-
-__all__ = [
-    "rates",
-    "DEFAULT_MIX",
-    "CampaignPlan",
-    "RandomCampaign",
-    "BENIGN",
-    "HIGHWAY",
-    "ROUGH_ROAD",
-    "StressProfile",
-    "FaultInjector",
-    "DamageAccumulator",
-    "wearout_fit_profile",
-]

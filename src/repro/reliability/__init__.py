@@ -1,26 +1,1 @@
 """Reliability models: Weibull, bathtub curve, FIT arithmetic, Pecht's law."""
-
-from repro.reliability.bathtub import (
-    PAULI_MEYNA_USEFUL_LIFE_PER_YEAR,
-    BathtubModel,
-)
-from repro.reliability.fit import (
-    expected_failures,
-    exponential_arrivals_us,
-    fit_from_mtbf_hours,
-    observed_fit,
-    thinned_arrivals_us,
-)
-from repro.reliability import pecht, weibull
-
-__all__ = [
-    "PAULI_MEYNA_USEFUL_LIFE_PER_YEAR",
-    "BathtubModel",
-    "expected_failures",
-    "exponential_arrivals_us",
-    "fit_from_mtbf_hours",
-    "observed_fit",
-    "thinned_arrivals_us",
-    "pecht",
-    "weibull",
-]

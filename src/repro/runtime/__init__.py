@@ -25,45 +25,3 @@ Design contract
 
 See ``docs/parallel_runtime.md`` for the full scheme.
 """
-
-from repro.runtime.checkpoint import (
-    CheckpointLedger,
-    LedgerState,
-    load_ledger,
-    read_header,
-    spec_digest,
-)
-from repro.runtime.metrics import RunMetrics
-from repro.runtime.runner import (
-    ParallelCampaignRunner,
-    ReplicaFailure,
-    ReplicaResult,
-    ReplicaTask,
-    RunOptions,
-    RunOutcome,
-)
-from repro.runtime.seeds import (
-    replica_rng,
-    replica_sequence,
-    replica_state_seed,
-    stream_fingerprint,
-)
-
-__all__ = [
-    "CheckpointLedger",
-    "LedgerState",
-    "ParallelCampaignRunner",
-    "ReplicaFailure",
-    "ReplicaResult",
-    "ReplicaTask",
-    "RunMetrics",
-    "RunOptions",
-    "RunOutcome",
-    "load_ledger",
-    "read_header",
-    "replica_rng",
-    "replica_sequence",
-    "replica_state_seed",
-    "spec_digest",
-    "stream_fingerprint",
-]

@@ -16,9 +16,6 @@ CLI, the equivalence tests and the scaling benchmarks.
 from __future__ import annotations
 
 from repro import obs as obs_api
-from repro.analysis.scenarios import predicted_class_for
-from repro.core.maintenance import determine_action
-from repro.diagnosis.diag_das import DiagnosticService
 from repro.faults.campaign import (
     CampaignReplicaOutcome,
     CampaignReplicaSpec,
@@ -26,10 +23,7 @@ from repro.faults.campaign import (
     RandomCampaign,
     summarize_campaign,
 )
-from repro.core.ona import onas_without
-from repro.faults.injector import FaultInjector
 from repro.faults.suppress import selectors_for_replica
-from repro.presets import figure10_cluster
 from repro.runtime.runner import (
     ParallelCampaignRunner,
     ReplicaTask,
@@ -46,6 +40,16 @@ def run_campaign_replica(replica: ReplicaTask) -> CampaignReplicaOutcome:
     both derive from ``(root_seed, index)`` alone, so the outcome is
     reproducible independent of where or when the replica executes.
     """
+    # The simulator is imported by the task, not by this module: a pooled
+    # parent only schedules, stores and reduces, so it never loads it,
+    # and a worker or a serial parent pays for it at its first replica.
+    from repro.analysis.scenarios import predicted_class_for
+    from repro.core.maintenance import determine_action
+    from repro.core.ona import onas_without
+    from repro.diagnosis.diag_das import DiagnosticService
+    from repro.faults.injector import FaultInjector
+    from repro.presets import figure10_cluster
+
     # Each replica needs a fresh *runtime* cluster — its named RNG streams
     # are seeded from replica.state_seed(), so a shared Cluster object
     # would entangle the replicas' draw sequences.  The expensive

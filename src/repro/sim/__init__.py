@@ -1,64 +1,6 @@
 """Discrete-event simulation substrate: kernel, RNG streams, tracing.
 
-Names resolve lazily (PEP 562) so pure submodules — notably
+The package re-exports nothing, so pure submodules — notably
 :mod:`repro.sim.trace`, which the sim-free observability and storage
-layers import — do not drag the DES kernel into the process.
+layers import — load without the DES kernel.
 """
-
-from __future__ import annotations
-
-import importlib
-from typing import TYPE_CHECKING
-
-#: Lazily-resolved public names → defining module.
-_EXPORTS = {
-    "PRIORITY_APPLICATION": "repro.sim.engine",
-    "PRIORITY_DEFAULT": "repro.sim.engine",
-    "PRIORITY_FAULT": "repro.sim.engine",
-    "PRIORITY_MONITOR": "repro.sim.engine",
-    "PRIORITY_NETWORK": "repro.sim.engine",
-    "ScheduledEvent": "repro.sim.engine",
-    "Simulator": "repro.sim.engine",
-    "RngRegistry": "repro.sim.rng",
-    "DistributedStateRecorder": "repro.sim.state",
-    "StateSnapshot": "repro.sim.state",
-    "attach_recorder": "repro.sim.state",
-    "TraceRecord": "repro.sim.trace",
-    "TraceRecorder": "repro.sim.trace",
-}
-
-__all__ = list(_EXPORTS)
-
-if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from repro.sim.engine import (
-        PRIORITY_APPLICATION,
-        PRIORITY_DEFAULT,
-        PRIORITY_FAULT,
-        PRIORITY_MONITOR,
-        PRIORITY_NETWORK,
-        ScheduledEvent,
-        Simulator,
-    )
-    from repro.sim.rng import RngRegistry
-    from repro.sim.state import (
-        DistributedStateRecorder,
-        StateSnapshot,
-        attach_recorder,
-    )
-    from repro.sim.trace import TraceRecord, TraceRecorder
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is not None:
-        return getattr(importlib.import_module(module), name)
-    try:
-        return importlib.import_module(f"repro.sim.{name}")
-    except ModuleNotFoundError:
-        raise AttributeError(
-            f"module 'repro.sim' has no attribute {name!r}"
-        ) from None
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

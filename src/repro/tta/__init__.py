@@ -1,38 +1,1 @@
 """Time-triggered core architecture substrate (core services C1-C4)."""
-
-from repro.tta.clock import LocalClock
-from repro.tta.frames import Frame
-from repro.tta.guardian import BusGuardian, GuardianDecision
-from repro.tta.membership import MembershipService, views_consistent
-from repro.tta.network import (
-    AttachmentFaultState,
-    Bus,
-    Delivery,
-    DeliveryStatus,
-    DisturbanceZone,
-    NetworkAttachment,
-)
-from repro.tta.sync import SyncService, achieved_precision_us, fault_tolerant_average
-from repro.tta.tdma import SlotPosition, TdmaSchedule
-from repro.tta.time_base import SparseTimeBase
-
-__all__ = [
-    "LocalClock",
-    "Frame",
-    "BusGuardian",
-    "GuardianDecision",
-    "MembershipService",
-    "views_consistent",
-    "AttachmentFaultState",
-    "Bus",
-    "Delivery",
-    "DeliveryStatus",
-    "DisturbanceZone",
-    "NetworkAttachment",
-    "SyncService",
-    "achieved_precision_us",
-    "fault_tolerant_average",
-    "SlotPosition",
-    "TdmaSchedule",
-    "SparseTimeBase",
-]

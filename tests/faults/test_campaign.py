@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.diagnosis.diag_das import DiagnosticService
-from repro.faults.campaign import DEFAULT_MIX, RandomCampaign
+from repro.errors import ConfigurationError
+from repro.faults.campaign import (
+    DEFAULT_MIX,
+    MAX_EXPECTED_FAULTS,
+    CampaignReplicaSpec,
+    RandomCampaign,
+)
 from repro.faults.injector import FaultInjector
 from repro.presets import figure10_cluster
 from repro.units import seconds
@@ -90,3 +96,21 @@ def test_campaign_runs_and_is_diagnosable():
     parts.cluster.run(seconds(8))
     if plan.descriptors:
         assert service.detection.symptoms_emitted > 0
+
+
+def test_replica_spec_accepts_expected_faults_up_to_the_cap():
+    assert MAX_EXPECTED_FAULTS == 1000.0
+    assert CampaignReplicaSpec(expected_faults=0.0).expected_faults == 0.0
+    spec = CampaignReplicaSpec(expected_faults=MAX_EXPECTED_FAULTS)
+    assert spec.expected_faults == MAX_EXPECTED_FAULTS
+
+
+@pytest.mark.parametrize(
+    "value", [1000.5, 1001.0, 1e9, float("inf"), float("nan"), -1.0]
+)
+def test_replica_spec_refuses_expected_faults_outside_the_range(value):
+    """The spec refuses what the sampler could not finish (a huge
+    Poisson mean) or would fail on, so a doctored ledger or store
+    header ends in a message."""
+    with pytest.raises(ConfigurationError, match="expected_faults must be"):
+        CampaignReplicaSpec(expected_faults=value)

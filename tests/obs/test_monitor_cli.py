@@ -10,57 +10,24 @@ byte for byte against the committed golden.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 import threading
 import urllib.request
 from pathlib import Path
 
-from repro.__main__ import main
+import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from repro.__main__ import _build_parser, main
+from tests._sim_free import assert_sim_free
+
 DATA = Path(__file__).parent.parent / "data"
 GOLDEN_LOG = DATA / "golden_live_log.jsonl"
 GOLDEN_REPORT = DATA / "golden_monitor_report.txt"
 
-#: Simulation stack — importing any of these during a monitor is a bug.
-FORBIDDEN_MODULES = (
-    "repro.sim.engine",
-    "repro.presets",
-    "repro.components.cluster",
-    "repro.faults.injector",
-    "repro.diagnosis.diag_das",
-)
-
 
 def test_monitor_subprocess_never_imports_the_simulator():
     """End-to-end ``python -m repro monitor`` on a bare interpreter."""
-    script = (
-        "import runpy, sys\n"
-        f"sys.argv = ['repro', 'monitor', {str(GOLDEN_LOG)!r}]\n"
-        "try:\n"
-        "    runpy.run_module('repro.__main__', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code in (0, None), f'exit {exc.code}'\n"
-        f"loaded = [m for m in sys.modules if m in {FORBIDDEN_MODULES!r}]\n"
-        "assert not loaded, f'simulator imported during monitor: {loaded}'\n"
-        "print('SIM-FREE-OK')\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
-        "PYTHONPATH", ""
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "SIM-FREE-OK" in proc.stdout
-    assert "Live campaign telemetry" in proc.stdout
+    out = assert_sim_free(["monitor", str(GOLDEN_LOG)])
+    assert "Live campaign telemetry" in out
 
 
 def test_monitor_one_shot_report_is_byte_stable(capsys):
@@ -83,6 +50,53 @@ def test_monitor_json_output_is_parseable(capsys):
 def test_monitor_missing_file_fails_cleanly(tmp_path, capsys):
     assert main(["monitor", str(tmp_path / "nope.jsonl")]) == 1
     assert "cannot read live log" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--follow", "--interval", "-1"], "--interval"),
+        (["--follow", "--interval", "nan"], "--interval"),
+        (["--follow", "--interval", "inf"], "--interval"),
+        (["--follow", "--interval", "0"], "--interval"),
+        (["--serve", "99999"], "--serve"),
+        (["--serve", "65536"], "--serve"),
+        (["--serve", "-1"], "--serve"),
+    ],
+    ids=[
+        "negative-interval",
+        "nan-interval",
+        "inf-interval",
+        "zero-interval",
+        "port-99999",
+        "port-65536",
+        "negative-port",
+    ],
+)
+def test_monitor_option_out_of_range_is_a_usage_error(
+    tmp_path, capsys, argv, option
+):
+    """An interval ``time.sleep`` refuses (or one that busy-loops) and a
+    port ``bind`` refuses are usage errors: exit 2, nothing on stdout,
+    even on an unfinished log that ``--follow`` would keep polling."""
+    full = GOLDEN_LOG.read_text(encoding="utf-8").splitlines(keepends=True)
+    unfinished = tmp_path / "unfinished.jsonl"
+    unfinished.write_text("".join(full[:8]), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["monitor", str(unfinished), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: " in captured.err
+
+
+def test_monitor_option_range_limits_are_accepted():
+    parser = _build_parser()
+    args = parser.parse_args(
+        ["monitor", "x.jsonl", "--interval", "0.001", "--serve", "65535"]
+    )
+    assert (args.interval, args.serve) == (0.001, 65535)
+    assert parser.parse_args(["monitor", "x.jsonl", "--serve", "0"]).serve == 0
 
 
 def test_monitor_renders_partial_progress_from_truncated_log(tmp_path):

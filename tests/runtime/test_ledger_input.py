@@ -237,8 +237,9 @@ def cli_store_part(tmp_path_factory) -> tuple[Path, list[str]]:
     [
         (lambda p: p.update(horizon_ms=0), "horizon_us must be >= 1"),
         (lambda p: p.update(expected_faults=-1.0), "expected_faults must be"),
+        (lambda p: p.update(expected_faults=1e9), "expected_faults must be"),
     ],
-    ids=["zero-horizon", "negative-faults"],
+    ids=["zero-horizon", "negative-faults", "faults-above-cap"],
 )
 def test_doctored_params_fail_whatif_with_a_message(
     tmp_path, capsys, cli_ledger_lines, cli_store_part, edit, message, artefact

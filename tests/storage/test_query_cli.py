@@ -9,9 +9,6 @@ of the simulator modules ever entered ``sys.modules``.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,17 +18,7 @@ from repro.__main__ import main
 from repro.faults.campaign import CampaignReplicaOutcome
 from repro.runtime.runner import ReplicaResult, RunOutcome
 from repro.storage import write_run
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
-#: Simulation stack — importing any of these during a query is a bug.
-FORBIDDEN_MODULES = (
-    "repro.sim.engine",
-    "repro.presets",
-    "repro.components.cluster",
-    "repro.faults.injector",
-    "repro.diagnosis.diag_das",
-)
+from tests._sim_free import assert_sim_free
 
 
 def _populate(root: Path, campaigns=("c001", "c002")) -> None:
@@ -74,31 +61,8 @@ def _populate(root: Path, campaigns=("c001", "c002")) -> None:
 def test_query_subprocess_never_imports_the_simulator(tmp_path):
     """End-to-end ``python -m repro query report`` on a bare interpreter."""
     _populate(tmp_path)
-    script = (
-        "import runpy, sys\n"
-        f"sys.argv = ['repro', 'query', 'report', '--store', {str(tmp_path)!r}]\n"
-        "try:\n"
-        "    runpy.run_module('repro.__main__', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code in (0, None), f'exit {exc.code}'\n"
-        f"loaded = [m for m in sys.modules if m in {FORBIDDEN_MODULES!r}]\n"
-        "assert not loaded, f'simulator imported during query: {loaded}'\n"
-        "print('SIM-FREE-OK')\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
-        "PYTHONPATH", ""
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "SIM-FREE-OK" in proc.stdout
-    assert "stored campaigns" in proc.stdout
+    out = assert_sim_free(["query", "report", "--store", str(tmp_path)])
+    assert "stored campaigns" in out
 
 
 def test_query_report_prints_sections(tmp_path, capsys):

@@ -80,6 +80,13 @@ def test_mc_zero_replicas_is_a_friendly_noop(capsys):
     assert "nothing to run" in out
 
 
+def test_mc_expected_faults_at_the_cap_is_accepted(capsys):
+    """``--expected-faults 1000`` (the cap) parses; ``--replicas 0``
+    keeps the run empty."""
+    assert main(["mc", "--replicas", "0", "--expected-faults", "1000"]) == 0
+    assert "nothing to run" in capsys.readouterr().out
+
+
 def _plan_digest_line(out: str) -> str:
     lines = [line for line in out.splitlines() if "plan digest" in line]
     assert lines, f"no plan digest in output:\n{out}"
@@ -196,6 +203,8 @@ def test_fleet_command(capsys):
         (["mc", "--replicas", "2", "--expected-faults", "-1"], "--expected-faults"),
         (["mc", "--replicas", "2", "--expected-faults", "nan"], "--expected-faults"),
         (["mc", "--replicas", "2", "--expected-faults", "inf"], "--expected-faults"),
+        (["mc", "--replicas", "2", "--expected-faults", "1001"], "--expected-faults"),
+        (["mc", "--replicas", "2", "--expected-faults", "1e9"], "--expected-faults"),
         (["fleet", "--vehicles", "0", "--drive-ms", "100"], "--vehicles"),
         (["fleet", "--vehicles", "1", "--fault-prob", "2"], "--fault-prob"),
         (["fleet", "--vehicles", "1", "--fault-prob", "-0.1"], "--fault-prob"),
@@ -210,6 +219,8 @@ def test_fleet_command(capsys):
         "negative-faults",
         "nan-faults",
         "inf-faults",
+        "faults-above-cap",
+        "faults-1e9",
         "zero-vehicles",
         "fault-prob-above-one",
         "negative-fault-prob",

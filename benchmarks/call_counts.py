@@ -4,11 +4,13 @@ Runs replicas 0-7 of root seed 4321 at a 300 ms horizon (the
 ``mc_short`` configuration, 301 TDMA slots each) through
 ``run_campaign_replica``.  One uncounted warm-up pass fills the one-time
 caches (a cold pass counts about a hundred more calls), then one pass runs
-under cProfile.  Every call into a function whose file lies inside the
-imported ``repro`` package is counted and booked to its module;
-comprehensions (``<listcomp>``, ``<dictcomp>``, ``<setcomp>``) are left
-out, because CPython 3.12 inlines them (PEP 709).  The counts are divided
-by the number of slots simulated (the calls of ``Cluster._on_slot``).
+under cProfile.  ``repro.obs.profiler`` folds the profile, the same fold
+that ``python -m repro --profile`` prints: every call into a function
+whose file lies inside the imported ``repro`` package is counted and
+booked to its module; comprehensions (``<listcomp>``, ``<dictcomp>``,
+``<setcomp>``) are left out, because CPython 3.12 inlines them (PEP 709).
+The counts are divided by the number of slots simulated (the calls of
+``Cluster._on_slot``).
 
 Unlike timings, the counts do not drift with the host: they are
 identical across runs and processes.  ``tests/perf/test_call_budget.py``
@@ -20,18 +22,18 @@ Usage, from the repository root::
 
 ``--src`` names the ``src/`` directory to import (default: this
 checkout's), so the counts of another commit come from its ``src/``
-extracted with ``git archive``.  ``--json`` prints the counts in the
-budget file's format instead of the table.
+extracted with ``git archive``.  The fold is imported from that tree, so
+``--src`` counts only trees that have ``repro.obs.profiler.profile_call``;
+an older tree is counted by the ``call_counts.py`` of its own commit.
+``--json`` prints the counts in the budget file's format instead of the
+table.
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
 import json
-import pstats
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,9 +42,6 @@ ROOT = Path(__file__).resolve().parents[1]
 REPLICAS = 8
 ROOT_SEED = 4321
 HORIZON_MS = 300
-
-#: Code objects CPython 3.12 inlines into their enclosing function.
-INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 
 @dataclass(frozen=True)
@@ -92,55 +91,27 @@ class CallCounts:
         return "\n".join(lines)
 
 
-def _module_of(filename: str, package: Path) -> str | None:
-    """``components.cluster`` for a file of the package, else None."""
-    path = Path(filename)
-    if not path.is_absolute():
-        return None
-    try:
-        parts = path.resolve().relative_to(package).with_suffix("").parts
-    except ValueError:
-        return None
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts) or "repro"
-
-
 def count_calls() -> CallCounts:
     """Count the calls of one warmed-up pass over the budget replicas."""
-    import repro
     from repro.faults.campaign import CampaignReplicaSpec
+    from repro.obs.profiler import profile_call
     from repro.runtime.runner import ReplicaTask
     from repro.runtime.workloads import run_campaign_replica
     from repro.units import ms
 
     spec = CampaignReplicaSpec(horizon_us=ms(HORIZON_MS))
     tasks = [ReplicaTask(i, ROOT_SEED, spec) for i in range(REPLICAS)]
-    for task in tasks:
-        run_campaign_replica(task)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
+
+    def one_pass() -> None:
         for task in tasks:
             run_campaign_replica(task)
-    finally:
-        profiler.disable()
 
-    package = Path(repro.__file__).resolve().parent
-    calls: Counter[str] = Counter()
-    slots = 0
-    for (filename, _line, function), stat in pstats.Stats(profiler).stats.items():
-        if function in INLINED:
-            continue
-        module = _module_of(filename, package)
-        if module is None:
-            continue
-        calls[module] += stat[1]
-        if module == "components.cluster" and function == "_on_slot":
-            slots += stat[1]
+    one_pass()
+    _, profile = profile_call(one_pass)
+    slots = profile.functions.get(("components.cluster", "_on_slot"), 0)
     if not slots:
         raise RuntimeError("no Cluster._on_slot calls were counted")
-    return CallCounts(slots, dict(calls))
+    return CallCounts(slots, profile.module_calls())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -30,7 +30,7 @@ Commands
     replicas and executes the rest — the final aggregate is
     bit-identical to an uninterrupted run.  The ledger's identity check
     refuses flags that would change the campaign (``--seed``; for ``mc``
-    also ``--trace``/``--profile``/``--provenance``).
+    also ``--trace``/``--provenance``).  A store part is refused.
 
 ``query [WHAT] --store DIR``
     Offline analytics over a campaign store written with
@@ -76,59 +76,53 @@ it never affects the simulation or any canonical digest.
 Observability flags (``docs/observability.md``): ``--trace PATH`` writes
 a schema-v2 JSONL obs trace of the run (for ``mc`` the parent aggregates
 replica-tagged records in index order and appends the merged counter
-totals); ``--profile`` prints a per-subsystem wall-time breakdown;
-``--provenance`` threads causal lineage through the records (and, for
-``mc``, prints the per-stage latency breakdown per fault class).  All
-global flags are accepted both before and after the subcommand.
+totals; ``fleet``/``campaign`` trace with ``--workers 1`` only);
+``--profile`` prints the calls and self time per module of this
+process; ``--provenance`` threads causal lineage through the records
+(and, for ``mc``, prints the per-stage latency breakdown per fault
+class).  All global flags are accepted both before and after the
+subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
 from repro.analysis.reports import render_series, render_table
 
 
-def _emit_mc_obs(args: argparse.Namespace, outcome, summary) -> None:
-    """Write the aggregated mc trace and/or print the profile breakdown.
+def _write_mc_trace(args: argparse.Namespace, outcome, summary) -> None:
+    """Write the aggregated mc trace.
 
     Replica trace records arrive in-memory through the reduce (tagged
     with their replica index); the parent concatenates them in index
     order, appends the merged counter totals as a ``trace.counters``
     meta record and writes one schema-v2 JSONL file.
     """
+    from repro.obs import write_jsonl
+    from repro.obs.report import counters_record
+
     records = [
         record
         for result in outcome.results
         for record in result.value.obs_trace
     ]
-    if args.trace:
-        from repro.obs import write_jsonl
-        from repro.obs.report import counters_record
-
-        if summary.obs_counters is not None:
-            records = records + [counters_record(summary.obs_counters)]
-        path = write_jsonl(
-            args.trace,
-            records,
-            header_attrs={
-                "command": "mc",
-                "root_seed": args.seed,
-                "replicas": summary.replicas,
-                "workers": args.workers,
-            },
-        )
-        print(f"[obs trace written to {path} ({len(records)} records)]")
-    if args.profile:
-        from repro.obs import Profiler
-
-        profiler = Profiler()
-        for record in records:
-            if record.get("kind") == "span":
-                profiler.on_span(record["name"], record.get("dur_s") or 0.0)
-        print(profiler.render())
+    if summary.obs_counters is not None:
+        records.append(counters_record(summary.obs_counters))
+    path = write_jsonl(
+        args.trace,
+        records,
+        header_attrs={
+            "command": "mc",
+            "root_seed": args.seed,
+            "replicas": summary.replicas,
+            "workers": args.workers,
+        },
+    )
+    print(f"[obs trace written to {path} ({len(records)} records)]")
 
 
 def _emit_metrics(args: argparse.Namespace, metrics) -> None:
@@ -320,7 +314,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         print("no replicas completed — no aggregate to report")
         return 1
     if spec.obs_trace:
-        _emit_mc_obs(args, outcome, summary)
+        _write_mc_trace(args, outcome, summary)
     print(
         render_table(
             ["mechanism", "injected", "attributed", "accuracy"],
@@ -752,13 +746,20 @@ def cmd_resume(args: argparse.Namespace) -> int:
     its value; ``--checkpoint`` is forced to the ledger.  Flags that
     would change the campaign are refused by the ledger's identity check
     (:meth:`~repro.runtime.checkpoint.CheckpointLedger.open`): ``--seed``
-    changes the root seed, and for ``mc`` the obs flags change the spec
-    digest.
+    changes the root seed, and for ``mc`` ``--trace`` and
+    ``--provenance`` change the spec digest.  A store part is refused
+    before anything is appended to it: readers need its three lines.
     """
     from repro.errors import ConfigurationError
     from repro.runtime.checkpoint import read_header
 
     meta = read_header(args.path)
+    if "campaign_id" in meta:
+        raise ConfigurationError(
+            f"{args.path} is a store part, and store parts are not "
+            "resumable; resume the run's checkpoint ledger (the file "
+            "given to --checkpoint) instead"
+        )
     where = f"checkpoint ledger {args.path}"
     command, argv = meta.get("command"), meta.get("argv")
     if command not in ("mc", "fleet", "campaign"):
@@ -890,7 +891,10 @@ _GLOBAL_OPTIONS: list[tuple[tuple[str, ...], dict]] = [
         {
             "action": "store_true",
             "default": False,
-            "help": "print a per-subsystem wall-time breakdown after the run",
+            "help": (
+                "run the command under cProfile and print the calls and "
+                "self time per repro module of this process"
+            ),
         },
     ),
     (
@@ -1200,6 +1204,11 @@ def main(argv: list[str] | None = None) -> int:
     return _dispatch(args)
 
 
+#: Commands not traced by ``_run_observed``: ``mc`` merges per-replica
+#: records through the reduce, ``resume`` traces the command it
+#: re-dispatches, and ``whatif`` replays under its baseline's obs flags.
+_OWN_TRACE = ("mc", "resume", "whatif")
+
 _COMMANDS = {
     "demo": cmd_demo,
     "campaign": cmd_campaign,
@@ -1223,54 +1232,66 @@ def _dispatch(args: argparse.Namespace) -> int:
     A :class:`~repro.errors.ConfigurationError` the command does not
     handle itself — a store that cannot be set up, a checkpoint ledger
     that does not match the campaign — ends it with the message on
-    stderr and exit status 1.
+    stderr and exit status 1.  ``resume`` is profiled and traced by the
+    command it re-dispatches, so a process starts one profiler at most.
     """
     from repro.errors import ConfigurationError
 
     command = _COMMANDS[args.command]
+    if args.trace and args.command not in _OWN_TRACE:
+        if args.workers > 1 and args.command in ("fleet", "campaign"):
+            print(
+                f"repro {args.command}: --trace records this process "
+                f"only, and --workers {args.workers} runs the replicas in "
+                "worker processes; trace with --workers 1",
+                file=sys.stderr,
+            )
+            return 2
+        command = functools.partial(_run_observed, command)
     try:
-        if args.command in (
-            "obs",
-            "mc",
-            "explain",
-            "resume",
-            "query",
-            "monitor",
-            "whatif",
-        ) or not (args.trace or args.profile):
-            return command(args)
-        return _run_observed(command, args)
+        if args.profile and args.command != "resume":
+            return _run_profiled(command, args)
+        return command(args)
     except ConfigurationError as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 1
 
 
-def _run_observed(command, args: argparse.Namespace) -> int:
-    """Run a serial command under a process-wide obs context.
+def _run_profiled(command, args: argparse.Namespace) -> int:
+    """Run one command under cProfile and print its per-module table."""
+    from repro.obs.profiler import profile_call
 
-    ``mc`` manages observability per replica instead (worker processes
-    cannot see the parent's context); every other command runs in-process,
-    so one activated context captures its whole execution.
+    rc, profile = profile_call(lambda: command(args))
+    note = None
+    # The runner took its pool path: replicas ran in worker processes.
+    if profile.functions.get(("runtime.runner", "_run_pool")):
+        note = (
+            "[pooled run: replicas that ran in worker processes are not "
+            "included; this is the parent process only]"
+        )
+    print(profile.render(note))
+    return rc
+
+
+def _run_observed(command, args: argparse.Namespace) -> int:
+    """Run a command under one process-wide obs context; write its trace.
+
+    The command runs in this process (``_dispatch`` refuses a pooled
+    ``fleet`` or ``campaign``), so the context sees all of it.
     """
     from repro import obs as obs_api
     from repro.obs.report import counters_record
 
-    o = obs_api.Observability(
-        profile=args.profile,
-        provenance=getattr(args, "provenance", False),
-    )
+    o = obs_api.Observability(provenance=getattr(args, "provenance", False))
     with obs_api.activated(o):
         rc = command(args)
-    if args.trace:
-        records = o.trace_dicts() + [counters_record(o.snapshot())]
-        path = obs_api.write_jsonl(
-            args.trace,
-            records,
-            header_attrs={"command": args.command, "root_seed": args.seed},
-        )
-        print(f"[obs trace written to {path} ({len(records)} records)]")
-    if args.profile and o.profiler is not None:
-        print(o.profiler.render())
+    records = o.trace_dicts() + [counters_record(o.snapshot())]
+    path = obs_api.write_jsonl(
+        args.trace,
+        records,
+        header_attrs={"command": args.command, "root_seed": args.seed},
+    )
+    print(f"[obs trace written to {path} ({len(records)} records)]")
     return rc
 
 

@@ -175,7 +175,6 @@ def score_campaign(
 def removal_justified(
     recommendation: MaintenanceRecommendation,
     ground_truth: list[FaultDescriptor],
-    job_locations: dict[str, str] | None = None,
 ) -> bool:
     """Ground-truth check: does the recommended removal target an FRU that
     actually contains a fault eliminable by that action?
@@ -216,7 +215,6 @@ def evaluate_recommendations(
     recommendations: list[MaintenanceRecommendation],
     ground_truth: list[FaultDescriptor],
     cost_model: CostModel | None = None,
-    job_locations: dict[str, str] | None = None,
 ) -> CostModel:
     """Feed a cost model with the justified/NFF outcome of each action."""
     model = cost_model if cost_model is not None else CostModel()
@@ -224,7 +222,7 @@ def evaluate_recommendations(
         model.record(
             recommendation.action,
             fault_present_in_removed_fru=removal_justified(
-                recommendation, ground_truth, job_locations
+                recommendation, ground_truth
             ),
         )
     return model

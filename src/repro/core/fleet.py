@@ -16,7 +16,6 @@ and the correlation analysis.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,98 +94,6 @@ def synthesize_fleet(
         name for name, is_hot in zip(job_types, hot_mask) if is_hot
     )
     return FleetReport(job_types=job_types, counts=counts, hot_types=hot)
-
-
-def merge_fleet_reports(reports: Sequence[FleetReport]) -> FleetReport:
-    """Concatenate shard reports of one fleet into a single report.
-
-    All shards must describe the same job-type universe and ground
-    truth; vehicles are stacked in the given order, so callers that
-    need determinism must pass shards in a canonical (index) order.
-    """
-    if not reports:
-        raise AnalysisError("cannot merge an empty list of fleet reports")
-    first = reports[0]
-    for report in reports[1:]:
-        if report.job_types != first.job_types:
-            raise AnalysisError("fleet shards disagree on job types")
-        if report.hot_types != first.hot_types:
-            raise AnalysisError("fleet shards disagree on ground truth")
-    return FleetReport(
-        job_types=first.job_types,
-        counts=np.vstack([r.counts for r in reports]),
-        hot_types=first.hot_types,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class _SynthesisShard:
-    """Spec for one synthetic-fleet shard (picklable runner payload)."""
-
-    n_vehicles: int
-    n_job_types: int
-    mean_failures_per_vehicle: float
-    hot_fraction: float
-    hot_share: float
-
-
-def _synthesize_shard(replica) -> FleetReport:
-    """Runner task: draw one shard of the synthetic fleet."""
-    shard: _SynthesisShard = replica.spec
-    return synthesize_fleet(
-        replica.rng(),
-        n_vehicles=shard.n_vehicles,
-        n_job_types=shard.n_job_types,
-        mean_failures_per_vehicle=shard.mean_failures_per_vehicle,
-        hot_fraction=shard.hot_fraction,
-        hot_share=shard.hot_share,
-    )
-
-
-def synthesize_fleet_parallel(
-    root_seed: int,
-    n_vehicles: int,
-    n_job_types: int = 20,
-    mean_failures_per_vehicle: float = 0.5,
-    hot_fraction: float = SOFTWARE_PARETO_MODULES,
-    hot_share: float = SOFTWARE_PARETO_FAILURES,
-    *,
-    workers: int = 1,
-    shard_vehicles: int = 10_000,
-):
-    """Synthesize a large fleet sharded over the parallel runtime.
-
-    The fleet is split into fixed shards of ``shard_vehicles`` (the
-    shard layout — and therefore the sampled data — depends only on
-    ``shard_vehicles``, never on ``workers``); each shard draws from its
-    own :class:`~numpy.random.SeedSequence` child stream and the merged
-    report is bit-identical for every worker count.
-
-    Returns a :class:`repro.runtime.runner.RunOutcome` whose ``value``
-    is the merged :class:`FleetReport`.
-    """
-    from repro.runtime.runner import ParallelCampaignRunner, RunOptions
-
-    if n_vehicles < 1:
-        raise AnalysisError("need at least one vehicle")
-    if shard_vehicles < 1:
-        raise AnalysisError("shard_vehicles must be >= 1")
-    shards = [
-        _SynthesisShard(
-            n_vehicles=min(shard_vehicles, n_vehicles - lo),
-            n_job_types=n_job_types,
-            mean_failures_per_vehicle=mean_failures_per_vehicle,
-            hot_fraction=hot_fraction,
-            hot_share=hot_share,
-        )
-        for lo in range(0, n_vehicles, shard_vehicles)
-    ]
-    runner = ParallelCampaignRunner(
-        _synthesize_shard,
-        merge_fleet_reports,
-        options=RunOptions(workers=workers),
-    )
-    return runner.run(shards, root_seed=root_seed)
 
 
 @dataclass(frozen=True, slots=True)

@@ -346,11 +346,10 @@ class CampaignReplicaSpec:
         ``flags`` is the parsed CLI namespace (``vars(args)``) or the
         ``params`` recorded from it in a ledger or store part header,
         so ``repro mc`` and ``repro whatif`` build the spec — and its
-        digest — through this one mapping.  ``--profile`` turns
-        observability on like ``--trace`` does: the profile is rendered
-        from the replicas' span records.
+        digest — through this one mapping.  ``--profile`` does not enter
+        the spec: it profiles the CLI process, not the replicas.
         """
-        want_trace = bool(flags.get("trace")) or bool(flags.get("profile"))
+        want_trace = bool(flags.get("trace"))
         return cls(
             expected_faults=float(flags["expected_faults"]),
             horizon_us=ms(int(flags["horizon_ms"])),

@@ -4,11 +4,9 @@ One :class:`Observability` context bundles the three instruments the
 DECOS reproduction exposes:
 
 * a **tracer** (:mod:`repro.obs.tracer`) — spans and events with
-  simulated + wall clocks, JSONL sink, schema v2;
+  simulated + wall clocks, JSONL files, schema v2;
 * a **counter registry** (:mod:`repro.obs.counters`) — monotone counters
   and simulated-time histograms with a deterministic cross-process merge;
-* an optional **profiler** (:mod:`repro.obs.profiler`) — per-subsystem
-  wall-time breakdown fed from span closures;
 * an optional **provenance tracker** (:mod:`repro.obs.provenance`) —
   ``cause_id``/``parents`` lineage linking injected faults through
   symptoms, ONAs, alpha-counts and trust to maintenance actions
@@ -19,7 +17,9 @@ Two sibling modules cover the *while-it-runs* and *exposition* halves:
 heartbeats and stall detection, read by ``repro monitor``) and
 :mod:`repro.obs.openmetrics` (OpenMetrics text rendering of counter
 snapshots and run metrics).  Both are lazy — importing ``repro.obs``
-never loads them, so the hot path pays nothing for them.
+never loads them, so the hot path pays nothing for them.  So is
+:mod:`repro.obs.profiler`, the per-module calls and self time behind the
+CLI's ``--profile`` and the call budget.
 
 The stack is instrumented against the *active* context
 (:mod:`repro.obs.state`), which defaults to a disabled singleton: every
@@ -42,11 +42,10 @@ index-ordered reduce — see :mod:`repro.runtime.workloads` and
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, TextIO
+from typing import Any
 
 from repro.obs import state as _state
 from repro.obs.counters import CounterRegistry, Histogram, counter_key
-from repro.obs.profiler import Profiler
 from repro.obs.provenance import (
     ProvenanceTracker,
     fold_stage_latencies,
@@ -74,7 +73,6 @@ __all__ = [
     "Histogram",
     "ObsRecord",
     "Observability",
-    "Profiler",
     "ProvenanceTracker",
     "Tracer",
     "activated",
@@ -94,7 +92,7 @@ __all__ = [
 
 
 class Observability:
-    """Tracer + counters + optional profiler behind one enabled flag.
+    """Tracer + counters + optional provenance behind one enabled flag.
 
     Parameters
     ----------
@@ -103,10 +101,6 @@ class Observability:
     trace:
         Record spans/events (False keeps counters only; the tracer is
         swapped for an inert one).
-    sink:
-        Optional open text stream the tracer writes JSONL lines to.
-    profile:
-        Attach a :class:`Profiler` to span closures (implies tracing).
     provenance:
         Attach a :class:`~repro.obs.provenance.ProvenanceTracker` so
         pipeline records carry ``cause_id``/``parents`` lineage (default
@@ -123,24 +117,16 @@ class Observability:
         *,
         enabled: bool = True,
         trace: bool = True,
-        sink: TextIO | None = None,
-        profile: bool = False,
         provenance: bool = False,
     ) -> None:
         self.enabled = enabled
         self.counters = CounterRegistry()
         self.tracer = Tracer(
-            enabled=enabled and (trace or profile or provenance),
-            sink=sink,
-            keep_records=None if (trace or profile) else False,
+            enabled=enabled and (trace or provenance), keep_records=trace
         )
-        self.profiler: Profiler | None = None
         self.provenance: ProvenanceTracker | None = (
             ProvenanceTracker() if (enabled and provenance) else None
         )
-        if profile:
-            self.profiler = Profiler()
-            self.tracer.span_listeners.append(self.profiler.on_span)
 
     @classmethod
     def disabled(cls) -> "Observability":

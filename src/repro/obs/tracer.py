@@ -1,4 +1,4 @@
-"""Structured span/event tracer with a JSONL sink (trace schema v2).
+"""Structured span/event tracer and its JSONL files (trace schema v2).
 
 The tracer records two shapes of observation:
 
@@ -43,7 +43,7 @@ Subsequent lines::
 
 ``name`` is dot-namespaced; the first segment identifies the subsystem
 (``sim``, ``detector``, ``dissemination``, ``assessment``, ``ona``,
-``alpha``, ``trust``, ``maintenance``) and keys the profiler breakdown.
+``alpha``, ``trust``, ``maintenance``).
 
 Version 2 adds the optional ``cause_id``/``parents`` lineage fields
 (top-level, *not* attrs — attrs stay flat scalars) written only when a
@@ -63,7 +63,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.jsonl import read_json_lines
@@ -165,18 +165,15 @@ class _Span:
 
 
 class Tracer:
-    """Span/event recorder feeding memory, a JSONL stream, or both.
+    """Span/event recorder; records accumulate in :attr:`records`.
 
     Parameters
     ----------
     enabled:
         When False the tracer is inert (see module docstring).
-    sink:
-        Optional open text stream; records are written as JSONL lines as
-        they occur.  Without a sink, records accumulate in :attr:`records`.
     keep_records:
-        Keep in-memory records even when streaming to a sink (the
-        cross-process trace collection path needs the memory copy).
+        False in fold-only provenance mode: only the causal log is kept,
+        and events, spans and the header are dropped unrecorded.
     clock:
         Monotonic wall-clock source, injectable for tests.
     """
@@ -185,8 +182,7 @@ class Tracer:
         self,
         *,
         enabled: bool = True,
-        sink: TextIO | None = None,
-        keep_records: bool | None = None,
+        keep_records: bool = True,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.enabled = enabled
@@ -195,16 +191,11 @@ class Tracer:
         #: per causal event — the stage-latency fold reads these, so
         #: provenance never *requires* full record retention.
         self.causal_log: list[tuple] = []
-        self._sink = sink
-        self._keep = keep_records if keep_records is not None else sink is None
-        #: False in fold-only provenance mode: no sink and no in-memory
-        #: retention, so anything beyond the causal log is discarded.
         #: Hot instrumentation sites may consult this to skip building
         #: attrs for records that would be dropped anyway.
-        self.keeps_records = self._keep or sink is not None
+        self.keeps_records = keep_records
         self._clock = clock
         self._seq = 0
-        self.span_listeners: list[Callable[[str, float], None]] = []
 
     # -- recording --------------------------------------------------------
 
@@ -238,17 +229,13 @@ class Tracer:
 
     def span(self, name: str, t_sim_us: int | None = None, **attrs: Any):
         """Context manager bracketing a region; records on exit."""
-        if not self.enabled:
-            return _NULL_SPAN
-        if not self.keeps_records and not self.span_listeners:
-            # Fold-only provenance mode with no profiler attached: the
-            # span record would be discarded, so skip the clock reads.
+        if not self.enabled or not self.keeps_records:
             return _NULL_SPAN
         return _Span(self, name, t_sim_us, attrs)
 
     def meta(self, **attrs: Any) -> None:
         """Record the trace header (normally written once, first)."""
-        if not self.enabled:
+        if not self.enabled or not self.keeps_records:
             return
         self._record("meta", "trace.header", None, attrs)
 
@@ -264,14 +251,6 @@ class Tracer:
         cause_id: str | None = None,
         parents: tuple[str, ...] = (),
     ) -> None:
-        if not self._keep and self._sink is None:
-            # Nothing retains the record (fold-only provenance mode):
-            # skip the clock read and allocation, but still feed span
-            # listeners so an attached profiler keeps working.
-            if kind == "span":
-                for listener in self.span_listeners:
-                    listener(name, dur_s or 0.0)
-            return
         rec = ObsRecord(
             seq=self._seq,
             kind=kind,
@@ -284,14 +263,7 @@ class Tracer:
             parents=parents,
         )
         self._seq += 1
-        if self._keep:
-            self.records.append(rec)
-        if self._sink is not None:
-            line = json.dumps(_line_dict(rec), sort_keys=True)
-            self._sink.write(line + "\n")
-        if kind == "span":
-            for listener in self.span_listeners:
-                listener(name, dur_s or 0.0)
+        self.records.append(rec)
 
     # -- export -----------------------------------------------------------
 

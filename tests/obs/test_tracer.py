@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.obs.profiler import Profiler
 from repro.obs.tracer import (
     TRACE_SCHEMA_VERSION,
     Tracer,
@@ -43,16 +40,13 @@ def test_event_records_both_clocks():
     assert rec.attrs == {"type": "omission"}
 
 
-def test_span_measures_duration_and_notifies_listeners():
+def test_span_measures_duration():
     tracer = Tracer(clock=FakeClock())
-    seen: list[tuple[str, float]] = []
-    tracer.span_listeners.append(lambda name, dur: seen.append((name, dur)))
     with tracer.span("assessment.epoch", t_sim_us=5):
         pass
     (rec,) = tracer.records
     assert rec.kind == "span"
     assert rec.dur_s == pytest.approx(0.5)
-    assert seen == [("assessment.epoch", pytest.approx(0.5))]
 
 
 def test_disabled_tracer_is_inert_and_allocation_free():
@@ -66,19 +60,18 @@ def test_disabled_tracer_is_inert_and_allocation_free():
     assert tracer.records == []
 
 
-def test_sink_streams_jsonl_lines():
-    import io
-
-    sink = io.StringIO()
-    tracer = Tracer(sink=sink, clock=FakeClock())
+def test_fold_only_tracer_keeps_only_the_causal_log():
+    """``keep_records=False`` (provenance without a trace) drops every
+    record but still logs the causal events the stage fold reads."""
+    tracer = Tracer(keep_records=False)
     tracer.meta(seed=7)
-    tracer.event("sim.run_until", t_sim_us=10)
-    lines = [json.loads(l) for l in sink.getvalue().splitlines()]
-    assert lines[0]["kind"] == "meta"
-    assert lines[0]["schema"] == TRACE_SCHEMA_VERSION
-    assert lines[1]["name"] == "sim.run_until"
-    # Streaming to a sink drops the memory copy by default.
+    tracer.event("x")
+    assert tracer.span("a") is _NULL_SPAN
+    tracer.causal_event("fault.injected", 5, "fault:F1", (), fru="comp1")
     assert tracer.records == []
+    assert tracer.causal_log == [
+        ("fault.injected", 5, "fault:F1", (), {"fru": "comp1"})
+    ]
 
 
 def test_write_read_roundtrip_prepends_header(tmp_path):
@@ -92,6 +85,7 @@ def test_write_read_roundtrip_prepends_header(tmp_path):
     records = read_jsonl(path)
     validate_trace(records)
     assert records[0]["kind"] == "meta"
+    assert records[0]["schema"] == TRACE_SCHEMA_VERSION
     assert records[0]["attrs"] == {"seed": 7}
     assert [r["name"] for r in records[1:]] == ["a.b", "a.region"]
 
@@ -140,18 +134,6 @@ def test_canonical_lines_exclude_wall_time_and_meta():
     assert trace_digest(fast.record_dicts()) == trace_digest(
         slow.record_dicts()
     )
-
-
-def test_profiler_groups_by_subsystem():
-    profiler = Profiler()
-    profiler.on_span("ona.wearout", 0.25)
-    profiler.on_span("ona.connector", 0.75)
-    profiler.on_span("sim.run_until", 2.0)
-    assert profiler.total_s == pytest.approx(3.0)
-    rows = profiler.rows()
-    assert rows[0] == ["sim", "1", "2.0000", "67%"]
-    assert rows[1] == ["ona", "2", "1.0000", "33%"]
-    assert "sim" in profiler.render()
 
 
 def test_activated_restores_previous_context():

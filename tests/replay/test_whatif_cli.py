@@ -159,16 +159,19 @@ def test_obs_store_and_ledger_scan_identically(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--profile"], ["--trace", "t.jsonl"]], ids=["profile", "trace"])
 def test_profile_or_trace_alone_writes_a_replayable_baseline(tmp_path, capsys, flags):
-    """``--profile`` turns obs on exactly like ``--trace``, both when
-    ``repro mc`` builds its spec and when ``repro whatif`` rebuilds it
-    from the recorded flags, so either flag alone replays."""
+    """``--trace`` turns the replicas' obs on, both when ``repro mc``
+    builds its spec and when ``repro whatif`` rebuilds it from the
+    recorded flags; ``--profile`` profiles the CLI process and leaves
+    the spec alone.  Either flag alone replays."""
     ledger = tmp_path / "led.jsonl"
     flags = [str(tmp_path / flag) if flag.endswith(".jsonl") else flag for flag in flags]
     argv = ["--seed", "11", "--checkpoint", str(ledger), *flags]
     assert main([*argv, "mc", "--replicas", "2", "--horizon-ms", "300"]) == 0
     capsys.readouterr()
     baseline = load_baseline(ledger)
-    assert baseline.spec.obs_enabled and baseline.spec.obs_trace
+    traced = "--trace" in flags
+    assert baseline.spec.obs_enabled is traced
+    assert baseline.spec.obs_trace is traced
     assert not baseline.spec.obs_provenance
     assert main(["whatif", str(ledger), "--without-ona", "wearout", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

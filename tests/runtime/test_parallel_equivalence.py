@@ -14,7 +14,6 @@ import pytest
 
 from repro.analysis.fleet_sim import simulate_diagnosed_fleet
 from repro.analysis.scenarios import CATALOGUE, run_campaign
-from repro.core.fleet import synthesize_fleet_parallel
 from repro.errors import AnalysisError
 from repro.faults.campaign import CampaignReplicaSpec
 from repro.runtime.runner import RunOptions
@@ -173,14 +172,3 @@ def test_catalogue_campaign_rejects_foreign_scenarios_in_parallel(tmp_path):
             seeds=(1,),
             options=RunOptions(checkpoint=str(tmp_path / "foreign.jsonl")),
         )
-
-
-def test_synthetic_fleet_sharding_equivalence():
-    kwargs = dict(
-        n_job_types=10, mean_failures_per_vehicle=0.5, shard_vehicles=250
-    )
-    serial = synthesize_fleet_parallel(3, 1_000, workers=1, **kwargs)
-    parallel = synthesize_fleet_parallel(3, 1_000, workers=2, **kwargs)
-    assert np.array_equal(serial.value.counts, parallel.value.counts)
-    assert serial.value.counts.shape == (1_000, 10)
-    assert serial.value.job_types == parallel.value.job_types

@@ -5,7 +5,8 @@ argv, plus exactly the global flags typed before or after ``resume``,
 whatever their values, with ``--checkpoint`` forced to the ledger.
 Flags that would change the campaign — ``--seed``, and for ``mc`` the
 obs flags that enter its spec digest — are refused by the ledger's
-identity check with a message on stderr, never a traceback.
+identity check with a message on stderr, never a traceback.  A store
+part is not a ledger and is refused before anything is appended to it.
 """
 
 from __future__ import annotations
@@ -102,10 +103,9 @@ def test_typed_campaign_id_wins_even_at_the_parser_default(
     [
         (["--seed", "99"], "root_seed: ledger has 11, run has 99"),
         (["--trace", "{tmp}/t.jsonl"], "spec_digest"),
-        (["--profile"], "spec_digest"),
         (["--provenance"], "spec_digest"),
     ],
-    ids=["seed", "trace", "profile", "provenance"],
+    ids=["seed", "trace", "provenance"],
 )
 def test_identity_flags_are_refused_by_the_ledger(
     tmp_path, capsys, mc_ledger, flags, mismatch
@@ -121,6 +121,45 @@ def test_identity_flags_are_refused_by_the_ledger(
     assert mismatch in err
     assert ledger.read_text(encoding="utf-8") == text
     assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_profile_leaves_the_campaign_identity_alone(tmp_path, capsys, mc_ledger):
+    """``--profile`` profiles the CLI process, not the replicas: a
+    profiled run records the spec digest of an unprofiled one, and
+    ``--profile resume`` continues an unprofiled ledger."""
+    text, reference = mc_ledger
+    ledger = _ledger(tmp_path, text)
+    assert main(["--profile", "resume", str(ledger)]) == 0
+    out = capsys.readouterr().out
+    assert _digest_line(out) == reference
+    assert out.count("Profile: calls and self time per module") == 1
+    profiled = tmp_path / "profiled.jsonl"
+    argv = ["--seed", "11", "--checkpoint", str(profiled), "--profile", *MC]
+    assert main(argv) == 0
+    capsys.readouterr()
+    headers = [
+        json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        for path in (profiled, ledger)
+    ]
+    assert headers[0]["spec_digest"] == headers[1]["spec_digest"]
+
+
+def test_a_store_part_is_refused_and_left_as_it_was(tmp_path, capsys):
+    """Resuming a store part would append resume and close lines to it
+    and break the part's strict three-line shape for every reader."""
+    store, other = tmp_path / "st", tmp_path / "st2"
+    argv = ["--seed", "5", "--store", str(store), "mc", "--replicas", "2"]
+    assert main([*argv, "--horizon-ms", "100"]) == 0
+    (part,) = store.rglob("part-*.jsonl")
+    before = part.read_bytes()
+    capsys.readouterr()
+    assert main(["--store", str(other), "resume", str(part)]) == 1
+    err = capsys.readouterr().err
+    assert "store parts are not resumable" in err
+    assert "--checkpoint" in err
+    assert part.read_bytes() == before
+    assert not other.exists()
+    assert CampaignStore(store).scan_report()["skipped"] == 0
 
 
 COMMANDS = {

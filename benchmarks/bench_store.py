@@ -2,9 +2,10 @@
 
 Runs the same stochastic campaign with and without ``--store``-style
 part writes (same seed, serial execution, so the simulated work is
-bit-identical) and records the wall-clock cost of persistence — the
-reduce is encoded into the declared tables and written as one
-checksummed part file, fsynced and renamed into place.  A ``repro
+bit-identical) and records the wall-clock cost of persistence — each
+completed chunk is encoded into the declared tables and appended to the
+run's in-flight ledger, fsynced, and the closed ledger is renamed into
+place as the part.  A ``repro
 query``-path aggregation over the freshly written part is timed too: it
 bounds what an offline analysis pays to answer the NFF/confusion
 questions without re-running anything.

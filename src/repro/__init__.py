@@ -18,8 +18,8 @@ Public API layout:
 * :mod:`repro.presets` — ready-made reference clusters (incl. Fig. 10);
 * :mod:`repro.runtime` — parallel campaign runner with deterministic
   per-replica seed streams (serial-equivalent results);
-* :mod:`repro.storage` — columnar campaign result store + offline query
-  layer (never instantiates the simulator).
+* :mod:`repro.storage` — campaign result store (each run's closed
+  ledger) + offline query layer (never instantiates the simulator).
 
 The top-level names below resolve lazily (PEP 562) so that sim-free
 entry points — ``repro query``, :mod:`repro.storage` — never pay for

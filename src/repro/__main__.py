@@ -22,15 +22,16 @@ Commands
     Print the Fig. 7 bathtub curve as an ASCII series.
 
 ``resume PATH``
-    Continue an interrupted checkpointed campaign from its JSONL ledger
-    (written by ``mc``/``fleet``/``campaign --checkpoint PATH``).  The
-    ledger header records the original argv; ``resume`` re-parses it,
-    applies every global flag typed to ``resume`` itself (``--workers``,
+    Continue an interrupted campaign from its JSONL ledger: a
+    ``--checkpoint`` file, a killed ``--store`` run's in-flight
+    ``run-*.jsonl`` or a store part (resumed in place).  The ledger
+    header records the original argv; ``resume`` re-parses it, applies
+    every global flag typed to ``resume`` itself (``--workers``,
     ``--store``, ``--metrics-json``, ...), loads the already-completed
     replicas and executes the rest — the final aggregate is
     bit-identical to an uninterrupted run.  The ledger's identity check
     refuses flags that would change the campaign (``--seed``; for ``mc``
-    also ``--trace``/``--provenance``).  A store part is refused.
+    also ``--trace``/``--provenance``).
 
 ``query [WHAT] --store DIR``
     Offline analytics over a campaign store written with
@@ -64,10 +65,9 @@ the structured run-metrics record.  ``--checkpoint PATH`` makes the run
 durable (chunk-granular JSONL ledger, resumable with ``repro resume``);
 ``--salvage`` degrades gracefully on retry exhaustion — the partial
 aggregate is returned with an explicit completeness report instead of
-the run stalling in the serial fallback.  ``--store DIR`` additionally
-writes the reduced result into the campaign store as one part file, in
-the checkpoint ledger's line format (with ``--campaign-id`` as the
-partition label; see ``docs/storage.md``).
+the run stalling in the serial fallback.  ``--store DIR`` publishes
+the run's closed ledger into the campaign store as one part file (with
+``--campaign-id`` as the partition label; see ``docs/storage.md``).
 ``--live-log PATH`` streams in-flight lifecycle telemetry — progress,
 worker heartbeats, stall/straggler flags — to a JSONL sidecar watchable
 with ``repro monitor`` (plus an OpenMetrics ``PATH.prom`` snapshot);
@@ -182,6 +182,7 @@ def _run_options(args: argparse.Namespace):
     from repro.errors import ConfigurationError
     from repro.runtime.runner import RunOptions
 
+    _refuse_shared_paths(args)
     params = {
         key: value
         for key, value in vars(args).items()
@@ -206,10 +207,38 @@ def _run_options(args: argparse.Namespace):
         raise ConfigurationError(f"store setup failed: {exc}") from None
 
 
+def _refuse_shared_paths(args: argparse.Namespace) -> None:
+    """Refuse two outputs of one run at one path, before any file exists:
+    one would overwrite or corrupt the other."""
+    from pathlib import Path
+
+    from repro.errors import ConfigurationError
+
+    prom = args.live_log and args.live_log + ".prom"
+    seen: dict[Path, str] = {}
+    for label, value in (
+        ("--checkpoint", args.checkpoint),
+        ("--store", args.store),
+        ("--live-log", args.live_log),
+        ("--live-log PATH.prom", prom),
+        ("--metrics-json", args.metrics_json),
+        ("--trace", args.trace),
+    ):
+        if not value:
+            continue
+        path = Path(value).resolve()
+        if path in seen:
+            raise ConfigurationError(
+                f"{seen[path]} and {label} both name {path}; give each "
+                "output a path of its own"
+            )
+        seen[path] = label
+
+
 def _emit_store(args: argparse.Namespace) -> None:
     if getattr(args, "store", None):
         print(
-            f"[columnar store part written under {args.store} "
+            f"[store part published under {args.store} "
             f"(campaign {args.campaign_id!r}); inspect with "
             "`python -m repro query report --store "
             f"{args.store}`]"
@@ -352,31 +381,18 @@ def _print_mc_provenance(obs_counters: dict) -> None:
     """Render the campaign-scale provenance aggregates.
 
     Per fault class and consecutive stage pair, the merged
-    ``provenance.stage_latency_us`` histogram yields p50/p90 via
-    :func:`repro.obs.histogram_quantile`; the ``provenance.chains``
-    counters give the share of injected faults whose causal chain made it
-    all the way to the maintenance leaf.
+    ``provenance.stage_latency_us`` histogram yields p50/p90 (the rows
+    ``repro query latency`` computes from a store); the
+    ``provenance.chains`` counters give the share of injected faults
+    whose causal chain made it all the way to the maintenance leaf.
     """
-    from repro.obs import histogram_quantile
+    from repro.storage.query import stage_latency_rows
 
-    prefix = "provenance.stage_latency_us{"
-    rows = []
-    for key in sorted(obs_counters.get("histograms", {})):
-        if not key.startswith(prefix):
-            continue
-        labels = dict(
-            part.split("=", 1) for part in key[len(prefix) : -1].split(",")
-        )
-        hist = obs_counters["histograms"][key]
-        rows.append(
-            [
-                labels.get("cls", "?"),
-                labels.get("stage", "?"),
-                int(hist["count"]),
-                f"{histogram_quantile(hist, 0.5):,.0f}",
-                f"{histogram_quantile(hist, 0.9):,.0f}",
-            ]
-        )
+    rows = [
+        [r["cls"], r["stage"], r["count"]]
+        + [f"{r[q]:,.0f}" for q in ("p50_us", "p90_us")]
+        for r in stage_latency_rows(obs_counters.get("histograms", {}))
+    ]
     if rows:
         print(
             render_table(
@@ -515,24 +531,24 @@ def cmd_bathtub(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_trace(path: str) -> list[dict] | None:
+    """The records of a valid obs trace, else ``None`` (and a message)."""
+    from repro.errors import ConfigurationError
+    from repro.obs.tracer import read_jsonl, validate_trace
+
+    try:
+        records = read_jsonl(path)
+        validate_trace(records)
+    except (ConfigurationError, OSError) as exc:
+        print(f"invalid obs trace {path}: {exc}")
+        return None
+    return records
+
+
 def cmd_obs(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
 
-    if args.obs_command == "report":
-        if getattr(args, "json", False):
-            import json
-
-            from repro.obs.report import summarize_trace
-            from repro.obs.tracer import read_jsonl, validate_trace
-
-            try:
-                records = read_jsonl(args.path)
-                validate_trace(records)
-            except (ConfigurationError, OSError) as exc:
-                print(f"invalid obs trace {args.path}: {exc}")
-                return 1
-            print(json.dumps(summarize_trace(records), sort_keys=True))
-            return 0
+    if args.obs_command == "report" and not getattr(args, "json", False):
         from repro.obs.report import render_report
 
         try:
@@ -541,36 +557,34 @@ def cmd_obs(args: argparse.Namespace) -> int:
             print(f"invalid obs trace {args.path}: {exc}")
             return 1
         return 0
-    if args.obs_command == "export":
-        from repro.obs.export import write_chrome_trace
-        from repro.obs.tracer import read_jsonl, validate_trace
+    if args.obs_command not in ("report", "export"):
+        print("usage: python -m repro obs {report,export} PATH")
+        return 2
+    records = _read_trace(args.path)
+    if records is None:
+        return 1
+    if args.obs_command == "report":
+        import json
 
-        try:
-            records = read_jsonl(args.path)
-            validate_trace(records)
-        except (ConfigurationError, OSError) as exc:
-            print(f"invalid obs trace {args.path}: {exc}")
-            return 1
-        output = args.output or f"{args.path}.chrome.json"
-        path = write_chrome_trace(records, output)
-        print(f"[chrome trace written to {path}]")
+        from repro.obs.report import summarize_trace
+
+        print(json.dumps(summarize_trace(records), sort_keys=True))
         return 0
-    print("usage: python -m repro obs {report,export} PATH")
-    return 2
+    from repro.obs.export import write_chrome_trace
+
+    output = args.output or f"{args.path}.chrome.json"
+    path = write_chrome_trace(records, output)
+    print(f"[chrome trace written to {path}]")
+    return 0
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ConfigurationError
     from repro.obs.explain import explain, render_explain
-    from repro.obs.tracer import read_jsonl, validate_trace
 
-    try:
-        records = read_jsonl(args.path)
-        validate_trace(records)
-    except (ConfigurationError, OSError) as exc:
-        print(f"invalid obs trace {args.path}: {exc}")
+    records = _read_trace(args.path)
+    if records is None:
         return 1
     if args.json:
         result = explain(records, fault=args.fault, fru=args.fru)
@@ -581,7 +595,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    """Offline analytics over a columnar store — never touches the sim."""
+    """Offline analytics over a campaign store — never touches the sim."""
     import json
 
     from repro.errors import ConfigurationError
@@ -713,15 +727,8 @@ def cmd_whatif(args: argparse.Namespace) -> int:
     try:
         baseline = load_baseline(args.baseline, campaign=args.campaign)
         if args.scan is not None:
-            result = scan(
-                baseline,
-                mode=args.scan,
-                workers=args.workers,
-            )
-            if args.json:
-                print(json.dumps(scan_to_dict(result), sort_keys=True))
-            else:
-                print(render_scan_report(result), end="")
+            result = scan(baseline, mode=args.scan, workers=args.workers)
+            to_dict, render = scan_to_dict, render_scan_report
         else:
             result = whatif(
                 baseline,
@@ -729,10 +736,11 @@ def cmd_whatif(args: argparse.Namespace) -> int:
                 disable_onas=without_onas,
                 workers=args.workers,
             )
-            if args.json:
-                print(json.dumps(whatif_to_dict(result), sort_keys=True))
-            else:
-                print(render_whatif_report(result), end="")
+            to_dict, render = whatif_to_dict, render_whatif_report
+        if args.json:
+            print(json.dumps(to_dict(result), sort_keys=True))
+        else:
+            print(render(result), end="")
     except ConfigurationError as exc:
         print(f"whatif failed: {exc}", file=sys.stderr)
         return 1
@@ -742,24 +750,19 @@ def cmd_whatif(args: argparse.Namespace) -> int:
 def cmd_resume(args: argparse.Namespace) -> int:
     """Re-run the ledger's recorded argv plus the global flags typed here.
 
-    Every global flag typed before or after ``resume`` wins, whatever
-    its value; ``--checkpoint`` is forced to the ledger.  Flags that
-    would change the campaign are refused by the ledger's identity check
+    The ledger is a ``--checkpoint`` file, a killed ``--store`` run's
+    in-flight file or a store part, which is resumed in place.  Every
+    global flag typed before or after ``resume`` wins, whatever its
+    value; ``--checkpoint`` is forced to the ledger.  Flags that would
+    change the campaign are refused by the ledger's identity check
     (:meth:`~repro.runtime.checkpoint.CheckpointLedger.open`): ``--seed``
     changes the root seed, and for ``mc`` ``--trace`` and
-    ``--provenance`` change the spec digest.  A store part is refused
-    before anything is appended to it: readers need its three lines.
+    ``--provenance`` change the spec digest.
     """
     from repro.errors import ConfigurationError
-    from repro.runtime.checkpoint import read_header
+    from repro.storage.ledger import read_ledger
 
-    meta = read_header(args.path)
-    if "campaign_id" in meta:
-        raise ConfigurationError(
-            f"{args.path} is a store part, and store parts are not "
-            "resumable; resume the run's checkpoint ledger (the file "
-            "given to --checkpoint) instead"
-        )
+    meta = read_ledger(args.path, tolerant=True).header
     where = f"checkpoint ledger {args.path}"
     command, argv = meta.get("command"), meta.get("argv")
     if command not in ("mc", "fleet", "campaign"):
@@ -939,9 +942,10 @@ _GLOBAL_OPTIONS: list[tuple[tuple[str, ...], dict]] = [
             "metavar": "DIR",
             "default": None,
             "help": (
-                "write the reduced run into the campaign store rooted at "
-                "DIR, one part file per run (docs/storage.md); query "
-                "offline with `python -m repro query ... --store DIR`"
+                "keep the run's ledger in the campaign store rooted at "
+                "DIR and publish it there as the run's part file when the "
+                "run ends (docs/storage.md); query offline with "
+                "`python -m repro query ... --store DIR`"
             ),
         },
     ),
@@ -1043,17 +1047,16 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("name")
     add_command("list", "list the scenario catalogue")
     add_command("bathtub", "print the Fig. 7 curve")
-    resume_cmd = sub.add_parser(
-        "resume",
-        help="continue an interrupted checkpointed campaign from its ledger",
+    resume_cmd = add_command(
+        "resume", "continue an interrupted campaign from its ledger or part"
     )
     resume_cmd.add_argument("path")
-    _add_global_options(resume_cmd, suppress=True)
     obs_cmd = sub.add_parser("obs", help="observability artefact tools")
     obs_sub = obs_cmd.add_subparsers(dest="obs_command")
     report = obs_sub.add_parser(
         "report", help="validate and summarize a JSONL obs trace"
     )
+    _add_global_options(report, suppress=True)
     report.add_argument("path")
     report.add_argument(
         "--json",
@@ -1063,6 +1066,7 @@ def _build_parser() -> argparse.ArgumentParser:
     export = obs_sub.add_parser(
         "export", help="convert a JSONL obs trace to another format"
     )
+    _add_global_options(export, suppress=True)
     export.add_argument("path")
     export.add_argument(
         "--format",
@@ -1076,8 +1080,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output path (default: PATH.chrome.json)",
     )
-    explain_cmd = sub.add_parser(
-        "explain", help="reconstruct causal chains from a provenance trace"
+    explain_cmd = add_command(
+        "explain", "reconstruct causal chains from a provenance trace"
     )
     explain_cmd.add_argument("path")
     explain_cmd.add_argument(
@@ -1090,7 +1094,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable JSON output"
     )
     query_cmd = add_command(
-        "query", "offline analytics over a columnar campaign store"
+        "query", "offline analytics over a campaign store"
     )
     query_cmd.add_argument(
         "what",
@@ -1115,9 +1119,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict to one campaign id (drift always spans all)",
     )
-    monitor_cmd = sub.add_parser(
-        "monitor",
-        help="render live campaign telemetry from a --live-log sidecar",
+    monitor_cmd = add_command(
+        "monitor", "render live campaign telemetry from a --live-log sidecar"
     )
     monitor_cmd.add_argument("path")
     monitor_cmd.add_argument(
@@ -1154,8 +1157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     whatif_cmd.add_argument(
         "baseline",
         help=(
-            "campaign baseline: the checkpoint ledger file or the columnar "
-            "store directory of an mc run (any obs flags)"
+            "campaign baseline: the checkpoint ledger file or the store "
+            "directory of an mc run (any obs flags)"
         ),
     )
     whatif_cmd.add_argument(
@@ -1205,9 +1208,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 #: Commands not traced by ``_run_observed``: ``mc`` merges per-replica
-#: records through the reduce, ``resume`` traces the command it
-#: re-dispatches, and ``whatif`` replays under its baseline's obs flags.
-_OWN_TRACE = ("mc", "resume", "whatif")
+#: records through the reduce, and ``resume`` traces the command it
+#: re-dispatches.
+_OWN_TRACE = ("mc", "resume")
 
 _COMMANDS = {
     "demo": cmd_demo,
@@ -1238,6 +1241,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
 
     command = _COMMANDS[args.command]
+    if args.trace and args.command == "whatif":
+        print(
+            "repro whatif: --trace is refused: whatif replays under the "
+            "baseline's recorded obs flags, so there is no trace of its "
+            "own to write; trace the baseline run instead",
+            file=sys.stderr,
+        )
+        return 2
     if args.trace and args.command not in _OWN_TRACE:
         if args.workers > 1 and args.command in ("fleet", "campaign"):
             print(

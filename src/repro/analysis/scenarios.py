@@ -441,9 +441,9 @@ def run_campaign(
         or options.live_log is not None
     ):
         # The serial fast path below keeps live ScenarioRun objects and
-        # bypasses the runner; the process pool, the checkpoint's chunked
-        # ledger, the columnar store's post-reduce write hook and live
-        # telemetry's lifecycle events all need the runner.
+        # bypasses the runner; the process pool, the chunked ledger that
+        # --checkpoint and --store keep, the store's post-reduce publish
+        # and live telemetry's lifecycle events all need the runner.
         catalogue_names = {s.name for s in CATALOGUE}
         unknown = {name for name, _ in specs} - catalogue_names
         if unknown:

@@ -376,7 +376,7 @@ class CampaignReplicaOutcome:
     #: Schema-v2 trace line dicts (replica-tagged) when tracing was on.
     obs_trace: tuple[dict, ...] = ()
     #: Final per-FRU alpha-count scores, sorted by FRU name — the
-    #: diagnostic state the columnar store persists as verdict columns
+    #: diagnostic state the store persists as verdict columns
     #: (:mod:`repro.storage`).
     alpha_state: tuple[tuple[str, float], ...] = ()
     #: Final per-FRU trust levels, sorted by FRU name.

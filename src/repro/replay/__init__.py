@@ -3,7 +3,7 @@
 The replay engine answers "what would the diagnosis have concluded
 without this fault / without this ONA class" *exactly*, not
 approximately: it loads a completed campaign baseline (a checkpoint
-ledger or a columnar store part), computes the set of replicas whose
+ledger or a store part), computes the set of replicas whose
 verdict chains are downstream of the suppressed cause, re-executes only
 those replicas from their recorded seed streams with the cause removed,
 splices every unaffected replica's stored result straight into the

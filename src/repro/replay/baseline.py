@@ -5,8 +5,8 @@ results, recoverable from either durable artefact the runtime writes:
 
 * a **checkpoint ledger** (``--checkpoint PATH``), whose chunk lines
   carry the declared result tables of their replicas;
-* a **store part** (``--store DIR``), a one-chunk ledger that holds the
-  same tables for the whole run.
+* a **store part** (``--store DIR``), the run's closed ledger published
+  into the store, read under the store's strict part rules.
 
 Both hold per-replica obs counters and trace records in the declared
 sidecar tables.  :func:`load_baseline` picks the file — the ledger, or
@@ -126,13 +126,8 @@ def load_baseline(
         raise ConfigurationError(
             f"{where} covers {len(results)}/{replicas} replicas (missing "
             f"{missing[:8]!r}{'…' if len(missing) > 8 else ''}) — replay "
-            "needs full baseline coverage"
-            + (
-                f"; finish the campaign with `python -m repro resume {p}` "
-                "before replaying it"
-                if source == "checkpoint"
-                else ""
-            )
+            "needs full baseline coverage; finish the campaign with "
+            f"`python -m repro resume {file}` before replaying it"
         )
     rebuilt = spec_digest(root_seed, [spec] * replicas)
     if meta.get("spec_digest") != rebuilt:

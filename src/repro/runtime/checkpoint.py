@@ -3,8 +3,11 @@
 Long Monte-Carlo campaigns (the regime where the paper's §III-E rates
 and Fig. 11 accuracies stabilise) must survive faults in their own
 runner: a killed process should cost at most the chunks in flight, not
-hours of completed replicas.  The ledger is an append-only JSONL file
-written next to the campaign:
+hours of completed replicas.  A run with ``--checkpoint PATH`` or
+``--store DIR`` writes each result once, into an append-only JSONL
+ledger: the ``--checkpoint`` file, or the store's in-flight file
+(:func:`repro.storage.writer.inflight_path`).  With ``--store`` the
+closed ledger becomes the store part (:mod:`repro.storage.writer`).
 
 * a **header** line binds the ledger to one campaign — root seed, a
   SHA-256 digest of ``(root_seed, specs)``, replica count, chunk size,
@@ -14,13 +17,15 @@ written next to the campaign:
 * one **chunk** line per completed chunk — the replica indices, the
   kind of their values and the chunk's results as the declared store
   tables (:mod:`repro.storage.schema`, written by
-  :func:`repro.storage.codec.encode`), guarded by a SHA-256 over the
-  tables' canonical JSON.  Each replica row carries its seed-stream
-  fingerprint (:func:`repro.runtime.seeds.stream_fingerprint`).  Lines
-  are flushed and fsynced as they are appended, so a SIGKILL can lose at
-  most the line being written;
+  :func:`repro.storage.codec.encode`, which only this module calls),
+  guarded by a SHA-256 over the tables' canonical JSON.  Each replica
+  row carries its seed-stream fingerprint
+  (:func:`repro.runtime.seeds.stream_fingerprint`).  Lines are flushed
+  and fsynced as they are appended, so a SIGKILL can lose at most the
+  line being written;
 * **resume** / **close** marker lines recording how each session of the
-  campaign started and ended (ledger provenance).
+  campaign started and ended; the close line follows the reduce and
+  carries the plan digest and the salvage failures.
 
 Determinism contract
 --------------------
@@ -33,16 +38,16 @@ an uninterrupted run would: interrupted-then-resumed ≡ uninterrupted ≡
 Robustness
 ----------
 The line format, its checks and its reader live in
-:mod:`repro.storage.ledger`, which store parts share: a part is a
-one-chunk ledger.  Nothing in a ledger is ever unpickled: results are
-decoded by :func:`repro.storage.codec.decode`.  Loading tolerates a
-truncated or corrupted tail — a chunk line that is not a JSON object,
-fails its checksum, breaks the declared schema or carries a replica
-bound to the wrong seed stream is skipped (and counted), and the
-replicas it covered are simply re-executed.  A header that does not
-match the campaign being resumed raises
-:class:`~repro.errors.ConfigurationError` instead of silently mixing two
-experiments, and so does a ledger of another format version.
+:mod:`repro.storage.ledger`.  Nothing in a ledger is ever unpickled:
+results are decoded by :func:`repro.storage.codec.decode`.  Loading
+tolerates a truncated or corrupted tail — a chunk line that is not a
+JSON object, fails its checksum, breaks the declared schema or carries
+a replica bound to the wrong seed stream is skipped (and counted), and
+the replicas it covered are simply re-executed; a resume first rewrites
+the file without the skipped lines.  A header that does not match the
+campaign being resumed raises :class:`~repro.errors.ConfigurationError`
+instead of silently mixing two experiments, and so does a ledger of
+another format version.
 """
 
 from __future__ import annotations
@@ -56,8 +61,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.obs import state as _obs_state
-from repro.runtime.runner import ReplicaResult
+from repro.runtime.runner import ReplicaFailure, ReplicaResult
 
 # The storage package (line format, codec) is imported where it is
 # used: ``repro.runtime`` imports this module, and runs without a ledger
@@ -81,18 +85,13 @@ def spec_digest(root_seed: int, specs: Sequence[Any]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _obs_event(name: str, **attrs: Any) -> None:
-    """Emit a checkpoint span event when an obs context is active."""
-    obs = _obs_state.ACTIVE
-    if obs is not None and obs.enabled:
-        obs.tracer.event(name, **attrs)
-
-
 @dataclass(frozen=True, slots=True)
 class LedgerState:
     """Everything a resume needs from an existing ledger file."""
 
     meta: dict[str, Any]
+    #: Every line after the header that the tolerant read kept.
+    lines: list[dict[str, Any]]
     results_by_index: dict[int, ReplicaResult]
     sessions: int
     skipped_lines: int = 0
@@ -111,17 +110,11 @@ def load_ledger(path: str | Path) -> LedgerState:
     ledger = read_ledger(path, tolerant=True, decode=True)
     return LedgerState(
         meta=ledger.header,
+        lines=ledger.lines,
         results_by_index=ledger.results,
         sessions=1 + sum(r.get("kind") == "resume" for r in ledger.lines),
         skipped_lines=ledger.skipped,
     )
-
-
-def read_header(path: str | Path) -> dict[str, Any]:
-    """The validated header line alone (``repro resume`` dispatch)."""
-    from repro.storage.ledger import read_ledger
-
-    return read_ledger(path, tolerant=True).header
 
 
 @dataclass(slots=True)
@@ -131,8 +124,8 @@ class CheckpointLedger:
     path: Path
     root_seed: int
     replicas: int
+    spec_digest: str
     chunks_written: int = 0
-    _closed: bool = field(default=False, repr=False)
     #: Optional ``on_flush(indices)`` callback invoked *after* a chunk
     #: line is durably on disk (post-fsync) — the live event bus hangs
     #: its ``checkpoint_flushed`` record here so the telemetry can never
@@ -157,12 +150,14 @@ class CheckpointLedger:
         write a new header, which carries the ``invocation`` record's
         keys (``command``/``params``/``argv``) beside the campaign
         identity; resumes validate the existing header against the
-        campaign and return the replica results already covered.
+        campaign, atomically drop the lines the tolerant read skipped
+        and return the replica results already covered.
         """
+        from repro.storage import ledger as line_format
+
         path = Path(path)
         digest = spec_digest(root_seed, specs)
-        preloaded: dict[int, ReplicaResult] = {}
-        ledger = cls(path=path, root_seed=int(root_seed), replicas=len(specs))
+        ledger = cls(path, int(root_seed), len(specs), digest)
         if resume and path.exists():
             state = load_ledger(path)
             meta = state.meta
@@ -180,43 +175,34 @@ class CheckpointLedger:
                     f"checkpoint ledger {path} does not match this "
                     "campaign — " + "; ".join(mismatches)
                 )
-            preloaded = state.results_by_index
+            if state.skipped_lines:
+                with line_format.replacing(path) as tmp:
+                    line_format.append_lines(tmp, meta, *state.lines)
             ledger._append(
                 {
                     "kind": "resume",
                     "session": state.sessions + 1,
-                    "loaded": len(preloaded),
+                    "loaded": len(state.results_by_index),
                     "skipped_lines": state.skipped_lines,
                     "wall": time.time(),
                 }
             )
-            _obs_event(
-                "checkpoint.resume",
-                path=str(path),
-                loaded=len(preloaded),
-                skipped_lines=state.skipped_lines,
-            )
-        else:
-            from repro.storage.ledger import LEDGER_VERSION
-
-            header = {
-                **(invocation or {}),
-                "kind": "header",
-                "version": LEDGER_VERSION,
-                "root_seed": int(root_seed),
-                "replicas": len(specs),
-                "chunk_size": int(chunk_size),
-                "workers": int(workers),
-                "spec_digest": digest,
-                "wall": time.time(),
-            }
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("", encoding="utf-8")  # truncate stale ledger
-            ledger._append(header)
-            _obs_event(
-                "checkpoint.open", path=str(path), replicas=len(specs)
-            )
-        return ledger, preloaded
+            return ledger, state.results_by_index
+        header = {
+            **(invocation or {}),
+            "kind": "header",
+            "version": line_format.LEDGER_VERSION,
+            "root_seed": int(root_seed),
+            "replicas": len(specs),
+            "chunk_size": int(chunk_size),
+            "workers": int(workers),
+            "spec_digest": digest,
+            "wall": time.time(),
+        }
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("", encoding="utf-8")  # truncate stale ledger
+        ledger._append(header)
+        return ledger, {}
 
     def append_chunk(self, results: Sequence[ReplicaResult]) -> None:
         """Durably record one completed chunk of replica results."""
@@ -237,29 +223,30 @@ class CheckpointLedger:
         self.chunks_written += 1
         if self.on_flush is not None:
             self.on_flush(indices)
-        _obs_event(
-            "checkpoint.chunk", path=str(self.path), indices=indices
-        )
 
-    def close(self, *, completed: int, failed: int) -> None:
-        """Record how this session ended (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+    def close(
+        self,
+        *,
+        completed: int,
+        failures: Sequence[ReplicaFailure] = (),
+        plan_digest: str | None = None,
+    ) -> None:
+        """Record how this session ended, after its reduce: replicas
+        with a result (resumed ones included), the salvage ``failures``
+        and the reduced value's plan digest, if it has one."""
+        from repro.storage.codec import encode
+
+        _kind, tables = encode((), self.root_seed, failures)
         self._append(
             {
                 "kind": "close",
+                "plan_digest": plan_digest,
                 "completed": int(completed),
-                "failed": int(failed),
-                "complete": completed >= self.replicas,
+                "failed": len(failures),
+                "complete": completed == self.replicas and not failures,
+                "failures": tables["failures"],
                 "wall": time.time(),
             }
-        )
-        _obs_event(
-            "checkpoint.close",
-            path=str(self.path),
-            completed=completed,
-            failed=failed,
         )
 
     # -- internals --------------------------------------------------------

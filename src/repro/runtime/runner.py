@@ -105,9 +105,8 @@ class RunOptions:
     (``checkpoint``/``resume``), store (``store``/``campaign_id``) and
     ``live_log`` are described under :meth:`ParallelCampaignRunner.run`.
     ``invocation`` is the CLI's record of the run, ``{"command",
-    "params", "argv"}``: the ledger header and the store part header
-    keep all three (``repro resume`` re-parses the ``argv``), the live
-    log ``command``.
+    "params", "argv"}``: the ledger header keeps all three (``repro
+    resume`` re-parses the ``argv``), the live log ``command``.
     """
 
     workers: int = 1
@@ -140,7 +139,7 @@ class RunOptions:
             # hours of simulation.
             from repro.storage.writer import prepare_store
 
-            prepare_store(self.store, self.campaign_id, self.checkpoint)
+            prepare_store(self.store, self.campaign_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,19 +416,16 @@ class ParallelCampaignRunner:
         (or ``[spec] * n``) for homogeneous campaigns.
 
         With ``options.checkpoint`` every completed chunk is appended
-        to a durable JSONL ledger at that path; ``options.resume``
-        additionally loads any matching ledger first and re-executes
-        only the replicas it does not cover.  The reduced aggregate of
-        an interrupted-then-resumed run is bit-identical to an
-        uninterrupted one (the ledger stores the full per-replica
-        values, and the reduce always sees all of them in index order).
-
-        With ``options.store`` the reduced outcome is additionally
-        written into the campaign store rooted at that directory
-        (:mod:`repro.storage`) — one part per ``(campaign id, plan
-        digest, spec digest)``, written after the reduce so a
-        resumed-then-stored run produces the identical part an
-        uninterrupted run would.
+        to a durable JSONL ledger at that path, and with
+        ``options.store`` alone to the store's in-flight ledger;
+        ``options.resume`` additionally loads any matching ledger first
+        and re-executes only the replicas it does not cover.  The
+        reduced aggregate of an interrupted-then-resumed run is
+        bit-identical to an uninterrupted one (the ledger stores the
+        full per-replica values, and the reduce always sees all of them
+        in index order).  With ``options.store`` the ledger, closed
+        after the reduce, is published as the run's part of the store
+        rooted at that directory (:mod:`repro.storage.writer`).
 
         ``preloaded`` splices externally supplied per-replica results
         (index → :class:`ReplicaResult`) into the outcome without
@@ -497,11 +493,21 @@ class ParallelCampaignRunner:
 
         ledger = None
         preloaded = spliced
-        if options.checkpoint is not None:
+        ledger_path = options.checkpoint
+        if ledger_path is None and options.store is not None:
+            from repro.runtime.checkpoint import spec_digest
+            from repro.storage.writer import inflight_path
+
+            ledger_path = inflight_path(
+                options.store,
+                options.campaign_id,
+                spec_digest(int(root_seed), specs),
+            )
+        if ledger_path is not None:
             from repro.runtime.checkpoint import CheckpointLedger
 
             ledger, resumed = CheckpointLedger.open(
-                options.checkpoint,
+                ledger_path,
                 root_seed=int(root_seed),
                 specs=specs,
                 chunk_size=chunk_size,
@@ -582,8 +588,6 @@ class ParallelCampaignRunner:
         wall = time.perf_counter() - t0
         if heartbeat_dir is not None:
             shutil.rmtree(heartbeat_dir, ignore_errors=True)
-        if ledger is not None:
-            ledger.close(completed=len(results), failed=len(failures))
 
         results.sort(key=lambda r: r.index)
         expected = set(range(len(tasks)))
@@ -631,6 +635,13 @@ class ParallelCampaignRunner:
             metrics=metrics,
             failures=tuple(failures[i] for i in sorted(failures)),
         )
+        plan_digest = getattr(value, "plan_digest", None)
+        if ledger is not None:
+            ledger.close(
+                completed=len(results),
+                failures=outcome.failures,
+                plan_digest=plan_digest,
+            )
         if bus is not None:
             bus.emit(
                 "run_finished",
@@ -642,19 +653,14 @@ class ParallelCampaignRunner:
                 self._write_prom_snapshot(live_log, outcome)
                 bus.close()
         if options.store is not None:
-            # Deferred import: the storage package is sim-free and the
-            # runner must stay importable without it paying for (or the
-            # query path depending on) this write path.
-            from repro.runtime.checkpoint import spec_digest
             from repro.storage.writer import write_run
 
             write_run(
                 options.store,
-                outcome,
-                root_seed=int(root_seed),
-                spec_digest=spec_digest(int(root_seed), specs),
+                ledger.path,
+                spec_digest=ledger.spec_digest,
+                plan_digest=plan_digest,
                 campaign_id=options.campaign_id,
-                invocation=options.invocation,
             )
         return outcome
 
@@ -938,9 +944,9 @@ class ParallelCampaignRunner:
         """OpenMetrics snapshot next to the live log (``<name>.prom``).
 
         Counters ride on the aggregate when the workload collected them
-        (``outcome.value.obs_counters``, the same duck-typed snapshot
-        the columnar store persists); run metrics become gauges either
-        way.  Best-effort — exposition must never fail a run.
+        (``outcome.value.obs_counters``, merged from the per-replica
+        snapshots the ledger and store keep); run metrics become gauges
+        either way.  Best-effort — exposition must never fail a run.
         """
         try:
             from repro.obs.openmetrics import render_openmetrics

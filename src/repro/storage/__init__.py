@@ -3,16 +3,16 @@
 Durable, versioned storage for campaign results — per-replica verdict
 rows, the injected plan, per-FRU diagnostic finals, each replica's
 observability counters, histograms and trace records — partitioned by
-campaign id and plan digest, written straight from the parallel
-runner's index-ordered reduce (``--store DIR`` on ``mc`` / ``fleet`` /
+campaign id and plan digest (``--store DIR`` on ``mc`` / ``fleet`` /
 ``campaign``) and queried by ``repro query`` without ever instantiating
 the simulator.
 
 One line format (:mod:`repro.storage.ledger`) holds results on disk: a
-store part is a one-chunk ledger file, and the checkpoint ledger appends
-chunk lines of the same declared tables (:mod:`repro.storage.schema`,
-encoded and decoded by :mod:`repro.storage.codec`).  See
-``docs/storage.md`` for the layout, the schema and a query cookbook.
+run appends chunk lines of the declared tables
+(:mod:`repro.storage.schema`, encoded and decoded by
+:mod:`repro.storage.codec`) to its ledger, and a store part is that
+ledger, closed.  See ``docs/storage.md`` for the layout, the schema and
+a query cookbook.
 """
 
 from __future__ import annotations

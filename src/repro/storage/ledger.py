@@ -1,14 +1,9 @@
 """The one line format of durable campaign results.
 
-Both durable artefacts of a campaign are files of JSON lines in this
-format (:data:`LEDGER_VERSION`):
-
-* the checkpoint ledger (``--checkpoint PATH``,
-  :mod:`repro.runtime.checkpoint`) appends a header, one chunk line per
-  completed chunk and resume/close lines while the run goes on;
-* a store part (``--store DIR``, :mod:`repro.storage.writer`) is a
-  one-chunk ledger written at once: a header, one chunk line holding
-  every replica, and a close line.
+A run's *ledger* (:mod:`repro.runtime.checkpoint`) is a file of JSON
+lines in this format (:data:`LEDGER_VERSION`): a header, one chunk line
+per completed chunk and resume/close lines, appended as the run goes
+on.  A store part (:mod:`repro.storage.writer`) is a closed ledger.
 
 A **header** binds the file to one campaign: ``kind: header``, the
 format ``version``, integer ``root_seed`` and ``replicas`` and the
@@ -20,10 +15,10 @@ a MAC, so every table is also held to its declared columns and dtypes.
 :func:`read_ledger` reads a file in one of two modes.  **Strict** (store
 parts): the first line that is not a JSON object, and the first chunk
 that fails its checks, raises :class:`~repro.errors.ConfigurationError`
-naming the file.  **Tolerant** (checkpoint ledgers, whose tail a SIGKILL
-can tear): such lines are skipped and counted, and the caller
-re-executes the replicas they held.  The header must be valid in both
-modes: a file cannot be identified without it.
+naming the file.  **Tolerant** (ledgers, whose tail a SIGKILL can
+tear): such lines are skipped and counted, and the caller re-executes
+the replicas they held.  The header must be valid in both modes: a file
+cannot be identified without it.
 
 Nothing here imports the simulator or :mod:`repro.runtime`, so queries
 read parts on a bare interpreter.
@@ -35,6 +30,7 @@ import hashlib
 import json
 import os
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -97,6 +93,20 @@ def append_lines(path: str | Path, *records: dict[str, Any]) -> None:
             fh.write("\n")
         fh.flush()
         os.fsync(fh.fileno())
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """A temporary path beside ``path`` for the block to write and
+    fsync; ``os.replace`` puts it in place if the block succeeds."""
+    path = Path(path)
+    tmp = path.with_name(f".tmp-{path.name}-{os.getpid()}")
+    tmp.unlink(missing_ok=True)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True, slots=True)

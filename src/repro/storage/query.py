@@ -1,4 +1,4 @@
-"""Offline analytics over the columnar campaign store.
+"""Offline analytics over the campaign store.
 
 Every function here aggregates *stored* columns only — integer sums and
 the exact merged histograms — so the results are bit-equal to the
@@ -175,22 +175,22 @@ def merged_counters(
     return CounterRegistry.merged(per_part)
 
 
-def _parse_labels(key: str, prefix: str) -> dict[str, str]:
-    inner = key[len(prefix) : -1]
-    return dict(item.split("=", 1) for item in inner.split(",") if "=" in item)
-
-
 def stage_latency(
     store: CampaignStore, campaign: str | None = None
 ) -> list[dict[str, Any]]:
     """Per-(class, stage) latency percentiles from the stored histograms,
     merged as the reduce merged them (:func:`merged_counters`)."""
+    return stage_latency_rows(merged_counters(store, campaign)["histograms"])
+
+
+def stage_latency_rows(histograms: dict[str, Any]) -> list[dict[str, Any]]:
+    """Per-(class, stage) latency percentiles of merged histograms."""
     rows = []
-    histograms = merged_counters(store, campaign)["histograms"]
     for key, data in sorted(histograms.items()):
         if not key.startswith(STAGE_LATENCY_PREFIX):
             continue
-        labels = _parse_labels(key, STAGE_LATENCY_PREFIX)
+        inner = key[len(STAGE_LATENCY_PREFIX) : -1].split(",")
+        labels = dict(item.split("=", 1) for item in inner if "=" in item)
         count = data["count"]
         rows.append(
             {

@@ -1,12 +1,11 @@
 """Declared schema of campaign results on disk.
 
-Both durable artefacts hold these tables in the one line format of
-:mod:`repro.storage.ledger`: a store *part* (one stored run) is a
-one-chunk ledger whose chunk line holds every replica, and every chunk
-line of the checkpoint ledger carries the same tables for the replicas
-of its chunk.  Every table is declared here as an ordered
-``column -> dtype`` mapping, and the codec (:mod:`repro.storage.codec`)
-writes exactly these columns in exactly this order.
+A run's ledger (:mod:`repro.storage.ledger`) holds these tables: every
+chunk line those of its replicas, the close line the ``failures`` of the
+run.  A store *part* (one stored run) is that closed ledger.  Every
+table is declared here as an ordered ``column -> dtype`` mapping, and
+the codec (:mod:`repro.storage.codec`) writes exactly these columns in
+exactly this order.
 
 Dtypes are logical: ``int64``/``float64``/``str``/``bool`` plus the
 nullable variants ``int64?``/``float64?``/``str?``.  Float columns
@@ -141,7 +140,7 @@ TABLES: dict[str, dict[str, str]] = {
 
 #: The tables of each part kind.  A part's kind is the kind of its
 #: values (:mod:`repro.storage.codec`); ``generic`` is left only for a
-#: part with no values at all (every replica failed under salvage).
+#: part with no chunk lines (every replica failed under salvage).
 KIND_TABLES: dict[str, tuple[str, ...]] = {
     "campaign": (
         "replicas",

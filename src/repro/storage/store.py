@@ -1,11 +1,10 @@
 """Read path of the campaign store.
 
 :class:`CampaignStore` finds the parts under a store root and reads each
-one through the line reader of :mod:`repro.storage.ledger` in strict
-mode: a part must be exactly a valid header, one chunk line whose tables
-pass their checksum and declared schema, and a close line.  A truncated,
-bit-flipped, version-skewed or otherwise malformed part fails with a
-clear :class:`~repro.errors.ConfigurationError` naming the part file.  A
+one, a closed ledger, through the line reader of
+:mod:`repro.storage.ledger` in strict mode.  A truncated, bit-flipped,
+version-skewed or otherwise malformed part fails with a clear
+:class:`~repro.errors.ConfigurationError` naming the part file.  A
 tolerant scan mode mirrors the checkpoint ledger's tail recovery: skip
 unreadable parts, report how many were dropped, aggregate the rest.
 
@@ -21,23 +20,22 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.storage.ledger import read_ledger
+from repro.storage.schema import TABLES, check_table, tables_for_kind
 
-#: Fields a part adds to its header and close lines, and the exact types
+#: Fields the last close line of a part must hold, and the exact types
 #: their values may have.
-_PART_FIELDS: dict[str, dict[str, tuple[type, ...]]] = {
-    "header": {"campaign_id": (str,)},
-    "close": {
-        "plan_digest": (str, type(None)),
-        "completed": (int,),
-        "failed": (int,),
-        "complete": (bool,),
-    },
+_CLOSE_FIELDS: dict[str, tuple[type, ...]] = {
+    "plan_digest": (str, type(None)),
+    "completed": (int,),
+    "failed": (int,),
+    "complete": (bool,),
+    "failures": (dict,),
 }
 
 
 @dataclass(frozen=True, slots=True)
 class StorePart:
-    """One checked part: its header and close lines and its tables."""
+    """One checked part: its header and last close line and its tables."""
 
     path: Path
     header: dict[str, Any]
@@ -47,7 +45,7 @@ class StorePart:
 
     @property
     def campaign_id(self) -> str:
-        return self.header["campaign_id"]
+        return self.path.parent.parent.name
 
     @property
     def root_seed(self) -> int:
@@ -73,7 +71,9 @@ class StorePart:
 
 
 def _read_part(path: Path) -> StorePart:
-    """The part at ``path``, if it is exactly header, chunk and close."""
+    """The part at ``path``, if it keeps the rules of a closed ledger
+    (``docs/storage.md``, "Integrity"); its campaign id is its
+    directory, and its tables the chunks' rows in replica order."""
     if path.is_dir():
         raise ConfigurationError(
             f"store part {path} has the old layout (a manifest.json and "
@@ -82,26 +82,49 @@ def _read_part(path: Path) -> StorePart:
         )
     ledger = read_ledger(path, tolerant=False)
     kinds = [line.get("kind") for line in ledger.lines]
-    if kinds != ["chunk", "close"]:
+    if kinds[-1:] != ["close"] or any(
+        kind not in ("chunk", "resume", "close") for kind in kinds
+    ):
         raise ConfigurationError(
-            f"store part {path} holds lines {kinds!r} after its header, "
-            "not one chunk line and a close line"
+            f"store part {path} does not end with a close line after "
+            "chunk and resume lines: its run never finished, or the file "
+            "was cut or edited"
         )
-    chunk, close = ledger.lines
-    for line in (ledger.header, close):
-        for key, types in _PART_FIELDS[line["kind"]].items():
-            if type(line.get(key)) not in types:
-                raise ConfigurationError(
-                    f"store part {path}: {line['kind']} field {key!r} is "
-                    f"{line.get(key)!r}"
-                )
-    return StorePart(
-        path=path,
-        header=ledger.header,
-        close=close,
-        kind=chunk["value_kind"],
-        tables=chunk["tables"],
-    )
+    close = ledger.lines[-1]
+    for key, types in _CLOSE_FIELDS.items():
+        if type(close.get(key)) not in types:
+            raise ConfigurationError(
+                f"store part {path}: close field {key!r} is {close.get(key)!r}"
+            )
+    where = f"{path}: close"
+    tables = {"failures": check_table("failures", close["failures"], where)}
+    chunks = [line for line in ledger.lines if line["kind"] == "chunk"]
+    value_kinds = sorted({c["value_kind"] for c in chunks}) or ["generic"]
+    if len(value_kinds) > 1:
+        raise ConfigurationError(
+            f"store part {path} mixes chunks of kinds {value_kinds!r}"
+        )
+    for name in tables_for_kind(value_kinds[0]):
+        if name != "failures":
+            rows = {
+                column: [v for c in chunks for v in c["tables"][name][column]]
+                for column in TABLES[name]
+            }
+            replica = rows["replica"]
+            order = sorted(range(len(replica)), key=replica.__getitem__)
+            tables[name] = {c: [v[i] for i in order] for c, v in rows.items()}
+    replicas = tables["replicas"]["replica"]
+    for a, b in zip(replicas, replicas[1:]):
+        if a == b:
+            raise ConfigurationError(
+                f"store part {path}: replica {a} is stored twice"
+            )
+    if len(replicas) != close["completed"]:
+        raise ConfigurationError(
+            f"store part {path} holds {len(replicas)} replica rows, but "
+            f"its close line counts {close['completed']} completed"
+        )
+    return StorePart(path, ledger.header, close, value_kinds[0], tables)
 
 
 class CampaignStore:

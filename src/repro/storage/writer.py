@@ -1,36 +1,29 @@
-"""Write path of the campaign store.
+"""Write path of the campaign store: publish a run's closed ledger.
 
-:func:`write_run` stores a reduced :class:`~repro.runtime.runner
-.RunOutcome` as one store *part*: a one-chunk ledger file
-(:mod:`repro.storage.ledger`), partitioned by campaign id and plan
-digest::
+A run writes each result once, as a chunk line of its ledger
+(:mod:`repro.runtime.checkpoint`): the ``--checkpoint`` file, or with
+``--store`` alone the in-flight file :func:`inflight_path`.  After the
+reduce :func:`write_run` publishes the closed ledger as the run's part,
+partitioned by campaign id and plan digest::
 
     <root>/<campaign_id>/<digest[:16]>/part-<spec_digest[:16]>.jsonl
 
-The partition digest is the campaign's ``plan_digest`` (a pure function
-of the injected fault plan) when the reduced value carries one, else
-the run's ``spec_digest``; the part name is keyed by ``spec_digest``
-alone.  Both are pure functions of ``(root_seed, specs)``, so storing a
-resumed run overwrites *the same* part an uninterrupted run would have
-written — store writes are idempotent per run identity.
-
-The tables come from :func:`repro.storage.codec.encode`, the encoder
-the checkpoint ledger uses too, which is duck-typed over the outcome
-values and imports nothing from the simulator: the writer runs in the
-parent process after the index-ordered reduce, and the whole storage
-package must stay importable — and usable — without the simulation
-stack.
+The partition digest is the campaign's ``plan_digest`` when the reduced
+value carries one, else the run's ``spec_digest``; the part name is
+keyed by ``spec_digest`` alone.  Both are pure functions of
+``(root_seed, specs)``, so storing a resumed run replaces *the same*
+part an uninterrupted run would have written.  Publishing encodes
+nothing, and nothing here imports the simulator.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 from pathlib import Path
-from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.storage.codec import encode
-from repro.storage.ledger import LEDGER_VERSION, append_lines, chunk_line
+from repro.storage.ledger import replacing
 
 #: Characters allowed in a campaign id (it becomes a directory name).
 _ID_ALLOWED = set(
@@ -55,23 +48,13 @@ def validate_campaign_id(campaign_id: str) -> str:
     return campaign_id
 
 
-def prepare_store(
-    root: str | Path,
-    campaign_id: str,
-    checkpoint: str | Path | None = None,
-) -> None:
+def prepare_store(root: str | Path, campaign_id: str) -> None:
     """Fail now if a run could not store under ``root`` when it ends.
 
-    Checks the campaign id, refuses a checkpoint ledger at the store
-    root itself and creates the root directory.
+    Checks the campaign id and creates the root directory.
     """
     validate_campaign_id(campaign_id)
     root = Path(root)
-    if checkpoint is not None and Path(checkpoint).resolve() == root.resolve():
-        raise ConfigurationError(
-            f"store root {root} is also the checkpoint ledger path; give "
-            "--store a directory of its own"
-        )
     try:
         root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -80,59 +63,41 @@ def prepare_store(
         ) from None
 
 
+def inflight_path(
+    root: str | Path, campaign_id: str, spec_digest: str
+) -> Path:
+    """The ledger of a run that has ``--store`` but no ``--checkpoint``."""
+    name = f"run-{spec_digest[:DIGEST_PREFIX]}.jsonl"
+    return Path(root) / validate_campaign_id(campaign_id) / name
+
+
 def write_run(
     root: str | Path,
-    outcome: Any,
+    ledger: str | Path,
     *,
-    root_seed: int,
     spec_digest: str,
+    plan_digest: str | None,
     campaign_id: str = "default",
-    invocation: dict[str, Any] | None = None,
 ) -> Path:
-    """Persist one reduced run as a store part; returns the part path.
+    """Publish a closed ledger as the run's store part; returns its path.
 
-    The header carries the ledger header fields, the CLI's
-    ``invocation`` record (``command``, ``params``, ``argv``) and
-    ``campaign_id``, the partition label.  The one chunk line holds
-    every result and the salvage ``failures``; the close line the plan
-    digest and the completed and failed counts.  The file is written
-    and fsynced under a temporary name in the partition directory, then
-    renamed into place, so readers never observe a half-written part and
+    A ledger inside the store's campaign directory — the in-flight file,
+    or a part that a resume appended to — is renamed into place (a no-op
+    when it already is the part).  Any other ledger is copied byte for
+    byte to a temporary file in the partition, fsynced and renamed over
+    the part, so readers never observe a half-written part and
     rewriting an existing part is atomic.
     """
-    campaign_id = validate_campaign_id(campaign_id)
-    kind, tables = encode(outcome.results, root_seed, outcome.failures)
-    plan_digest = getattr(outcome.value, "plan_digest", None)
-    completed, failed = len(outcome.results), len(outcome.failures)
-    header = {
-        **(invocation or {}),
-        "kind": "header",
-        "version": LEDGER_VERSION,
-        "root_seed": int(root_seed),
-        "replicas": completed + failed,
-        "spec_digest": spec_digest,
-        "campaign_id": campaign_id,
-    }
-    indices = [r.index for r in outcome.results]
-    close = {
-        "kind": "close",
-        "plan_digest": plan_digest,
-        "completed": completed,
-        "failed": failed,
-        "complete": not outcome.failures,
-    }
+    campaign = Path(root) / validate_campaign_id(campaign_id)
     digest = (plan_digest or spec_digest)[:DIGEST_PREFIX]
-    partition = Path(root) / campaign_id / digest
-    part = partition / f"part-{spec_digest[:DIGEST_PREFIX]}.jsonl"
-    tmp = partition / f".tmp-{part.name}-{os.getpid()}"
-    partition.mkdir(parents=True, exist_ok=True)
-    tmp.unlink(missing_ok=True)
-    try:
-        append_lines(
-            tmp, header, chunk_line(kind, tables, chunk=0, indices=indices), close
-        )
-        os.replace(tmp, part)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    part = campaign / digest / f"part-{spec_digest[:DIGEST_PREFIX]}.jsonl"
+    part.parent.mkdir(parents=True, exist_ok=True)
+    if campaign.resolve() in Path(ledger).resolve().parents:
+        os.replace(ledger, part)
+        return part
+    with replacing(part) as tmp:
+        with open(ledger, "rb") as src, open(tmp, "wb") as dst:
+            shutil.copyfileobj(src, dst)
+            dst.flush()
+            os.fsync(dst.fileno())
     return part

@@ -105,6 +105,21 @@ def test_whatif_usage_errors(tmp_path, capsys):
     assert main(["whatif", str(ledger), "--without-fault", "r?:bad"]) == 1
 
 
+@pytest.mark.parametrize("position", ["before", "after"])
+def test_whatif_refuses_trace(tmp_path, capsys, position):
+    """whatif writes no trace of its own, so ``--trace`` is a usage error
+    before anything is read, and no trace file appears."""
+    trace = tmp_path / "t.jsonl"
+    command = ["whatif", str(tmp_path / "no.ckpt"), "--scan", "faults"]
+    flags = ["--trace", str(trace)]
+    argv = [*flags, *command] if position == "before" else [*command, *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "replays under the baseline's recorded obs flags" in captured.err
+    assert captured.out == ""
+    assert not trace.exists()
+
+
 def test_whatif_json_contract(tmp_path, capsys):
     ledger = _write_baseline(tmp_path)
     baseline = load_baseline(ledger)

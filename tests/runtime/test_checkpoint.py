@@ -19,7 +19,6 @@ from repro.obs import trace_digest
 from repro.runtime.checkpoint import (
     CheckpointLedger,
     load_ledger,
-    read_header,
     spec_digest,
 )
 from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOptions
@@ -238,7 +237,7 @@ def test_fresh_run_truncates_stale_ledger(tmp_path):
     runner.run([None] * 5, root_seed=7)
     fresh = runner.run([None] * 3, root_seed=9)
     assert fresh.metrics.replicas_resumed == 0
-    meta = read_header(path)
+    meta = load_ledger(path).meta
     assert meta["root_seed"] == 9
     assert meta["replicas"] == 3
 
@@ -283,9 +282,9 @@ def test_ledger_open_records_command_provenance(tmp_path):
             "argv": ["--seed", "3", "mc", "--replicas", "2"],
         },
     )
-    ledger.close(completed=0, failed=0)
+    ledger.close(completed=0)
     assert preloaded == {}
-    meta = read_header(path)
+    meta = load_ledger(path).meta
     assert meta["command"] == "mc"
     assert meta["params"] == {"seed": 3, "replicas": 2}
     assert meta["argv"] == ["--seed", "3", "mc", "--replicas", "2"]

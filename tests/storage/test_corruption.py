@@ -1,39 +1,37 @@
 """Corruption, version-skew and resume-equivalence tests for the store.
 
 A damaged store must fail *diagnosably*: a truncated, bit-flipped,
-version-skewed or malformed part file, and a part directory of the old
-layout, all surface as :class:`~repro.errors.ConfigurationError` naming
-the offending file — never a stack trace — and the tolerant scan mode
-reports how many parts were dropped.  Storing a resumed run must produce
-the same part an uninterrupted run writes, modulo the declared volatile
-columns (wall-clock and worker labels).
+version-skewed or malformed part file, a part that breaks the rules of a
+closed ledger, a part written before close lines carried ``failures``
+and a part directory of the old layout all surface as
+:class:`~repro.errors.ConfigurationError` naming the offending file —
+never a stack trace — and the tolerant scan mode reports how many parts
+were dropped.  Storing a resumed run must produce the same part an
+uninterrupted run writes, modulo the declared volatile columns
+(wall-clock and worker labels).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignReplicaOutcome, CampaignReplicaSpec
-from repro.runtime.runner import ReplicaResult, RunOptions, RunOutcome
+from repro.runtime.runner import ReplicaResult, RunOptions
 from repro.runtime.workloads import run_random_campaigns
 from repro.storage import CampaignStore, write_run
 from repro.storage.schema import TABLES, VOLATILE_COLUMNS, tables_for_kind
 from repro.units import ms
+from tests.storage._parts import write_ledger, write_part
 
-SPEC_DIGEST = "cd" * 32
 
-
-def _synthetic_part(
-    root: Path, *, campaign="c1", seed=7, obs_counters=None
-) -> Path:
-    """One small campaign part written without touching the simulator."""
+def _result(index: int = 0, obs_counters=None) -> ReplicaResult:
+    """One small campaign replica, built without touching the simulator."""
     outcome = CampaignReplicaOutcome(
-        index=0,
+        index=index,
         plan_events=(("seu", "comp1", 100), ("connector", "comp2", 900)),
         injected_by_mechanism=(("connector", 1), ("seu", 1)),
         attributed_by_mechanism=(("seu", 1),),
@@ -45,22 +43,21 @@ def _synthetic_part(
         trust_state=(("comp1", 0.5),),
         obs_counters=obs_counters,
     )
-    run = RunOutcome(
-        value=SimpleNamespace(plan_digest="e" * 64, obs_counters=None),
-        results=(
-            ReplicaResult(
-                index=0, value=outcome, events=50, elapsed_s=0.1, worker="serial"
-            ),
-        ),
-        metrics=None,
-        failures=(),
+    return ReplicaResult(
+        index=index, value=outcome, events=50, elapsed_s=0.1, worker="serial"
     )
-    return write_run(
+
+
+def _synthetic_part(
+    root: Path, *, campaign="c1", seed=7, obs_counters=None, replicas=1
+) -> Path:
+    """A small campaign part: one chunk line of ``replicas`` replicas."""
+    return write_part(
         root,
-        run,
+        [_result(i, obs_counters) for i in range(replicas)],
         root_seed=seed,
-        spec_digest=SPEC_DIGEST,
         campaign_id=campaign,
+        plan_digest="e" * 64,
     )
 
 
@@ -128,7 +125,7 @@ def test_unparseable_table_with_matching_checksum(tmp_path):
 # -- header and close lines, and version skew -------------------------------
 #
 # A part's header and close lines hold what the manifest file of the old
-# directory layout held: version, kind, provenance, counts.
+# directory layout held: version, kind, provenance, counts, failures.
 
 
 def test_bumped_schema_version_is_a_config_error(tmp_path):
@@ -190,10 +187,15 @@ def _replace_table(lines: list, name: str, value) -> list:
         (lambda lines: [*lines[:2], {**lines[2], "complete": 1}], "close field 'complete'"),
         (lambda lines: [{**lines[0], "root_seed": "7"}, *lines[1:]], "'root_seed'"),
         (
-            lambda lines: [{k: v for k, v in lines[0].items() if k != "campaign_id"}, *lines[1:]],
-            "header field 'campaign_id'",
+            lambda lines: [*lines[:2], {k: v for k, v in lines[2].items() if k != "failures"}],
+            "close field 'failures' is None",
         ),
         (lambda lines: [{**lines[0], "kind": "chunk"}, *lines[1:]], "header line"),
+        (
+            lambda lines: [*lines[:2], {**lines[2], "failures": {"replica": [0]}}],
+            "close: table 'failures' does not have the declared columns",
+        ),
+        (lambda lines: [*lines[:2], {**lines[2], "plan_digest": 5}], "close field 'plan_digest'"),
     ],
     ids=[
         "array",
@@ -203,8 +205,10 @@ def _replace_table(lines: list, name: str, value) -> list:
         "rows-not-int",
         "complete-not-bool",
         "root-seed-not-int",
-        "no-campaign-id",
+        "no-failures",
         "header-kind",
+        "failures-not-a-table",
+        "plan-digest-not-str",
     ],
 )
 def test_malformed_manifest_is_a_config_error(tmp_path, edit, message):
@@ -219,11 +223,11 @@ def test_malformed_manifest_is_a_config_error(tmp_path, edit, message):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda lines: lines[:1] + lines[2:], "['close']"),
-        (lambda lines: lines[:2], "['chunk']"),
-        (lambda lines: [lines[0], lines[1], lines[1], lines[2]], "['chunk', 'chunk', 'close']"),
-        (lambda lines: [lines[0], lines[2], lines[1]], "['close', 'chunk']"),
-        (lambda lines: [*lines, {"kind": "resume"}], "['chunk', 'close', 'resume']"),
+        (lambda lines: lines[:1] + lines[2:], "holds 0 replica rows"),
+        (lambda lines: lines[:2], "does not end with a close line"),
+        (lambda lines: [lines[0], lines[1], lines[1], lines[2]], "replica 0 is stored twice"),
+        (lambda lines: [lines[0], lines[2], lines[1]], "does not end with a close line"),
+        (lambda lines: [*lines, {"kind": "resume"}], "does not end with a close line"),
         (lambda lines: [], "is empty"),
     ],
     ids=[
@@ -236,11 +240,95 @@ def test_malformed_manifest_is_a_config_error(tmp_path, edit, message):
     ],
 )
 def test_part_is_exactly_header_chunk_and_close(tmp_path, edit, message):
+    """A part is a closed ledger: its header, then chunk and resume
+    lines, ending in a close line whose count its chunks hold."""
     part = _synthetic_part(tmp_path)
     _write_lines(part, edit(_lines(part)))
     assert message in _strict_error(tmp_path, part)
     report = CampaignStore(tmp_path).scan_report()
     assert (report["parts"], report["skipped"]) == (0, 1)
+
+
+# -- a part is a closed ledger ---------------------------------------------
+
+
+def _chunked_part(root: Path, replicas: int = 4, chunk_size: int = 2) -> Path:
+    return write_part(
+        root,
+        [_result(i) for i in range(replicas)],
+        root_seed=7,
+        campaign_id="c1",
+        plan_digest="e" * 64,
+        chunk_size=chunk_size,
+    )
+
+
+def test_a_damaged_later_chunk_is_refused(tmp_path):
+    part = _chunked_part(tmp_path)
+    lines = part.read_bytes().splitlines(keepends=True)
+    chunk = bytearray(lines[2])
+    chunk[chunk.index(b'"connector"') + 3] ^= 0x40
+    part.write_bytes(b"".join([*lines[:2], bytes(chunk), *lines[3:]]))
+    assert f"{part}:3: checksum mismatch" in _strict_error(tmp_path, part)
+
+
+def test_a_replica_held_by_two_chunks_is_refused(tmp_path):
+    """The second chunk relabelled as replica 0, checksum re-stamped."""
+    from repro.storage.ledger import chunk_checksum
+
+    part = _chunked_part(tmp_path, replicas=2, chunk_size=1)
+    lines = _lines(part)
+    tables = lines[2]["tables"]
+    for columns in tables.values():
+        columns["replica"] = [0] * len(columns["replica"])
+    lines[2]["sha256"] = chunk_checksum(tables)
+    _write_lines(part, lines)
+    assert "replica 0 is stored twice" in _strict_error(tmp_path, part)
+
+
+def test_a_close_count_that_does_not_match_is_refused(tmp_path):
+    part = _chunked_part(tmp_path)
+    _edit_line(part, 3, completed=5)
+    message = _strict_error(tmp_path, part)
+    assert "holds 4 replica rows, but its close line counts 5 completed" in message
+
+
+def test_chunks_of_two_kinds_are_refused(tmp_path):
+    from repro.storage.codec import encode
+    from repro.storage.ledger import chunk_line
+
+    part = _synthetic_part(tmp_path)
+    lines = _lines(part)
+    kind, tables = encode((), 7)
+    lines.insert(2, chunk_line(kind, tables, chunk=1, indices=[]))
+    _write_lines(part, lines)
+    message = _strict_error(tmp_path, part)
+    assert "mixes chunks of kinds ['campaign', 'generic']" in message
+
+
+def test_a_part_written_before_close_lines_carried_failures(tmp_path):
+    """The earlier part shape — ``campaign_id`` on the header and a close
+    line without ``failures`` — fails on that missing field."""
+    part = _synthetic_part(tmp_path)
+    header, chunk, close = _lines(part)
+    kept = ("kind", "plan_digest", "completed", "failed", "complete")
+    old = [{**header, "campaign_id": "c1"}, chunk, {k: close[k] for k in kept}]
+    _write_lines(part, old)
+    assert "close field 'failures' is None" in _strict_error(tmp_path, part)
+
+
+def test_chunks_read_in_replica_order(tmp_path):
+    """Chunks that completed out of order read as if they had not, and
+    the campaign id is the part's directory."""
+    results = [_result(i) for i in range(4)]
+    for name, order in (("a", results), ("b", [*results[2:], *results[:2]])):
+        write_part(
+            tmp_path / name, order, root_seed=7, campaign_id="c1", chunk_size=2
+        )
+    (a,), (b,) = (CampaignStore(tmp_path / name).parts() for name in "ab")
+    assert a.tables == b.tables
+    assert a.table("replicas")["replica"] == [0, 1, 2, 3]
+    assert (a.campaign_id, "campaign_id" in a.header) == ("c1", False)
 
 
 def test_old_layout_part_directory_is_refused(tmp_path, capsys):
@@ -323,21 +411,42 @@ def test_resume_then_store_equals_uninterrupted_store(tmp_path):
         resumed_root
     )
     assert _comparable_tables(resumed_part) == _comparable_tables(plain_part)
-    assert resumed_part.header == plain_part.header
-    assert resumed_part.close == plain_part.close
+    # Lines differ only in their wall-clock stamps; the resumed part is
+    # the ledger, so it also holds the sessions of its first run.
+    assert _without_wall(resumed_part.header) == _without_wall(plain_part.header)
+    assert _without_wall(resumed_part.close) == _without_wall(plain_part.close)
+
+
+def _without_wall(line: dict) -> dict:
+    return {k: v for k, v in line.items() if k != "wall"}
 
 
 def test_rewriting_a_part_is_idempotent(tmp_path):
-    """Storing the same run twice leaves exactly one identical part."""
-    first = _synthetic_part(tmp_path)
-    written = first.read_bytes()
-    second = _synthetic_part(tmp_path)
+    """Publishing the same closed ledger twice leaves exactly one part,
+    a byte copy of the ledger."""
+    ledger = write_ledger(
+        tmp_path / "ledger.jsonl", [_result()], root_seed=7, plan_digest="e" * 64
+    )
+    store = tmp_path / "store"
+
+    def publish():
+        return write_run(
+            store,
+            ledger.path,
+            spec_digest=ledger.spec_digest,
+            plan_digest="e" * 64,
+            campaign_id="c1",
+        )
+
+    first = publish()
+    assert first.read_bytes() == ledger.path.read_bytes()
+    second = publish()
     assert first == second
-    assert second.read_bytes() == written
+    assert second.read_bytes() == ledger.path.read_bytes()
     assert list(first.parent.iterdir()) == [first]  # no temporary file left
-    store = CampaignStore(tmp_path)
-    assert len(store.part_paths()) == 1
-    part = store.parts()[0]
+    parts = CampaignStore(store)
+    assert len(parts.part_paths()) == 1
+    part = parts.parts()[0]
     for name in tables_for_kind(part.kind):
         assert sorted(part.table(name)) == sorted(TABLES[name])
 

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from repro.__main__ import main
 from repro.faults.campaign import CampaignReplicaOutcome
-from repro.runtime.runner import ReplicaResult, RunOutcome
-from repro.storage import write_run
+from repro.runtime.runner import ReplicaResult
 from tests._sim_free import assert_sim_free
+from tests.storage._parts import write_part
 
 
 def _populate(root: Path, campaigns=("c001", "c002")) -> None:
@@ -35,26 +34,15 @@ def _populate(root: Path, campaigns=("c001", "c002")) -> None:
             alpha_state=(("comp1", 1.5),),
             trust_state=(("comp1", 0.75),),
         )
-        run = RunOutcome(
-            value=SimpleNamespace(plan_digest=f"{i:x}" * 64, obs_counters=None),
-            results=(
-                ReplicaResult(
-                    index=0,
-                    value=outcome,
-                    events=40,
-                    elapsed_s=0.1,
-                    worker="serial",
-                ),
-            ),
-            metrics=None,
-            failures=(),
+        result = ReplicaResult(
+            index=0, value=outcome, events=40, elapsed_s=0.1, worker="serial"
         )
-        write_run(
+        write_part(
             root,
-            run,
+            [result],
             root_seed=3 + i,
-            spec_digest=f"{i:x}" * 64,
             campaign_id=campaign,
+            plan_digest=f"{i:x}" * 64,
         )
 
 
@@ -142,12 +130,15 @@ def test_store_bad_campaign_id_fails_fast(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "target, checkpoint",
-    [("a-file", None), ("same", "same")],
+    "target, checkpoint, message",
+    [
+        ("a-file", None, "store setup failed"),
+        ("same", "same", "--checkpoint and --store both name"),
+    ],
     ids=["store-is-a-file", "store-is-the-checkpoint"],
 )
 def test_store_path_that_cannot_hold_a_store_fails_fast(
-    tmp_path, capsys, target, checkpoint
+    tmp_path, capsys, target, checkpoint, message
 ):
     """A --store path that is a file, or the checkpoint ledger's path,
     is refused before any replica runs, not after the whole run."""
@@ -158,7 +149,7 @@ def test_store_path_that_cannot_hold_a_store_fails_fast(
     rc = main([*argv, "mc", "--replicas", "2", "--horizon-ms", "100"])
     assert rc == 1
     captured = capsys.readouterr()
-    assert "store setup failed" in captured.err
+    assert message in captured.err
     assert "running" not in captured.out
     assert not (tmp_path / "same").exists()
 
@@ -199,9 +190,22 @@ def test_mc_store_cli_writes_a_queryable_part(tmp_path, capsys):
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert "columnar store part written" in out
+    assert "store part published" in out
     assert main(["query", "campaigns", "--store", str(store)]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 1
     assert rows[0]["campaign"] == "cli-test"
     assert rows[0]["replicas"] == 2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_checkpoint_and_store_are_one_artefact(tmp_path, capsys, workers):
+    """With both flags the store part is a byte copy of the checkpoint
+    ledger, and no in-flight ledger is left in the store."""
+    ledger, store = tmp_path / "L", tmp_path / "S"
+    argv = ["--seed", "5", "--workers", workers, "--checkpoint", str(ledger)]
+    argv += ["--store", str(store), "mc", "--replicas", "6", "--horizon-ms", "300"]
+    assert main(argv) == 0
+    (part,) = store.glob("default/*/part-*.jsonl")
+    assert part.read_bytes() == ledger.read_bytes()
+    assert not list(store.rglob("run-*.jsonl"))

@@ -1,8 +1,9 @@
-"""Schema round-trip property tests for the columnar campaign store.
+"""Schema round-trip property tests for the campaign store.
 
 Arbitrary replica-result corpora — including NaN/±inf alpha finals and
-interleaved :class:`ReplicaFailure` rows — are written with
-:func:`repro.storage.writer.write_run` and read back through
+interleaved :class:`ReplicaFailure` rows — are written as a run writes
+them (chunk lines of its ledger, failures on the close line, published
+by :func:`repro.storage.writer.write_run`) and read back through
 :class:`repro.storage.store.CampaignStore`; every stored field must come
 back *bit-equal* (floats compared by their IEEE-754 bit pattern, so a
 NaN final survives the trip too).
@@ -24,9 +25,9 @@ from repro.faults.campaign import CampaignReplicaOutcome
 from repro.runtime.runner import ReplicaFailure, ReplicaResult, RunOutcome
 from repro.runtime.seeds import stream_fingerprint
 from repro.storage import CampaignStore, write_run
+from tests.storage._parts import write_part
 
 ROOT_SEED = 7
-SPEC_DIGEST = "ab" * 32
 
 
 def _bits(x: float) -> int:
@@ -135,15 +136,22 @@ def _outcome_of(results) -> RunOutcome:
     return RunOutcome(value=value, results=oks, metrics=None, failures=fails)
 
 
+def _write(root: Path, outcome: RunOutcome, chunk_size: int | None = None):
+    write_part(
+        root,
+        outcome.results,
+        root_seed=ROOT_SEED,
+        campaign_id="rt",
+        plan_digest=outcome.value.plan_digest,
+        failures=outcome.failures,
+        chunk_size=chunk_size,
+    )
+
+
 def _write_and_read(results, root: Path):
     outcome = _outcome_of(results)
-    write_run(
-        root,
-        outcome,
-        root_seed=ROOT_SEED,
-        spec_digest=SPEC_DIGEST,
-        campaign_id="rt",
-    )
+    # Chunks of two replicas: a part concatenates its chunks' tables.
+    _write(root, outcome, chunk_size=2)
     parts = CampaignStore(root).parts()
     assert len(parts) == 1
     return outcome, parts[0]
@@ -331,13 +339,7 @@ def test_store_roundtrip_counters_and_histograms():
     )
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        write_run(
-            root,
-            run,
-            root_seed=ROOT_SEED,
-            spec_digest=SPEC_DIGEST,
-            campaign_id="rt",
-        )
+        _write(root, run)
         part = CampaignStore(root).parts()[0]
         assert part.table("replicas")["counters_schema"] == [1]
         counters = part.table("replica_counters")
@@ -362,23 +364,14 @@ def test_store_roundtrip_counters_and_histograms():
 
 
 def test_invalid_campaign_id_rejected():
-    results = [
-        ReplicaFailure(
-            index=0,
-            error_type="ValueError",
-            message="x",
-            traceback="tb",
-            attempts=1,
-            worker="serial",
-        )
-    ]
     with tempfile.TemporaryDirectory() as tmp:
         for bad in (".hidden", "a/b", "a b", "..", "c\x00d"):
             with pytest.raises(ConfigurationError, match="campaign id"):
                 write_run(
                     Path(tmp),
-                    _outcome_of(results),
-                    root_seed=ROOT_SEED,
-                    spec_digest=SPEC_DIGEST,
+                    Path(tmp) / "ledger.jsonl",
+                    spec_digest="ab" * 32,
+                    plan_digest=None,
                     campaign_id=bad,
                 )
+        assert list(Path(tmp).iterdir()) == []

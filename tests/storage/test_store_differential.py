@@ -176,6 +176,32 @@ def test_all_backends_store_identical_aggregates(tmp_path):
     assert answers[0] == answers[1]
 
 
+def test_pooled_multi_chunk_part_equals_one_encode(tmp_path):
+    """A pooled run's part holds one chunk line per chunk, in completion
+    order; read back, its tables are the one encode of the run's sorted
+    results, outside the volatile columns."""
+    from repro.storage.codec import encode
+    from repro.storage.schema import VOLATILE_COLUMNS
+
+    outcome = _store_run(tmp_path, workers=2, replicas=12, chunk=2)
+    (part,) = CampaignStore(tmp_path).parts()
+    assert part.path.read_text(encoding="utf-8").count('"kind": "chunk"') == 6
+    kind, tables = encode(outcome.results, 11, outcome.failures)
+    assert part.kind == kind
+
+    def stable(tables):
+        return {
+            name: {
+                column: values
+                for column, values in columns.items()
+                if column not in VOLATILE_COLUMNS.get(name, ())
+            }
+            for name, columns in tables.items()
+        }
+
+    assert stable(part.tables) == stable(tables)
+
+
 def test_accuracy_drift_across_stored_campaigns(tmp_path):
     """The cross-campaign question: drift from stored parts only."""
     summaries = {}

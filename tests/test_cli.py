@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -241,3 +243,60 @@ def test_invalid_campaign_sizes_are_usage_errors(tmp_path, capsys, argv, option)
     assert captured.out == ""
     assert f"argument {option}: " in captured.err
     assert not ledger.exists() and not store.exists()
+
+
+#: Every output a campaign run writes: (flag, suffix added to its value).
+_OUTPUTS = [
+    ("--checkpoint", ""),
+    ("--store", ""),
+    ("--live-log", ""),
+    ("--live-log", ".prom"),
+    ("--metrics-json", ""),
+    ("--trace", ""),
+]
+_PAIRS = [
+    (a, b)
+    for i, a in enumerate(_OUTPUTS)
+    for b in _OUTPUTS[i + 1 :]
+    if a[0] != b[0]  # a path and its own .prom sidecar never collide
+]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    _PAIRS,
+    ids=[f"{a[0][2:]}{a[1]}-{b[0][2:]}{b[1]}" for a, b in _PAIRS],
+)
+def test_outputs_sharing_a_path_are_refused(tmp_path, capsys, first, second):
+    """Two outputs of one run at one path would overwrite or corrupt each
+    other: the run exits 1 naming both flags, before any file exists."""
+    shared = str(tmp_path / "x.prom")
+    argv = []
+    for flag, suffix in (first, second):
+        argv += [flag, shared.removesuffix(suffix)]
+    rc = main([*argv, "mc", "--replicas", "2", "--horizon-ms", "100"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert first[0] in captured.err and second[0] in captured.err
+    assert "give each output a path of its own" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_global_flags_after_trace_and_log_commands(tmp_path, capsys):
+    """``explain``, ``monitor`` and ``obs`` take the global flags after
+    the subcommand too, as every other command does."""
+    trace = tmp_path / "t.jsonl"
+    assert main(["--trace", str(trace), "list"]) == 0
+    golden_log = Path(__file__).parent / "data" / "golden_live_log.jsonl"
+    capsys.readouterr()
+    assert main(["monitor", str(golden_log), "--profile"]) == 0
+    assert "Profile: calls and self time per module" in capsys.readouterr().out
+    assert main(["explain", str(trace), "--profile"]) == 0
+    assert "Profile: calls and self time per module" in capsys.readouterr().out
+    second = tmp_path / "y.jsonl"
+    assert main(["obs", "report", str(trace), "--trace", str(second)]) == 0
+    assert second.exists()
+    chrome = ["-o", str(tmp_path / "c.json")]
+    assert main(["obs", "export", str(trace), "--profile", *chrome]) == 0
+    assert "Profile: calls and self time per module" in capsys.readouterr().out

@@ -6,7 +6,8 @@ whatever their values, with ``--checkpoint`` forced to the ledger.
 Flags that would change the campaign — ``--seed``, and for ``mc`` the
 obs flags that enter its spec digest — are refused by the ledger's
 identity check with a message on stderr, never a traceback.  A store
-part is not a ledger and is refused before anything is appended to it.
+part is a closed ledger and resumes in place, and a killed ``--store``
+run resumes from its in-flight ledger.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.runtime.checkpoint import load_ledger
 from repro.storage import CampaignStore
 
 MC = ["mc", "--replicas", "4", "--horizon-ms", "300"]
@@ -95,7 +97,9 @@ def test_typed_campaign_id_wins_even_at_the_parser_default(
     assert "(campaign 'default')" in out
     (part,) = CampaignStore(store).parts()
     assert part.campaign_id == "default"
-    assert part.header["params"]["campaign_id"] == "default"
+    assert part.path.parent.parent == store / "default"
+    # The part is the ledger: its header records the run that wrote it.
+    assert part.header["params"]["campaign_id"] == "nightly"
 
 
 @pytest.mark.parametrize(
@@ -144,22 +148,91 @@ def test_profile_leaves_the_campaign_identity_alone(tmp_path, capsys, mc_ledger)
     assert headers[0]["spec_digest"] == headers[1]["spec_digest"]
 
 
-def test_a_store_part_is_refused_and_left_as_it_was(tmp_path, capsys):
-    """Resuming a store part would append resume and close lines to it
-    and break the part's strict three-line shape for every reader."""
+def test_a_store_part_resumes_in_place(tmp_path, capsys):
+    """A store part is a closed ledger: resuming it appends a resume and
+    a close line to it, and it stays a part every reader accepts."""
     store, other = tmp_path / "st", tmp_path / "st2"
     argv = ["--seed", "5", "--store", str(store), "mc", "--replicas", "2"]
     assert main([*argv, "--horizon-ms", "100"]) == 0
     (part,) = store.rglob("part-*.jsonl")
-    before = part.read_bytes()
+    assert not list(store.rglob("run-*.jsonl"))  # the finished run's ledger
+    report = _query_report(store)
     capsys.readouterr()
-    assert main(["--store", str(other), "resume", str(part)]) == 1
-    err = capsys.readouterr().err
-    assert "store parts are not resumable" in err
-    assert "--checkpoint" in err
-    assert part.read_bytes() == before
-    assert not other.exists()
-    assert CampaignStore(store).scan_report()["skipped"] == 0
+    assert main(["--store", str(other), "resume", str(part)]) == 0
+    assert "[resumed: 2 replica(s) loaded" in capsys.readouterr().out
+    text = part.read_text(encoding="utf-8")
+    kinds = [json.loads(line)["kind"] for line in text.splitlines()]
+    assert kinds[-2:] == ["resume", "close"]
+    assert _query_report(store) == report
+    # The typed --store gets a byte copy of the resumed part.
+    (copy,) = other.rglob("part-*.jsonl")
+    assert copy.read_bytes() == part.read_bytes()
+    assert load_ledger(part).sessions == 2
+
+
+def _query_report(store: Path) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["query", "report", "--store", str(store)]) == 0
+    return out.getvalue()
+
+
+def _killed(ledger: Path, chunks: int) -> str:
+    """What a SIGKILL leaves: the header, ``chunks`` chunk lines and the
+    first half of the next chunk line, with no close line."""
+    lines = ledger.read_text(encoding="utf-8").splitlines(keepends=True)
+    chunk_lines = [line for line in lines if '"kind": "chunk"' in line]
+    torn = chunk_lines[chunks]
+    return lines[0] + "".join(chunk_lines[:chunks]) + torn[: len(torn) // 2]
+
+
+def test_a_killed_store_run_resumes_from_its_in_flight_ledger(tmp_path, capsys):
+    """``--store`` alone survives a kill: the in-flight ledger resumes,
+    and the store then answers queries and replays exactly like the
+    store of an uninterrupted run, with no in-flight file left."""
+    mc = ["mc", "--replicas", "8", "--horizon-ms", "400"]
+    reference, killed = tmp_path / "ref", tmp_path / "st"
+    for store in (reference, killed):
+        assert main(["--seed", "11", "--store", str(store), *mc]) == 0
+    # Turn the second run's part back into the ledger a kill leaves.
+    (part,) = killed.rglob("part-*.jsonl")
+    inflight = killed / "default" / part.name.replace("part-", "run-")
+    inflight.write_text(_killed(part, 1), encoding="utf-8")
+    part.unlink()
+    capsys.readouterr()
+    # A killed run is not a part: the store holds nothing to query yet.
+    assert main(["query", "scan", "--store", str(killed)]) == 0
+    scan = json.loads(capsys.readouterr().out)
+    assert (scan["parts"], scan["skipped"]) == (0, 0)
+
+    assert main(["resume", str(inflight)]) == 0
+    assert "[resumed: 2 replica(s) loaded" in capsys.readouterr().out
+    assert not list(killed.rglob("run-*.jsonl"))
+    assert _query_report(killed) == _query_report(reference)
+    scans = []
+    for store in (killed, reference):
+        argv = ["whatif", str(store), "--scan", "faults", "--json"]
+        assert main(argv) == 0
+        scans.append(capsys.readouterr().out)
+    assert scans[0] == scans[1]
+
+
+def test_resume_after_a_torn_tail_keeps_every_line_readable(tmp_path, capsys):
+    """The resume line never follows a torn one: the resume first
+    rewrites the ledger without the lines it could not read."""
+    ledger = tmp_path / "T.jsonl"
+    argv = ["--seed", "6", "--checkpoint", str(ledger)]
+    assert main([*argv, "mc", "--replicas", "8", "--horizon-ms", "100"]) == 0
+    ledger.write_text(_killed(ledger, 2), encoding="utf-8")
+    assert load_ledger(ledger).skipped_lines == 1
+    for sessions in (2, 3):
+        assert main(["resume", str(ledger)]) == 0
+        for line in ledger.read_text(encoding="utf-8").splitlines():
+            json.loads(line)
+        state = load_ledger(ledger)
+        assert (state.sessions, state.skipped_lines) == (sessions, 0)
+        assert sorted(state.results_by_index) == list(range(8))
+    capsys.readouterr()
 
 
 COMMANDS = {

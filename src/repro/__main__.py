@@ -386,6 +386,7 @@ def _print_mc_provenance(obs_counters: dict) -> None:
     ``provenance.chains`` counters give the share of injected faults
     whose causal chain made it all the way to the maintenance leaf.
     """
+    from repro.obs.counters import split_key
     from repro.storage.query import stage_latency_rows
 
     rows = [
@@ -401,20 +402,14 @@ def _print_mc_provenance(obs_counters: dict) -> None:
                 title="Provenance stage latencies (merged over replicas)",
             )
         )
-    chains = {
-        key: value
-        for key, value in obs_counters.get("counters", {}).items()
-        if key.startswith("provenance.chains{")
-    }
-    if chains:
-        total = int(sum(chains.values()))
-        complete = int(
-            sum(
-                value
-                for key, value in chains.items()
-                if "terminal=maintenance" in key
-            )
-        )
+    total = complete = 0
+    for key, value in obs_counters.get("counters", {}).items():
+        name, labels = split_key(key)
+        if name == "provenance.chains":
+            total += value
+            if labels.get("terminal") == "maintenance":
+                complete += value
+    if total:
         print(
             f"causal chains: {total} injected faults, {complete} complete "
             f"to a maintenance action ({complete / total:.0%})"

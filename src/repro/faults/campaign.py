@@ -16,7 +16,7 @@ an explicit time-acceleration — while preserving the mechanism mix.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -364,11 +364,11 @@ class CampaignReplicaOutcome:
     """What one campaign replica produced (plain data, picklable)."""
 
     index: int
+    #: The injected faults, one ``(mechanism, target, at_us)`` per event.
     plan_events: tuple[tuple[str, str, int], ...]
-    injected_by_mechanism: tuple[tuple[str, int], ...]
-    attributed_by_mechanism: tuple[tuple[str, int], ...]
-    faults_injected: int
-    faults_attributed: int
+    #: Whether the diagnosis attributed each fault: one bool per entry
+    #: of ``plan_events``.  Every fault count is a count over the two.
+    attributed: tuple[bool, ...]
     verdicts_emitted: int
     events_simulated: int
     #: Counter-registry snapshot when the spec enabled observability.
@@ -381,6 +381,14 @@ class CampaignReplicaOutcome:
     alpha_state: tuple[tuple[str, float], ...] = ()
     #: Final per-FRU trust levels, sorted by FRU name.
     trust_state: tuple[tuple[str, float], ...] = ()
+
+    @property
+    def faults_injected(self) -> int:
+        return len(self.plan_events)
+
+    @property
+    def faults_attributed(self) -> int:
+        return sum(self.attributed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -436,6 +444,26 @@ class CampaignSummary:
         return out
 
 
+def mechanism_counts(
+    outcomes: Iterable[CampaignReplicaOutcome],
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Injected and attributed faults per mechanism over ``outcomes``.
+
+    Counted from the fault rows (``plan_events`` and ``attributed``); a
+    mechanism is among the attributed counts only if it has a hit.
+    """
+    injected: dict[str, int] = {}
+    attributed: dict[str, int] = {}
+    for outcome in outcomes:
+        for (mechanism, _target, _at_us), hit in zip(
+            outcome.plan_events, outcome.attributed, strict=True
+        ):
+            injected[mechanism] = injected.get(mechanism, 0) + 1
+            if hit:
+                attributed[mechanism] = attributed.get(mechanism, 0) + 1
+    return injected, attributed
+
+
 def summarize_campaign(
     outcomes: Sequence[CampaignReplicaOutcome],
 ) -> CampaignSummary:
@@ -456,17 +484,10 @@ def summarize_campaign(
         raise AnalysisError(
             f"replica outcomes are not a unique index set: {indices!r}"
         )
-    injected: dict[str, int] = {}
-    attributed: dict[str, int] = {}
+    injected, attributed = mechanism_counts(ordered)
     digest = hashlib.sha256()
-    total_injected = total_attributed = verdicts = events = 0
+    verdicts = events = 0
     for outcome in ordered:
-        for mechanism, count in outcome.injected_by_mechanism:
-            injected[mechanism] = injected.get(mechanism, 0) + count
-        for mechanism, count in outcome.attributed_by_mechanism:
-            attributed[mechanism] = attributed.get(mechanism, 0) + count
-        total_injected += outcome.faults_injected
-        total_attributed += outcome.faults_attributed
         verdicts += outcome.verdicts_emitted
         events += outcome.events_simulated
         for mechanism, target, at_us in outcome.plan_events:
@@ -477,8 +498,8 @@ def summarize_campaign(
     obs_counters = CounterRegistry.merged(snapshots) if snapshots else None
     return CampaignSummary(
         replicas=len(ordered),
-        faults_injected=total_injected,
-        faults_attributed=total_attributed,
+        faults_injected=sum(injected.values()),
+        faults_attributed=sum(attributed.values()),
         injected_by_mechanism=tuple(sorted(injected.items())),
         attributed_by_mechanism=tuple(sorted(attributed.items())),
         verdicts_emitted=verdicts,

@@ -34,6 +34,16 @@ def counter_key(name: str, labels: Mapping[str, Any] | None = None) -> str:
     return f"{name}{{{inner}}}"
 
 
+def split_key(key: str) -> tuple[str, dict[str, str]]:
+    """The inverse of :func:`counter_key`: ``(name, labels)``, with the
+    label values as text; a key without labels gives ``(key, {})``."""
+    name, brace, inner = key.partition("{")
+    if not brace or not inner.endswith("}"):
+        return key, {}
+    items = (item.partition("=") for item in inner[:-1].split(","))
+    return name, {k: v for k, eq, v in items if eq}
+
+
 def bucket_of(value: float) -> int:
     """Power-of-two bucket index of a non-negative value.
 

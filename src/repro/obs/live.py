@@ -251,6 +251,7 @@ class LiveRunMonitor:
         heartbeat_dir: str | None,
         *,
         replicas_total: int,
+        replicas_resumed: int = 0,
         stall_timeout_s: float | None = None,
         straggler_factor: float = 4.0,
         clock=time.monotonic,
@@ -258,6 +259,9 @@ class LiveRunMonitor:
         self.bus = bus
         self.heartbeat_dir = heartbeat_dir
         self.replicas_total = replicas_total
+        #: Replicas done before this run started (resumed or spliced):
+        #: they count as done, but not towards the throughput.
+        self.replicas_resumed = replicas_resumed
         self.stall_timeout_s = stall_timeout_s
         self.straggler_factor = straggler_factor
         self._clock = clock
@@ -270,7 +274,7 @@ class LiveRunMonitor:
         self._chunk_latencies: list[float] = []
         self._flagged_stragglers: set[int] = set()
         self._flagged_stalls: set[int] = set()
-        self.replicas_done = 0
+        self.replicas_done = replicas_resumed
         self._t0 = self._clock()
 
     # -- runner hooks ------------------------------------------------------
@@ -400,9 +404,13 @@ class LiveRunMonitor:
 
     def _emit_progress(self, now: float) -> None:
         elapsed = now - self._t0
-        throughput = self.replicas_done / elapsed if elapsed > 0 else 0.0
+        fresh = self.replicas_done - self.replicas_resumed
+        throughput = fresh / elapsed if elapsed > 0 else 0.0
         remaining = max(0, self.replicas_total - self.replicas_done)
-        eta = remaining / throughput if throughput > 0 else None
+        if remaining == 0:
+            eta = 0.0
+        else:
+            eta = remaining / throughput if throughput > 0 else None
         self.bus.emit(
             "progress",
             replicas_done=self.replicas_done,

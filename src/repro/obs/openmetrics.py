@@ -28,6 +28,8 @@ import re
 from collections.abc import Mapping
 from typing import Any
 
+from repro.obs.counters import split_key
+
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_]")
 
 
@@ -45,16 +47,9 @@ def _escape_label(value: str) -> str:
 
 
 def _split_key(key: str) -> tuple[str, dict[str, str]]:
-    """``name{k=v,...}`` registry key → (name, labels)."""
-    if "{" not in key or not key.endswith("}"):
-        return key, {}
-    name, _, inner = key.partition("{")
-    labels: dict[str, str] = {}
-    for part in inner[:-1].split(","):
-        if "=" in part:
-            k, _, v = part.partition("=")
-            labels[_NAME_OK.sub("_", k)] = v
-    return name, labels
+    """A registry key's name and labels, the label names sanitised."""
+    name, labels = split_key(key)
+    return name, {_NAME_OK.sub("_", k): v for k, v in labels.items()}
 
 
 def _labels_text(labels: Mapping[str, str]) -> str:

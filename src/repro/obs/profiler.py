@@ -93,7 +93,7 @@ class ModuleProfile:
             ],
             title=(
                 f"Profile: calls and self time per module; the rows add up "
-                f"to {total:.3f} s of {self.wall_s:.3f} s profiled"
+                f"to {total:.6f} s of {self.wall_s:.6f} s profiled"
             ),
         )
         return table if note is None else f"{table}\n{note}"

@@ -42,9 +42,11 @@ from repro.errors import ConfigurationError
 from repro.faults.campaign import (
     CampaignReplicaOutcome,
     CampaignSummary,
+    mechanism_counts,
     summarize_campaign,
 )
 from repro.faults.suppress import matching_events, parse_selectors
+from repro.obs.counters import split_key
 from repro.replay.baseline import CampaignBaseline
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.runner import RunOptions
@@ -143,13 +145,9 @@ class WhatifResult:
 
 def _ona_counter_fired(outcome: CampaignReplicaOutcome, name: str) -> bool:
     counters = (outcome.obs_counters or {}).get("counters", {})
-    prefix = "ona.triggers{"
-    needle = f"ona={name}"
     for key, value in counters.items():
-        if not key.startswith(prefix) or not value:
-            continue
-        labels = key[len(prefix) : -1].split(",")
-        if needle in labels:
+        counter, labels = split_key(key)
+        if value and counter == "ona.triggers" and labels.get("ona") == name:
             return True
     return False
 
@@ -222,8 +220,8 @@ def _diff_state(
 def _flip(
     base: CampaignReplicaOutcome, counter: CampaignReplicaOutcome
 ) -> ReplicaFlip:
-    base_att = dict(base.attributed_by_mechanism)
-    cf_att = dict(counter.attributed_by_mechanism)
+    base_att = mechanism_counts([base])[1]
+    cf_att = mechanism_counts([counter])[1]
     attributed_delta = tuple(
         (mechanism, cf_att.get(mechanism, 0) - base_att.get(mechanism, 0))
         for mechanism in sorted(set(base_att) | set(cf_att))

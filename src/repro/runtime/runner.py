@@ -553,6 +553,7 @@ class ParallelCampaignRunner:
                 bus,
                 heartbeat_dir,
                 replicas_total=len(tasks),
+                replicas_resumed=len(preloaded),
                 stall_timeout_s=self.stall_timeout_s if pooled else None,
                 straggler_factor=self.straggler_factor,
             )

@@ -136,28 +136,18 @@ def run_campaign_replica(replica: ReplicaTask) -> CampaignReplicaOutcome:
                 for record in obs.trace_dicts()
             )
 
-        injected: dict[str, int] = {}
-        attributed: dict[str, int] = {}
-        hits = 0
-        for descriptor, (mechanism, _target, _at) in zip(
-            plan.descriptors, plan.events
-        ):
-            injected[mechanism] = injected.get(mechanism, 0) + 1
-            predicted = predicted_class_for(
-                descriptor, verdicts, cluster.job_location
-            )
-            if predicted is descriptor.fault_class:
-                attributed[mechanism] = attributed.get(mechanism, 0) + 1
-                hits += 1
         alpha_bank = service.assessment.classifier.alpha
         trust_bank = service.assessment.trust
         return CampaignReplicaOutcome(
             index=replica.index,
             plan_events=plan.events,
-            injected_by_mechanism=tuple(sorted(injected.items())),
-            attributed_by_mechanism=tuple(sorted(attributed.items())),
-            faults_injected=len(plan.events),
-            faults_attributed=hits,
+            attributed=tuple(
+                [
+                    predicted_class_for(d, verdicts, cluster.job_location)
+                    is d.fault_class
+                    for d in plan.descriptors
+                ]
+            ),
             verdicts_emitted=len(verdicts),
             events_simulated=cluster.sim.events_processed,
             obs_counters=obs_counters,

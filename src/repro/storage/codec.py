@@ -76,12 +76,9 @@ def _add(table: dict[str, list], *row: Any) -> None:
 
 
 def _encode_campaign(i: int, v: Any, t: dict) -> None:
-    for n, (mechanism, target, at_us) in enumerate(v.plan_events):
-        _add(t["plan_events"], i, n, mechanism, target, int(at_us))
-    attributed = dict(v.attributed_by_mechanism)
-    for mechanism, injected in v.injected_by_mechanism:
-        hits = int(attributed.get(mechanism, 0))
-        _add(t["mechanisms"], i, mechanism, int(injected), hits)
+    faults = zip(v.plan_events, v.attributed, strict=True)
+    for n, ((mechanism, target, at_us), hit) in enumerate(faults):
+        _add(t["plan_events"], i, n, mechanism, target, int(at_us), bool(hit))
     for name in ("alpha_state", "trust_state"):
         for fru, value in getattr(v, name):
             _add(t[name], i, fru, float(value))
@@ -151,8 +148,6 @@ def encode(
             tables["replicas"],
             i,
             stream_fingerprint(root_seed, i),
-            int(getattr(v, "faults_injected", 0)),
-            int(getattr(v, "faults_attributed", 0)),
             int(getattr(v, "verdicts_emitted", 0)),
             int(v.events_simulated),
             float(r.elapsed_s),
@@ -268,24 +263,13 @@ def counter_snapshots(
 
 
 def _decode_campaign(cls, i: int, row: dict, g: dict) -> Any:
-    mechanisms = g["mechanisms"].get(i, ())
+    faults = _ordered(g["plan_events"].get(i, ()))
     return cls(
         index=i,
         plan_events=tuple(
-            (r["mechanism"], r["target"], r["at_us"])
-            for r in _ordered(g["plan_events"].get(i, ()))
+            (r["mechanism"], r["target"], r["at_us"]) for r in faults
         ),
-        injected_by_mechanism=tuple(
-            (r["mechanism"], r["injected"]) for r in mechanisms
-        ),
-        # Only mechanisms with a hit, as run_campaign_replica builds it.
-        attributed_by_mechanism=tuple(
-            (r["mechanism"], r["attributed"])
-            for r in mechanisms
-            if r["attributed"]
-        ),
-        faults_injected=row["faults_injected"],
-        faults_attributed=row["faults_attributed"],
+        attributed=tuple(r["attributed"] for r in faults),
         verdicts_emitted=row["verdicts_emitted"],
         events_simulated=row["events_simulated"],
         obs_counters=_snapshot(

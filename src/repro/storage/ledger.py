@@ -40,9 +40,10 @@ from repro.jsonl import read_json_lines
 from repro.storage import codec
 from repro.storage.schema import PART_KINDS, check_table, tables_for_kind
 
-#: Format version.  Version 1 ledgers held pickled results; they are
-#: refused by their header, never loaded.
-LEDGER_VERSION = 2
+#: Format version.  Files of an older version are refused by their
+#: header, never loaded: version 1 held pickled results, and version 2
+#: kept per-mechanism counts but not which fault was attributed.
+LEDGER_VERSION = 3
 
 
 def _json_pieces(value: Any, separators: tuple[str, str]) -> Iterator[str]:
@@ -136,7 +137,8 @@ def _check_header(path: Path, entries: list, skipped: int) -> dict:
         raise ConfigurationError(
             f"{path} has format version {version!r}; this build reads "
             f"version {LEDGER_VERSION} only (version 1 files hold pickled "
-            "results, which are never loaded) — re-run the campaign to "
+            "results, which are never loaded, and version 2 files do not "
+            "say which fault was attributed) — re-run the campaign to "
             "write it again"
         )
     for key in ("root_seed", "replicas"):

@@ -11,7 +11,8 @@ Aggregates:
 * :func:`nff_ratio` — fraction of injected faults the diagnosis failed
   to attribute (the maintenance-oriented *no-fault-found* rate the
   source paper targets);
-* :func:`confusion` — per-mechanism injected/attributed counts;
+* :func:`confusion` — per-mechanism injected/attributed counts, like
+  every fault count here a count over the ``plan_events`` rows;
 * :func:`accuracy_drift` — attribution accuracy per campaign id, in
   campaign order, with deltas — the cross-campaign question the store
   exists to answer without re-running anything;
@@ -26,7 +27,7 @@ from typing import Any
 
 from repro.analysis.reports import render_table
 from repro.errors import ConfigurationError
-from repro.obs.counters import CounterRegistry
+from repro.obs.counters import CounterRegistry, split_key
 from repro.obs.provenance import histogram_quantile
 from repro.storage.codec import counter_snapshots
 from repro.storage.store import CampaignStore, StorePart
@@ -46,10 +47,11 @@ def _campaign_parts(
 
 def _sums(part: StorePart) -> dict[str, int]:
     replicas = part.table("replicas")
+    attributed = part.table("plan_events")["attributed"]
     return {
         "replicas": len(replicas["replica"]),
-        "faults_injected": sum(replicas["faults_injected"]),
-        "faults_attributed": sum(replicas["faults_attributed"]),
+        "faults_injected": len(attributed),
+        "faults_attributed": sum(attributed),
         "verdicts_emitted": sum(replicas["verdicts_emitted"]),
         "events_simulated": sum(replicas["events_simulated"]),
     }
@@ -103,12 +105,10 @@ def confusion(
     injected: dict[str, int] = {}
     attributed: dict[str, int] = {}
     for part in _campaign_parts(store, campaign):
-        table = part.table("mechanisms")
-        for mechanism, inj, attr in zip(
-            table["mechanism"], table["injected"], table["attributed"]
-        ):
-            injected[mechanism] = injected.get(mechanism, 0) + int(inj)
-            attributed[mechanism] = attributed.get(mechanism, 0) + int(attr)
+        faults = part.table("plan_events")
+        for mechanism, hit in zip(faults["mechanism"], faults["attributed"]):
+            injected[mechanism] = injected.get(mechanism, 0) + 1
+            attributed[mechanism] = attributed.get(mechanism, 0) + hit
     return [
         {
             "mechanism": mechanism,
@@ -189,8 +189,7 @@ def stage_latency_rows(histograms: dict[str, Any]) -> list[dict[str, Any]]:
     for key, data in sorted(histograms.items()):
         if not key.startswith(STAGE_LATENCY_PREFIX):
             continue
-        inner = key[len(STAGE_LATENCY_PREFIX) : -1].split(",")
-        labels = dict(item.split("=", 1) for item in inner if "=" in item)
+        labels = split_key(key)[1]
         count = data["count"]
         rows.append(
             {

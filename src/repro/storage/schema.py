@@ -35,8 +35,6 @@ TABLES: dict[str, dict[str, str]] = {
     "replicas": {
         "replica": "int64",
         "seed_fingerprint": "str",
-        "faults_injected": "int64",
-        "faults_attributed": "int64",
         "verdicts_emitted": "int64",
         "events_simulated": "int64",
         "elapsed_s": "float64",
@@ -46,21 +44,16 @@ TABLES: dict[str, dict[str, str]] = {
         "counters_schema": "int64?",
     },
     # -- campaign (mc) values ----------------------------------------------
-    # The injected plan, one row per fault event (CSR flattened).
+    # The injected plan, one row per fault event (CSR flattened), and
+    # whether the diagnosis attributed the fault: every fault count of
+    # a campaign is a count over these rows.
     "plan_events": {
         "replica": "int64",
         "ordinal": "int64",
         "mechanism": "str",
         "target": "str",
         "at_us": "int64",
-    },
-    # Per-replica per-mechanism injected/attributed counts (the
-    # confusion-matrix fact table).
-    "mechanisms": {
-        "replica": "int64",
-        "mechanism": "str",
-        "injected": "int64",
-        "attributed": "int64",
+        "attributed": "bool",
     },
     # Final per-FRU diagnostic state, exactly as the replica reported it.
     "alpha_state": {
@@ -145,7 +138,6 @@ KIND_TABLES: dict[str, tuple[str, ...]] = {
     "campaign": (
         "replicas",
         "plan_events",
-        "mechanisms",
         "alpha_state",
         "trust_state",
         "replica_counters",

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs.counters import (
     CounterRegistry,
     Histogram,
     bucket_of,
     counter_key,
+    split_key,
 )
 from repro.obs.report import (
     counters_record,
@@ -24,6 +26,30 @@ def test_counter_key_sorts_labels():
     assert (
         counter_key("ona.triggers", {"ona": "wearout", "cls": "a"})
         == "ona.triggers{cls=a,ona=wearout}"
+    )
+
+
+#: Names and label text that hold none of the key's delimiters.
+_plain = st.text(st.characters(blacklist_characters="{},="), max_size=8)
+
+
+@given(
+    name=_plain,
+    labels=st.dictionaries(_plain, _plain | st.integers(), max_size=4),
+)
+def test_split_key_inverts_counter_key(name, labels):
+    assert split_key(counter_key(name, labels)) == (
+        name,
+        {k: str(v) for k, v in labels.items()},
+    )
+
+
+def test_split_key_of_a_key_without_labels():
+    assert split_key("sim.events") == ("sim.events", {})
+    assert split_key("odd{key") == ("odd{key", {})
+    assert split_key("ona.triggers{cls=a,ona=wearout}") == (
+        "ona.triggers",
+        {"cls": "a", "ona": "wearout"},
     )
 
 

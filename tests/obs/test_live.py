@@ -68,10 +68,7 @@ def ledgered_task(replica: ReplicaTask) -> CampaignReplicaOutcome:
     return CampaignReplicaOutcome(
         index=replica.index,
         plan_events=(),
-        injected_by_mechanism=(),
-        attributed_by_mechanism=(),
-        faults_injected=0,
-        faults_attributed=0,
+        attributed=(),
         verdicts_emitted=replica.index * 2,
         events_simulated=0,
     )
@@ -422,6 +419,47 @@ def test_runner_checkpoint_flushes_reach_the_live_log(tmp_path):
     flushes = [r for r in records if r["kind"] == "checkpoint_flushed"]
     assert len(flushes) == 2
     assert all(f["replicas"] == 2 for f in flushes)
+
+
+def test_resumed_run_progress_counts_resumed_replicas_as_done(tmp_path):
+    """The last ``progress`` record of a resume reads every replica done
+    and none left."""
+    ledger = tmp_path / "ledger.jsonl"
+
+    def run(**options):
+        return ParallelCampaignRunner(
+            ledgered_task,
+            options=RunOptions(chunk_size=2, checkpoint=ledger, **options),
+        ).run([None] * 6, root_seed=1)
+
+    run()
+    header_and_two_chunks = ledger.read_text(encoding="utf-8").splitlines()[:3]
+    ledger.write_text("\n".join(header_and_two_chunks) + "\n", encoding="utf-8")
+    path = tmp_path / "live.jsonl"
+    assert run(resume=True, live_log=path).metrics.replicas_resumed == 4
+    records, _ = read_live_log(path)
+    last = [r for r in records if r["kind"] == "progress"][-1]
+    assert last["replicas_done"] == last["replicas_total"] == 6
+    assert last["eta_s"] == 0
+
+
+def test_monitor_progress_counts_resumed_replicas_as_done(tmp_path):
+    clock = FakeClock()
+    monitor, sink = _monitor(
+        tmp_path, clock, replicas_total=4, replicas_resumed=2
+    )
+    monitor.poll()
+    progress = [r for r in sink.records if r["kind"] == "progress"][-1]
+    assert (progress["replicas_done"], progress["throughput_rps"]) == (2, 0)
+    assert progress["eta_s"] is None  # two left, no rate yet
+    monitor.chunk_submitted(0, [2, 3], attempt=1)
+    clock.now += 2.0
+    monitor.chunk_done(0, worker="pid-1", replicas=2, events=10)
+    monitor.poll()
+    progress = [r for r in sink.records if r["kind"] == "progress"][-1]
+    assert progress["replicas_done"] == progress["replicas_total"] == 4
+    assert progress["throughput_rps"] == pytest.approx(1.0)
+    assert progress["eta_s"] == 0
 
 
 def test_runner_explicit_bus_is_not_closed_by_the_runner(tmp_path):

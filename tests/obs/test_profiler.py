@@ -63,8 +63,16 @@ def test_fold_books_builtins_to_their_callers():
     assert profile.functions[("components.cluster", "_on_slot")] == 10
     assert ("components.cluster", "<listcomp>") not in profile.functions
     table = profile.render("[note]")
-    assert "the rows add up to 4.062 s of 4.000 s profiled" in table
+    assert "the rows add up to 4.062500 s of 4.000000 s profiled" in table
     assert table.endswith("[note]")
+
+
+def test_title_total_shows_under_a_millisecond():
+    """A profiled command can spend well under 1 ms of self time (a
+    warm ``--profile monitor LOG``); its title total must not read 0."""
+    run = _code(CLUSTER, "_on_slot")
+    table = fold([_entry(run, 1, 0.0004)], wall_s=0.0005).render()
+    assert "the rows add up to 0.000400 s of 0.000500 s profiled" in table
 
 
 @pytest.mark.parametrize(

@@ -44,10 +44,7 @@ def draw_task(replica: ReplicaTask) -> CampaignReplicaOutcome:
     return CampaignReplicaOutcome(
         index=replica.index,
         plan_events=(),
-        injected_by_mechanism=(),
-        attributed_by_mechanism=(),
-        faults_injected=0,
-        faults_attributed=0,
+        attributed=(),
         verdicts_emitted=0,
         events_simulated=0,
         alpha_state=(("draw", float(replica.rng().random())),),

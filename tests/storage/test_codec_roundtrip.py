@@ -132,22 +132,13 @@ def _campaign_values(draw, index: int) -> CampaignReplicaOutcome:
             )
         )
     )
-    injected: dict[str, int] = {}
-    attributed: dict[str, int] = {}
-    for mechanism, _target, _at in plan:
-        injected[mechanism] = injected.get(mechanism, 0) + 1
-        if draw(st.booleans()):
-            attributed[mechanism] = attributed.get(mechanism, 0) + 1
     state = st.lists(
         st.tuples(_names, _state_value), max_size=3, unique_by=lambda kv: kv[0]
     ).map(lambda kvs: tuple(sorted(kvs)))
     return CampaignReplicaOutcome(
         index=index,
         plan_events=plan,
-        injected_by_mechanism=tuple(sorted(injected.items())),
-        attributed_by_mechanism=tuple(sorted(attributed.items())),
-        faults_injected=len(plan),
-        faults_attributed=sum(attributed.values()),
+        attributed=tuple(draw(st.booleans()) for _ in plan),
         verdicts_emitted=draw(st.integers(0, 30)),
         events_simulated=draw(st.integers(0, 10**6)),
         obs_counters=draw(st.none() | _snapshot),
@@ -230,10 +221,7 @@ def test_absent_observability_stays_absent():
     bare = CampaignReplicaOutcome(
         index=0,
         plan_events=(),
-        injected_by_mechanism=(),
-        attributed_by_mechanism=(),
-        faults_injected=0,
-        faults_attributed=0,
+        attributed=(),
         verdicts_emitted=0,
         events_simulated=3,
     )

@@ -14,6 +14,7 @@ uninterrupted run writes, modulo the declared volatile columns
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -33,10 +34,7 @@ def _result(index: int = 0, obs_counters=None) -> ReplicaResult:
     outcome = CampaignReplicaOutcome(
         index=index,
         plan_events=(("seu", "comp1", 100), ("connector", "comp2", 900)),
-        injected_by_mechanism=(("connector", 1), ("seu", 1)),
-        attributed_by_mechanism=(("seu", 1),),
-        faults_injected=2,
-        faults_attributed=1,
+        attributed=(True, False),
         verdicts_emitted=3,
         events_simulated=50,
         alpha_state=(("comp1", 2.0),),
@@ -470,9 +468,9 @@ def _rechecksummed_value(part: Path, table: str, column: str, value) -> None:
     "table, column, value",
     [
         ("plan_events", "at_us", "soon"),
-        ("replicas", "faults_injected", True),
+        pytest.param("replicas", "verdicts_emitted", True, id="int-holds-a-bool"),
         ("alpha_state", "value", 2),
-        ("mechanisms", "mechanism", None),
+        pytest.param("plan_events", "attributed", 1, id="bool-holds-an-int"),
     ],
 )
 def test_value_of_the_wrong_dtype_is_a_config_error(tmp_path, table, column, value):
@@ -500,6 +498,35 @@ def _mc_part(root: Path) -> Path:
     )
     (part,) = CampaignStore(root).part_paths()
     return part
+
+
+def test_a_version_2_ledger_or_part_is_refused(tmp_path, capsys):
+    """Version 2 kept per-mechanism counts, not which fault was
+    attributed: ``resume``, ``whatif`` and strict ``query`` refuse its
+    files, and ``query scan`` counts such a part as skipped."""
+    from repro.__main__ import main
+
+    store = tmp_path / "st"
+    part = _mc_part(store)
+    ledger = tmp_path / "led.jsonl"
+    shutil.copyfile(part, ledger)
+    for path in (part, ledger):
+        _edit_line(path, 0, version=2)
+    for argv in (
+        ["resume", str(ledger)],
+        ["resume", str(part)],
+        ["whatif", str(ledger), "--scan", "faults"],
+        ["whatif", str(part), "--scan", "faults"],
+        ["whatif", str(store), "--scan", "faults"],
+        ["query", "report", "--store", str(store)],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "format version 2" in err and "re-run the campaign" in err
+    assert main(["query", "scan", "--store", str(store)]) == 0
+    scan = json.loads(capsys.readouterr().out)
+    assert (scan["parts"], scan["skipped"]) == (0, 1)
+    assert "format version 2" in scan["skipped_parts"][0]["error"]
 
 
 @pytest.mark.parametrize(

@@ -25,10 +25,7 @@ def _populate(root: Path, campaigns=("c001", "c002")) -> None:
         outcome = CampaignReplicaOutcome(
             index=0,
             plan_events=(("seu", "comp1", 100),),
-            injected_by_mechanism=(("seu", 1),),
-            attributed_by_mechanism=(("seu", 1),) if i % 2 == 0 else (),
-            faults_injected=1,
-            faults_attributed=1 if i % 2 == 0 else 0,
+            attributed=(i % 2 == 0,),
             verdicts_emitted=2,
             events_simulated=40,
             alpha_state=(("comp1", 1.5),),

@@ -65,22 +65,10 @@ _state = st.lists(
 @st.composite
 def _outcomes(draw, index: int) -> CampaignReplicaOutcome:
     plan = tuple(draw(st.lists(_plan_event, max_size=6)))
-    correct = tuple(draw(st.booleans()) for _ in plan)
-    injected: dict[str, int] = {}
-    attributed: dict[str, int] = {}
-    hits = 0
-    for (mechanism, _t, _a), ok in zip(plan, correct):
-        injected[mechanism] = injected.get(mechanism, 0) + 1
-        if ok:
-            attributed[mechanism] = attributed.get(mechanism, 0) + 1
-            hits += 1
     return CampaignReplicaOutcome(
         index=index,
         plan_events=plan,
-        injected_by_mechanism=tuple(sorted(injected.items())),
-        attributed_by_mechanism=tuple(sorted(attributed.items())),
-        faults_injected=len(plan),
-        faults_attributed=hits,
+        attributed=tuple(draw(st.booleans()) for _ in plan),
         verdicts_emitted=draw(st.integers(min_value=0, max_value=20)),
         events_simulated=draw(st.integers(min_value=0, max_value=10**6)),
         alpha_state=draw(_state),
@@ -165,8 +153,6 @@ def _assert_part_matches(outcome: RunOutcome, part) -> None:
         assert replicas["seed_fingerprint"][i] == stream_fingerprint(
             ROOT_SEED, r.index
         )
-        assert replicas["faults_injected"][i] == v.faults_injected
-        assert replicas["faults_attributed"][i] == v.faults_attributed
         assert replicas["verdicts_emitted"][i] == v.verdicts_emitted
         assert replicas["events_simulated"][i] == v.events_simulated
 
@@ -179,9 +165,11 @@ def _assert_part_matches(outcome: RunOutcome, part) -> None:
 
     plan = part.table("plan_events")
     flat = [
-        (r.index, ordinal, *event)
+        (r.index, ordinal, *event, hit)
         for r in outcome.results
-        for ordinal, event in enumerate(r.value.plan_events)
+        for ordinal, (event, hit) in enumerate(
+            zip(r.value.plan_events, r.value.attributed)
+        )
     ]
     assert (
         list(
@@ -191,26 +179,11 @@ def _assert_part_matches(outcome: RunOutcome, part) -> None:
                 plan["mechanism"],
                 plan["target"],
                 plan["at_us"],
+                plan["attributed"],
             )
         )
         == flat
     )
-
-    mech = part.table("mechanisms")
-    rows = list(
-        zip(
-            mech["replica"],
-            mech["mechanism"],
-            mech["injected"],
-            mech["attributed"],
-        )
-    )
-    expected_mech = [
-        (r.index, m, inj, dict(r.value.attributed_by_mechanism).get(m, 0))
-        for r in outcome.results
-        for m, inj in r.value.injected_by_mechanism
-    ]
-    assert rows == expected_mech
 
     for name, attr in (("alpha_state", "alpha_state"), ("trust_state", "trust_state")):
         table = part.table(name)
@@ -275,10 +248,7 @@ def test_store_roundtrip_nonfinite_state():
     outcome = CampaignReplicaOutcome(
         index=0,
         plan_events=(("seu", "comp1", 100),),
-        injected_by_mechanism=(("seu", 1),),
-        attributed_by_mechanism=(),
-        faults_injected=1,
-        faults_attributed=0,
+        attributed=(False,),
         verdicts_emitted=2,
         events_simulated=10,
         alpha_state=nasty,
@@ -320,10 +290,7 @@ def test_store_roundtrip_counters_and_histograms():
     outcome = CampaignReplicaOutcome(
         index=0,
         plan_events=(),
-        injected_by_mechanism=(),
-        attributed_by_mechanism=(),
-        faults_injected=0,
-        faults_attributed=0,
+        attributed=(),
         verdicts_emitted=0,
         events_simulated=1,
         obs_counters=snapshot,

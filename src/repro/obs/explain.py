@@ -1,17 +1,18 @@
 """Causal-chain reconstruction — the ``repro explain`` command.
 
 Reads a trace (schema v2 with ``cause_id``/``parents`` lineage; v1 files
-parse but carry no provenance), rebuilds the per-fault causal DAG, and
-renders it as a sim-time-annotated tree with per-stage latency deltas —
-the answer to "why did this FRU get *replace*?".  :func:`explain`
-returns the machine-readable form (``--json``); :func:`render_explain`
-the human one.
+parse but carry no provenance) and renders each injected fault's causal
+chain as a sim-time-annotated tree with per-stage latency deltas — the
+answer to "why did this FRU get *replace*?".  :func:`explain` returns
+the machine-readable form (``--json``); :func:`render_explain` the human
+one.
 
-Node identity is ``(replica, cause_id)``: multi-replica campaign traces
-keep each replica's lineage separate (ids are only unique per run).
-Records that re-report the same node (a deviation seen by several
-observers shares one symptom node) collapse to the earliest simulated
-time.
+The DAG and each fault's chain come from
+:func:`repro.obs.provenance.causal_dags` and
+:func:`~repro.obs.provenance.walk_faults`, the walk the replicas' stage
+fold reads too.  Explain keeps its own reporting rules on top: deltas
+are raw (a negative one flags the chain non-monotonic instead of being
+clamped) and chains are ordered by ``(replica, cause_id)``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from typing import Any
 
-from repro.obs.provenance import STAGE_BY_NAME, STAGES
+from repro.obs.provenance import (
+    CausalDag,
+    FaultWalk,
+    causal_dags,
+    walk_faults,
+)
 
 #: How many children to print per node before eliding (machine form is
 #: never truncated).
 MAX_RENDER_CHILDREN = 8
-
-_NodeKey = tuple[int, str]
 
 
 def has_provenance(records: Iterable[Mapping[str, Any]]) -> bool:
@@ -37,41 +41,7 @@ def has_provenance(records: Iterable[Mapping[str, Any]]) -> bool:
     )
 
 
-def build_graph(
-    records: Iterable[Mapping[str, Any]],
-) -> tuple[dict[_NodeKey, dict[str, Any]], dict[_NodeKey, list[_NodeKey]]]:
-    """(nodes, children) of the causal DAG embedded in ``records``."""
-    nodes: dict[_NodeKey, dict[str, Any]] = {}
-    children: dict[_NodeKey, list[_NodeKey]] = {}
-    for rec in records:
-        cause_id = rec.get("cause_id")
-        if cause_id is None or rec.get("kind") == "meta":
-            continue
-        replica = rec.get("replica") or 0
-        key = (replica, cause_id)
-        t_sim = rec.get("t_sim_us")
-        node = nodes.get(key)
-        if node is None:
-            nodes[key] = {
-                "id": cause_id,
-                "replica": replica,
-                "name": rec.get("name"),
-                "stage": STAGE_BY_NAME.get(rec.get("name", ""), "other"),
-                "t_sim_us": t_sim,
-                "attrs": dict(rec.get("attrs", {})),
-                "parents": list(rec.get("parents", ())),
-            }
-            for parent in rec.get("parents", ()):
-                children.setdefault((replica, parent), []).append(key)
-        elif t_sim is not None and (
-            node["t_sim_us"] is None or t_sim < node["t_sim_us"]
-        ):
-            node["t_sim_us"] = t_sim
-    return nodes, children
-
-
-def _matches_fru(node: Mapping[str, Any], fru: str) -> bool:
-    attrs = node["attrs"]
+def _matches_fru(attrs: Mapping[str, Any], fru: str) -> bool:
     return fru in (
         attrs.get("fru"),
         attrs.get("subject"),
@@ -80,74 +50,72 @@ def _matches_fru(node: Mapping[str, Any], fru: str) -> bool:
     )
 
 
-def _chain(
-    root_key: _NodeKey,
-    nodes: Mapping[_NodeKey, dict[str, Any]],
-    children: Mapping[_NodeKey, list[_NodeKey]],
-) -> dict[str, Any]:
-    """One fault root's reachable sub-DAG plus its stage timeline."""
-    root = nodes[root_key]
-    replica = root_key[0]
-    member_ids: list[str] = []
-    earliest: dict[str, int] = {}
-    reached: set[str] = set()
+def _chain(dag: CausalDag, walk: FaultWalk) -> dict[str, Any]:
+    """One fault's walk as explain reports it.
+
+    Stage deltas are raw: a negative one stays negative, and any edge
+    whose child is timed before its parent sets ``monotonic`` false.
+    """
+    nodes, children = dag.nodes, dag.children
+    _, activation_us, _, attrs, _ = nodes[walk.root]
+    actions: set[str] = set()
+    edges: set[tuple[str, str]] = set()
     monotonic = True
-    seen = {root_key}
-    frontier = [root_key]
-    edges: list[tuple[str, str]] = []
-    while frontier:
-        key = frontier.pop()
-        node = nodes[key]
-        member_ids.append(node["id"])
-        t_sim = node["t_sim_us"]
-        stage = node["stage"]
-        reached.add(stage)
-        if t_sim is not None:
-            prev = earliest.get(stage)
-            if prev is None or t_sim < prev:
-                earliest[stage] = t_sim
-        for child_key in children.get(key, ()):
-            child = nodes[child_key]
-            edges.append((node["id"], child["id"]))
-            if (
-                t_sim is not None
-                and child["t_sim_us"] is not None
-                and child["t_sim_us"] < t_sim
-            ):
+    for cause_id in walk.members:
+        stage, t_sim, _, node_attrs, _ = nodes[cause_id]
+        if stage == "maintenance" and node_attrs.get("action") is not None:
+            actions.add(node_attrs["action"])
+        for child in children.get(cause_id, ()):
+            edges.add((cause_id, child))
+            child_t = nodes[child][1]
+            if t_sim is not None and child_t is not None and child_t < t_sim:
                 monotonic = False
-            if child_key not in seen:
-                seen.add(child_key)
-                frontier.append(child_key)
-    present = [s for s in STAGES if s in reached]
-    timed = [s for s in STAGES if s in earliest]
-    latencies = {
-        f"{a}->{b}": earliest[b] - earliest[a]
-        for a, b in zip(timed, timed[1:])
-    }
-    actions = sorted(
-        {
-            nodes[(replica, mid)]["attrs"].get("action")
-            for mid in member_ids
-            if nodes[(replica, mid)]["stage"] == "maintenance"
-        }
-        - {None}
-    )
     return {
-        "fault_id": root["attrs"].get("fault_id"),
-        "replica": replica,
-        "cls": root["attrs"].get("cls"),
-        "mechanism": root["attrs"].get("mechanism"),
-        "fru": root["attrs"].get("fru"),
-        "activation_us": root["t_sim_us"],
-        "stages": present,
-        "terminal": present[-1] if present else "none",
-        "stage_earliest_us": {s: earliest[s] for s in timed},
-        "stage_latency_us": latencies,
-        "maintenance_actions": actions,
+        "fault_id": attrs.get("fault_id"),
+        "replica": dag.replica,
+        "cls": attrs.get("cls"),
+        "mechanism": attrs.get("mechanism"),
+        "fru": attrs.get("fru"),
+        "activation_us": activation_us,
+        "stages": list(walk.stages),
+        "terminal": walk.terminal,
+        "stage_earliest_us": dict(walk.earliest),
+        "stage_latency_us": walk.stage_latencies(),
+        "maintenance_actions": sorted(actions),
         "monotonic": monotonic,
-        "nodes": sorted(set(member_ids)),
-        "edges": sorted(set(edges)),
+        "nodes": sorted(walk.members),
+        "edges": sorted(edges),
     }
+
+
+def _chains(
+    records: list[dict[str, Any]], fault: str | None, fru: str | None
+) -> list[tuple[CausalDag, str, dict[str, Any]]]:
+    """(DAG, root, chain) per fault root passing the filters.
+
+    Ordered by ``(replica, cause_id)`` of the root.
+    """
+    chains = []
+    for _, dag in sorted(causal_dags(records).items()):
+        nodes = dag.nodes
+        for walk in sorted(walk_faults(dag), key=lambda w: w.root):
+            attrs = nodes[walk.root][3]
+            if fault is not None and attrs.get("fault_id") != fault:
+                continue
+            if fru is not None:
+                hit = attrs.get("fru") in (
+                    fru,
+                    f"component:{fru}",
+                    f"job:{fru}",
+                ) or any(
+                    _matches_fru(nodes[cause_id][3], fru)
+                    for cause_id in walk.members
+                    if nodes[cause_id][0] == "maintenance"
+                )
+                if not hit:
+                    continue
+            chains.append((dag, walk.root, _chain(dag, walk)))
+    return chains
 
 
 def explain(
@@ -163,25 +131,7 @@ def explain(
     """
     if not has_provenance(records):
         return {"provenance": False, "chains": []}
-    nodes, children = build_graph(records)
-    chains = []
-    for key in sorted(nodes, key=lambda k: (k[0], nodes[k]["id"])):
-        node = nodes[key]
-        if node["stage"] != "fault":
-            continue
-        if fault is not None and node["attrs"].get("fault_id") != fault:
-            continue
-        chain = _chain(key, nodes, children)
-        if fru is not None:
-            root_fru = chain["fru"]
-            hit = root_fru in (fru, f"component:{fru}", f"job:{fru}") or any(
-                _matches_fru(nodes[(key[0], mid)], fru)
-                for mid in chain["nodes"]
-                if nodes[(key[0], mid)]["stage"] == "maintenance"
-            )
-            if not hit:
-                continue
-        chains.append(chain)
+    chains = [chain for _, _, chain in _chains(records, fault, fru)]
     return {
         "provenance": True,
         "chains": chains,
@@ -202,10 +152,10 @@ def render_explain(
     fru: str | None = None,
 ) -> str:
     """Human-readable causal chains (sim-time tree + stage deltas)."""
-    result = explain(records, fault=fault, fru=fru)
-    if not result["provenance"]:
+    if not has_provenance(records):
         return NO_PROVENANCE_MESSAGE
-    if not result["chains"]:
+    chains = _chains(records, fault, fru)
+    if not chains:
         scope = []
         if fault is not None:
             scope.append(f"fault {fault!r}")
@@ -213,23 +163,18 @@ def render_explain(
             scope.append(f"fru {fru!r}")
         suffix = f" matching {' and '.join(scope)}" if scope else ""
         return f"no causal chains{suffix} in this trace"
-    nodes, children = build_graph(records)
     lines: list[str] = []
-    for chain in result["chains"]:
-        replica = chain["replica"]
+    for dag, root, chain in chains:
         header = (
             f"{chain['fault_id']} {chain['mechanism']} on {chain['fru']} "
             f"[{chain['cls']}] -> {chain['terminal']}"
         )
         if chain["maintenance_actions"]:
             header += f" ({', '.join(chain['maintenance_actions'])})"
-        if replica:
-            header += f"  (replica {replica})"
+        if chain["replica"]:
+            header += f"  (replica {chain['replica']})"
         lines.append(header)
-        root_key = (replica, f"fault:{chain['fault_id']}")
-        lines.extend(
-            _render_tree(root_key, nodes, children, indent="  ", parent_t=None)
-        )
+        lines.extend(_render_tree(root, dag, indent="  ", parent_t=None))
         if chain["stage_latency_us"]:
             deltas = ", ".join(
                 f"{stage} +{delta:,}us"
@@ -243,34 +188,30 @@ def render_explain(
 
 
 def _render_tree(
-    key: _NodeKey,
-    nodes: Mapping[_NodeKey, dict[str, Any]],
-    children: Mapping[_NodeKey, list[_NodeKey]],
+    key: str,
+    dag: CausalDag,
     indent: str,
     parent_t: int | None,
-    seen: set[_NodeKey] | None = None,
+    seen: set[str] | None = None,
 ) -> list[str]:
-    node = nodes.get(key)
+    node = dag.nodes.get(key)
     if node is None:
         return []
     if seen is None:
         seen = set()
-    t_sim = node["t_sim_us"]
+    _, t_sim, name, attrs, _ = node
     stamp = "t=?" if t_sim is None else f"t={t_sim:,}us"
     if t_sim is not None and parent_t is not None:
         stamp += f" (+{max(0, t_sim - parent_t):,}us)"
-    detail = _node_detail(node)
-    line = f"{indent}{node['name']} {stamp}{detail}"
+    line = f"{indent}{name} {stamp}{_node_detail(attrs)}"
     if key in seen:
         return [f"{line}  (shown above)"]
     seen.add(key)
     lines = [line]
-    kids = children.get(key, ())
+    kids = dag.children.get(key, ())
     for child_key in kids[:MAX_RENDER_CHILDREN]:
         lines.extend(
-            _render_tree(
-                child_key, nodes, children, indent + "  ", t_sim, seen
-            )
+            _render_tree(child_key, dag, indent + "  ", t_sim, seen)
         )
     if len(kids) > MAX_RENDER_CHILDREN:
         lines.append(
@@ -279,8 +220,7 @@ def _render_tree(
     return lines
 
 
-def _node_detail(node: Mapping[str, Any]) -> str:
-    attrs = node["attrs"]
+def _node_detail(attrs: Mapping[str, Any]) -> str:
     parts = []
     for field in ("type", "ona", "cls", "subject", "fru", "action"):
         value = attrs.get(field)

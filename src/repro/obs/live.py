@@ -402,6 +402,11 @@ class LiveRunMonitor:
                 )
         return stalled
 
+    def finish(self) -> None:
+        """The run's last ``progress`` record, after its last chunk (also
+        when no chunk ran): a complete run reads every replica done."""
+        self._emit_progress(self._clock())
+
     def _emit_progress(self, now: float) -> None:
         elapsed = now - self._t0
         fresh = self.replicas_done - self.replicas_resumed

@@ -20,7 +20,9 @@ allocated in simulation order, so the same seeded run always produces the
 same lineage.  The tracker is plain dict state — the provenance-enabled
 overhead budget (<10 % vs counters-only, ``bench_obs_overhead``) allows
 lookups and appends on the hot path but no graph traversal; the graph is
-only walked once per replica in :func:`fold_stage_latencies`.
+built once per replica by :func:`causal_dags` and walked from each fault
+root by :func:`walk_faults`, which every chain reader shares: the stage
+fold, the whatif chain rows and ``repro explain``.
 
 Ground-truth linking: the injector registers every fault against the
 *subjects* it can manifest on (the FRU name, EMI-affected components, the
@@ -32,8 +34,9 @@ attribution granularity the classifier is scored on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from typing import Any
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, NamedTuple
 
 #: Causal stages in pipeline order; keys of the stage-latency breakdown.
 STAGES = (
@@ -265,89 +268,173 @@ class ProvenanceTracker:
         return tuple(list(ids)[-self.MAX_PARENTS :])
 
 
-# -- DAG queries (counterfactual replay) ---------------------------------------
+# -- the causal DAG and the walk from each fault root --------------------------
+
+#: The attrs of a node synthesised from the tracker's ledgers.
+_NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
 
 
-def fault_chains(records: Iterable[Any]) -> dict[str, dict[str, Any]]:
-    """Per injected-fault root, the shape of its causal chain.
+class CausalDag(NamedTuple):
+    """One replica's cause-DAG, built by :func:`causal_dags`.
 
-    Walks the cause-DAG in ``records`` (trace line dicts, ObsRecord
-    objects, or compact causal-log tuples — the same shapes
-    :func:`fold_stage_latencies` folds) from every ``fault.injected``
-    root and returns, keyed by fault id::
-
-        {"cls": <true class>, "mechanism": <mechanism>,
-         "stages": (stages reached, pipeline order),
-         "onas": (ONA classes fired downstream, name order)}
-
-    The replay engine uses this to describe what a suppressed fault's
-    verdict chain actually traversed in the baseline — the per-fault half
-    of the marginal-diagnostic-value report — and the ONA scan uses the
-    ``onas`` sets to attribute assertion firings to ground-truth roots.
+    Ids are unique per run only, so a node's identity is ``(replica,
+    cause_id)``: one DAG per replica, its nodes keyed by ``cause_id``.
+    ``nodes`` maps a ``cause_id`` to the tuple ``(stage, t_sim_us, name,
+    attrs, parents)``: the node's earliest simulated time and its first
+    record's name, attrs and parents.  ``children`` maps a ``cause_id``
+    to its children's ids in record order; ``roots`` lists the ``fault``
+    nodes in record order.
     """
-    nodes: dict[str, tuple[str | None, str | None]] = {}
-    children: dict[str, list[str]] = {}
-    roots: list[tuple[str, str, str, str]] = []
+
+    replica: int
+    nodes: dict[str, tuple]
+    children: dict[str, list[str]]
+    roots: list[str]
+
+
+class FaultWalk(NamedTuple):
+    """What one injected fault's causal chain reached (:func:`walk_faults`)."""
+
+    #: The ``cause_id`` of the ``fault`` node the walk started from.
+    root: str
+    #: Stages reached, in pipeline order; the first is always ``fault``.
+    stages: tuple[str, ...]
+    #: Earliest simulated time per stage, in pipeline order.  Stages
+    #: without sim timestamps (the maintenance leaf is decided outside
+    #: the simulation) count in ``stages`` but not here.
+    earliest: dict[str, int]
+    #: The ``cause_id`` of every node reachable from the root, the root
+    #: included.
+    members: set[str]
+
+    @property
+    def terminal(self) -> str:
+        """The last stage the chain reached."""
+        return self.stages[-1]
+
+    def stage_latencies(self) -> dict[str, int]:
+        """Raw sim-time deltas between consecutive timed stages.
+
+        Keyed ``"a->b"`` in pipeline order.  A delta is negative when a
+        later stage was reached before an earlier one; each reader
+        decides what that means.
+        """
+        timed = list(self.earliest.items())
+        return {
+            f"{a}->{b}": t_b - t_a
+            for (a, t_a), (b, t_b) in zip(timed, timed[1:])
+        }
+
+
+def causal_dags(
+    records: Iterable[Any], tracker: ProvenanceTracker | None = None
+) -> dict[int, CausalDag]:
+    """The cause-DAG of each replica in ``records``, keyed by replica.
+
+    ``records`` are trace line dicts (a replica's, or a whole campaign's
+    tagged with ``replica``) or ``Tracer.causal_log`` tuples ``(name,
+    t_sim_us, cause_id, parents, attrs)``, which belong to replica 0.
+    Meta records, records without lineage and names outside
+    :data:`STAGE_BY_NAME` are skipped.  A node re-reported later (a
+    deviation seen by several observers shares one symptom node) keeps
+    its earliest simulated time.
+
+    ``tracker`` is the fold-only path of a replica that retains no trace
+    records: its detector and dissemination hooks log nothing, so the
+    symptom and dissemination nodes of replica 0 come from the tracker's
+    ledgers.  Registration order is simulation order, so their stored
+    times are already the earliest per node.
+    """
+    dags: dict[int, CausalDag] = {}
+    dag = None
+    stage_of = STAGE_BY_NAME.get
     for rec in records:
         if type(rec) is tuple:
-            name, _t_sim, cause_id, parents, attrs = rec
-            kind = "event"
-        elif isinstance(rec, Mapping):
+            name, t_sim, cause_id, parents, attrs = rec
+            replica = 0
+        else:
             cause_id = rec.get("cause_id")
-            kind = rec.get("kind")
+            if cause_id is None or rec.get("kind") == "meta":
+                continue
             name = rec.get("name", "")
+            t_sim = rec.get("t_sim_us")
             parents = rec.get("parents", ())
             attrs = rec.get("attrs", {})
-        else:
-            cause_id = rec.cause_id
-            kind = rec.kind
-            name = rec.name
-            parents = rec.parents
-            attrs = rec.attrs
-        if cause_id is None or kind == "meta":
-            continue
-        stage = STAGE_BY_NAME.get(name)
+            replica = rec.get("replica") or 0
+        stage = stage_of(name)
         if stage is None:
             continue
-        if cause_id not in nodes:
-            ona = attrs.get("ona") if stage == "ona" else None
-            nodes[cause_id] = (stage, str(ona) if ona is not None else None)
+        if dag is None or dag[0] != replica:
+            dag = dags.setdefault(replica, CausalDag(replica, {}, {}, []))
+            _, nodes, children, roots = dag
+        node = nodes.get(cause_id)
+        if node is None:
+            nodes[cause_id] = (stage, t_sim, name, attrs, parents)
             for parent in parents:
                 children.setdefault(parent, []).append(cause_id)
             if stage == "fault":
-                roots.append(
-                    (
-                        cause_id,
-                        str(attrs.get("fault_id", cause_id)),
-                        str(attrs.get("cls", "unknown")),
-                        str(attrs.get("mechanism", "unknown")),
-                    )
-                )
+                roots.append(cause_id)
+        elif t_sim is not None and (node[1] is None or t_sim < node[1]):
+            nodes[cause_id] = (node[0], t_sim, *node[2:])
 
-    chains: dict[str, dict[str, Any]] = {}
-    for root, fault_id, cls, mechanism in roots:
+    if tracker is not None:
+        _, nodes, children, _ = dags.setdefault(0, CausalDag(0, {}, {}, []))
+        children_setdefault = children.setdefault
+        for sym_id, (t_sim, parents) in tracker._symptom_nodes.items():
+            if sym_id not in nodes:
+                nodes[sym_id] = (
+                    "symptom", t_sim, "detector.symptom", _NO_ATTRS, parents
+                )
+                for parent in parents:
+                    children_setdefault(parent, []).append(sym_id)
+        for sym_id, t_sim in tracker._deliver_times.items():
+            dis_id = "dis@" + sym_id
+            if dis_id not in nodes:
+                nodes[dis_id] = (
+                    "dissemination",
+                    t_sim,
+                    "dissemination.deliver",
+                    _NO_ATTRS,
+                    (sym_id,),
+                )
+                children_setdefault(sym_id, []).append(dis_id)
+    return dags
+
+
+def walk_faults(dag: CausalDag) -> Iterator[FaultWalk]:
+    """Walk ``dag`` from each fault root, in root order.
+
+    The one place that decides what a fault's chain is: every node
+    reachable from the root through ``children``.  The stage fold, the
+    whatif chain rows and ``repro explain`` all read it.
+    """
+    nodes = dag.nodes
+    children_get = dag.children.get
+    for root in dag.roots:
         reached: set[str] = set()
-        onas: set[str] = set()
+        earliest: dict[str, int] = {}
         seen = {root}
         frontier = [root]
         while frontier:
-            node_id = frontier.pop()
-            stage, ona = nodes.get(node_id, (None, None))
-            if stage is not None:
-                reached.add(stage)
-                if ona is not None:
-                    onas.add(ona)
-            for child in children.get(node_id, ()):
+            cause_id = frontier.pop()
+            node = nodes[cause_id]
+            stage = node[0]
+            reached.add(stage)
+            t_sim = node[1]
+            if t_sim is not None:
+                prev = earliest.get(stage)
+                if prev is None or t_sim < prev:
+                    earliest[stage] = t_sim
+            for child in children_get(cause_id, ()):
                 if child not in seen:
                     seen.add(child)
                     frontier.append(child)
-        chains[fault_id] = {
-            "cls": cls,
-            "mechanism": mechanism,
-            "stages": tuple(s for s in STAGES if s in reached),
-            "onas": tuple(sorted(onas)),
-        }
-    return chains
+        yield FaultWalk(
+            root,
+            tuple([s for s in STAGES if s in reached]),
+            {s: earliest[s] for s in STAGES if s in earliest},
+            seen,
+        )
 
 
 # -- campaign-scale aggregation ------------------------------------------------
@@ -358,115 +445,33 @@ def fold_stage_latencies(
 ) -> None:
     """Fold one replica's provenance DAG into its counter registry.
 
-    Per injected-fault root, walks the reachable lineage, takes the
-    earliest simulated time each stage was reached, and observes the
-    deltas between consecutive present stages into
-    ``provenance.stage_latency_us{cls=...,stage=a->b}`` histograms plus a
-    ``provenance.chains{cls=...,terminal=<last stage>}`` coverage
+    Per injected-fault root (:func:`walk_faults`), observes the deltas
+    between consecutive timed stages, clamped at 0, into
+    ``provenance.stage_latency_us{cls=...,stage=a->b}`` histograms plus
+    a ``provenance.chains{cls=...,terminal=<last stage>}`` coverage
     counter.  Histograms and counters are exact integer state, so the
     parallel runner's replica-index-ordered merge keeps ``workers=N``
     aggregates bit-identical to ``workers=1`` — this runs *inside* each
     replica, before its snapshot ships back.
 
-    Accepts three record shapes: trace line dicts, raw
-    :class:`repro.obs.tracer.ObsRecord` objects, and the compact
-    ``Tracer.causal_log`` tuples ``(name, t_sim_us, cause_id, parents,
-    attrs)`` — the replica fold reads the causal log directly so the
-    provenance overhead budget never pays for record materialisation.
-
-    When ``tracker`` is given (the fold-only fast path of campaign
-    replicas that retain no trace records), symptom and dissemination
-    nodes are taken from the tracker's internal ledgers instead of
-    ``records``: the hot detector/dissemination hooks then skip logging
-    those ~90% of causal events entirely, and only the sparse
-    ONA/alpha/trust/maintenance/fault events flow through the log.
+    ``records`` and ``tracker`` are as for :func:`causal_dags`: the
+    replica fold passes its ``Tracer.causal_log``, so the provenance
+    overhead budget never pays for record materialisation, and the
+    tracker when it keeps no trace records.
     """
-    nodes: dict[str, tuple[str, int | None]] = {}
-    children: dict[str, list[str]] = {}
-    roots: list[tuple[str, str]] = []
-    stage_of = STAGE_BY_NAME.get
-    nodes_get = nodes.get
-    children_setdefault = children.setdefault
-    for rec in records:
-        if type(rec) is tuple:
-            name, t_sim, cause_id, parents, attrs = rec
-            kind = "event"
-        elif isinstance(rec, Mapping):
-            cause_id = rec.get("cause_id")
-            kind = rec.get("kind")
-            name = rec.get("name", "")
-            t_sim = rec.get("t_sim_us")
-            parents = rec.get("parents", ())
-            attrs = rec.get("attrs", {})
-        else:
-            cause_id = rec.cause_id
-            kind = rec.kind
-            name = rec.name
-            t_sim = rec.t_sim_us
-            parents = rec.parents
-            attrs = rec.attrs
-        if cause_id is None or kind == "meta":
-            continue
-        stage = stage_of(name)
-        if stage is None:
-            continue
-        known = nodes_get(cause_id)
-        if known is None:
-            nodes[cause_id] = (stage, t_sim)
-            for parent in parents:
-                children_setdefault(parent, []).append(cause_id)
-            if stage == "fault":
-                roots.append((cause_id, str(attrs.get("cls", "unknown"))))
-        elif t_sim is not None and (known[1] is None or t_sim < known[1]):
-            # The same deviation re-reported later: keep the earliest time.
-            nodes[cause_id] = (known[0], t_sim)
-
-    if tracker is not None:
-        # Inject the symptom/dissemination layers from the tracker's
-        # ledgers.  Registration order is simulation order, so the stored
-        # times are already the earliest per node.
-        for sym_id, (t_sim, parents) in tracker._symptom_nodes.items():
-            if sym_id not in nodes:
-                nodes[sym_id] = ("symptom", t_sim)
-                for parent in parents:
-                    children_setdefault(parent, []).append(sym_id)
-        for sym_id, t_sim in tracker._deliver_times.items():
-            dis_id = "dis@" + sym_id
-            if dis_id not in nodes:
-                nodes[dis_id] = ("dissemination", t_sim)
-                children_setdefault(sym_id, []).append(dis_id)
-
-    for root, cls in roots:
-        earliest: dict[str, int] = {}
-        reached: set[str] = set()
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            node_id = frontier.pop()
-            stage, t_sim = nodes.get(node_id, (None, None))
-            if stage is not None:
-                reached.add(stage)
-                if t_sim is not None:
-                    prev = earliest.get(stage)
-                    if prev is None or t_sim < prev:
-                        earliest[stage] = t_sim
-            for child in children.get(node_id, ()):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        # Stages without sim timestamps (the maintenance leaf is decided
-        # outside the simulation) count for coverage but not latency.
-        timed = [s for s in STAGES if s in earliest]
-        for a, b in zip(timed, timed[1:]):
-            counters.observe(
-                "provenance.stage_latency_us",
-                max(0, earliest[b] - earliest[a]),
-                cls=cls,
-                stage=f"{a}->{b}",
+    for dag in causal_dags(records, tracker).values():
+        for walk in walk_faults(dag):
+            cls = str(dag.nodes[walk.root][3].get("cls", "unknown"))
+            for stage, delta in walk.stage_latencies().items():
+                counters.observe(
+                    "provenance.stage_latency_us",
+                    max(0, delta),
+                    cls=cls,
+                    stage=stage,
+                )
+            counters.inc(
+                "provenance.chains", cls=cls, terminal=walk.terminal
             )
-        present = [s for s in STAGES if s in reached]
-        terminal = present[-1] if present else "none"
-        counters.inc("provenance.chains", cls=cls, terminal=terminal)
 
 
 def histogram_quantile(hist: Mapping[str, Any], q: float) -> float:

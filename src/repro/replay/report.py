@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.analysis.reports import fmt, fmt_signed, render_table
-from repro.obs.provenance import fault_chains
+from repro.obs.provenance import causal_dags, walk_faults
 from repro.replay.engine import ScanResult, WhatifResult
 
 _NFF = WhatifResult._nff
@@ -24,7 +24,11 @@ def _rewrite_label(result: WhatifResult) -> str:
 
 
 def _chain_rows(result: WhatifResult) -> list[tuple]:
-    """Cause-DAG rows for affected replicas, when provenance was traced."""
+    """Cause-DAG rows for affected replicas, when provenance was traced.
+
+    One row per fault of an affected replica, by fault id: the stages
+    its chain reached and the ONA classes that fired on it.
+    """
     rows: list[tuple] = []
     if not result.baseline.spec.obs_provenance:
         return rows
@@ -32,16 +36,24 @@ def _chain_rows(result: WhatifResult) -> list[tuple]:
         records = result.baseline.outcome(index).obs_trace
         if not records:
             continue
-        for fault_id, chain in sorted(fault_chains(records).items()):
-            rows.append(
-                (
-                    index,
-                    fault_id,
-                    chain["mechanism"],
-                    "->".join(chain["stages"]),
-                    ",".join(chain["onas"]) or "-",
+        chains = []
+        for dag in causal_dags(records).values():  # one: this replica's
+            for walk in walk_faults(dag):
+                attrs = dag.nodes[walk.root][3]
+                onas = set()
+                for cause_id in walk.members:
+                    stage, _, _, node_attrs, _ = dag.nodes[cause_id]
+                    if stage == "ona" and node_attrs.get("ona") is not None:
+                        onas.add(str(node_attrs["ona"]))
+                chains.append(
+                    (
+                        str(attrs.get("fault_id", walk.root)),
+                        str(attrs.get("mechanism", "unknown")),
+                        "->".join(walk.stages),
+                        ",".join(sorted(onas)) or "-",
+                    )
                 )
-            )
+        rows.extend((index, *chain) for chain in sorted(chains))
     return rows
 
 

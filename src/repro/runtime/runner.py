@@ -54,6 +54,7 @@ import multiprocessing
 import os
 import shutil
 import tempfile
+import threading
 import time
 import traceback as _traceback
 from collections.abc import Callable, Sequence
@@ -232,6 +233,24 @@ class RunOutcome:
             "failed_indices": [f.index for f in self.failures],
             "failures": [f.describe() for f in self.failures],
         }
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: the worker exits when its parent dies.
+
+    A spawn worker waits on the executor's call queue, and every worker
+    holds that queue's write end, so a SIGKILLed parent never closes it:
+    the workers, and with them the resource tracker, would idle on
+    forever.  A daemon thread waits on the parent's sentinel instead and
+    ends the process when it fires.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        wait_exited([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _execute_chunk(
@@ -644,6 +663,7 @@ class ParallelCampaignRunner:
                 plan_digest=plan_digest,
             )
         if bus is not None:
+            monitor.finish()
             bus.emit(
                 "run_finished",
                 metrics=metrics.to_dict(),
@@ -757,6 +777,7 @@ class ParallelCampaignRunner:
             if not todo:
                 continue
             if monitor is not None:
+                monitor.poll()
                 monitor.chunk_submitted(
                     cid, [t.index for t in todo], attempt=1
                 )
@@ -767,8 +788,6 @@ class ParallelCampaignRunner:
                 capture_errors=capture,
             )
             self._complete_chunk(cid, out, 1, done, failures, ledger, monitor)
-            if monitor is not None:
-                monitor.poll()
         return list(done.values()), 0
 
     def _run_pool(
@@ -803,6 +822,7 @@ class ParallelCampaignRunner:
             executor = ProcessPoolExecutor(
                 max_workers=min(self.options.workers, len(pending)),
                 mp_context=ctx,
+                initializer=_exit_with_parent,
             )
             try:
 
@@ -857,6 +877,13 @@ class ParallelCampaignRunner:
                         newly_failed += self._complete_chunk(
                             cid, out, attempt, done, failures, ledger, monitor
                         )
+                    if not pending:
+                        # Every replica is accounted for; whatever is
+                        # still "running" is a hung original whose
+                        # duplicate already won.  Abandon it — the
+                        # bounded executor shutdown reaps (or reports)
+                        # its worker.
+                        break
                     if monitor is not None:
                         for stalled_cid in monitor.poll():
                             # Duplicate the stalled chunk onto a free
@@ -883,13 +910,6 @@ class ParallelCampaignRunner:
                                     ],
                                     attempt,
                                 )
-                        if not pending and not_done:
-                            # Every replica is accounted for; whatever
-                            # is still "running" is a hung original
-                            # whose duplicate already won.  Abandon it —
-                            # the bounded executor shutdown reaps (or
-                            # reports) its worker.
-                            break
             except (BrokenProcessPool, OSError):
                 # Raised by submit()/wait() themselves when the pool is
                 # already broken; everything still pending is resubmitted

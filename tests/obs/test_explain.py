@@ -2,22 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 from repro import obs
 from repro.obs.explain import (
     NO_PROVENANCE_MESSAGE,
-    build_graph,
     explain,
     has_provenance,
     render_explain,
 )
 from repro.obs.export import chrome_trace, write_chrome_trace
+from repro.obs.provenance import causal_dags
 from repro.obs.report import counters_record, render_report
 from repro.obs.tracer import Tracer, write_jsonl
 
 GOLDEN_REPORT = Path(__file__).parent.parent / "data" / "golden_obs_report.txt"
+GOLDEN_EXPLAIN = Path(__file__).parent.parent / "data" / "golden_explain.json"
 
 
 class FakeClock:
@@ -149,12 +152,19 @@ def test_v1_style_records_have_no_provenance(tmp_path):
     assert "no provenance" in NO_PROVENANCE_MESSAGE
 
 
-def test_build_graph_collapses_rereports_to_earliest_time():
+def test_causal_dag_collapses_rereports_to_earliest_time():
     records = _causal_records()
-    records.append(dict(records[2], t_sim_us=700))  # sym:1 seen again later
-    nodes, children = build_graph(records)
-    assert nodes[(0, "sym:1")]["t_sim_us"] == 300
-    assert (0, "sym:1") in children[(0, "fault:F0001")]
+    # sym:1 seen again, later and earlier: the earliest time wins, the
+    # first record's name, attrs and parents stay.
+    records.append(dict(records[2], t_sim_us=700, attrs={"type": "LATE"}))
+    records.append(dict(records[2], t_sim_us=250, parents=[]))
+    (dag,) = causal_dags(records).values()
+    stage, t_sim, name, attrs, parents = dag.nodes["sym:1"]
+    assert (stage, t_sim, name) == ("symptom", 250, "detector.symptom")
+    assert attrs["type"] == "OMISSION"
+    assert list(parents) == ["fault:F0001"]
+    assert dag.children["fault:F0001"] == ["sym:1"]
+    assert (dag.replica, dag.roots) == (0, ["fault:F0001"])
 
 
 def test_explain_reconstructs_the_full_chain():
@@ -205,6 +215,32 @@ def test_render_explain_shows_the_annotated_tree():
     assert "detector.symptom t=300us (+200us)" in out
     assert "maintenance.recommendation t=?" in out
     assert "stage latencies:" in out
+
+
+def test_explain_of_a_campaign_trace_matches_the_recorded_golden(
+    tmp_path, capsys
+):
+    """``repro explain`` text and ``--json`` over a six-replica campaign
+    trace, byte for byte as recorded before the chain walkers merged."""
+    from repro.__main__ import main
+
+    golden = json.loads(GOLDEN_EXPLAIN.read_text(encoding="utf-8"))
+    trace = str(tmp_path / "t.jsonl")
+    assert main([trace if a == "TRACE" else a for a in golden["argv"]]) == 0
+    capsys.readouterr()
+    assert main(["explain", trace]) == 0
+    text = capsys.readouterr().out
+    assert main(["explain", trace, "--json"]) == 0
+    as_json = capsys.readouterr().out
+    chains = json.loads(as_json)["chains"]
+    assert len(chains) == golden["chains"]
+    terminals = Counter(f"{c['cls']}/{c['terminal']}" for c in chains)
+    assert dict(terminals) == golden["terminals"]
+    assert text.count("\n") == golden["text_lines"]
+    assert hashlib.sha256(text.encode()).hexdigest() == golden["text_sha256"]
+    assert (
+        hashlib.sha256(as_json.encode()).hexdigest() == golden["json_sha256"]
+    )
 
 
 # -- chrome export ------------------------------------------------------------

@@ -443,6 +443,27 @@ def test_resumed_run_progress_counts_resumed_replicas_as_done(tmp_path):
     assert last["eta_s"] == 0
 
 
+def test_a_run_with_nothing_to_execute_still_ends_with_progress(tmp_path):
+    """A resume of a complete ledger runs no chunk, and its live log
+    still closes with the final count, just before ``run_finished``."""
+    from repro.__main__ import main
+
+    ledger, path = tmp_path / "L", tmp_path / "live.jsonl"
+    argv = ["--seed", "5", "--checkpoint", str(ledger)]
+    assert main([*argv, "mc", "--replicas", "4", "--horizon-ms", "200"]) == 0
+    assert main(["--live-log", str(path), "resume", str(ledger)]) == 0
+    records, _ = read_live_log(path)
+    assert [r["kind"] for r in records] == [
+        "live_header",
+        "run_started",
+        "progress",
+        "run_finished",
+    ]
+    progress = records[2]
+    assert progress["replicas_done"] == progress["replicas_total"] == 4
+    assert progress["eta_s"] == 0
+
+
 def test_monitor_progress_counts_resumed_replicas_as_done(tmp_path):
     clock = FakeClock()
     monitor, sink = _monitor(

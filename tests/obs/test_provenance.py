@@ -231,21 +231,97 @@ def test_fold_stage_latencies_observes_deltas_and_terminals():
     assert chains["provenance.chains{cls=seu,terminal=symptom}"] == 1
 
 
-def test_fold_accepts_raw_obs_records():
+def test_fold_accepts_trace_dicts_and_the_causal_log():
     tracer = Tracer()
     tracer.causal_event(
         "fault.injected", 100, "fault:F0001", (), cls="seu", fault_id="F0001"
     )
     tracer.causal_event("detector.symptom", 250, "sym:1", ("fault:F0001",))
     counters = obs.CounterRegistry()
-    fold_stage_latencies(tracer.records, counters)
+    fold_stage_latencies(tracer.record_dicts(), counters)
     snap = counters.snapshot()
     key = "provenance.stage_latency_us{cls=seu,stage=fault->symptom}"
     assert snap["histograms"][key]["sum"] == 150
-    # Same result from the dict form.
-    dict_counters = obs.CounterRegistry()
-    fold_stage_latencies(tracer.record_dicts(), dict_counters)
-    assert dict_counters.snapshot() == snap
+    # Same result from the compact causal log the replicas fold.
+    log_counters = obs.CounterRegistry()
+    fold_stage_latencies(tracer.causal_log, log_counters)
+    assert log_counters.snapshot() == snap
+
+
+# -- one walk, three readers --------------------------------------------------
+
+#: A small provenance campaign: 18 faults over 6 replicas at seed 11.
+CAMPAIGN = dict(replicas=6, root_seed=11)
+
+
+def _provenance_campaign(trace: bool):
+    from repro.faults.campaign import CampaignReplicaSpec
+    from repro.runtime.workloads import run_random_campaigns
+    from repro.units import ms
+
+    spec = CampaignReplicaSpec(
+        horizon_us=ms(600),
+        obs_enabled=trace,
+        obs_trace=trace,
+        obs_provenance=True,
+    )
+    return run_random_campaigns(spec=spec, **CAMPAIGN)
+
+
+def _provenance_state(snapshot):
+    """The ``provenance.*`` counters and histograms of a snapshot."""
+    return {
+        kind: {
+            key: value
+            for key, value in snapshot[kind].items()
+            if key.startswith("provenance.")
+        }
+        for kind in ("counters", "histograms")
+    }
+
+
+@pytest.fixture(scope="module")
+def traced_campaign():
+    return _provenance_campaign(trace=True)
+
+
+def test_fold_only_replicas_fold_what_traced_replicas_fold(traced_campaign):
+    """Without ``--trace`` a replica reads its symptom and dissemination
+    nodes from the tracker's ledgers; the folded state is the same."""
+    fold_only = _provenance_campaign(trace=False)
+    assert fold_only.value.plan_digest == traced_campaign.value.plan_digest
+    traced = _provenance_state(traced_campaign.value.obs_counters)
+    assert sum(traced["counters"].values()) == 18
+    assert _provenance_state(fold_only.value.obs_counters) == traced
+
+
+def test_explain_chains_equal_the_replicas_fold(traced_campaign):
+    """Re-folding explain's chains (deltas clamped at 0, terminals)
+    gives the ``provenance.*`` state the replicas shipped."""
+    from repro.obs.explain import explain
+
+    records = [
+        record
+        for result in traced_campaign.results
+        for record in result.value.obs_trace
+    ]
+    chains = explain(records)["chains"]
+    assert len(chains) == 18
+    refold = obs.CounterRegistry()
+    for chain in chains:
+        for stage, delta in chain["stage_latency_us"].items():
+            refold.observe(
+                "provenance.stage_latency_us",
+                max(0, delta),
+                cls=chain["cls"],
+                stage=stage,
+            )
+        refold.inc(
+            "provenance.chains", cls=chain["cls"], terminal=chain["terminal"]
+        )
+    assert _provenance_state(refold.snapshot()) == _provenance_state(
+        traced_campaign.value.obs_counters
+    )
 
 
 def test_histogram_quantile_returns_clamped_bucket_edges():

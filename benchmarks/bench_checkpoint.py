@@ -19,9 +19,9 @@ from __future__ import annotations
 import os
 
 from repro.faults.campaign import CampaignReplicaSpec
-from repro.runtime.checkpoint import load_ledger
 from repro.runtime.runner import RunOptions
 from repro.runtime.workloads import run_random_campaigns
+from repro.storage.ledger import read_ledger
 
 from repro.units import ms
 
@@ -62,7 +62,7 @@ def test_checkpoint_overhead(benchmark, tmp_path):
     assert resumed.metrics.replicas_resumed == REPLICAS
     assert resumed.metrics.events_simulated == 0
 
-    state = load_ledger(ledger_path)
+    state = read_ledger(ledger_path, tolerant=True, decode=True)
     ledger_bytes = os.path.getsize(ledger_path)
     wall_plain = plain.metrics.wall_time_s
     wall_ckpt = checkpointed.metrics.wall_time_s
@@ -76,7 +76,7 @@ def test_checkpoint_overhead(benchmark, tmp_path):
         f"  resume (full) : {resumed.metrics.wall_time_s:8.3f} s wall, "
         f"{REPLICAS} replicas loaded, 0 executed",
         f"  ledger        : {ledger_bytes / 1024:.1f} KiB, "
-        f"{len(state.results_by_index)} replicas across chunks",
+        f"{len(state.results)} replicas across chunks",
     ]
     emit(
         "BENCH_checkpoint",

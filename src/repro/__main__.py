@@ -43,9 +43,10 @@ Commands
     Render live campaign telemetry from a ``--live-log`` sidecar:
     progress %, ETA, per-worker throughput, retries, stall/straggler
     flags.  ``--follow`` tails the log, ``--json`` emits the structured
-    summary, ``--serve PORT`` answers one OpenMetrics scrape from the
-    ``PATH.prom`` snapshot.  Tolerates a truncated tail (a killed run's
-    log still renders) and never instantiates the simulator.
+    summary, ``--serve PORT`` answers one OpenMetrics scrape rendered
+    from the log (for a finished run, the text of its ``PATH.prom``
+    snapshot).  Tolerates a truncated tail (a killed run's log still
+    renders) and never instantiates the simulator.
 
 ``obs report PATH``
     Validate a recorded JSONL obs trace and render its summary
@@ -89,6 +90,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from repro.analysis.reports import render_series, render_table
@@ -634,17 +636,23 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_monitor(args: argparse.Namespace) -> int:
     """Render live campaign telemetry — never touches the sim.
 
-    Reads only the ``--live-log`` JSONL sidecar (through the tolerant
-    JSONL reader the checkpoint ledger uses, :mod:`repro.jsonl`) and the
-    ``PATH.prom`` OpenMetrics snapshot; the one-shot report is a pure
-    function of the log bytes, which the committed golden in
-    ``tests/data/`` pins byte for byte.
+    Reads only the ``--live-log`` JSONL sidecar, through the tolerant
+    JSONL reader the checkpoint ledger uses (:mod:`repro.jsonl`), and
+    reads it before anything else: a log it cannot read ends the
+    command with exit status 1, also before ``--serve`` binds a port.
+    The one-shot report is a pure function of the log bytes, which the
+    committed golden in ``tests/data/`` pins byte for byte.
     """
     import json
     import time
 
     from repro.obs.live import monitor_once, serve_metrics_once
 
+    try:
+        summary, report = monitor_once(args.path)
+    except OSError as exc:
+        print(f"cannot read live log {args.path}: {exc}", file=sys.stderr)
+        return 1
     if args.serve is not None:
 
         class _Announce:
@@ -663,11 +671,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             print(f"cannot serve {args.path}: {exc}", file=sys.stderr)
             return 1
         return 0
-    try:
-        summary, report = monitor_once(args.path)
-    except OSError as exc:
-        print(f"cannot read live log {args.path}: {exc}", file=sys.stderr)
-        return 1
     if args.follow:
         last = None
         try:
@@ -1141,9 +1144,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help=(
-            "answer one OpenMetrics scrape on PORT (0 = ephemeral) from "
-            "the PATH.prom snapshot, falling back to gauges derived from "
-            "the log"
+            "answer one OpenMetrics scrape on PORT (0 = ephemeral), "
+            "rendered from the log: a finished run's PATH.prom text, or "
+            "progress gauges while it runs"
         ),
     )
     whatif_cmd = add_command(
@@ -1199,7 +1202,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     vars(args).update(_argv=argv, _resume=False)
-    return _dispatch(args)
+    try:
+        rc = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro explain T | head -1``).
+        # Point stdout at /dev/null so the interpreter's exit flush
+        # cannot raise again.  SIGPIPE keeps Python's handling: the
+        # pooled runner must get exceptions on its worker pipes.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return rc
 
 
 #: Commands not traced by ``_run_observed``: ``mc`` merges per-replica

@@ -13,11 +13,12 @@ DECOS reproduction exposes:
   (rendered by ``repro explain``).
 
 Two sibling modules cover the *while-it-runs* and *exposition* halves:
-:mod:`repro.obs.live` (the runner's in-flight progress event bus, worker
+:mod:`repro.obs.live` (a run's live log and its one writer, worker
 heartbeats and stall detection, read by ``repro monitor``) and
-:mod:`repro.obs.openmetrics` (OpenMetrics text rendering of counter
-snapshots and run metrics).  Both are lazy — importing ``repro.obs``
-never loads them, so the hot path pays nothing for them.  So is
+:mod:`repro.obs.openmetrics` (the OpenMetrics rendering of the live
+log's fold: merged counters and run metrics).  Both are lazy —
+importing ``repro.obs`` never loads them, so the hot path pays nothing
+for them.  So is
 :mod:`repro.obs.profiler`, the per-module calls and self time behind the
 CLI's ``--profile`` and the call budget.
 

@@ -204,15 +204,3 @@ class CounterRegistry:
     def clear(self) -> None:
         self._counters.clear()
         self._histograms.clear()
-
-    # -- exposition -------------------------------------------------------
-
-    def to_openmetrics(
-        self, run_metrics: Mapping[str, Any] | None = None
-    ) -> str:
-        """OpenMetrics text form of this registry (plus optional run
-        gauges).  Delegates to :mod:`repro.obs.openmetrics`; imported
-        lazily so the recording hot path never pays for the renderer."""
-        from repro.obs.openmetrics import render_openmetrics
-
-        return render_openmetrics(self.snapshot(), run_metrics)

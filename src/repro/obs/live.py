@@ -1,14 +1,16 @@
-"""In-flight campaign telemetry: the live progress event bus.
+"""In-flight campaign telemetry: the live log, its writer and its fold.
 
 All other observability in the repo is post-hoc — counters, traces and
 provenance chains materialize only after the index-ordered reduce.  This
-module is the *while-it-runs* half: the
-:class:`~repro.runtime.runner.ParallelCampaignRunner` emits structured
-lifecycle events (``chunk_submitted``, ``chunk_done``, ``replica_failed``,
-``retry``, ``checkpoint_flushed``, ``worker_heartbeat``,
-``stall_suspected``, ``straggler_suspected``) to a pluggable
-:class:`LiveEventBus`; the default sink appends schema-versioned JSONL to
-a ``--live-log PATH`` sidecar with periodic fsync — the same durability
+module is the *while-it-runs* half.  A run with ``--live-log PATH`` opens
+one :class:`LiveRunMonitor`, which owns the run's telemetry from
+``run_started`` to ``run_finished``: the
+:class:`~repro.runtime.runner.ParallelCampaignRunner` reports lifecycle
+events to it (``chunk_submitted``, ``chunk_done``, ``replica_failed``,
+``retry``, ``checkpoint_flushed``), and it adds its own
+(``worker_heartbeat``, ``progress``, ``stall_suspected``,
+``straggler_suspected``).  Its :class:`LiveEventBus` is the log's one
+writer: schema-versioned JSONL with periodic fsync — the same durability
 idiom as the checkpoint ledger, so a SIGKILL loses at most the tail and
 ``repro monitor`` still renders a partial-progress report.
 
@@ -19,9 +21,9 @@ excluded from every canonical digest: the bus never writes into the obs
 trace, the counter registry or any per-replica value, and enabling it
 must not perturb the simulation (asserted by replaying a goldens subset
 with the bus on, ``tests/obs/test_live.py``).  The bus is
-zero-cost-when-off: a runner without a bus takes the exact pre-bus code
-path (no heartbeat dir, no poll timeout on the pool wait), held to the
-same <5% disabled-path contract as the tracer in
+zero-cost-when-off: a run without a live log takes the exact pre-bus
+code path (no heartbeat dir, no poll timeout on the pool wait), held to
+the same <5% disabled-path contract as the tracer in
 ``benchmarks/bench_obs_overhead.py``.
 
 Heartbeats and stall detection
@@ -43,18 +45,25 @@ these into rolling throughput/ETA estimates on each poll tick and flags
 The reader half (:func:`read_live_log`, :func:`summarize_live`,
 :func:`render_monitor_report`) powers the sim-free ``repro monitor``
 CLI; parsing tolerates a truncated tail through the same reader as the
-ledger loader.
+ledger loader.  OpenMetrics has one source too: the ``PATH.prom``
+snapshot a finished run leaves and every ``repro monitor --serve`` scrape
+are :func:`repro.obs.openmetrics.render_openmetrics` of the log's
+:func:`summarize_live` fold (``run_finished`` carries the merged counter
+snapshot).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 import time
 from pathlib import Path
 from typing import Any, TextIO
 
 from repro.jsonl import read_json_lines
+from repro.obs.openmetrics import render_openmetrics
 
 #: Live-log layout version (bumped on incompatible record changes).
 LIVE_SCHEMA_VERSION = 1
@@ -87,43 +96,53 @@ def _rss_kb() -> int:
         return 0
 
 
-# -- sinks --------------------------------------------------------------------
+#: The live log is fsynced after this many records, at least this often
+#: while records arrive, and on close.  It is a telemetry feed, not the
+#: ledger of record: a power cut may cost a fraction of a second of
+#: progress records, never a replica result.
+_FSYNC_EVERY = 64
+_FSYNC_INTERVAL_S = 1.0
 
 
-class JsonlLiveSink:
-    """Append live records to a JSONL sidecar with periodic fsync.
+class LiveEventBus:
+    """The one writer of a live log.
 
-    Every record is written and flushed immediately (so ``tail -f`` and
-    ``repro monitor --follow`` see it); fsync is amortized — at most one
-    per ``fsync_interval_s`` or every ``fsync_every`` records, whichever
-    comes first — because the live log is a telemetry feed, not the
-    ledger of record: losing a fraction of a second of progress events
-    to a power cut is acceptable, losing replica results is not.
+    Opening the bus truncates ``path`` and writes the ``live_header``
+    line carrying the schema version, so any consumer (including one
+    reading a half-written file) can validate the layout.  Each
+    :meth:`emit` appends one sorted-key JSON line and flushes it (``tail
+    -f`` and ``repro monitor --follow`` see it at once), and fsync comes
+    every 64 records or 1 s, and on :meth:`close`.  ``clock`` stamps
+    ``t_wall`` and is injectable for byte-stable tests.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        fsync_interval_s: float = 1.0,
-        fsync_every: int = 64,
-    ) -> None:
+    def __init__(self, path: str | Path, *, clock=time.time) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh: TextIO = self.path.open("w", encoding="utf-8")
-        self._fsync_interval_s = fsync_interval_s
-        self._fsync_every = fsync_every
+        self._clock = clock
         self._since_fsync = 0
         self._last_fsync = time.monotonic()
+        self._write(
+            {
+                "kind": "live_header",
+                "schema": LIVE_SCHEMA_VERSION,
+                "t_wall": round(clock(), 6),
+            }
+        )
 
-    def write(self, record: dict[str, Any]) -> None:
+    def emit(self, kind: str, **fields: Any) -> None:
+        record = {"kind": kind, "t_wall": round(self._clock(), 6), **fields}
+        self._write(record)
+
+    def _write(self, record: dict[str, Any]) -> None:
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
         self._since_fsync += 1
         now = time.monotonic()
         if (
-            self._since_fsync >= self._fsync_every
-            or now - self._last_fsync >= self._fsync_interval_s
+            self._since_fsync >= _FSYNC_EVERY
+            or now - self._last_fsync >= _FSYNC_INTERVAL_S
         ):
             os.fsync(self._fh.fileno())
             self._since_fsync = 0
@@ -135,59 +154,6 @@ class JsonlLiveSink:
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
-
-
-class MemoryLiveSink:
-    """In-memory sink for tests and embedding (e.g. a WebSocket fan-out)."""
-
-    def __init__(self) -> None:
-        self.records: list[dict[str, Any]] = []
-
-    def write(self, record: dict[str, Any]) -> None:
-        self.records.append(record)
-
-    def close(self) -> None:
-        return None
-
-
-class LiveEventBus:
-    """Fans structured lifecycle events out to pluggable sinks.
-
-    The first emitted record is preceded by a ``live_header`` line
-    carrying the schema version, so any consumer (including one reading
-    a half-written file) can validate the layout.  ``clock`` is
-    injectable for byte-stable tests.
-    """
-
-    def __init__(
-        self,
-        sinks: tuple | list = (),
-        *,
-        clock=time.time,
-    ) -> None:
-        self.sinks = list(sinks)
-        self._clock = clock
-        self._header_written = False
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        if not self.sinks:
-            return
-        if not self._header_written:
-            self._header_written = True
-            header = {
-                "kind": "live_header",
-                "schema": LIVE_SCHEMA_VERSION,
-                "t_wall": round(self._clock(), 6),
-            }
-            for sink in self.sinks:
-                sink.write(header)
-        record = {"kind": kind, "t_wall": round(self._clock(), 6), **fields}
-        for sink in self.sinks:
-            sink.write(record)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 # -- worker-side heartbeats ---------------------------------------------------
@@ -236,13 +202,16 @@ def read_heartbeat(path: str | Path) -> dict[str, Any] | None:
 
 
 class LiveRunMonitor:
-    """Parent-side fold of heartbeats into throughput, stalls, stragglers.
+    """One run's telemetry, from ``run_started`` to ``run_finished``.
 
-    One instance per runner invocation.  The runner calls
+    The runner makes one :meth:`open` call per run (the log, its header
+    and ``run_started``, and a pooled run's heartbeat directory) and one
+    :meth:`close` call when the run ends.  In between it calls
     :meth:`chunk_submitted` / :meth:`chunk_done` as chunks move through
-    the pool and :meth:`poll` on every pool-wait timeout tick; ``poll``
-    returns the chunk ids it considers stalled so the runner can
-    resubmit them without waiting for pool teardown.
+    the pool and :meth:`poll` on every pool-wait timeout tick, which folds
+    heartbeats into throughput, stalls and stragglers; ``poll`` returns
+    the chunk ids it considers stalled so the runner can resubmit them
+    without waiting for pool teardown.
     """
 
     def __init__(
@@ -276,6 +245,81 @@ class LiveRunMonitor:
         self._flagged_stalls: set[int] = set()
         self.replicas_done = replicas_resumed
         self._t0 = self._clock()
+
+    @classmethod
+    def open(
+        cls,
+        path: str | Path,
+        *,
+        replicas: int,
+        replicas_resumed: int,
+        workers: int,
+        chunk_size: int,
+        command: str | None,
+        root_seed: int,
+        pooled: bool,
+        stall_timeout_s: float | None,
+        straggler_factor: float,
+    ) -> "LiveRunMonitor":
+        """Start one run's telemetry: the log at ``path`` with its
+        ``run_started`` record and, for a pooled run, the heartbeat
+        directory its workers stamp.  Stall detection reads those
+        heartbeats, so it is off for a run in the parent."""
+        bus = LiveEventBus(path)
+        bus.emit(
+            "run_started",
+            replicas=replicas,
+            replicas_resumed=replicas_resumed,
+            workers=workers,
+            chunk_size=chunk_size,
+            command=command,
+            root_seed=root_seed,
+        )
+        return cls(
+            bus,
+            tempfile.mkdtemp(prefix="repro-live-hb-") if pooled else None,
+            replicas_total=replicas,
+            replicas_resumed=replicas_resumed,
+            stall_timeout_s=stall_timeout_s if pooled else None,
+            straggler_factor=straggler_factor,
+        )
+
+    def close(self, outcome: Any) -> None:
+        """End the run's telemetry.
+
+        With the run's outcome (a :class:`~repro.runtime.runner.RunOutcome`)
+        the log ends with a last ``progress`` record and ``run_finished``:
+        the run metrics, the failure and stall counts and the merged
+        counter snapshot the aggregate holds (``outcome.value.obs_counters``,
+        or null).  ``PATH.prom`` then gets the OpenMetrics rendering of
+        the closed log, the same text ``repro monitor --serve`` answers.
+        Without an outcome (the run raised) the log closes as it is.
+        The heartbeat directory goes either way.
+        """
+        try:
+            if outcome is not None:
+                self._emit_progress(self._clock())
+                counters = getattr(outcome.value, "obs_counters", None)
+                self.bus.emit(
+                    "run_finished",
+                    metrics=outcome.metrics.to_dict(),
+                    failures=len(outcome.failures),
+                    stalls=self.stall_count,
+                    counters=counters if isinstance(counters, dict) else None,
+                )
+        finally:
+            self.bus.close()
+            if self.heartbeat_dir is not None:
+                shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
+        if outcome is not None:
+            path = self.bus.path
+            try:
+                summary = summarize_live(read_live_log(path)[0])
+                path.with_name(path.name + ".prom").write_text(
+                    render_openmetrics(summary), encoding="utf-8"
+                )
+            except OSError:  # pragma: no cover - disk-full etc.
+                pass  # exposition must never fail a run
 
     # -- runner hooks ------------------------------------------------------
 
@@ -322,6 +366,11 @@ class LiveRunMonitor:
 
     def retry(self, chunks: int, attempt: int) -> None:
         self.bus.emit("retry", chunks=chunks, attempt=attempt)
+
+    def checkpoint_flushed(self, replicas: int) -> None:
+        """A chunk's ledger line is on disk: the ledger's append fsyncs
+        before it returns, so this never claims more than it holds."""
+        self.bus.emit("checkpoint_flushed", replicas=replicas)
 
     # -- poll tick ---------------------------------------------------------
 
@@ -401,11 +450,6 @@ class LiveRunMonitor:
                     action="resubmitted",
                 )
         return stalled
-
-    def finish(self) -> None:
-        """The run's last ``progress`` record, after its last chunk (also
-        when no chunk ran): a complete run reads every replica done."""
-        self._emit_progress(self._clock())
 
     def _emit_progress(self, now: float) -> None:
         elapsed = now - self._t0
@@ -528,7 +572,7 @@ def summarize_live(
         if throughput and remaining is not None
         else None
     )
-    metrics = (finished or {}).get("metrics")
+    finished_fields = finished or {}
     return {
         "schema": schema,
         "command": started.get("command"),
@@ -563,7 +607,8 @@ def summarize_live(
         "stragglers": len(stragglers),
         "checkpoint_flushes": checkpoint_flushes,
         "finished": finished is not None,
-        "run_metrics": metrics,
+        "run_metrics": finished_fields.get("metrics"),
+        "counters": finished_fields.get("counters"),
         "workers": {k: workers[k] for k in sorted(workers)},
         "skipped_lines": skipped_lines,
     }
@@ -685,32 +730,24 @@ def serve_metrics_once(
     requests: int = 1,
     started=None,
 ) -> int:
-    """Serve the OpenMetrics snapshot over HTTP, one request at a time.
+    """Serve the log's OpenMetrics rendering over HTTP, one request at a time.
 
-    Serves the ``<live-log>.prom`` sidecar when the run wrote one
-    (merged counters + run-metrics gauges), else renders gauges from the
-    live log on the fly.  Binds ``host:port`` (port 0 = ephemeral),
-    optionally signals ``started`` (a ``threading.Event`` with the bound
-    port stashed on ``started.port``) and handles exactly ``requests``
-    requests before returning the bound port — one-shot by design: the
-    monitor is a pull-based exposition endpoint, not a daemon.
+    Each scrape renders :func:`summarize_live` of the log as it is then
+    (:func:`repro.obs.openmetrics.render_openmetrics`): for a finished
+    run the same text as its ``PATH.prom`` snapshot, for a run in flight
+    or killed the progress gauges.  Binds ``host:port`` (port 0 =
+    ephemeral), optionally signals ``started`` (a ``threading.Event``
+    with the bound port stashed on ``started.port``) and handles exactly
+    ``requests`` requests before returning the bound port — one-shot by
+    design: the monitor is a pull-based exposition endpoint, not a
+    daemon.
     """
     from http.server import BaseHTTPRequestHandler, HTTPServer
 
-    live_log = Path(live_log)
-    prom = live_log.with_name(live_log.name + ".prom")
-
-    def _payload() -> str:
-        if prom.exists():
-            return prom.read_text(encoding="utf-8")
-        from repro.obs.openmetrics import render_openmetrics
-
-        summary, _report = monitor_once(live_log)
-        return render_openmetrics(live_summary=summary)
-
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self) -> None:  # noqa: N802 - http.server API
-            body = _payload().encode("utf-8")
+            summary = summarize_live(read_live_log(live_log)[0])
+            body = render_openmetrics(summary).encode("utf-8")
             self.send_response(200)
             self.send_header(
                 "Content-Type",

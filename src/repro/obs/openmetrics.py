@@ -1,13 +1,16 @@
-"""OpenMetrics text exposition for counter snapshots and run metrics.
+"""OpenMetrics text exposition of a live log's fold.
 
-Renders a :class:`~repro.obs.counters.CounterRegistry` snapshot — flat
-counters plus power-of-two histograms — in the OpenMetrics text format
-(the superset Prometheus scrapes): counters get a ``_total`` suffix,
-histograms expand to cumulative ``_bucket{le=...}`` series plus
-``_sum``/``_count``, and :class:`~repro.runtime.metrics.RunMetrics`
-fields become gauges.  The output ends with the mandatory ``# EOF``
-terminator and is written as a ``<live-log>.prom`` snapshot at the end
-of a ``--live-log`` run, served one-shot by ``repro monitor --serve``.
+Renders one :func:`~repro.obs.live.summarize_live` summary in the
+OpenMetrics text format (the superset Prometheus scrapes).  The merged
+:class:`~repro.obs.counters.CounterRegistry` snapshot that
+``run_finished`` carries gives the counters, with a ``_total`` suffix,
+and the power-of-two histograms, as cumulative ``_bucket{le=...}``
+series plus ``_sum``/``_count``.  A finished run's
+:class:`~repro.runtime.metrics.RunMetrics` fields become gauges; a run
+still in flight (or killed) shows progress gauges instead.  The output
+ends with the mandatory ``# EOF`` terminator.  It is the one exposition
+path: the ``<live-log>.prom`` snapshot a finished ``--live-log`` run
+leaves and every ``repro monitor --serve`` scrape render it.
 
 Naming conventions (documented in docs/observability.md):
 
@@ -83,23 +86,15 @@ _RUN_GAUGES = {
 }
 
 
-def render_openmetrics(
-    snapshot: Mapping[str, Any] | None = None,
-    run_metrics: Mapping[str, Any] | None = None,
-    *,
-    live_summary: Mapping[str, Any] | None = None,
-) -> str:
-    """Render counters/histograms/run-gauges as OpenMetrics text.
-
-    Any combination of inputs may be given: ``snapshot`` is a
-    ``CounterRegistry.snapshot()``, ``run_metrics`` a
-    ``RunMetrics.to_dict()``, and ``live_summary`` a
-    ``summarize_live()`` fold (used by ``repro monitor --serve`` when
-    the run died before writing its ``.prom`` snapshot).
-    """
+def render_openmetrics(summary: Mapping[str, Any]) -> str:
+    """Render one live-log summary (:func:`repro.obs.live.summarize_live`)
+    as OpenMetrics text: counters and histograms from its ``counters``,
+    then the ``run_metrics`` gauges once the run has finished, or the
+    progress gauges before that."""
     lines: list[str] = []
+    snapshot = summary.get("counters") or {}
 
-    for key in sorted((snapshot or {}).get("counters", {})):
+    for key in sorted(snapshot.get("counters", {})):
         value = snapshot["counters"][key]
         raw, labels = _split_key(key)
         name = _metric_name(raw, "_total")
@@ -107,7 +102,7 @@ def render_openmetrics(
         lines.append(f"# TYPE {base} counter")
         lines.append(f"{name}{_labels_text(labels)} {_fmt(value)}")
 
-    for key in sorted((snapshot or {}).get("histograms", {})):
+    for key in sorted(snapshot.get("histograms", {})):
         data = snapshot["histograms"][key]
         raw, labels = _split_key(key)
         base = _metric_name(raw)
@@ -130,24 +125,24 @@ def render_openmetrics(
             f"{base}_count{_labels_text(labels)} {int(data['count'])}"
         )
 
-    metrics = dict(run_metrics or {})
-    if not metrics and live_summary:
-        # Degraded exposition from a live log alone (run still in
-        # flight or killed): progress gauges derived from the fold.
+    if not summary.get("finished"):
+        # No run_finished yet (run in flight or killed): progress
+        # gauges from the fold.
         for field, value in (
-            ("replicas", live_summary.get("replicas_total")),
-            ("replicas_resumed", live_summary.get("replicas_resumed")),
-            ("replicas_done", live_summary.get("replicas_done")),
-            ("events_simulated", live_summary.get("events_simulated")),
-            ("retries", live_summary.get("retries")),
-            ("stalls", live_summary.get("stalls")),
-            ("chunks_done", live_summary.get("chunks_done")),
+            ("replicas", summary.get("replicas_total")),
+            ("replicas_resumed", summary.get("replicas_resumed")),
+            ("replicas_done", summary.get("replicas_done")),
+            ("events_simulated", summary.get("events_simulated")),
+            ("retries", summary.get("retries")),
+            ("stalls", summary.get("stalls")),
+            ("chunks_done", summary.get("chunks_done")),
         ):
             if value is None:
                 continue
             name = _metric_name(f"run_{field}")
             lines.append(f"# TYPE {name} gauge")
             lines.append(f"{name} {_fmt(value)}")
+    metrics = summary.get("run_metrics") or {}
     for field, help_text in _RUN_GAUGES.items():
         if field not in metrics or metrics[field] is None:
             continue

@@ -56,7 +56,7 @@ import hashlib
 import pickle
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -85,38 +85,6 @@ def spec_digest(root_seed: int, specs: Sequence[Any]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerState:
-    """Everything a resume needs from an existing ledger file."""
-
-    meta: dict[str, Any]
-    #: Every line after the header that the tolerant read kept.
-    lines: list[dict[str, Any]]
-    results_by_index: dict[int, ReplicaResult]
-    sessions: int
-    skipped_lines: int = 0
-
-
-def load_ledger(path: str | Path) -> LedgerState:
-    """Parse a ledger, tolerating a truncated or corrupted tail.
-
-    The header must be the first line (a campaign cannot be identified
-    without it); every later line is best-effort — bad chunk lines are
-    skipped and counted, duplicate replica indices keep the first
-    occurrence.
-    """
-    from repro.storage.ledger import read_ledger
-
-    ledger = read_ledger(path, tolerant=True, decode=True)
-    return LedgerState(
-        meta=ledger.header,
-        lines=ledger.lines,
-        results_by_index=ledger.results,
-        sessions=1 + sum(r.get("kind") == "resume" for r in ledger.lines),
-        skipped_lines=ledger.skipped,
-    )
-
-
 @dataclass(slots=True)
 class CheckpointLedger:
     """Appender half of the ledger; one instance per runner session."""
@@ -126,11 +94,6 @@ class CheckpointLedger:
     replicas: int
     spec_digest: str
     chunks_written: int = 0
-    #: Optional ``on_flush(indices)`` callback invoked *after* a chunk
-    #: line is durably on disk (post-fsync) — the live event bus hangs
-    #: its ``checkpoint_flushed`` record here so the telemetry can never
-    #: claim durability the ledger has not delivered yet.
-    on_flush: Any = field(default=None, repr=False)
 
     @classmethod
     def open(
@@ -159,8 +122,8 @@ class CheckpointLedger:
         digest = spec_digest(root_seed, specs)
         ledger = cls(path, int(root_seed), len(specs), digest)
         if resume and path.exists():
-            state = load_ledger(path)
-            meta = state.meta
+            state = line_format.read_ledger(path, tolerant=True, decode=True)
+            meta = state.header
             mismatches = [
                 f"{key}: ledger has {meta.get(key)!r}, run has {value!r}"
                 for key, value in (
@@ -175,19 +138,20 @@ class CheckpointLedger:
                     f"checkpoint ledger {path} does not match this "
                     "campaign — " + "; ".join(mismatches)
                 )
-            if state.skipped_lines:
+            if state.skipped:
                 with line_format.replacing(path) as tmp:
                     line_format.append_lines(tmp, meta, *state.lines)
+            sessions = 1 + sum(r.get("kind") == "resume" for r in state.lines)
             ledger._append(
                 {
                     "kind": "resume",
-                    "session": state.sessions + 1,
-                    "loaded": len(state.results_by_index),
-                    "skipped_lines": state.skipped_lines,
+                    "session": sessions + 1,
+                    "loaded": len(state.results),
+                    "skipped_lines": state.skipped,
                     "wall": time.time(),
                 }
             )
-            return ledger, state.results_by_index
+            return ledger, state.results
         header = {
             **(invocation or {}),
             "kind": "header",
@@ -210,19 +174,16 @@ class CheckpointLedger:
         from repro.storage.ledger import chunk_line
 
         kind, tables = encode(results, self.root_seed)
-        indices = [r.index for r in results]
         self._append(
             chunk_line(
                 kind,
                 tables,
                 chunk=self.chunks_written,
-                indices=indices,
+                indices=[r.index for r in results],
                 wall=time.time(),
             )
         )
         self.chunks_written += 1
-        if self.on_flush is not None:
-            self.on_flush(indices)
 
     def close(
         self,

@@ -52,8 +52,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import shutil
-import tempfile
 import threading
 import time
 import traceback as _traceback
@@ -361,11 +359,11 @@ class ParallelCampaignRunner:
         resubmitted as a duplicate chunk *without waiting for pool
         teardown* — safe because results dedupe by replica index and
         replica values are pure functions of ``(root_seed, index)``.
-        ``None`` disables stall detection even with a bus attached.
+        ``None`` disables stall detection even with a live log.
     stall_poll_s:
         How often the parent wakes from the pool wait to fold
         heartbeats, emit progress and check stall/straggler deadlines.
-        Irrelevant without a live bus (the wait then has no timeout at
+        Irrelevant without a live log (the wait then has no timeout at
         all — the pre-telemetry code path, byte for byte).
     straggler_factor:
         A chunk in flight longer than this multiple of the median
@@ -426,7 +424,6 @@ class ParallelCampaignRunner:
         root_seed: int = 0,
         *,
         preloaded: dict[int, ReplicaResult] | None = None,
-        live: Any = None,
     ) -> RunOutcome:
         """Execute one replica per spec; reduce deterministically.
 
@@ -456,17 +453,18 @@ class ParallelCampaignRunner:
         ``replicas_resumed`` — which is precisely how the
         replay-equivalence battery proves only affected replicas re-ran.
 
-        With ``options.live_log`` (or an explicit ``live`` bus, a
-        :class:`repro.obs.live.LiveEventBus`) the run additionally
-        streams lifecycle telemetry — chunk submissions/completions,
-        worker heartbeats, retries, checkpoint flushes, stall and
-        straggler flags — to a schema-versioned JSONL sidecar, plus an
-        OpenMetrics ``<live_log>.prom`` snapshot at the end.  Live
-        records carry wall-clock fields and are excluded from every
-        canonical digest; the simulation itself is untouched (the
-        telemetry-on aggregate is bit-identical to telemetry-off, which
-        ``tests/obs/test_live.py`` asserts).  Without either argument
-        the runner takes the exact pre-telemetry code path.
+        With ``options.live_log`` the run opens one
+        :class:`repro.obs.live.LiveRunMonitor`, after the ledger, and
+        closes it after the ledger closes.  It streams lifecycle
+        telemetry — chunk submissions/completions, worker heartbeats,
+        retries, checkpoint flushes, stall and straggler flags — to a
+        schema-versioned JSONL sidecar and leaves an OpenMetrics
+        ``<live_log>.prom`` snapshot at the end.  Live records carry
+        wall-clock fields and are excluded from every canonical digest;
+        the simulation itself is untouched (the telemetry-on aggregate
+        is bit-identical to telemetry-off, which
+        ``tests/obs/test_live.py`` asserts).  Without a live log the
+        runner takes the exact pre-telemetry code path.
         """
         options = self.options
         tasks = [
@@ -537,77 +535,72 @@ class ParallelCampaignRunner:
             # Ledger-resumed results fill the gaps; explicit splices win.
             preloaded = {**resumed, **preloaded}
 
-        live_log = options.live_log
-        bus = live
-        owns_bus = bus is None and live_log is not None
-        monitor = None
-        heartbeat_dir = None
         # Pool only when more than one replica is still to run: a
         # resume or splice that leaves one fresh replica runs it in the
         # parent instead of paying a pool's start-up for it.
         to_run = sum(1 for task in tasks if task.index not in preloaded)
         pooled = options.workers > 1 and to_run > 1
-        if bus is not None or live_log is not None:
+        monitor = None
+        if options.live_log is not None:
             # Lazy import: runs without telemetry never pay for it.
-            from repro.obs.live import (
-                JsonlLiveSink,
-                LiveEventBus,
-                LiveRunMonitor,
-            )
+            from repro.obs.live import LiveRunMonitor
 
-            if bus is None:
-                bus = LiveEventBus([JsonlLiveSink(live_log)])
-            bus.emit(
-                "run_started",
+            monitor = LiveRunMonitor.open(
+                options.live_log,
                 replicas=len(tasks),
                 replicas_resumed=len(preloaded),
                 workers=options.workers,
                 chunk_size=chunk_size,
                 command=(options.invocation or {}).get("command"),
                 root_seed=int(root_seed),
-            )
-            if pooled:
-                heartbeat_dir = tempfile.mkdtemp(prefix="repro-live-hb-")
-            monitor = LiveRunMonitor(
-                bus,
-                heartbeat_dir,
-                replicas_total=len(tasks),
-                replicas_resumed=len(preloaded),
-                stall_timeout_s=self.stall_timeout_s if pooled else None,
+                pooled=pooled,
+                stall_timeout_s=self.stall_timeout_s,
                 straggler_factor=self.straggler_factor,
             )
-            if ledger is not None:
-                ledger.on_flush = lambda indices: bus.emit(
-                    "checkpoint_flushed", replicas=len(indices)
-                )
+        outcome = None
+        try:
+            outcome = self._execute(
+                tasks, chunk_size, pooled, ledger, preloaded, monitor
+            )
+        finally:
+            if monitor is not None:
+                monitor.close(outcome)
+        if options.store is not None:
+            from repro.storage.writer import write_run
 
+            write_run(
+                options.store,
+                ledger.path,
+                spec_digest=ledger.spec_digest,
+                plan_digest=getattr(outcome.value, "plan_digest", None),
+                campaign_id=options.campaign_id,
+            )
+        return outcome
+
+    def _execute(
+        self,
+        tasks: list[ReplicaTask],
+        chunk_size: int,
+        pooled: bool,
+        ledger,
+        preloaded: dict[int, ReplicaResult],
+        monitor,
+    ) -> RunOutcome:
+        """Run every replica not preloaded, reduce them all in index
+        order and close the ledger."""
+        options = self.options
         t0 = time.perf_counter()
         leaked: list[int] = []
         failures: dict[int, ReplicaFailure] = {}
-        try:
-            if not pooled:
-                results, retries = self._run_serial(
-                    tasks, chunk_size, ledger, preloaded, failures, monitor
-                )
-            else:
-                results, retries = self._run_pool(
-                    tasks,
-                    chunk_size,
-                    ledger,
-                    preloaded,
-                    failures,
-                    leaked,
-                    monitor,
-                )
-        except BaseException:
-            if heartbeat_dir is not None:
-                shutil.rmtree(heartbeat_dir, ignore_errors=True)
-            if owns_bus and bus is not None:
-                bus.close()
-            raise
+        if not pooled:
+            results, retries = self._run_serial(
+                tasks, chunk_size, ledger, preloaded, failures, monitor
+            )
+        else:
+            results, retries = self._run_pool(
+                tasks, chunk_size, ledger, preloaded, failures, leaked, monitor
+            )
         wall = time.perf_counter() - t0
-        if heartbeat_dir is not None:
-            shutil.rmtree(heartbeat_dir, ignore_errors=True)
 
         results.sort(key=lambda r: r.index)
         expected = set(range(len(tasks)))
@@ -655,33 +648,11 @@ class ParallelCampaignRunner:
             metrics=metrics,
             failures=tuple(failures[i] for i in sorted(failures)),
         )
-        plan_digest = getattr(value, "plan_digest", None)
         if ledger is not None:
             ledger.close(
                 completed=len(results),
                 failures=outcome.failures,
-                plan_digest=plan_digest,
-            )
-        if bus is not None:
-            monitor.finish()
-            bus.emit(
-                "run_finished",
-                metrics=metrics.to_dict(),
-                failures=len(outcome.failures),
-                stalls=monitor.stall_count if monitor is not None else 0,
-            )
-            if owns_bus:
-                self._write_prom_snapshot(live_log, outcome)
-                bus.close()
-        if options.store is not None:
-            from repro.storage.writer import write_run
-
-            write_run(
-                options.store,
-                ledger.path,
-                spec_digest=ledger.spec_digest,
-                plan_digest=plan_digest,
-                campaign_id=options.campaign_id,
+                plan_digest=getattr(value, "plan_digest", None),
             )
         return outcome
 
@@ -724,8 +695,9 @@ class ParallelCampaignRunner:
         pool and the serial fallback.  Results and failures are deduped
         by replica index, so no interleaving of crash, retry and stall
         duplicate can count a replica twice.  Failures are stamped with
-        ``attempt``; fresh results go to the ledger, and the chunk is
-        reported to the live monitor under the worker that ran it.
+        ``attempt``; fresh results go to the ledger, and the live
+        monitor hears of the flush once the ledger's append (which
+        fsyncs) returns, then of the chunk under the worker that ran it.
         """
         fresh: list[ReplicaResult] = []
         failed: list[int] = []
@@ -743,6 +715,8 @@ class ParallelCampaignRunner:
                 fresh.append(r)
         if ledger is not None and fresh:
             ledger.append_chunk(fresh)
+            if monitor is not None:
+                monitor.checkpoint_flushed(len(fresh))
         if monitor is not None:
             monitor.chunk_done(
                 cid,
@@ -957,31 +931,6 @@ class ParallelCampaignRunner:
                     ),
                 )
         return list(done.values()), retries
-
-    @staticmethod
-    def _write_prom_snapshot(
-        live_log: str | Path, outcome: RunOutcome
-    ) -> None:
-        """OpenMetrics snapshot next to the live log (``<name>.prom``).
-
-        Counters ride on the aggregate when the workload collected them
-        (``outcome.value.obs_counters``, merged from the per-replica
-        snapshots the ledger and store keep); run metrics become gauges
-        either way.  Best-effort — exposition must never fail a run.
-        """
-        try:
-            from repro.obs.openmetrics import render_openmetrics
-
-            snapshot = getattr(outcome.value, "obs_counters", None)
-            text = render_openmetrics(
-                snapshot if isinstance(snapshot, dict) else None,
-                outcome.metrics.to_dict(),
-            )
-            path = Path(live_log)
-            prom = path.with_name(path.name + ".prom")
-            prom.write_text(text, encoding="utf-8")
-        except OSError:  # pragma: no cover - disk-full etc.
-            pass
 
     def _shutdown_executor(self, executor: ProcessPoolExecutor) -> list[int]:
         """Tear a pool down with a bounded wait; report leaked workers.

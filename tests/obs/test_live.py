@@ -1,4 +1,4 @@
-"""Live campaign telemetry: bus, sinks, heartbeats, monitor fold.
+"""Live campaign telemetry: the bus, heartbeats, the monitor fold.
 
 Three contracts from the live-telemetry design are pinned here:
 
@@ -28,10 +28,8 @@ from repro.faults.campaign import CampaignReplicaOutcome
 from repro.obs.live import (
     LIVE_EVENT_KINDS,
     LIVE_SCHEMA_VERSION,
-    JsonlLiveSink,
     LiveEventBus,
     LiveRunMonitor,
-    MemoryLiveSink,
     monitor_once,
     read_heartbeat,
     read_live_log,
@@ -40,6 +38,7 @@ from repro.obs.live import (
     stamp_heartbeat,
     summarize_live,
 )
+from repro.obs.openmetrics import render_openmetrics
 from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOptions
 
 DATA = Path(__file__).parent.parent / "data"
@@ -74,12 +73,12 @@ def ledgered_task(replica: ReplicaTask) -> CampaignReplicaOutcome:
     )
 
 
-# -- sinks and bus ------------------------------------------------------------
+# -- the bus ------------------------------------------------------------------
 
 
 def test_jsonl_sink_header_first_and_parseable(tmp_path):
     path = tmp_path / "live.jsonl"
-    bus = LiveEventBus([JsonlLiveSink(path)], clock=FakeClock())
+    bus = LiveEventBus(path, clock=FakeClock())
     bus.emit("run_started", replicas=3)
     bus.emit("chunk_done", chunk=0, replicas=3)
     bus.close()
@@ -95,30 +94,25 @@ def test_jsonl_sink_header_first_and_parseable(tmp_path):
     assert all("t_wall" in r for r in records)
 
 
-def test_bus_without_sinks_is_a_noop():
-    bus = LiveEventBus([])
-    bus.emit("run_started", replicas=1)  # must not raise
-    bus.close()
-
-
-def test_memory_sink_records_injected_clock_times():
+def test_memory_sink_records_injected_clock_times(tmp_path):
     clock = FakeClock(5.0)
-    sink = MemoryLiveSink()
-    bus = LiveEventBus([sink], clock=clock)
+    path = tmp_path / "live.jsonl"
+    bus = LiveEventBus(path, clock=clock)
     bus.emit("progress", replicas_done=1)
     clock.now = 6.5
     bus.emit("progress", replicas_done=2)
-    assert [r["t_wall"] for r in sink.records] == [5.0, 5.0, 6.5]
-    assert sink.records[0]["kind"] == "live_header"
+    bus.close()
+    records, _ = read_live_log(path)
+    assert [r["t_wall"] for r in records] == [5.0, 5.0, 6.5]
+    assert records[0]["kind"] == "live_header"
 
 
-def test_sink_fsync_every_record_when_configured(tmp_path):
+def test_every_record_is_readable_before_close(tmp_path):
     path = tmp_path / "live.jsonl"
-    sink = JsonlLiveSink(path, fsync_every=1)
-    bus = LiveEventBus([sink])
+    bus = LiveEventBus(path)
     for i in range(5):
         bus.emit("progress", replicas_done=i)
-    # Durable before close: a reader sees every record already.
+    # Flushed per record: a reader sees every record while the run goes on.
     records, skipped = read_live_log(path)
     assert len(records) == 6  # header + 5
     assert skipped == 0
@@ -179,22 +173,36 @@ def test_read_live_log_missing_file_raises_oserror(tmp_path):
 # -- monitor fold: heartbeats, stragglers, stalls ----------------------------
 
 
-def _monitor(tmp_path, clock, **kwargs):
-    sink = MemoryLiveSink()
-    bus = LiveEventBus([sink], clock=clock)
-    monitor = LiveRunMonitor(
-        bus, str(tmp_path), clock=clock, **kwargs
-    )
-    return monitor, sink
+@pytest.fixture
+def make_monitor(tmp_path):
+    """``make_monitor(clock, **kwargs) -> (monitor, log)``: a monitor whose
+    bus writes ``log`` with the test's clock; the log closes after the
+    test."""
+    buses: list[LiveEventBus] = []
+
+    def make(clock, **kwargs):
+        bus = LiveEventBus(tmp_path / "live.jsonl", clock=clock)
+        buses.append(bus)
+        monitor = LiveRunMonitor(bus, str(tmp_path), clock=clock, **kwargs)
+        return monitor, bus.path
+
+    yield make
+    for bus in buses:
+        bus.close()
 
 
-def _kinds(sink):
-    return [r["kind"] for r in sink.records if r["kind"] != "live_header"]
+def _records(log, kind=None):
+    records, _ = read_live_log(log)
+    return [r for r in records if kind is None or r["kind"] == kind]
 
 
-def test_monitor_emits_heartbeat_only_on_progress(tmp_path):
+def _kinds(log):
+    return [r["kind"] for r in _records(log) if r["kind"] != "live_header"]
+
+
+def test_monitor_emits_heartbeat_only_on_progress(make_monitor):
     clock = FakeClock()
-    monitor, sink = _monitor(tmp_path, clock, replicas_total=4)
+    monitor, log = make_monitor(clock, replicas_total=4)
     monitor.chunk_submitted(0, [0, 1], attempt=1)
     stamp_heartbeat(
         monitor.heartbeat_path(0),
@@ -206,18 +214,18 @@ def test_monitor_emits_heartbeat_only_on_progress(tmp_path):
     clock.now += 1.0
     monitor.poll()
     monitor.poll()  # same stamp again: no duplicate heartbeat record
-    beats = [r for r in sink.records if r["kind"] == "worker_heartbeat"]
+    beats = _records(log, "worker_heartbeat")
     assert len(beats) == 1
     assert beats[0]["replicas_done"] == 1
     assert beats[0]["events"] == 10
     # Every poll emits a progress record regardless.
-    assert _kinds(sink).count("progress") == 2
+    assert _kinds(log).count("progress") == 2
 
 
-def test_monitor_flags_straggler_once_against_median(tmp_path):
+def test_monitor_flags_straggler_once_against_median(make_monitor):
     clock = FakeClock()
-    monitor, sink = _monitor(
-        tmp_path, clock, replicas_total=8, straggler_factor=2.0
+    monitor, log = make_monitor(
+        clock, replicas_total=8, straggler_factor=2.0
     )
     # Three completed chunks at 1 s each establish the median.
     for cid in (0, 1, 2):
@@ -227,22 +235,20 @@ def test_monitor_flags_straggler_once_against_median(tmp_path):
     monitor.chunk_submitted(3, [3], attempt=1)
     clock.now += 1.5  # 1.5x median: under the 2x factor
     assert monitor.poll() == []
-    assert "straggler_suspected" not in _kinds(sink)
+    assert "straggler_suspected" not in _kinds(log)
     clock.now += 1.0  # now 2.5x median
     monitor.poll()
     monitor.poll()  # flagged once, not per tick
-    stragglers = [
-        r for r in sink.records if r["kind"] == "straggler_suspected"
-    ]
+    stragglers = _records(log, "straggler_suspected")
     assert len(stragglers) == 1
     assert stragglers[0]["chunk"] == 3
     assert stragglers[0]["ratio"] > 2.0
 
 
-def test_monitor_detects_stall_after_heartbeat_silence(tmp_path):
+def test_monitor_detects_stall_after_heartbeat_silence(make_monitor):
     clock = FakeClock()
-    monitor, sink = _monitor(
-        tmp_path, clock, replicas_total=4, stall_timeout_s=2.0
+    monitor, log = make_monitor(
+        clock, replicas_total=4, stall_timeout_s=2.0
     )
     monitor.chunk_submitted(0, [0, 1], attempt=1)
     clock.now += 1.0
@@ -251,17 +257,17 @@ def test_monitor_detects_stall_after_heartbeat_silence(tmp_path):
     assert monitor.poll() == [0]
     assert monitor.poll() == []  # suspected once, not per tick
     assert monitor.stall_count == 1
-    stalls = [r for r in sink.records if r["kind"] == "stall_suspected"]
+    stalls = _records(log, "stall_suspected")
     assert len(stalls) == 1
     assert stalls[0]["chunk"] == 0
     assert stalls[0]["action"] == "resubmitted"
     assert stalls[0]["timeout_s"] == 2.0
 
 
-def test_monitor_heartbeat_resets_stall_deadline(tmp_path):
+def test_monitor_heartbeat_resets_stall_deadline(make_monitor):
     clock = FakeClock()
-    monitor, _sink = _monitor(
-        tmp_path, clock, replicas_total=4, stall_timeout_s=2.0
+    monitor, _log = make_monitor(
+        clock, replicas_total=4, stall_timeout_s=2.0
     )
     monitor.chunk_submitted(0, [0, 1], attempt=1)
     clock.now += 1.5
@@ -279,25 +285,25 @@ def test_monitor_heartbeat_resets_stall_deadline(tmp_path):
     assert monitor.poll() == [0]  # 2.5 s of silence now
 
 
-def test_monitor_stall_detection_disabled_with_none(tmp_path):
+def test_monitor_stall_detection_disabled_with_none(make_monitor):
     clock = FakeClock()
-    monitor, sink = _monitor(
-        tmp_path, clock, replicas_total=2, stall_timeout_s=None
+    monitor, log = make_monitor(
+        clock, replicas_total=2, stall_timeout_s=None
     )
     monitor.chunk_submitted(0, [0], attempt=1)
     clock.now += 1e6
     assert monitor.poll() == []
-    assert "stall_suspected" not in _kinds(sink)
+    assert "stall_suspected" not in _kinds(log)
 
 
-def test_monitor_progress_throughput_and_eta(tmp_path):
+def test_monitor_progress_throughput_and_eta(make_monitor):
     clock = FakeClock()
-    monitor, sink = _monitor(tmp_path, clock, replicas_total=4)
+    monitor, log = make_monitor(clock, replicas_total=4)
     monitor.chunk_submitted(0, [0, 1], attempt=1)
     clock.now += 2.0
     monitor.chunk_done(0, worker="pid-1", replicas=2, events=10)
     monitor.poll()
-    progress = [r for r in sink.records if r["kind"] == "progress"][-1]
+    progress = _records(log, "progress")[-1]
     assert progress["replicas_done"] == 2
     assert progress["replicas_total"] == 4
     assert progress["throughput_rps"] == pytest.approx(1.0)
@@ -419,6 +425,14 @@ def test_runner_checkpoint_flushes_reach_the_live_log(tmp_path):
     flushes = [r for r in records if r["kind"] == "checkpoint_flushed"]
     assert len(flushes) == 2
     assert all(f["replicas"] == 2 for f in flushes)
+    # Each flush directly precedes the chunk_done of the chunk it made
+    # durable.
+    for n, record in enumerate(records):
+        if record["kind"] == "checkpoint_flushed":
+            following = records[n + 1]
+            assert following["kind"] == "chunk_done"
+            assert following["replicas"] == record["replicas"]
+    assert [r["chunk"] for r in records if r["kind"] == "chunk_done"] == [0, 1]
 
 
 def test_resumed_run_progress_counts_resumed_replicas_as_done(tmp_path):
@@ -464,34 +478,23 @@ def test_a_run_with_nothing_to_execute_still_ends_with_progress(tmp_path):
     assert progress["eta_s"] == 0
 
 
-def test_monitor_progress_counts_resumed_replicas_as_done(tmp_path):
+def test_monitor_progress_counts_resumed_replicas_as_done(make_monitor):
     clock = FakeClock()
-    monitor, sink = _monitor(
-        tmp_path, clock, replicas_total=4, replicas_resumed=2
+    monitor, log = make_monitor(
+        clock, replicas_total=4, replicas_resumed=2
     )
     monitor.poll()
-    progress = [r for r in sink.records if r["kind"] == "progress"][-1]
+    progress = _records(log, "progress")[-1]
     assert (progress["replicas_done"], progress["throughput_rps"]) == (2, 0)
     assert progress["eta_s"] is None  # two left, no rate yet
     monitor.chunk_submitted(0, [2, 3], attempt=1)
     clock.now += 2.0
     monitor.chunk_done(0, worker="pid-1", replicas=2, events=10)
     monitor.poll()
-    progress = [r for r in sink.records if r["kind"] == "progress"][-1]
+    progress = _records(log, "progress")[-1]
     assert progress["replicas_done"] == progress["replicas_total"] == 4
     assert progress["throughput_rps"] == pytest.approx(1.0)
     assert progress["eta_s"] == 0
-
-
-def test_runner_explicit_bus_is_not_closed_by_the_runner(tmp_path):
-    sink = MemoryLiveSink()
-    bus = LiveEventBus([sink])
-    ParallelCampaignRunner(double_task).run([None] * 2, root_seed=0, live=bus)
-    kinds = [r["kind"] for r in sink.records]
-    assert kinds[0] == "live_header"
-    assert kinds[-1] == "run_finished"
-    bus.emit("progress", replicas_done=0)  # caller still owns the bus
-    assert sink.records[-1]["kind"] == "progress"
 
 
 # -- determinism: bus on == bus off ------------------------------------------
@@ -544,15 +547,10 @@ def _scrape(port: int) -> tuple[str, str]:
         return resp.read().decode("utf-8"), resp.headers["Content-Type"]
 
 
-def test_serve_metrics_once_prefers_prom_sidecar(tmp_path):
-    live = tmp_path / "live.jsonl"
-    ParallelCampaignRunner(
-        double_task, options=RunOptions(live_log=live)
-    ).run([None] * 3, root_seed=0)
-    expected = (tmp_path / "live.jsonl.prom").read_text(encoding="utf-8")
+def _serve_once(live):
     started = threading.Event()
-    ports: list[int] = []
     started.port = 0  # serve_metrics_once stashes the bound port here
+    ports: list[int] = []
 
     def _serve():
         ports.append(serve_metrics_once(live, port=0, started=started))
@@ -562,31 +560,35 @@ def test_serve_metrics_once_prefers_prom_sidecar(tmp_path):
     assert started.wait(timeout=10)
     body, content_type = _scrape(started.port)
     thread.join(timeout=10)
+    assert ports == [started.port]
+    return body, content_type
+
+
+def test_serve_metrics_once_scrape_equals_prom(tmp_path):
+    """A finished run's scrape is its ``.prom`` text: both render the
+    log's fold."""
+    live = tmp_path / "live.jsonl"
+    ParallelCampaignRunner(
+        double_task, options=RunOptions(live_log=live)
+    ).run([None] * 3, root_seed=0)
+    expected = (tmp_path / "live.jsonl.prom").read_text(encoding="utf-8")
+    assert expected == render_openmetrics(
+        summarize_live(read_live_log(live)[0])
+    )
+    body, content_type = _serve_once(live)
     assert body == expected
     assert "openmetrics-text" in content_type
-    assert ports == [started.port]
 
 
 def test_serve_metrics_once_renders_degraded_from_live_log(tmp_path):
-    """Without a .prom sidecar (run killed mid-flight) the server derives
-    gauges from the live log alone."""
+    """A run killed mid-flight has no ``run_finished``: the scrape shows
+    the progress gauges folded from the log."""
     live = tmp_path / "live.jsonl"
-    bus = LiveEventBus([JsonlLiveSink(live)], clock=FakeClock())
+    bus = LiveEventBus(live, clock=FakeClock())
     bus.emit("run_started", replicas=9, replicas_resumed=0)
     bus.emit("chunk_done", chunk=0, worker="pid-1", replicas=3, events=30)
     bus.close()
-    started = threading.Event()
-    started.port = 0
-    thread = threading.Thread(
-        target=serve_metrics_once,
-        args=(live,),
-        kwargs={"port": 0, "started": started},
-        daemon=True,
-    )
-    thread.start()
-    assert started.wait(timeout=10)
-    body, _ = _scrape(started.port)
-    thread.join(timeout=10)
+    body, _ = _serve_once(live)
     assert "repro_run_replicas 9" in body
     assert "repro_run_replicas_done 3" in body
     assert body.endswith("# EOF\n")

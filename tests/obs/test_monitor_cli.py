@@ -10,6 +10,9 @@ byte for byte against the committed golden.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.request
 from pathlib import Path
@@ -17,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import _build_parser, main
-from tests._sim_free import assert_sim_free
+from tests._sim_free import REPO_ROOT, assert_sim_free
 
 DATA = Path(__file__).parent.parent / "data"
 GOLDEN_LOG = DATA / "golden_live_log.jsonl"
@@ -50,6 +53,24 @@ def test_monitor_json_output_is_parseable(capsys):
 def test_monitor_missing_file_fails_cleanly(tmp_path, capsys):
     assert main(["monitor", str(tmp_path / "nope.jsonl")]) == 1
     assert "cannot read live log" in capsys.readouterr().err
+
+
+def test_monitor_serve_refuses_an_unreadable_log_before_binding(tmp_path):
+    """``--serve`` reads the log first: a missing one ends the command
+    like the one-shot report does, and no port is bound or announced."""
+    missing = tmp_path / "nope.jsonl"
+    argv = ["monitor", str(missing), "--serve", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"cannot read live log {missing}: ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -148,7 +169,7 @@ def test_monitor_serve_announces_port_and_serves_once(tmp_path, capsys):
         body = resp.read().decode("utf-8")
     thread.join(timeout=10)
     assert rc == [0]
-    # No .prom sidecar next to the copy: degraded render from the log.
+    # Rendered from the log alone: its run_finished metrics.
     assert "repro_run_replicas 8" in body
     assert body.endswith("# EOF\n")
 

@@ -1,23 +1,42 @@
-"""OpenMetrics exposition of counter snapshots and run metrics.
+"""OpenMetrics exposition of a live log's fold.
 
 Pins the naming conventions documented in ``docs/observability.md``:
 ``repro_`` prefix, ``_total`` counters, cumulative power-of-two
 ``_bucket{le=...}`` series with ``+Inf``, run-metrics gauges, and the
-mandatory ``# EOF`` terminator.
+mandatory ``# EOF`` terminator.  ``render_openmetrics`` takes one
+``summarize_live`` summary; ``_counted`` and ``_finished`` build the
+two parts of one that the renderer reads.
 """
 
 from __future__ import annotations
 
+import json
+
 from repro.obs.counters import CounterRegistry
+from repro.obs.live import summarize_live
 from repro.obs.openmetrics import render_openmetrics
 from repro.runtime.metrics import RunMetrics
+
+
+def _counted(registry: CounterRegistry) -> dict:
+    """The summary of a finished run whose aggregate merged ``registry``."""
+    return summarize_live(
+        [{"kind": "run_finished", "counters": registry.snapshot()}]
+    )
+
+
+def _finished(metrics: RunMetrics) -> dict:
+    """The summary of a finished run with these metrics, no counters."""
+    return summarize_live(
+        [{"kind": "run_finished", "metrics": metrics.to_dict()}]
+    )
 
 
 def test_counters_become_total_series_with_sanitized_names():
     reg = CounterRegistry()
     reg.inc("sim.events", 42)
     reg.inc("ona.triggers", ona="wearout", cls="component-internal")
-    text = render_openmetrics(reg.snapshot())
+    text = render_openmetrics(_counted(reg))
     assert "# TYPE repro_sim_events counter" in text
     assert "repro_sim_events_total 42" in text
     assert (
@@ -31,7 +50,7 @@ def test_histogram_buckets_are_cumulative_power_of_two_edges():
     reg = CounterRegistry()
     for value in (0.5, 1, 3, 3, 8):
         reg.observe("latency.us", value, stage="detection")
-    text = render_openmetrics(reg.snapshot())
+    text = render_openmetrics(_counted(reg))
     lines = text.splitlines()
     assert "# TYPE repro_latency_us histogram" in lines
     # bucket 0 = [0,1) holds 1; bucket 1 = [1,2) adds 1; bucket 2 = [2,4)
@@ -56,7 +75,7 @@ def test_run_metrics_become_gauges_with_help_and_info():
         busy_by_worker={"pid-1": 1.0},
         replicas_resumed=2,
     )
-    text = render_openmetrics(run_metrics=metrics.to_dict())
+    text = render_openmetrics(_finished(metrics))
     assert "# TYPE repro_run_replicas gauge" in text
     assert "repro_run_replicas 6" in text
     assert "repro_run_events_simulated 200" in text
@@ -68,19 +87,17 @@ def test_run_metrics_become_gauges_with_help_and_info():
 
 
 def test_empty_inputs_still_terminate_with_eof():
-    assert render_openmetrics() == "# EOF\n"
+    assert render_openmetrics({}) == "# EOF\n"
 
 
 def test_label_values_are_escaped():
     reg = CounterRegistry()
     reg.inc("x", path='a"b\\c')
-    text = render_openmetrics(reg.snapshot())
+    text = render_openmetrics(_counted(reg))
     assert 'repro_x_total{path="a\\"b\\\\c"} 1' in text
 
 
 def test_live_summary_degraded_path_emits_progress_gauges():
-    from repro.obs.live import summarize_live
-
     summary = summarize_live(
         [
             {"kind": "live_header", "schema": 1, "t_wall": 1.0},
@@ -90,7 +107,7 @@ def test_live_summary_degraded_path_emits_progress_gauges():
              "worker": "pid-1", "replicas": 2, "events": 20},
         ]
     )
-    text = render_openmetrics(live_summary=summary)
+    text = render_openmetrics(summary)
     assert "repro_run_replicas 5" in text
     assert "repro_run_replicas_resumed 1" in text
     assert "repro_run_replicas_done 2" in text
@@ -108,29 +125,28 @@ def test_full_run_metrics_win_over_live_summary():
         events=[10],
         busy_by_worker={},
     )
-    text = render_openmetrics(
-        run_metrics=metrics.to_dict(),
-        live_summary={"replicas_total": 999},
-    )
+    records = [
+        {"kind": "run_started", "t_wall": 1.0, "replicas": 999},
+        {"kind": "chunk_done", "t_wall": 2.0, "chunk": 0, "replicas": 3},
+        {"kind": "run_finished", "t_wall": 3.0, "metrics": metrics.to_dict()},
+    ]
+    text = render_openmetrics(summarize_live(records))
     assert "repro_run_replicas 4" in text
     assert "999" not in text
+    assert "repro_run_replicas_done" not in text
 
 
-def test_registry_to_openmetrics_delegates():
+def test_counters_survive_the_live_log_round_trip():
+    """``run_finished`` carries the snapshot through JSON; the rendering
+    of the read-back fold is the rendering of the snapshot itself."""
     reg = CounterRegistry()
-    reg.inc("detector.symptoms", 7)
-    text = reg.to_openmetrics()
-    assert "repro_detector_symptoms_total 7" in text
-    assert text.endswith("# EOF\n")
-    metrics = RunMetrics.from_results(
-        replicas=1,
-        workers=1,
-        chunk_size=1,
-        wall_time_s=1.0,
-        retries=0,
-        events=[5],
-        busy_by_worker={},
+    reg.inc("sim.events", 3)
+    reg.inc("ona.triggers", 2.5, ona="wearout")
+    for value in (0.5, 3, 1e6):
+        reg.observe("latency.us", value, stage="detection")
+    line = json.dumps(
+        {"kind": "run_finished", "counters": reg.snapshot()}, sort_keys=True
     )
-    both = reg.to_openmetrics(metrics.to_dict())
-    assert "repro_detector_symptoms_total 7" in both
-    assert "repro_run_replicas 1" in both
+    assert render_openmetrics(
+        summarize_live([json.loads(line)])
+    ) == render_openmetrics(_counted(reg))

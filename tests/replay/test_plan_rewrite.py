@@ -25,7 +25,8 @@ from repro.faults.suppress import (
     selectors_for_replica,
 )
 from repro.errors import ConfigurationError
-from repro.runtime.checkpoint import load_ledger, spec_digest
+from repro.runtime.checkpoint import spec_digest
+from repro.storage.ledger import read_ledger
 from repro.units import ms
 from tests._differential import (
     FUZZ_EXPECTED_FAULTS,
@@ -169,15 +170,15 @@ def test_rewritten_spec_round_trips_through_checkpoint_header(
         checkpoint=ledger,
         invocation={"command": "mc", "params": {}},
     )
-    state = load_ledger(ledger)
-    assert state.meta["spec_digest"] == spec_digest(seed, [spec] * 2)
+    state = read_ledger(ledger, tolerant=True, decode=True)
+    assert state.header["spec_digest"] == spec_digest(seed, [spec] * 2)
     # A different rewrite binds to a different digest — the ledger can
     # never silently resume the wrong counterfactual.
     other = replace(spec, suppress_faults=("emi-burst",))
-    assert state.meta["spec_digest"] != spec_digest(seed, [other] * 2)
+    assert state.header["spec_digest"] != spec_digest(seed, [other] * 2)
     # The recorded per-replica results are the run's own, verbatim.
     assert {
-        i: r.value for i, r in state.results_by_index.items()
+        i: r.value for i, r in state.results.items()
     } == {r.index: r.value for r in outcome.results}
 
 

@@ -16,15 +16,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faults.campaign import CampaignReplicaOutcome, CampaignReplicaSpec
 from repro.obs import trace_digest
-from repro.runtime.checkpoint import (
-    CheckpointLedger,
-    load_ledger,
-    spec_digest,
-)
+from repro.runtime.checkpoint import CheckpointLedger, spec_digest
 from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOptions
 from repro.runtime.seeds import stream_fingerprint
 from repro.runtime.workloads import run_random_campaigns
-from repro.storage.ledger import chunk_checksum
+from repro.storage.ledger import chunk_checksum, read_ledger
 from repro.units import ms
 
 OBS_SPEC = CampaignReplicaSpec(
@@ -109,13 +105,13 @@ def test_spec_digest_identity():
 def test_ledger_roundtrip(tmp_path):
     path = tmp_path / "ledger.jsonl"
     outcome = _draws(path).run([None] * 5, root_seed=7)
-    state = load_ledger(path)
-    assert sorted(state.results_by_index) == [0, 1, 2, 3, 4]
-    assert state.sessions == 1
-    assert state.skipped_lines == 0
+    state = read_ledger(path, tolerant=True, decode=True)
+    assert sorted(state.results) == [0, 1, 2, 3, 4]
+    assert not any(r["kind"] == "resume" for r in state.lines)
+    assert state.skipped == 0
     for result in outcome.results:
-        assert state.results_by_index[result.index].value == result.value
-    meta = state.meta
+        assert state.results[result.index].value == result.value
+    meta = state.header
     assert meta["root_seed"] == 7
     assert meta["replicas"] == 5
     assert meta["chunk_size"] == 2
@@ -176,9 +172,9 @@ def test_corrupted_tail_is_skipped_and_reexecuted(tmp_path):
             )
             + "\n"
         )
-    state = load_ledger(path)
-    assert state.skipped_lines == 2
-    assert sorted(state.results_by_index) == [0, 1, 2, 3, 4]
+    state = read_ledger(path, tolerant=True, decode=True)
+    assert state.skipped == 2
+    assert sorted(state.results) == [0, 1, 2, 3, 4]
     resumed = _draws(path, resume=True).run([None] * 5, root_seed=7)
     assert resumed.values() == first.values()
     assert resumed.metrics.replicas_resumed == 5
@@ -204,9 +200,9 @@ def test_stream_fingerprint_guard_forces_reexecution(tmp_path):
             tampered = True
         doctored.append(line)
     path.write_text("\n".join(doctored) + "\n", encoding="utf-8")
-    state = load_ledger(path)
-    assert state.skipped_lines == 1
-    assert len(state.results_by_index) == 3
+    state = read_ledger(path, tolerant=True, decode=True)
+    assert state.skipped == 1
+    assert len(state.results) == 3
     resumed = _draws(path, chunk_size=1, resume=True).run(
         [None] * 4, root_seed=7
     )
@@ -234,7 +230,7 @@ def test_fresh_run_truncates_stale_ledger(tmp_path):
     runner.run([None] * 5, root_seed=7)
     fresh = runner.run([None] * 3, root_seed=9)
     assert fresh.metrics.replicas_resumed == 0
-    meta = load_ledger(path).meta
+    meta = read_ledger(path, tolerant=True, decode=True).header
     assert meta["root_seed"] == 9
     assert meta["replicas"] == 3
 
@@ -243,25 +239,25 @@ def test_header_validation(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="empty"):
-        load_ledger(empty)
+        read_ledger(empty, tolerant=True, decode=True)
     garbage = tmp_path / "garbage.jsonl"
     garbage.write_text("not json at all\n", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="header"):
-        load_ledger(garbage)
+        read_ledger(garbage, tolerant=True, decode=True)
     headless = tmp_path / "headless.jsonl"
     headless.write_text('{"kind": "chunk"}\n', encoding="utf-8")
     with pytest.raises(ConfigurationError, match="header"):
-        load_ledger(headless)
+        read_ledger(headless, tolerant=True, decode=True)
     futuristic = tmp_path / "future.jsonl"
     futuristic.write_text(
         json.dumps({"kind": "header", "version": 99}) + "\n",
         encoding="utf-8",
     )
     with pytest.raises(ConfigurationError, match="version"):
-        load_ledger(futuristic)
+        read_ledger(futuristic, tolerant=True, decode=True)
     missing = tmp_path / "missing.jsonl"
     with pytest.raises(ConfigurationError, match="cannot read"):
-        load_ledger(missing)
+        read_ledger(missing, tolerant=True, decode=True)
 
 
 def test_ledger_open_records_command_provenance(tmp_path):
@@ -281,7 +277,7 @@ def test_ledger_open_records_command_provenance(tmp_path):
     )
     ledger.close(completed=0)
     assert preloaded == {}
-    meta = load_ledger(path).meta
+    meta = read_ledger(path, tolerant=True, decode=True).header
     assert meta["command"] == "mc"
     assert meta["params"] == {"seed": 3, "replicas": 2}
     assert meta["argv"] == ["--seed", "3", "mc", "--replicas", "2"]
@@ -456,7 +452,7 @@ def test_every_declared_kind_resumes_and_stores_identically(
         {name: part.table(name) for name in tables_for_kind(kind)},
         part.root_seed,
     )
-    ledgered = load_ledger(full).results_by_index
+    ledgered = read_ledger(full, tolerant=True, decode=True).results
     assert {i: r.value for i, r in stored.items()} == {
         i: r.value for i, r in ledgered.items()
     }

@@ -238,21 +238,19 @@ def test_fallback_completes_run_with_distinct_worker_label(tmp_path):
 def test_fallback_reports_its_chunks_to_the_live_log(tmp_path):
     """A run finished by the serial fallback shows full progress: each
     leftover chunk is reported done under its own chunk id."""
-    from repro.obs.live import LiveEventBus, MemoryLiveSink, summarize_live
+    from repro.obs.live import read_live_log, summarize_live
 
-    sink = MemoryLiveSink()
+    live = tmp_path / "live.jsonl"
     spec = (str(tmp_path), os.getpid())
     runner = ParallelCampaignRunner(
         parent_only_task,
-        options=RunOptions(workers=2, chunk_size=2),
+        options=RunOptions(workers=2, chunk_size=2, live_log=live),
         max_retries=0,
         retry_backoff_s=0.0,
     )
-    outcome = runner.run(
-        [spec] * 3, root_seed=0, live=LiveEventBus([sink])
-    )
+    outcome = runner.run([spec] * 3, root_seed=0)
     assert outcome.value == (0, 1, 2)
-    summary = summarize_live(sink.records)
+    summary = summarize_live(read_live_log(live)[0])
     assert summary["finished"] is True
     assert summary["progress"] == 1.0
     assert summary["replicas_done"] == 3

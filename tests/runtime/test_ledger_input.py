@@ -1,7 +1,7 @@
 """Hostile and malformed checkpoint ledgers.
 
 A ledger is read back from disk, so it is input: whatever a line holds,
-``load_ledger``, ``repro resume`` and ``repro whatif`` answer with a
+``read_ledger``, ``repro resume`` and ``repro whatif`` answer with a
 :class:`~repro.errors.ConfigurationError` (or skip the line as a torn
 tail), never a stack trace — and never by running code the file
 carries.  Version 1 ledgers held base64 pickles; they are refused by
@@ -23,9 +23,9 @@ import pytest
 
 from repro.__main__ import main
 from repro.errors import ConfigurationError
-from repro.runtime.checkpoint import load_ledger, spec_digest
+from repro.runtime.checkpoint import spec_digest
 from repro.runtime.seeds import stream_fingerprint
-from repro.storage.ledger import chunk_checksum
+from repro.storage.ledger import chunk_checksum, read_ledger
 from tests._differential import run_campaign
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -75,7 +75,7 @@ def _v1_ledger(tmp_path: Path) -> tuple[Path, Path]:
 def test_v1_pickle_ledger_is_refused_unopened(tmp_path, capsys):
     ledger, marker = _v1_ledger(tmp_path)
     with pytest.raises(ConfigurationError, match="version 1"):
-        load_ledger(ledger)
+        read_ledger(ledger, tolerant=True, decode=True)
     assert main(["resume", str(ledger)]) == 1
     assert "version 1" in capsys.readouterr().err
     assert main(["whatif", str(ledger), "--scan", "onas"]) == 1
@@ -119,7 +119,7 @@ def _write(tmp_path: Path, lines: list[str]) -> Path:
 def test_header_that_is_not_an_object(tmp_path, capsys, ledger_lines):
     path = _write(tmp_path, ["[1, 2]", *ledger_lines[1:]])
     with pytest.raises(ConfigurationError, match="header"):
-        load_ledger(path)
+        read_ledger(path, tolerant=True, decode=True)
     assert main(["resume", str(path)]) == 1
     assert "header" in capsys.readouterr().err
 
@@ -174,9 +174,9 @@ def test_hostile_resume_header_ends_in_a_message(
 
 def test_later_line_that_is_not_an_object_is_skipped(tmp_path, ledger_lines):
     path = _write(tmp_path, [ledger_lines[0], '["chunk"]', '"x"', *ledger_lines[1:]])
-    state = load_ledger(path)
-    assert state.skipped_lines == 2
-    assert sorted(state.results_by_index) == [0, 1]
+    state = read_ledger(path, tolerant=True, decode=True)
+    assert state.skipped == 2
+    assert sorted(state.results) == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -215,9 +215,9 @@ def test_untrusted_chunk_is_skipped_even_with_a_valid_checksum(
     path = _write(
         tmp_path, [ledger_lines[0], json.dumps(record, sort_keys=True), *ledger_lines[2:]]
     )
-    state = load_ledger(path)
-    assert state.skipped_lines == 1
-    assert sorted(state.results_by_index) == [1]
+    state = read_ledger(path, tolerant=True, decode=True)
+    assert state.skipped == 1
+    assert sorted(state.results) == [1]
 
 
 @pytest.fixture(scope="module")

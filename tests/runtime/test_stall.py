@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from repro.obs.live import LiveEventBus, MemoryLiveSink
+from repro.obs.live import read_live_log
 from repro.runtime.runner import ParallelCampaignRunner, ReplicaTask, RunOptions
 
 #: Upper bound on how long the hung replica sleeps if never released.
@@ -50,11 +50,10 @@ def hang_once_task(replica: ReplicaTask) -> int:
 
 
 def test_stalled_chunk_is_resubmitted_without_pool_teardown(tmp_path):
-    sink = MemoryLiveSink()
-    bus = LiveEventBus([sink])
+    live = tmp_path / "live.jsonl"
     runner = ParallelCampaignRunner(
         hang_once_task,
-        options=RunOptions(workers=2, chunk_size=1),
+        options=RunOptions(workers=2, chunk_size=1, live_log=live),
         max_retries=2,
         retry_backoff_s=0.0,
         stall_timeout_s=2.0,
@@ -63,7 +62,7 @@ def test_stalled_chunk_is_resubmitted_without_pool_teardown(tmp_path):
     )
     t0 = time.monotonic()
     try:
-        outcome = runner.run([str(tmp_path)] * 3, root_seed=0, live=bus)
+        outcome = runner.run([str(tmp_path)] * 3, root_seed=0)
     finally:
         # Release the hung worker (and reap any leaked pid) promptly.
         with open(
@@ -79,21 +78,22 @@ def test_stalled_chunk_is_resubmitted_without_pool_teardown(tmp_path):
 
     # The stall was flagged and structurally resubmitted: the chunk id
     # of the stall_suspected record was chunk_submitted at least twice.
-    kinds = [r["kind"] for r in sink.records]
+    records, _ = read_live_log(live)
+    kinds = [r["kind"] for r in records]
     assert "stall_suspected" in kinds
-    stalls = [r for r in sink.records if r["kind"] == "stall_suspected"]
+    stalls = [r for r in records if r["kind"] == "stall_suspected"]
     assert all(s["action"] == "resubmitted" for s in stalls)
     stalled_cid = stalls[0]["chunk"]
     submissions = [
         r
-        for r in sink.records
+        for r in records
         if r["kind"] == "chunk_submitted" and r["chunk"] == stalled_cid
     ]
     assert len(submissions) >= 2
     assert outcome.metrics.retries >= 1
 
     # The run_finished record carries the stall count.
-    finished = [r for r in sink.records if r["kind"] == "run_finished"]
+    finished = [r for r in records if r["kind"] == "run_finished"]
     assert len(finished) == 1
     assert finished[0]["stalls"] >= 1
 

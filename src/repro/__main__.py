@@ -184,7 +184,6 @@ def _run_options(args: argparse.Namespace):
     from repro.errors import ConfigurationError
     from repro.runtime.runner import RunOptions
 
-    _refuse_shared_paths(args)
     params = {
         key: value
         for key, value in vars(args).items()
@@ -209,9 +208,10 @@ def _run_options(args: argparse.Namespace):
         raise ConfigurationError(f"store setup failed: {exc}") from None
 
 
-def _refuse_shared_paths(args: argparse.Namespace) -> None:
-    """Refuse two outputs of one run at one path, before any file exists:
-    one would overwrite or corrupt the other."""
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse, before the command runs, a file output it cannot write: a
+    path that is an existing directory, or two outputs at one path (one
+    would overwrite or corrupt the other).  ``--store`` is a directory."""
     from pathlib import Path
 
     from repro.errors import ConfigurationError
@@ -225,10 +225,15 @@ def _refuse_shared_paths(args: argparse.Namespace) -> None:
         ("--live-log PATH.prom", prom),
         ("--metrics-json", args.metrics_json),
         ("--trace", args.trace),
+        ("obs export -o", getattr(args, "output", None)),
     ):
         if not value:
             continue
         path = Path(value).resolve()
+        if label != "--store" and path.is_dir():
+            raise ConfigurationError(
+                f"{label} {value} is a directory; give it a file path"
+            )
         if path in seen:
             raise ConfigurationError(
                 f"{seen[path]} and {label} both name {path}; give each "
@@ -1241,10 +1246,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     """Run one parsed command; ``main()`` and ``resume`` both end here.
 
     A :class:`~repro.errors.ConfigurationError` the command does not
-    handle itself — a store that cannot be set up, a checkpoint ledger
-    that does not match the campaign — ends it with the message on
-    stderr and exit status 1.  ``resume`` is profiled and traced by the
-    command it re-dispatches, so a process starts one profiler at most.
+    handle itself — a file output it cannot write (checked before it
+    runs), a store that cannot be set up, a checkpoint ledger that does
+    not match the campaign — ends it with the message on stderr and exit
+    status 1.  ``resume`` is profiled and traced by the command it
+    re-dispatches, so a process starts one profiler at most.
     """
     from repro.errors import ConfigurationError
 
@@ -1268,6 +1274,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 2
         command = functools.partial(_run_observed, command)
     try:
+        _check_outputs(args)
         if args.profile and args.command != "resume":
             return _run_profiled(command, args)
         return command(args)

@@ -14,7 +14,7 @@ diagnostic architecture is measured exactly:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.classification import Verdict
 from repro.core.fault_model import (

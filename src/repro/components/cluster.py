@@ -262,10 +262,6 @@ class Cluster:
         except KeyError:
             raise ConfigurationError(f"unknown job {job_name!r}") from None
 
-    def set_sensor(self, job_name: str, sensor: str, value: float) -> None:
-        """Set the physical value a job's sensor would read."""
-        self.job(job_name).sensors[sensor] = float(value)
-
     @property
     def now(self) -> int:
         return self.sim.now

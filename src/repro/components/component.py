@@ -130,9 +130,6 @@ class Component:
             )
         return job
 
-    def hosts_job(self, name: str) -> bool:
-        return name in self._jobs_by_name
-
     def das_names(self) -> frozenset[str]:
         """All DASs with at least one job on this component."""
         return frozenset(p.das for p in self.partitions.values())

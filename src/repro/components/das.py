@@ -11,7 +11,7 @@ on one component is component-level hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import ConfigurationError

@@ -16,7 +16,7 @@ entirely (job crash / partition loss).
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigurationError

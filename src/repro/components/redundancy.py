@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -38,10 +38,6 @@ class VoteResult:
     agreeing: tuple[str, ...]
     deviating: tuple[str, ...]
     missing: tuple[str, ...]
-
-    @property
-    def unanimous(self) -> bool:
-        return not self.deviating and not self.missing
 
     @property
     def masked_failure(self) -> bool:

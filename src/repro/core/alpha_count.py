@@ -16,7 +16,7 @@ at the same location at a higher rate (Constantinescu) and accumulate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.obs import state as _obs

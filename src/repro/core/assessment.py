@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict, deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.classification import Classifier, Verdict
 from repro.core.fault_model import FaultClass, FruRef, component_fru

@@ -184,12 +184,6 @@ class Classifier:
         self._evidence.pop(fru, None)
         self.alpha.reset(str(fru))
 
-    def verdict_for(self, fru: FruRef, min_confidence: float = 0.3) -> Verdict | None:
-        for verdict in self.verdicts(min_confidence):
-            if verdict.fru == fru:
-                return verdict
-        return None
-
     # -- internals ------------------------------------------------------------
 
     def _persistence(

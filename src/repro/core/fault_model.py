@@ -144,26 +144,10 @@ class FaultClass(Enum):
             return FaultClass.COMPONENT_INTERNAL
         return FaultClass.COMPONENT_INTERNAL
 
-    @property
-    def replacement_effective(self) -> bool:
-        """Whether replacing/updating some FRU removes the fault.
-
-        This is the pivotal maintenance question (§I): replacing a
-        component for an external fault only raises the no-fault-found
-        ratio, and no FRU swap repairs a configuration (job-borderline)
-        fault — that takes a configuration-data update.  JOB_EXTERNAL
-        evidence re-attributes the fault to the hosting *component*, whose
-        replacement is effective.
-        """
-        return self not in (
-            FaultClass.COMPONENT_EXTERNAL,
-            FaultClass.JOB_BORDERLINE,
-        )
-
 
 # Structured replacement-target mapping used by repro.core.maintenance:
 REPLACEMENT_TARGET: dict[FaultClass, FruKind | None] = {
-    FaultClass.COMPONENT_EXTERNAL: None,
+    FaultClass.COMPONENT_EXTERNAL: None,  # a swap only raises the NFF ratio
     FaultClass.COMPONENT_BORDERLINE: FruKind.COMPONENT,  # connector service
     FaultClass.COMPONENT_INTERNAL: FruKind.COMPONENT,
     FaultClass.JOB_EXTERNAL: FruKind.COMPONENT,

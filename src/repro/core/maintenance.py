@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.core.classification import Verdict
-from repro.core.fault_model import FaultClass, FruKind, FruRef
+from repro.core.fault_model import FaultClass, FruRef
 from repro.faults.rates import LRU_REMOVAL_COST_USD
 from repro.obs import state as _obs
 
@@ -159,10 +159,6 @@ class CostModel:
     @property
     def wasted_cost_usd(self) -> float:
         return self.nff_removals * self.removal_cost_usd
-
-    @property
-    def total_removal_cost_usd(self) -> float:
-        return self.removals * self.removal_cost_usd
 
     def savings_vs(self, baseline: "CostModel") -> float:
         """Wasted cost avoided relative to a baseline strategy."""

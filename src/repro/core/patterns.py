@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.fault_model import FaultClass
 from repro.core.symptoms import Symptom, SymptomType
-from repro.errors import AnalysisError
 
 
 class TimeSignature(Enum):
@@ -260,11 +259,3 @@ def hub_component(symptoms: list[Symptom]) -> tuple[str | None, float]:
             involvement[s.observer] += 1
     name, count = involvement.most_common(1)[0]
     return name, count / len(symptoms)
-
-
-def split_by_subject(symptoms: list[Symptom]) -> dict[str, list[Symptom]]:
-    """Group symptoms by subject component (helper for benches/tests)."""
-    groups: dict[str, list[Symptom]] = {}
-    for s in symptoms:
-        groups.setdefault(s.subject_component, []).append(s)
-    return groups

@@ -21,7 +21,7 @@ surface as the integrated diagnosis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.components.cluster import Cluster
 from repro.core.fault_model import FaultClass

@@ -615,34 +615,3 @@ def sensor_stuck_check(
         return None
 
     return check
-
-
-def sensor_rate_check(
-    sensor: str, max_rate_per_s: float
-) -> Callable[[Job, int], str | None]:
-    """Model-based plausibility: bounded rate of change of the reading."""
-
-    state: dict[str, tuple[int, float]] = {}
-
-    def check(job: Job, now_us: int) -> str | None:
-        readings = job.read_sensors()
-        value = readings.get(sensor)
-        if value is None:
-            return None
-        previous = state.get(job.name)
-        state[job.name] = (now_us, value)
-        if previous is None:
-            return None
-        t_prev, v_prev = previous
-        dt_s = (now_us - t_prev) / 1e6
-        if dt_s <= 0:
-            return None
-        rate = abs(value - v_prev) / dt_s
-        if rate > max_rate_per_s:
-            return (
-                f"sensor {sensor} changed at {rate:.3g}/s, "
-                f"limit {max_rate_per_s}/s"
-            )
-        return None
-
-    return check

@@ -456,72 +456,6 @@ class FaultInjector:
             multiplier=multiplier,
         )
 
-    def inject_stress_driven_wearout(
-        self,
-        component: str,
-        profile,
-        horizon_us: int,
-        base_fit: float = rates.TRANSIENT_HW_FIT,
-        base_stress_per_hour: float = 1e-3,
-        endurance: float = 1.0,
-        duration_us: int = rates.TRANSIENT_OUTAGE_TYPICAL_US,
-        samples: int = 256,
-    ) -> FaultDescriptor:
-        """Wearout driven by an environmental stress profile (§IV-A.3).
-
-        Integrates the :class:`~repro.faults.environment.StressProfile`
-        into accumulated damage (Miner's rule via
-        :class:`~repro.faults.wearout.DamageAccumulator` semantics) and
-        modulates the transient rate with the damage-dependent multiplier:
-        harsh operating conditions (vibration, thermal cycling, shocks)
-        age the component faster, and the aged component fails more often
-        — the full environmental causal chain of the paper.
-        """
-        import numpy as np
-
-        from repro.faults.wearout import DamageAccumulator
-
-        comp = self._component(component)
-        if horizon_us <= 0:
-            raise FaultInjectionError("horizon_us must be positive")
-        # Damage trajectory at sample points (vectorised stress, cumulative
-        # trapezoid integration in hours).
-        t = np.linspace(0, int(horizon_us), int(samples))
-        stress = profile.at(t)
-        dt_hours = np.diff(t) / 3.6e9
-        increments = 0.5 * (stress[1:] + stress[:-1]) * dt_hours
-        damage = np.concatenate(
-            [[0.0], np.cumsum(increments)]
-        ) * base_stress_per_hour
-        normalised = np.clip(damage / endurance, 0.0, 1.0)
-        multiplier = 1.0 + 9.0 * normalised**2  # DamageAccumulator law
-
-        def fit_of(times_us):
-            times = np.asarray(times_us, dtype=float)
-            m = np.interp(times, t, multiplier)
-            return base_fit * m
-
-        arrivals = thinned_arrivals_us(
-            self.rng, fit_of, base_fit * 10.0, int(horizon_us), 0
-        )
-        for arrival in arrivals:
-            self._schedule_outage(comp, int(arrival), duration_us)
-        # Record the damage model for introspection/tests.
-        accumulator = DamageAccumulator(
-            endurance=endurance, base_stress=base_stress_per_hour
-        )
-        accumulator.damage = float(damage[-1])
-        return self._register(
-            FaultClass.COMPONENT_INTERNAL,
-            Persistence.INTERMITTENT,
-            OriginPhase.OPERATIONAL,
-            component_fru(component),
-            "stress-wearout",
-            0,
-            occurrences=int(arrivals.size),
-            final_damage=float(normalised[-1]),
-        )
-
     def inject_permanent_internal(
         self,
         component: str,

@@ -5,86 +5,16 @@ endurance of the material are termed wearout mechanisms" [Ramakrishnan].
 The paper's wearout *indicator* is the increase of transient failures of an
 FRU over time (Constantinescu; Bondavalli et al.).
 
-:class:`DamageAccumulator` integrates environmental stress into a damage
-level (a linear Miner's-rule accumulation) and exposes the resulting
-transient-failure-rate multiplier; :func:`wearout_fit_profile` gives the
-closed-form rate trajectory used by the thinning sampler.
+:func:`wearout_fit_profile` gives the closed-form rate trajectory of a
+wearing-out FRU, which the thinning sampler draws the FRU's transient
+outages from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-
-@dataclass(slots=True)
-class DamageAccumulator:
-    """Linear damage accumulation with a stress-dependent rate.
-
-    Parameters
-    ----------
-    endurance:
-        Damage level at which the component leaves its useful-life regime
-        (damage is reported normalised to this endurance).
-    base_stress:
-        Stress level of benign operating conditions (damage units/hour).
-    """
-
-    endurance: float = 1.0
-    base_stress: float = 1e-3
-    damage: float = 0.0
-    _history: list[tuple[float, float]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.endurance <= 0:
-            raise ConfigurationError(
-                f"endurance must be > 0, got {self.endurance}"
-            )
-        if self.base_stress < 0:
-            raise ConfigurationError(
-                f"base_stress must be >= 0, got {self.base_stress}"
-            )
-
-    def accumulate(self, hours: float, stress_multiplier: float = 1.0) -> float:
-        """Integrate ``hours`` of operation at the given stress multiplier.
-
-        Returns the new normalised damage level.  Harsh conditions
-        (vibration, thermal cycling, humidity — §IV-A.3) enter as
-        ``stress_multiplier > 1``.
-        """
-        if hours < 0:
-            raise ConfigurationError(f"hours must be >= 0, got {hours}")
-        if stress_multiplier < 0:
-            raise ConfigurationError(
-                f"stress_multiplier must be >= 0, got {stress_multiplier}"
-            )
-        self.damage += self.base_stress * stress_multiplier * hours
-        self._history.append((hours, stress_multiplier))
-        return self.normalised_damage
-
-    @property
-    def normalised_damage(self) -> float:
-        """Damage as a fraction of endurance (1.0 = endurance reached)."""
-        return self.damage / self.endurance
-
-    @property
-    def worn_out(self) -> bool:
-        return self.normalised_damage >= 1.0
-
-    def rate_multiplier(self, exponent: float = 2.0) -> float:
-        """Transient-failure-rate multiplier at the current damage.
-
-        A convex function of damage: 1 at zero damage, growing as
-        ``1 + (d/endurance)^exponent * 9`` so that a worn-out part shows a
-        10x transient rate — the order of magnitude the alpha-count based
-        wearout detection needs to discriminate (§V-C).
-        """
-        if exponent <= 0:
-            raise ConfigurationError(f"exponent must be > 0, got {exponent}")
-        return 1.0 + 9.0 * self.normalised_damage**exponent
 
 
 def wearout_fit_profile(

@@ -168,12 +168,6 @@ class CounterRegistry:
             },
         }
 
-    @classmethod
-    def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "CounterRegistry":
-        registry = cls()
-        registry.merge_snapshot(snapshot)
-        return registry
-
     def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
         """Fold one snapshot into this registry (commutative sums)."""
         for key, value in snapshot.get("counters", {}).items():

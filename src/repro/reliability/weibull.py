@@ -46,16 +46,6 @@ def survival(t: ArrayLike, shape: float, scale: float) -> np.ndarray:
     return np.exp(-cumulative_hazard(t, shape, scale))
 
 
-def cdf(t: ArrayLike, shape: float, scale: float) -> np.ndarray:
-    """Failure probability F(t) = 1 - R(t)."""
-    return 1.0 - survival(t, shape, scale)
-
-
-def pdf(t: ArrayLike, shape: float, scale: float) -> np.ndarray:
-    """Density f(t) = h(t) * R(t)."""
-    return hazard(t, shape, scale) * survival(t, shape, scale)
-
-
 def mean(shape: float, scale: float) -> float:
     """Mean time to failure eta * Gamma(1 + 1/beta)."""
     _check(shape, scale)
@@ -71,19 +61,3 @@ def sample(
     _check(shape, scale)
     u = rng.random(size)
     return scale * (-np.log1p(-u)) ** (1.0 / shape)
-
-
-def fit_scale_for_rate(shape: float, target_rate: float, at_time: float) -> float:
-    """Scale eta such that the hazard at ``at_time`` equals ``target_rate``.
-
-    Used to calibrate bathtub phases to published failure frequencies.
-    Solves (beta/eta)*(t/eta)^(beta-1) = r for eta:
-    eta = (beta * t^(beta-1) / r)^(1/beta).
-    """
-    if target_rate <= 0:
-        raise ConfigurationError(f"target rate must be > 0, got {target_rate}")
-    if at_time <= 0:
-        raise ConfigurationError(f"at_time must be > 0, got {at_time}")
-    if shape <= 0:
-        raise ConfigurationError(f"shape must be > 0, got {shape}")
-    return float((shape * at_time ** (shape - 1.0) / target_rate) ** (1.0 / shape))

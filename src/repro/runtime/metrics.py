@@ -10,7 +10,6 @@ text files, and CLI invocations can be profiled with ``--metrics-json``.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -99,44 +98,6 @@ class RunMetrics:
             "replicas_failed": self.replicas_failed,
             "replicas_resumed": self.replicas_resumed,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunMetrics":
-        """Rebuild a record from its :meth:`to_dict` payload.
-
-        Round-trips exactly (up to ``to_dict``'s documented rounding):
-        ``RunMetrics.from_dict(m.to_dict()).to_dict() == m.to_dict()``.
-        Unknown schema versions raise rather than misparse; unknown keys
-        (such as the ``backend`` label older builds wrote) are ignored.
-        """
-        schema = data.get("schema", METRICS_SCHEMA_VERSION)
-        if schema != METRICS_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported RunMetrics schema {schema!r} "
-                f"(this build reads v{METRICS_SCHEMA_VERSION})"
-            )
-        return cls(
-            replicas=int(data["replicas"]),
-            workers=int(data["workers"]),
-            chunk_size=int(data["chunk_size"]),
-            wall_time_s=float(data["wall_time_s"]),
-            events_simulated=int(data["events_simulated"]),
-            events_per_second=float(data["events_per_second"]),
-            retries=int(data.get("retries", 0)),
-            worker_busy_s={
-                str(k): float(v)
-                for k, v in data.get("worker_busy_s", {}).items()
-            },
-            worker_utilization={
-                str(k): float(v)
-                for k, v in data.get("worker_utilization", {}).items()
-            },
-            leaked_worker_pids=tuple(
-                int(p) for p in data.get("leaked_worker_pids", ())
-            ),
-            replicas_failed=int(data.get("replicas_failed", 0)),
-            replicas_resumed=int(data.get("replicas_resumed", 0)),
-        )
 
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

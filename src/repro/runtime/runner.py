@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.seeds import replica_rng, replica_sequence, replica_state_seed
+from repro.runtime.seeds import replica_rng, replica_state_seed
 
 #: Hard ceiling on worker processes (guards against misconfiguration).
 MAX_WORKERS = 64
@@ -148,10 +148,6 @@ class ReplicaTask:
     index: int
     root_seed: int
     spec: Any = None
-
-    def sequence(self) -> np.random.SeedSequence:
-        """This replica's independent seed sequence."""
-        return replica_sequence(self.root_seed, self.index)
 
     def rng(self) -> np.random.Generator:
         """A fresh generator on this replica's stream."""

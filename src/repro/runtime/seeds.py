@@ -21,11 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def root_sequence(root_seed: int) -> np.random.SeedSequence:
-    """The root sequence all replica streams descend from."""
-    return np.random.SeedSequence(int(root_seed))
-
-
 def replica_sequence(root_seed: int, index: int) -> np.random.SeedSequence:
     """Independent child sequence for replica ``index``.
 

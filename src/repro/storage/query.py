@@ -42,7 +42,15 @@ _COUNTER_TABLES = ("replicas", "replica_counters", "replica_histograms")
 def _campaign_parts(
     store: CampaignStore, campaign: str | None = None
 ) -> list[StorePart]:
-    return store.parts(campaign=campaign, kind="campaign")
+    """The campaign parts every aggregate reads; an empty selection is
+    refused, because its zeros would read as a perfect campaign."""
+    parts = store.parts(campaign=campaign, kind="campaign")
+    if not parts:
+        raise ConfigurationError(
+            "store holds no campaign parts"
+            + (f" for campaign {campaign!r}" if campaign else "")
+        )
+    return parts
 
 
 def _sums(part: StorePart) -> dict[str, int]:
@@ -214,11 +222,6 @@ def render_query_report(
     bytes (pinned by ``tests/data/golden_query_report.txt``).
     """
     summaries = campaign_summaries(store, campaign)
-    if not summaries:
-        raise ConfigurationError(
-            "store holds no campaign parts"
-            + (f" for campaign {campaign!r}" if campaign else "")
-        )
     sections = [
         render_table(
             [

@@ -83,12 +83,6 @@ class LocalClock:
         self._offset_us = 0.0
         self._last_correction_at = int(at_reference_us)
 
-    # -- fault hooks ------------------------------------------------------
-
-    def degrade(self, extra_drift_ppm: float) -> None:
-        """Add drift, e.g. from a wearing-out or damaged quartz."""
-        self.drift_ppm += float(extra_drift_ppm)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LocalClock(drift_ppm={self.drift_ppm}, "

@@ -76,10 +76,6 @@ class Frame(NamedTuple):
             crc_valid=False, bit_flips=self.bit_flips + int(bit_flips)
         )
 
-    def delayed(self, extra_us: float) -> "Frame":
-        """Return a copy sent ``extra_us`` later (timing fault)."""
-        return self._replace(send_time_us=self.send_time_us + float(extra_us))
-
     @property
     def timing_error_us(self) -> float:
         """Deviation of the send instant from the nominal slot start."""

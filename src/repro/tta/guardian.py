@@ -11,7 +11,7 @@ the paper's fault hypothesis (§II-E) relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.tta.tdma import SlotPosition, TdmaSchedule
 
@@ -52,7 +52,6 @@ class BusGuardian:
     window_tolerance_us: int = 0
     blocked_count: int = 0
     passed_count: int = 0
-    _log: list[tuple[int, str]] = field(default_factory=list)
 
     def check(
         self, send_time_us: float, slot: SlotPosition | None = None
@@ -100,9 +99,4 @@ class BusGuardian:
         reason = (
             "foreign-slot" if slot.sender != self.component else "outside-window"
         )
-        self._log.append((t, reason))
         return GuardianDecision(False, reason)
-
-    def blocked_events(self) -> list[tuple[int, str]]:
-        """Timestamped log of blocked transmission attempts."""
-        return list(self._log)

@@ -15,7 +15,7 @@ can be detected by other FRUs" (§III-E).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 

@@ -49,10 +49,6 @@ class Delivery(NamedTuple):
     frame: Frame | None
     channels_ok: tuple[bool, ...]
 
-    @property
-    def ok(self) -> bool:
-        return self.status is DeliveryStatus.RECEIVED
-
 
 @dataclass(slots=True)
 class ChannelFaultState:

@@ -123,14 +123,6 @@ class TdmaSchedule:
             )
         return round_index * self.round_length_us + slot_index * self.slot_length_us
 
-    def round_start(self, round_index: int) -> int:
-        """Absolute start time of a round."""
-        return round_index * self.round_length_us
-
-    def round_of(self, time_us: int) -> int:
-        """Round index containing ``time_us``."""
-        return int(time_us) // self.round_length_us
-
     def occurrences(self, sender: str, since_us: int, until_us: int) -> list[SlotPosition]:
         """All slot occurrences of ``sender`` in ``[since_us, until_us)``."""
         out: list[SlotPosition] = []

@@ -60,25 +60,6 @@ class SparseTimeBase:
         """Index of the lattice interval containing ``time_us``."""
         return int(time_us) // self.granularity_us
 
-    def lattice_start(self, point: int) -> int:
-        """Start time (microseconds) of lattice interval ``point``."""
-        return int(point) * self.granularity_us
-
     def simultaneous(self, t1_us: int, t2_us: int) -> bool:
         """True if both times fall on the same action-lattice point."""
         return self.lattice_point(t1_us) == self.lattice_point(t2_us)
-
-    def within_delta(self, t1_us: int, t2_us: int, delta_points: int) -> bool:
-        """True if the two times are at most ``delta_points`` lattice points
-        apart — the "within a small delta" predicate of Fig. 8."""
-        if delta_points < 0:
-            raise ValueError(f"delta_points must be >= 0, got {delta_points}")
-        return abs(self.lattice_point(t1_us) - self.lattice_point(t2_us)) <= delta_points
-
-    def points_in(self, since_us: int, until_us: int) -> range:
-        """Lattice points overlapping the half-open interval [since, until)."""
-        if until_us <= since_us:
-            return range(0)
-        first = self.lattice_point(since_us)
-        last = self.lattice_point(until_us - 1)
-        return range(first, last + 1)

@@ -62,19 +62,9 @@ def to_hours(value_us: int) -> float:
 FIT_HOURS = 1e9  # 1 FIT == 1 failure per 10^9 device-hours
 
 
-def fit_to_per_hour(fit: float) -> float:
-    """Convert a FIT rate to failures per device-hour."""
-    return fit / FIT_HOURS
-
-
 def fit_to_per_us(fit: float) -> float:
     """Convert a FIT rate to failures per simulated microsecond."""
     return fit / FIT_HOURS / US_PER_HOUR
-
-
-def per_hour_to_fit(rate_per_hour: float) -> float:
-    """Convert failures per device-hour to FIT."""
-    return rate_per_hour * FIT_HOURS
 
 
 def mtbf_hours(fit: float) -> float:

@@ -61,12 +61,6 @@ def test_run_rounds_advances_time():
     assert cluster.now == 10 * cluster.schedule.round_length_us
 
 
-def test_sensor_setter():
-    cluster = small_cluster(n_components=3, seed=6)
-    cluster.set_sensor("p0", "temp", 33.0)
-    assert cluster.job("p0").sensors["temp"] == 33.0
-
-
 def test_lookup_errors():
     cluster = small_cluster(n_components=3, seed=7)
     with pytest.raises(ConfigurationError):

@@ -15,7 +15,6 @@ def test_unanimous_vote():
     voter = TmrVoter(REPLICAS)
     result = voter.vote({"r1": 1.0, "r2": 1.0, "r3": 1.0})
     assert result.value == 1.0
-    assert result.unanimous
     assert not result.masked_failure
 
 

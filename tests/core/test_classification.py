@@ -67,13 +67,6 @@ def test_verdicts_sorted_by_confidence():
     assert verdicts[0].fru == component_fru("c1")
 
 
-def test_verdict_for_specific_fru():
-    clf = Classifier()
-    clf.ingest([trig(FaultClass.JOB_BORDERLINE, job_fru("j1"))])
-    assert clf.verdict_for(job_fru("j1")).fault_class is FaultClass.JOB_BORDERLINE
-    assert clf.verdict_for(job_fru("other")) is None
-
-
 def test_alpha_count_adds_internal_weight_for_recurring_failures():
     clf = Classifier(alpha_decay=0.9, alpha_threshold=2.0)
     for i in range(4):

@@ -60,18 +60,16 @@ def test_boundary_assignment_matches_paper():
     assert FaultClass.JOB_INHERENT_TRANSDUCER.boundary is LaprieBoundary.INTERNAL
 
 
-def test_replacement_effectiveness():
-    assert not FaultClass.COMPONENT_EXTERNAL.replacement_effective
-    assert not FaultClass.JOB_BORDERLINE.replacement_effective
-    assert FaultClass.COMPONENT_INTERNAL.replacement_effective
-    assert FaultClass.JOB_EXTERNAL.replacement_effective
-    assert FaultClass.JOB_INHERENT_SOFTWARE.replacement_effective
-
-
 def test_replacement_targets_complete():
     assert set(REPLACEMENT_TARGET) == set(FaultClass)
-    assert REPLACEMENT_TARGET[FaultClass.COMPONENT_EXTERNAL] is None
+    # No FRU swap repairs an external fault or a configuration fault.
+    assert {fc for fc, kind in REPLACEMENT_TARGET.items() if kind is None} == {
+        FaultClass.COMPONENT_EXTERNAL,
+        FaultClass.JOB_BORDERLINE,
+    }
+    assert REPLACEMENT_TARGET[FaultClass.COMPONENT_INTERNAL] is FruKind.COMPONENT
     assert REPLACEMENT_TARGET[FaultClass.JOB_EXTERNAL] is FruKind.COMPONENT
+    assert REPLACEMENT_TARGET[FaultClass.JOB_INHERENT_SOFTWARE] is FruKind.JOB
 
 
 def test_overview_rows_cover_all_classes():

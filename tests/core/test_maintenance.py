@@ -87,7 +87,6 @@ def test_cost_model_counts_nff():
     assert model.nff_removals == 1
     assert model.nff_ratio == pytest.approx(0.5)
     assert model.wasted_cost_usd == pytest.approx(800.0)
-    assert model.total_removal_cost_usd == pytest.approx(1600.0)
 
 
 def test_cost_model_zero_removals():

@@ -14,7 +14,6 @@ from repro.core.patterns import (
     compress_episodes,
     hub_component,
     measure_signature,
-    split_by_subject,
 )
 from repro.core.symptoms import SymptomType
 
@@ -99,12 +98,6 @@ def test_value_trend_detects_drift():
     ]
     sig = measure_signature(symptoms)
     assert sig.value_trend > 0.9
-
-
-def test_split_by_subject():
-    groups = split_by_subject(massive_symptoms())
-    assert set(groups) == {"comp1", "comp2", "comp3"}
-    assert len(groups["comp1"]) == 2
 
 
 def test_single_point_signature_degenerate():

@@ -97,38 +97,3 @@ def test_brownout_validation():
     injector = FaultInjector(cluster)
     with pytest.raises(FaultInjectionError):
         injector.inject_power_brownout("c1", 0, duration_us=0)
-
-
-def test_stress_driven_wearout_rates_follow_harshness():
-    """Harsher stress profiles age the unit faster and produce more
-    transient episodes over the same horizon."""
-    from repro.faults.environment import BENIGN, ROUGH_ROAD
-
-    counts = {}
-    for label, profile in (("benign", BENIGN), ("rough", ROUGH_ROAD)):
-        total = 0
-        for seed in range(4):
-            cluster = small_cluster(4, seed=200 + seed)
-            injector = FaultInjector(cluster)
-            d = injector.inject_stress_driven_wearout(
-                "c1",
-                profile,
-                horizon_us=seconds(10),
-                base_fit=5e11,
-                base_stress_per_hour=110.0,  # accelerated-life scaling
-            )
-            assert d.mechanism == "stress-wearout"
-            total += int(d.activation_us == 0)  # descriptor sanity
-            cluster.run(seconds(10))
-            total += cluster.trace.count("frame.silent")
-        counts[label] = total
-    assert counts["rough"] > counts["benign"]
-
-
-def test_stress_driven_wearout_validation():
-    from repro.faults.environment import BENIGN
-
-    cluster = small_cluster(3, seed=210)
-    injector = FaultInjector(cluster)
-    with pytest.raises(FaultInjectionError):
-        injector.inject_stress_driven_wearout("c1", BENIGN, horizon_us=0)

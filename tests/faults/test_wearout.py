@@ -1,4 +1,4 @@
-"""Unit tests for wearout damage accumulation."""
+"""Unit tests for the wearout FIT profile."""
 
 from __future__ import annotations
 
@@ -6,45 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.wearout import DamageAccumulator, wearout_fit_profile
-
-
-def test_accumulation_is_linear_in_hours_and_stress():
-    acc = DamageAccumulator(endurance=1.0, base_stress=0.01)
-    acc.accumulate(10.0)
-    assert acc.normalised_damage == pytest.approx(0.1)
-    acc.accumulate(10.0, stress_multiplier=2.0)
-    assert acc.normalised_damage == pytest.approx(0.3)
-    assert not acc.worn_out
-
-
-def test_worn_out_at_endurance():
-    acc = DamageAccumulator(endurance=1.0, base_stress=0.1)
-    acc.accumulate(10.0)
-    assert acc.worn_out
-
-
-def test_rate_multiplier_grows_convexly():
-    acc = DamageAccumulator(endurance=1.0, base_stress=1.0)
-    assert acc.rate_multiplier() == pytest.approx(1.0)
-    acc.accumulate(0.5)
-    half = acc.rate_multiplier()
-    acc.accumulate(0.5)
-    full = acc.rate_multiplier()
-    assert 1.0 < half < full
-    assert full == pytest.approx(10.0)
-
-
-def test_validation():
-    with pytest.raises(ConfigurationError):
-        DamageAccumulator(endurance=0.0)
-    acc = DamageAccumulator()
-    with pytest.raises(ConfigurationError):
-        acc.accumulate(-1.0)
-    with pytest.raises(ConfigurationError):
-        acc.accumulate(1.0, stress_multiplier=-1.0)
-    with pytest.raises(ConfigurationError):
-        acc.rate_multiplier(exponent=0.0)
+from repro.faults.wearout import wearout_fit_profile
 
 
 def test_fit_profile_shape():

@@ -16,13 +16,6 @@ def test_exponential_special_case():
     assert np.allclose(weibull.hazard(t, 1.0, 50.0), 1.0 / 50.0)
 
 
-def test_survival_cdf_complementary():
-    t = np.linspace(0.1, 100, 20)
-    s = weibull.survival(t, 2.0, 30.0)
-    f = weibull.cdf(t, 2.0, 30.0)
-    assert np.allclose(s + f, 1.0)
-
-
 def test_hazard_monotonicity_by_shape():
     t = np.linspace(1.0, 100.0, 50)
     increasing = weibull.hazard(t, 3.0, 50.0)
@@ -45,9 +38,9 @@ def test_sampling_distribution_roughly_correct():
     assert np.mean(samples) == pytest.approx(weibull.mean(2.0, 100.0), rel=0.05)
 
 
-def test_fit_scale_for_rate_inverse():
-    scale = weibull.fit_scale_for_rate(3.0, target_rate=1e-4, at_time=1000.0)
-    assert float(weibull.hazard(1000.0, 3.0, scale)) == pytest.approx(1e-4)
+def test_hazard_matches_closed_form():
+    # h(t) = (shape / scale) * (t / scale) ** (shape - 1)
+    assert float(weibull.hazard(2000.0, 3.0, 1000.0)) == pytest.approx(0.012)
 
 
 def test_validation():
@@ -55,10 +48,6 @@ def test_validation():
         weibull.hazard(1.0, 0.0, 1.0)
     with pytest.raises(ConfigurationError):
         weibull.hazard(1.0, 1.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        weibull.fit_scale_for_rate(1.0, 0.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        weibull.fit_scale_for_rate(1.0, 1.0, -1.0)
 
 
 @given(
@@ -70,16 +59,3 @@ def test_property_survival_in_unit_interval_and_decreasing(shape, scale, t):
     s1 = float(weibull.survival(t, shape, scale))
     s2 = float(weibull.survival(t + 1.0, shape, scale))
     assert 0.0 <= s2 <= s1 <= 1.0
-
-
-@given(
-    st.floats(min_value=0.3, max_value=5.0),
-    st.floats(min_value=1.0, max_value=1e5),
-    st.floats(min_value=1e-6, max_value=1e6),
-)
-def test_property_pdf_is_hazard_times_survival(shape, scale, t):
-    pdf = float(weibull.pdf(t, shape, scale))
-    expected = float(
-        weibull.hazard(t, shape, scale) * weibull.survival(t, shape, scale)
-    )
-    assert pdf == pytest.approx(expected, rel=1e-9, abs=1e-300)

@@ -9,7 +9,6 @@ from repro.runtime.seeds import (
     replica_rng,
     replica_sequence,
     replica_state_seed,
-    root_sequence,
 )
 
 
@@ -47,10 +46,6 @@ def test_state_seed_properties():
     assert all(0 <= s < 2**63 for s in seeds)
     assert replica_state_seed(5, 17) == replica_state_seed(5, 17)
     assert replica_state_seed(5, 17) != replica_state_seed(6, 17)
-
-
-def test_root_sequence_entropy():
-    assert root_sequence(9).entropy == 9
 
 
 def test_negative_index_rejected():

@@ -103,8 +103,21 @@ def test_query_missing_store_dir_fails_cleanly(tmp_path, capsys):
 
 
 def test_query_empty_store_fails_cleanly(tmp_path, capsys):
-    assert main(["query", "report", "--store", str(tmp_path)]) == 1
-    assert "no campaign parts" in capsys.readouterr().err
+    """An aggregate over no campaign parts is refused: its zeros would
+    read as a perfect campaign."""
+    aggregates = ("report", "campaigns", "nff", "confusion", "latency")
+    for what in (*aggregates, "drift"):
+        assert main(["query", what, "--store", str(tmp_path)]) == 1, what
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "store holds no campaign parts" in captured.err, what
+    _populate(tmp_path / "s")
+    for what in aggregates:
+        store = ["--store", str(tmp_path / "s"), "--campaign", "nope"]
+        assert main(["query", what, *store]) == 1, what
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no campaign parts for campaign 'nope'" in captured.err, what
 
 
 def test_store_bad_campaign_id_fails_fast(tmp_path, capsys):

@@ -283,6 +283,48 @@ def test_outputs_sharing_a_path_are_refused(tmp_path, capsys, first, second):
     assert list(tmp_path.iterdir()) == []
 
 
+_MC = ["mc", "--replicas", "2", "--horizon-ms", "100"]
+#: Command lines with one file output at the directory ``D``; ``D-.prom``
+#: is ``D`` less its suffix, so that the live log's snapshot lands on it.
+_DIRECTORY_OUTPUTS = {
+    "checkpoint": ["--checkpoint", "D", *_MC],
+    "live-log": ["--live-log", "D", *_MC],
+    "live-log.prom": ["--live-log", "D-.prom", *_MC],
+    "metrics-json": ["--metrics-json", "D", *_MC],
+    "trace-mc": ["--trace", "D", *_MC],
+    "trace-demo": ["--trace", "D", "demo"],
+    "trace-scenario": ["--trace", "D", "scenario", "seu"],
+    "obs-export": ["obs", "export", "TRACE", "-o", "D"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(_DIRECTORY_OUTPUTS.values()), ids=list(_DIRECTORY_OUTPUTS)
+)
+def test_file_output_naming_a_directory_is_refused(tmp_path, capsys, argv):
+    """A file output at an existing directory ends the command before it
+    runs: exit 1, nothing on stdout, one line on stderr."""
+    directory = tmp_path / "out.prom"
+    directory.mkdir()
+    trace = tmp_path / "t.jsonl"
+    if "TRACE" in argv:
+        assert main(["--trace", str(trace), "list"]) == 0
+        capsys.readouterr()
+    paths = {
+        "D": str(directory),
+        "D-.prom": str(directory).removesuffix(".prom"),
+        "TRACE": str(trace),
+    }
+    rc = main([paths.get(token, token) for token in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert "is a directory" in captured.err
+    assert "Traceback" not in captured.err
+    assert list(directory.iterdir()) == []
+
+
 def test_global_flags_after_trace_and_log_commands(tmp_path, capsys):
     """``explain``, ``monitor`` and ``obs`` take the global flags after
     the subcommand too, as every other command does."""

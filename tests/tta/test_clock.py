@@ -37,12 +37,6 @@ def test_resynchronise_clears_error():
     assert clock.error(10_000_000) == 0.0
 
 
-def test_degrade_adds_drift():
-    clock = LocalClock(drift_ppm=10.0)
-    clock.degrade(90.0)
-    assert clock.drift_ppm == pytest.approx(100.0)
-
-
 def test_jitter_requires_rng():
     with pytest.raises(ConfigurationError):
         LocalClock(jitter_us=1.0)

@@ -33,9 +33,3 @@ def test_corruption_accumulates(frame):
 
 def test_zero_flip_corruption_is_identity(frame):
     assert frame.corrupted(0) is frame
-
-
-def test_delay(frame):
-    late = frame.delayed(100.0)
-    assert late.timing_error_us == pytest.approx(103.5)
-    assert late.payload == frame.payload

@@ -26,7 +26,6 @@ def test_foreign_slot_send_blocked():
     assert not decision.allowed
     assert decision.reason == "foreign-slot"
     assert g.blocked_count == 1
-    assert g.blocked_events() == [(250, "foreign-slot")]
 
 
 def test_tolerance_band_after_slot():
@@ -76,7 +75,6 @@ def test_property_slot_hint_never_changes_the_decision(
     plain = BusGuardian(owner, sched, window_tolerance_us=tol)
     hinted = BusGuardian(owner, sched, window_tolerance_us=tol)
     assert hinted.check(send, slot) == plain.check(send)
-    assert hinted.blocked_events() == plain.blocked_events()
     assert (hinted.passed_count, hinted.blocked_count) == (
         plain.passed_count,
         plain.blocked_count,

@@ -31,8 +31,6 @@ def test_slot_at(sched):
 
 def test_slot_start_and_round(sched):
     assert sched.slot_start(2, 1) == 7000
-    assert sched.round_start(2) == 6000
-    assert sched.round_of(6999) == 2
     with pytest.raises(ConfigurationError):
         sched.slot_start(0, 3)
 

@@ -14,28 +14,12 @@ def test_lattice_point_indexing():
     assert tb.lattice_point(0) == 0
     assert tb.lattice_point(99) == 0
     assert tb.lattice_point(100) == 1
-    assert tb.lattice_start(3) == 300
 
 
 def test_simultaneity():
     tb = SparseTimeBase(100, 10)
     assert tb.simultaneous(10, 90)
     assert not tb.simultaneous(90, 110)
-
-
-def test_within_delta():
-    tb = SparseTimeBase(100, 10)
-    assert tb.within_delta(50, 250, 2)
-    assert not tb.within_delta(50, 350, 2)
-    with pytest.raises(ValueError):
-        tb.within_delta(0, 0, -1)
-
-
-def test_points_in_interval():
-    tb = SparseTimeBase(100, 10)
-    assert list(tb.points_in(150, 410)) == [1, 2, 3, 4]
-    assert list(tb.points_in(100, 100)) == []
-    assert list(tb.points_in(100, 101)) == [1]
 
 
 def test_reasonableness_condition_enforced():
@@ -58,7 +42,7 @@ def test_invalid_parameters():
 def test_property_point_start_consistency(granularity, t):
     tb = SparseTimeBase(granularity, 0)
     p = tb.lattice_point(t)
-    assert tb.lattice_start(p) <= t < tb.lattice_start(p + 1)
+    assert p * granularity <= t < (p + 1) * granularity
 
 
 @given(
@@ -69,4 +53,3 @@ def test_property_point_start_consistency(granularity, t):
 def test_property_simultaneity_symmetric(granularity, t1, t2):
     tb = SparseTimeBase(granularity, (granularity - 1) // 2)
     assert tb.simultaneous(t1, t2) == tb.simultaneous(t2, t1)
-    assert tb.within_delta(t1, t2, 0) == tb.simultaneous(t1, t2)
